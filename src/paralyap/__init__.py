@@ -30,7 +30,6 @@ from .characteristics import (
     SeedGrid,
     Termination,
     analytic_g,
-    eval_g,
     integrate_characteristics,
     reduced_g,
     reduced_ode_g,
@@ -135,7 +134,6 @@ __all__ = [
     "eval_L",
     "eval_Lp",
     "eval_Lpp",
-    "eval_g",
     "filtration_energy",
     "from_descriptor",
     "heat_equation",

@@ -49,7 +49,6 @@ __all__ = [
     "analytic_g",
     "reduced_ode_g",
     "tabulate_g",
-    "eval_g",
     "trajectory_csv",
 ]
 
@@ -360,7 +359,6 @@ class GProvider:
     variant: str
     p0: float
     g0: float
-    x_independent: bool
     _eval: Callable = field(repr=False)
     coverage: Optional[float] = None
     low_coverage: bool = False
@@ -369,10 +367,6 @@ class GProvider:
 
     def __call__(self, x, u, p):
         return self._eval(x, u, p)
-
-
-def eval_g(provider: GProvider, x, u, p):
-    return provider(x, u, p)
 
 
 def analytic_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0) -> GProvider:
@@ -387,7 +381,7 @@ def analytic_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0) -> GProvider
         with np.errstate(divide="ignore", invalid="ignore"):
             return g_of_p(np.asarray(p, dtype=float), p0, g0)
 
-    return GProvider("analytic", p0, g0, True, evaluate)
+    return GProvider("analytic", p0, g0, evaluate)
 
 
 def reduced_ode_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0,
@@ -407,7 +401,7 @@ def reduced_ode_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0,
         out = np.array([memo[v] for v in p_arr.tolist()])
         return out if np.asarray(p).ndim else float(out[0])
 
-    return GProvider("reduced_ode", p0, g0, True, evaluate)
+    return GProvider("reduced_ode", p0, g0, evaluate)
 
 
 @dataclass(frozen=True)
@@ -534,7 +528,7 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
         },
     }
     provider = GProvider(
-        "tabulated", float("nan"), 0.0, False, evaluate,
+        "tabulated", float("nan"), 0.0, evaluate,
         coverage=coverage, low_coverage=coverage < coverage_min, snapshot=snapshot,
     )
     return provider

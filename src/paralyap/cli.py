@@ -6,7 +6,7 @@ integrand and dumps it on a grid, ``simulate`` evolves an initial profile,
 ``compare-closed-form`` scores the numeric construction against a builtin's
 closed-form reference.
 
-All runs are driven by a JSON config plus ``--config/--out/--workers/--seed``
+All runs are driven by a JSON config plus ``--config/--out/--workers``
 and write a manifest recording the fully resolved configuration, so a rerun
 of the same config with the same package version reproduces every CSV byte
 for byte.  Exit codes: 0 success, 1 error, 2 success with warnings.
@@ -204,11 +204,10 @@ def _write(out_dir: Path, name: str, text: str):
     (out_dir / name).write_text(text)
 
 
-def _manifest(out_dir, command, config, seed, workers, results):
+def _manifest(out_dir, command, config, workers, results):
     payload = {
         "command": command,
         "version": __version__,
-        "seed": seed,
         "workers": workers,
         "config": config,
         "results": results,
@@ -229,7 +228,7 @@ def _provider_summary(provider: GProvider):
     }
 
 
-def cmd_construct_energy(config, out_dir: Path, workers: int, seed: int) -> int:
+def cmd_construct_energy(config, out_dir: Path, workers: int) -> int:
     spec = _build_spec(config)
     provider = _build_provider(spec, config, workers)
     lag = _build_lagrangian(spec, provider, config)
@@ -270,7 +269,7 @@ def cmd_construct_energy(config, out_dir: Path, workers: int, seed: int) -> int:
            json.dumps(sidecar, sort_keys=True, indent=2, default=repr) + "\n")
 
     warn = provider.low_coverage
-    _manifest(out_dir, "construct-energy", config, seed, workers, {
+    _manifest(out_dir, "construct-energy", config, workers, {
         "p_base": lag.p_base,
         "p_star": lag.p_star,
         "provider": _provider_summary(provider),
@@ -305,11 +304,11 @@ def _trajectory_lines(grid, result):
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(config, out_dir: Path, workers: int, seed: int) -> int:
+def cmd_simulate(config, out_dir: Path, workers: int) -> int:
     spec = _build_spec(config)
     grid, result = _run_simulation(config, spec)
     _write(out_dir, "trajectory.csv", _trajectory_lines(grid, result))
-    _manifest(out_dir, "simulate", config, seed, workers, {
+    _manifest(out_dir, "simulate", config, workers, {
         "termination": result.termination,
         "n_steps": result.n_steps,
         "dt_smallest": result.dt_smallest,
@@ -319,7 +318,7 @@ def cmd_simulate(config, out_dir: Path, workers: int, seed: int) -> int:
     return 0
 
 
-def cmd_verify(config, out_dir: Path, workers: int, seed: int) -> int:
+def cmd_verify(config, out_dir: Path, workers: int) -> int:
     spec = _build_spec(config)
     provider = _build_provider(spec, config, workers)
     lag = _build_lagrangian(spec, provider, config)
@@ -344,7 +343,7 @@ def cmd_verify(config, out_dir: Path, workers: int, seed: int) -> int:
     _write(out_dir, "energy_trace.csv", trace.to_csv())
     _write(out_dir, "verify_report.json",
            json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _manifest(out_dir, "verify", config, seed, workers, {
+    _manifest(out_dir, "verify", config, workers, {
         "passed_monotonicity": report.passed_monotonicity,
         "passed_consistency": report.passed_consistency,
         "max_consistency_error": report.max_consistency_error,
@@ -360,7 +359,7 @@ def cmd_verify(config, out_dir: Path, workers: int, seed: int) -> int:
     return 0
 
 
-def cmd_compare_closed_form(config, out_dir: Path, workers: int, seed: int) -> int:
+def cmd_compare_closed_form(config, out_dir: Path, workers: int) -> int:
     spec = _build_spec(config)
     provider = _build_provider(spec, config, workers)
     lag = _build_lagrangian(spec, provider, config)
@@ -377,7 +376,7 @@ def cmd_compare_closed_form(config, out_dir: Path, workers: int, seed: int) -> i
         report["note"] = comparison["note"]
         _write(out_dir, "comparison.json",
                json.dumps(report, sort_keys=True, indent=2) + "\n")
-        _manifest(out_dir, "compare-closed-form", config, seed, workers, report)
+        _manifest(out_dir, "compare-closed-form", config, workers, report)
         print(report["note"])
         return 0
 
@@ -429,7 +428,7 @@ def cmd_compare_closed_form(config, out_dir: Path, workers: int, seed: int) -> i
         }
     _write(out_dir, "comparison.json",
            json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _manifest(out_dir, "compare-closed-form", config, seed, workers, report)
+    _manifest(out_dir, "compare-closed-form", config, workers, report)
     return 0
 
 
@@ -451,13 +450,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--workers", type=int, default=0,
                         help="worker pool size; 0 means available parallelism")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled validation")
     args = parser.parse_args(argv)
 
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
     try:
         config = _resolve_config(args.config)
-        return _COMMANDS[args.command](config, Path(args.out), workers, args.seed)
+        return _COMMANDS[args.command](config, Path(args.out), workers)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,8 +13,12 @@ on two jobs:
   L_p vanishes where u_x = b(u).  Dirichlet ends need no flux condition and
   take l1 = 0; with Robin at both ends l1 interpolates linearly in x.
 * ``l0`` (the p-free part) is pinned by the compatibility condition
-  dL0/du = l1_x + p_star * l1_u + exp(g(x, u, p_star)) * reaction(x, u, p_star)
-  at a fixed gradient value p_star, integrated from u = 0.
+  dl0/du = l1_x + p_star * l1_u + exp(g(x, u, p_star)) * reaction(x, u, p_star)
+  at a fixed gradient value p_star.  The l1_u term integrates exactly, so
+  l0(x, u) = p_star * (l1(x, u) - l1(x, 0))
+             + integral(0..u) of [l1_x(x, s) + exp(g) * reaction](x, s, p_star) ds,
+  one quadrature per query with no stored state; l1_x = l1(1, s) - l1(0, s)
+  with Robin at both ends and 0 otherwise.
 
 The repeated p-integral collapses to one quadrature via
 integral(base..p) of (p - s) * weight(s) ds, which equals the nested form
@@ -29,9 +33,8 @@ query: base_eff(p) = sign(p) * p_base.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,7 +56,6 @@ __all__ = [
 
 _PROBE_POINTS = (1e-4, 1e-3, 1e-2)
 _PROBE_ANCHOR = (0.5, 0.75)
-_FD_REL = 1e-6
 
 
 class LagrangianError(RuntimeError):
@@ -67,44 +69,45 @@ class LagrangianOptions:
     quad_tol: float = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lagrangian:
     spec: ProblemSpec
     g_provider: GProvider
     p_base: float
     p_star: float
     quad_tol: float
-    l1: Callable
     l1_kind: str
-    l0_cache: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self._lock = threading.Lock()
-        self._l0_shared = (
-            self.g_provider.x_independent
-            and self.spec.structure_flags.autonomous_in_x
-            and self.l1_kind != "interp"
-        )
-
     def weight(self, x, u, p):
-        return float(self.spec.diffusion_coeff(x, u, p)) * math.exp(
-            float(self.g_provider(x, u, p))
-        )
+        return _weight(self.spec, self.g_provider, x, u, p)
 
     def base_eff(self, p):
         if self.p_base == 0.0:
             return 0.0
         return self.p_base if p >= 0.0 else -self.p_base
 
-    def L(self, x, u, p):
-        return eval_L(self, x, u, p)
+    def l1(self, x, u):
+        """Coefficient of p: minus the weight integral to b(u) at Robin ends."""
+        if self.l1_kind == "zero":
+            return 0.0
+        if self.l1_kind == "left":
+            return self._end_l1(0.0, u)
+        if self.l1_kind == "right":
+            return self._end_l1(1.0, u)
+        return (1.0 - x) * self._end_l1(0.0, u) + x * self._end_l1(1.0, u)
 
-    def Lp(self, x, u, p):
-        return eval_Lp(self, x, u, p)
+    def _end_l1(self, x_end, u):
+        bc = self.spec.bc_left if x_end == 0.0 else self.spec.bc_right
+        bu = float(bc.robin_b(u))
+        return -_quad(
+            lambda s: self.weight(x_end, u, s), self.base_eff(bu), bu,
+            self.quad_tol, f"l1(x={x_end}, u={u!r})",
+        )
 
-    def Lpp(self, x, u, p):
-        return eval_Lpp(self, x, u, p)
+
+def _weight(spec: ProblemSpec, g_provider: GProvider, x, u, p):
+    return float(spec.diffusion_coeff(x, u, p)) * math.exp(float(g_provider(x, u, p)))
 
 
 def _probe_p_base(weight, override):
@@ -144,54 +147,27 @@ def build_lagrangian(spec: ProblemSpec, g_provider: GProvider,
                      options: LagrangianOptions = LagrangianOptions()) -> Lagrangian:
     """Assemble the energy integrand for one model and one g representation."""
 
-    def weight(x, u, p):
-        return float(spec.diffusion_coeff(x, u, p)) * math.exp(float(g_provider(x, u, p)))
-
-    p_base, probe_info = _probe_p_base(weight, options.p_base)
+    p_base, probe_info = _probe_p_base(
+        lambda x, u, p: _weight(spec, g_provider, x, u, p), options.p_base
+    )
     p_star = p_base if options.p_star is None else float(options.p_star)
-
-    def base_eff(p):
-        if p_base == 0.0:
-            return 0.0
-        return p_base if p >= 0.0 else -p_base
-
     robin_left = spec.bc_left.kind == "robin"
     robin_right = spec.bc_right.kind == "robin"
-
-    def end_l1(x_end, b):
-        def one(u):
-            bu = float(b(u))
-            return -_quad(
-                lambda s: weight(x_end, u, s), base_eff(bu), bu,
-                options.quad_tol, f"l1(x={x_end}, u={u!r})",
-            )
-
-        return one
-
     if robin_left and robin_right:
-        left = end_l1(0.0, spec.bc_left.robin_b)
-        right = end_l1(1.0, spec.bc_right.robin_b)
-        l1 = lambda x, u: (1.0 - x) * left(u) + x * right(u)
         l1_kind = "interp"
     elif robin_left:
-        left = end_l1(0.0, spec.bc_left.robin_b)
-        l1 = lambda x, u: left(u)
         l1_kind = "left"
     elif robin_right:
-        right = end_l1(1.0, spec.bc_right.robin_b)
-        l1 = lambda x, u: right(u)
         l1_kind = "right"
     else:
-        l1 = lambda x, u: 0.0
         l1_kind = "zero"
 
-    lag = Lagrangian(
+    return Lagrangian(
         spec=spec,
         g_provider=g_provider,
         p_base=p_base,
         p_star=p_star,
         quad_tol=options.quad_tol,
-        l1=l1,
         l1_kind=l1_kind,
         metadata={
             **probe_info,
@@ -203,7 +179,6 @@ def build_lagrangian(spec: ProblemSpec, g_provider: GProvider,
             "normalization": {"p0": g_provider.p0, "g0": g_provider.g0},
         },
     )
-    return lag
 
 
 def _exp_g_reaction(lag: Lagrangian, x, u):
@@ -250,36 +225,17 @@ def _exp_g_reaction(lag: Lagrangian, x, u):
     return t7
 
 
-def _l1_partials(lag: Lagrangian, x, u):
-    if lag.l1_kind == "zero":
-        return 0.0, 0.0
-    hu = _FD_REL * (1.0 + abs(u))
-    l1_u = (lag.l1(x, u + hu) - lag.l1(x, u - hu)) / (2.0 * hu)
-    if lag.l1_kind == "interp":
-        l1_x = lag.l1(1.0, u) - lag.l1(0.0, u)
-    else:
-        l1_x = 0.0
-    return l1_x, l1_u
-
-
 def _l0(lag: Lagrangian, x, u):
-    key = 0.0 if lag._l0_shared else float(x)
-    with lag._lock:
-        bucket = lag.l0_cache.setdefault(key, {0.0: 0.0})
-        nearest = min(bucket, key=lambda v: abs(v - u))
-        start_val = bucket[nearest]
-    if nearest == u:
-        return start_val
+    """The p-free part, integrated from l0(x, 0) = 0 (see the module docstring)."""
+    interp = lag.l1_kind == "interp"
 
     def integrand(s):
-        l1_x, l1_u = _l1_partials(lag, x, s)
-        return l1_x + lag.p_star * l1_u + _exp_g_reaction(lag, x, s)
+        l1_x = lag._end_l1(1.0, s) - lag._end_l1(0.0, s) if interp else 0.0
+        return l1_x + _exp_g_reaction(lag, x, s)
 
-    val = start_val + _quad(
-        integrand, nearest, u, lag.quad_tol, f"l0(x={x!r}, u={u!r})"
-    )
-    with lag._lock:
-        bucket[u] = val
+    val = _quad(integrand, 0.0, u, lag.quad_tol, f"l0(x={x!r}, u={u!r})")
+    if lag.p_star != 0.0:
+        val += lag.p_star * (lag.l1(x, u) - lag.l1(x, 0.0))
     return val
 
 

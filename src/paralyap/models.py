@@ -118,8 +118,6 @@ class BoundaryCondition:
 class StructureFlags:
     """Structural facts the downstream stages may exploit."""
 
-    autonomous_in_x: bool = True
-    autonomous_in_u: bool = True
     shared_factor_reducible: bool = False
 
 
@@ -300,9 +298,7 @@ def _quasilinear_spec(name, a, h, bc_left, bc_right, closed, params, reducible):
         f1_weight=_passthrough_ut,
         bc_left=bc_left,
         bc_right=bc_right,
-        structure_flags=StructureFlags(
-            autonomous_in_x=True, autonomous_in_u=False, shared_factor_reducible=reducible
-        ),
+        structure_flags=StructureFlags(shared_factor_reducible=reducible),
         closed_forms=closed,
         params=params,
     )
@@ -370,7 +366,7 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
             f1_weight=_passthrough_ut,
             bc_left=bc_left,
             bc_right=bc_right,
-            structure_flags=StructureFlags(True, True, shared_factor_reducible=n > 0),
+            structure_flags=StructureFlags(shared_factor_reducible=n > 0),
             closed_forms=closed,
             singular_gradient_weight=n > 0,
             params={"model": "rho_laplacian_poly", "rho": rho, "n": n},
@@ -409,7 +405,7 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
             f1_weight=_passthrough_ut,
             bc_left=bc_left,
             bc_right=bc_right,
-            structure_flags=StructureFlags(True, True, shared_factor_reducible=n > 0),
+            structure_flags=StructureFlags(shared_factor_reducible=n > 0),
             closed_forms=closed,
             singular_gradient_weight=n > 0,
             params={"model": "mcf_poly", "n": n},
@@ -460,7 +456,7 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
             f1_weight=f1_weight,
             bc_left=bc_left,
             bc_right=bc_right,
-            structure_flags=StructureFlags(True, True, shared_factor_reducible=True),
+            structure_flags=StructureFlags(shared_factor_reducible=True),
             closed_forms=closed,
             params={"model": "inverse_mcf"},
         )
@@ -521,7 +517,7 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
             f1_weight=_passthrough_ut,
             bc_left=bc_left,
             bc_right=bc_right,
-            structure_flags=StructureFlags(True, m == 1.0, shared_factor_reducible=m > 1.0),
+            structure_flags=StructureFlags(shared_factor_reducible=m > 1.0),
             closed_forms=closed,
             char_system=char_system,
             singular_gradient_weight=m > 1.0,
@@ -564,7 +560,7 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
             f1_weight=_passthrough_ut,
             bc_left=bc_left,
             bc_right=bc_right,
-            structure_flags=StructureFlags(True, False, shared_factor_reducible=True),
+            structure_flags=StructureFlags(shared_factor_reducible=True),
             closed_forms=closed,
             singular_gradient_weight=True,
             params={"model": "filtration"},

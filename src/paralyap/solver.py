@@ -32,7 +32,6 @@ __all__ = [
     "StateFrame",
     "SolverControls",
     "SimulationResult",
-    "pme_rhs",
     "evolution_rhs",
     "step",
     "simulate",
@@ -100,18 +99,6 @@ def _degenerate_power(u: np.ndarray, m: float) -> np.ndarray:
         )
     # Roundoff-level negatives are clipped so fractional powers stay real.
     return np.maximum(u, 0.0) ** m
-
-
-def pme_rhs(u: np.ndarray, m: float, dx: float) -> np.ndarray:
-    """Conservative stencil ((u^m)_{i+1} - 2(u^m)_i + (u^m)_{i-1}) / dx^2.
-
-    Interior nodes only; the boundary entries are zero.  Negative input
-    beyond roundoff is an error since u^m is not defined there.
-    """
-    v = _degenerate_power(np.asarray(u, dtype=float), m)
-    out = np.zeros_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-    return out
 
 
 def _robin_ghosts(spec: ProblemSpec, u: np.ndarray, dx: float):

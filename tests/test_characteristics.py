@@ -185,7 +185,7 @@ def test_reduced_requires_the_structure_flag():
 def test_analytic_provider_values():
     pme = models.from_descriptor({"model": "porous_medium", "m": 2.0})
     provider = analytic_g(pme)
-    assert provider.variant == "analytic" and provider.x_independent
+    assert provider.variant == "analytic"
     assert provider(0.3, 0.7, 0.25) == pytest.approx(math.log(4.0))
     # degenerate gradient: off-branch value reported quietly as +inf
     assert math.isinf(float(provider(0.0, 0.5, 0.0)))
@@ -214,7 +214,6 @@ def test_tabulated_provider_covers_and_interpolates():
     grid = SeedGrid(tuple(np.linspace(-1.0, 1.0, 5)), tuple(np.linspace(-1.0, 1.0, 5)))
     provider = tabulate_g(spec, grid, query_box=((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
     assert provider.variant == "tabulated"
-    assert not provider.x_independent
     assert provider.coverage is not None and provider.coverage > 0.9
     assert not provider.low_coverage
     # g vanishes identically on every curve of this model

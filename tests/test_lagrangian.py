@@ -112,6 +112,31 @@ def test_two_robin_ends_interpolate_the_boundary_term():
     assert lag.l1(0.25, 0.5) == pytest.approx(-0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("both_ends", [False, True])
+def test_density_does_not_depend_on_query_history(both_ends):
+    robin = BoundaryCondition.robin(lambda u: u, lambda u: 1.0)
+    spec = models.pure_mean_curvature(
+        bc_left=robin, bc_right=robin if both_ends else None
+    )
+    fresh = eval_L(_lag(spec, p_star=0.5), 0.5, 0.8, 0.7)
+    lag = _lag(spec, p_star=0.5)
+    for u in np.random.default_rng(0).uniform(-1.0, 1.0, 200):
+        eval_L(lag, 0.5, u, 0.7)
+    assert eval_L(lag, 0.5, 0.8, 0.7) == fresh
+
+
+def test_star_point_term_with_a_robin_end():
+    # Unit weight and no reaction: l1 = -u, so l0 = p_star * (l1(u) - l1(0))
+    # = -0.5 u and L = p^2/2 - u p - 0.5 u.
+    spec = models.heat_equation(
+        bc_left=BoundaryCondition.robin(lambda u: u, lambda u: 1.0)
+    )
+    lag = _lag(spec, p_star=0.5)
+    for u, p in ((0.7, 1.3), (-0.4, 0.2), (0.0, -1.1)):
+        exact = 0.5 * p * p - u * p - 0.5 * u
+        assert eval_L(lag, 0.3, u, p) == pytest.approx(exact, abs=1e-9)
+
+
 def test_second_difference_agrees_with_direct_weight():
     spec = models.from_descriptor({"model": "inverse_mcf"})
     lag = build_lagrangian(

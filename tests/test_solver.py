@@ -18,7 +18,6 @@ from paralyap.solver import (
     SolverError,
     StateFrame,
     evolution_rhs,
-    pme_rhs,
     simulate,
     step,
 )
@@ -34,17 +33,21 @@ def test_grid_properties():
 
 
 def test_divergence_stencil_hand_value():
-    # u = x^2 on five nodes, m = 2: w = x^4 and the stencil at x = 0.5 is
-    # (0.25^4 - 2*0.5^4 + 0.75^4) / 0.25^2 = 3.125 (exact value 12 x^2 = 3).
-    x = np.linspace(0.0, 1.0, 5)
-    out = pme_rhs(x**2, 2.0, 0.25)
-    assert out[2] == pytest.approx(3.125, abs=1e-12)
+    # u = x^2 on eight cells, m = 2: w = x^4 and the stencil at x = 0.5 is
+    # (0.375^4 - 2*0.5^4 + 0.625^4) / 0.125^2 = 3.03125 (exact 12 x^2 = 3).
+    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
+    grid = Grid1D(8)
+    out = evolution_rhs(spec, grid, grid.nodes**2)
+    assert out[4] == pytest.approx(3.03125, abs=1e-12)
     assert out[0] == 0.0 and out[-1] == 0.0
 
 
 def test_degenerate_power_rejects_negative_states():
+    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
+    u = np.full(9, 0.5)
+    u[1] = -0.1
     with pytest.raises(SolverError):
-        pme_rhs(np.array([0.0, -0.1, 0.5]), 2.0, 0.5)
+        evolution_rhs(spec, Grid1D(8), u)
 
 
 def test_interior_rhs_matches_reference_stencil():
