@@ -79,7 +79,7 @@ from .models import (
     pure_rho_laplacian,
     validate_spec,
 )
-from .quadrature import QuadratureError, adaptive_simpson
+from .quadrature import QuadratureError, adaptive_simpson, integrate_batch
 from .solver import (
     Grid1D,
     SimulationResult,
@@ -138,6 +138,7 @@ __all__ = [
     "from_descriptor",
     "heat_equation",
     "instantiate",
+    "integrate_batch",
     "integrate_characteristics",
     "node_gradient",
     "pure_mean_curvature",

@@ -392,14 +392,15 @@ def reduced_ode_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0,
     lock = threading.Lock()
 
     def evaluate(x, u, p):
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        missing = [v for v in p_arr.tolist() if v not in memo]
+        p_arr = np.asarray(p, dtype=float)
+        keys = p_arr.ravel().tolist()
+        missing = [v for v in keys if v not in memo]
         if missing:
             got = reduced_g(spec, np.array(missing), p0, g0, x_ref, u_ref, quad_tol)
             with lock:
                 memo.update(zip(missing, np.atleast_1d(got).tolist()))
-        out = np.array([memo[v] for v in p_arr.tolist()])
-        return out if np.asarray(p).ndim else float(out[0])
+        out = np.array([memo[v] for v in keys]).reshape(p_arr.shape)
+        return out if p_arr.ndim else float(out)
 
     return GProvider("reduced_ode", p0, g0, evaluate)
 

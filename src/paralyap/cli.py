@@ -237,24 +237,19 @@ def cmd_construct_energy(config, out_dir: Path, workers: int) -> int:
     xs = [float(v) for v in dump["x"]]
     us = _axis(dump["u"])
     ps = _axis(dump["p"])
-    lines = ["x,u,p,L,L_p,L_pp"]
+    # Rows run over x, then u, then p: the C order of an "ij" meshgrid.
+    xx, uu, pp = (a.ravel() for a in np.meshgrid(xs, us, ps, indexing="ij"))
     try:
-        for x in xs:
-            for u in us:
-                for p in ps:
-                    lines.append(
-                        ",".join(
-                            _float_cell(v)
-                            for v in (
-                                x, u, p,
-                                eval_L(lag, x, u, p),
-                                eval_Lp(lag, x, u, p),
-                                eval_Lpp(lag, x, u, p),
-                            )
-                        )
-                    )
+        columns = (
+            xx, uu, pp,
+            eval_L(lag, xx, uu, pp),
+            eval_Lp(lag, xx, uu, pp),
+            eval_Lpp(lag, xx, uu, pp),
+        )
     except (LagrangianError, QuadratureError) as exc:
         raise CliError("lagrangian", str(exc))
+    lines = ["x,u,p,L,L_p,L_pp"]
+    lines.extend(",".join(_float_cell(v) for v in row) for row in zip(*columns))
     _write(out_dir, "lagrangian_grid.csv", "\n".join(lines) + "\n")
 
     sidecar = dict(lag.metadata)

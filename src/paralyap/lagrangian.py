@@ -20,9 +20,17 @@ on two jobs:
   one quadrature per query with no stored state; l1_x = l1(1, s) - l1(0, s)
   with Robin at both ends and 0 otherwise.
 
-The repeated p-integral collapses to one quadrature via
+The repeated p-integral is evaluated as the single integral
 integral(base..p) of (p - s) * weight(s) ds, which equals the nested form
-exactly and halves the adaptive work.
+exactly.
+
+Every evaluator works on whole arrays of query points: each quadrature
+above is one ``integrate_batch`` call over all points, so the model
+callbacks and the g provider are called once per panel sweep with every
+open abscissa, not once per sample.  With Robin at both ends the l1_x term
+inside the l0 integrand is itself one inner batch per outer sweep.  A
+point's value depends only on that point, never on the others that share
+its batch.
 
 Base-point selection: integrating from 0 is the default, but weights with a
 non-integrable 1/|p| blowup at 0 (porous medium, curvature flows with
@@ -40,7 +48,7 @@ import numpy as np
 
 from .characteristics import GProvider
 from .models import ProblemSpec
-from .quadrature import QuadratureError, adaptive_simpson
+from .quadrature import QuadratureError, integrate_batch
 
 __all__ = [
     "LagrangianError",
@@ -83,31 +91,40 @@ class Lagrangian:
         return _weight(self.spec, self.g_provider, x, u, p)
 
     def base_eff(self, p):
-        if self.p_base == 0.0:
-            return 0.0
-        return self.p_base if p >= 0.0 else -self.p_base
+        return np.where(np.asarray(p) >= 0.0, self.p_base, -self.p_base)[()]
 
     def l1(self, x, u):
         """Coefficient of p: minus the weight integral to b(u) at Robin ends."""
         if self.l1_kind == "zero":
-            return 0.0
+            return np.zeros(np.broadcast(x, u).shape)[()]
         if self.l1_kind == "left":
-            return self._end_l1(0.0, u)
+            return self._end_l1((0.0,), u)[0]
         if self.l1_kind == "right":
-            return self._end_l1(1.0, u)
-        return (1.0 - x) * self._end_l1(0.0, u) + x * self._end_l1(1.0, u)
+            return self._end_l1((1.0,), u)[0]
+        left, right = self._end_l1((0.0, 1.0), u)
+        return (1.0 - x) * left + x * right
 
-    def _end_l1(self, x_end, u):
-        bc = self.spec.bc_left if x_end == 0.0 else self.spec.bc_right
-        bu = float(bc.robin_b(u))
-        return -_quad(
-            lambda s: self.weight(x_end, u, s), self.base_eff(bu), bu,
-            self.quad_tol, f"l1(x={x_end}, u={u!r})",
+    def _end_l1(self, ends, u):
+        """l1 at each Robin end in ``ends`` for every u, as one quadrature batch."""
+        u = np.asarray(u, dtype=float)
+        x_end = np.repeat(np.asarray(ends, dtype=float), u.size)
+        uu = np.tile(u.ravel(), len(ends))
+        bcs = {0.0: self.spec.bc_left, 1.0: self.spec.bc_right}
+        bu = np.concatenate([
+            np.broadcast_to(np.asarray(bcs[e].robin_b(u), dtype=float), u.shape).ravel()
+            for e in ends
+        ])
+        val = -_integrate(
+            lambda i, s: self.weight(x_end[i], uu[i], s), self.base_eff(bu), bu,
+            self.quad_tol, "l1", x=x_end, u=uu,
         )
+        return val.reshape((len(ends),) + u.shape)
 
 
 def _weight(spec: ProblemSpec, g_provider: GProvider, x, u, p):
-    return float(spec.diffusion_coeff(x, u, p)) * math.exp(float(g_provider(x, u, p)))
+    """L_pp = diffusion_coeff * exp(g), elementwise over broadcast inputs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return spec.diffusion_coeff(x, u, p) * np.exp(g_provider(x, u, p))
 
 
 def _probe_p_base(weight, override):
@@ -117,7 +134,7 @@ def _probe_p_base(weight, override):
     vals = []
     for s in _PROBE_POINTS:
         try:
-            v = weight(x_a, u_a, s)
+            v = float(weight(x_a, u_a, s))
         except Exception:
             v = math.nan
         vals.append(v)
@@ -136,11 +153,13 @@ def _probe_p_base(weight, override):
     }
 
 
-def _quad(f, a, b, tol, where):
+def _integrate(f, a, b, tol, stage, **point):
+    """integrate_batch over flat point arrays; a failure names the stage and the point."""
     try:
-        return adaptive_simpson(f, a, b, tol=tol)
+        return integrate_batch(f, a, b, tol)
     except QuadratureError as exc:
-        raise LagrangianError(f"quadrature failed at {where}: {exc}") from exc
+        where = ", ".join(f"{name}={float(v[exc.index])!r}" for name, v in point.items())
+        raise LagrangianError(f"quadrature failed at {stage}({where}): {exc}") from exc
 
 
 def build_lagrangian(spec: ProblemSpec, g_provider: GProvider,
@@ -184,105 +203,103 @@ def build_lagrangian(spec: ProblemSpec, g_provider: GProvider,
 def _exp_g_reaction(lag: Lagrangian, x, u):
     """exp(g) * reaction at (x, u, p_star), resolving 0*inf limits by probing.
 
-    The direct value wins when finite.  Otherwise the product is probed at
+    The direct value wins where finite.  Elsewhere the product is probed at
     p_star + 1e-6 and p_star + 1e-7: agreement means a finite limit, decay
     means limit 0, growth means the compatibility integrand genuinely
     diverges and a different p_star is needed.
     """
     spec = lag.spec
     ps = lag.p_star
+    x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
 
-    def at(p):
-        f0 = float(spec.reaction(x, u, p))
-        gv = float(lag.g_provider(x, u, p))
-        if not math.isfinite(gv):
-            # Covers the genuine 0*inf indeterminate form: defer to the probe.
-            return math.nan
-        try:
-            return math.exp(gv) * f0
-        except OverflowError:
-            return math.nan
+    def at(xs, us, p):
+        with np.errstate(over="ignore", invalid="ignore"):
+            f0 = np.asarray(spec.reaction(xs, us, p), dtype=float)
+            gv = np.asarray(lag.g_provider(xs, us, p), dtype=float)
+            # A non-finite g covers the genuine 0*inf form: defer to the probe.
+            val = np.where(np.isfinite(gv), np.exp(gv) * f0, np.nan)
+        return np.broadcast_to(val, xs.shape)
 
-    direct = at(ps)
-    if math.isfinite(direct):
-        return direct
-    t6 = at(ps + 1e-6)
-    t7 = at(ps + 1e-7)
-    if not (math.isfinite(t6) and math.isfinite(t7)):
-        raise LagrangianError(
-            f"compatibility integrand undefined near p_star={ps!r} at (x={x!r}, u={u!r}); "
-            "choose a different p_star"
-        )
-    if abs(t7 - t6) <= 1e-3 * (1.0 + abs(t7)):
-        return t7
-    if abs(t7) < 0.5 * abs(t6):
-        return 0.0
-    if abs(t7) > 2.0 * abs(t6):
-        raise LagrangianError(
-            f"compatibility integrand diverges at p_star={ps!r} at (x={x!r}, u={u!r}); "
-            "choose a different p_star"
-        )
-    return t7
+    out = at(x, u, ps).copy()
+    bad = ~np.isfinite(out)
+    if not bad.any():
+        return out
+    xb, ub = x[bad], u[bad]
+    t6 = at(xb, ub, ps + 1e-6)
+    t7 = at(xb, ub, ps + 1e-7)
+    undefined = ~(np.isfinite(t6) & np.isfinite(t7))
+    agree = np.abs(t7 - t6) <= 1e-3 * (1.0 + np.abs(t7))
+    decays = ~agree & (np.abs(t7) < 0.5 * np.abs(t6))
+    grows = ~agree & ~decays & (np.abs(t7) > 2.0 * np.abs(t6))
+    for mask, what in ((undefined, "undefined near"), (grows, "diverges at")):
+        if mask.any():
+            i = int(np.flatnonzero(mask)[0])
+            raise LagrangianError(
+                f"compatibility integrand {what} p_star={ps!r} at "
+                f"(x={float(xb[i])!r}, u={float(ub[i])!r}); choose a different p_star"
+            )
+    out[bad] = np.where(decays, 0.0, t7)
+    return out
 
 
-def _l0(lag: Lagrangian, x, u):
-    """The p-free part, integrated from l0(x, 0) = 0 (see the module docstring)."""
+def _l0(lag: Lagrangian, x, u, l1):
+    """The p-free part, integrated from l0(x, 0) = 0 (see the module docstring).
+
+    ``l1`` is lag.l1(x, u), which the caller needs as well.
+    """
     interp = lag.l1_kind == "interp"
 
-    def integrand(s):
-        l1_x = lag._end_l1(1.0, s) - lag._end_l1(0.0, s) if interp else 0.0
-        return l1_x + _exp_g_reaction(lag, x, s)
+    def integrand(i, s):
+        l1_x = 0.0
+        if interp:
+            left, right = lag._end_l1((0.0, 1.0), s)
+            l1_x = right - left
+        return l1_x + _exp_g_reaction(lag, x[i], s)
 
-    val = _quad(integrand, 0.0, u, lag.quad_tol, f"l0(x={x!r}, u={u!r})")
+    val = _integrate(integrand, 0.0, u, lag.quad_tol, "l0", x=x, u=u)
     if lag.p_star != 0.0:
-        val += lag.p_star * (lag.l1(x, u) - lag.l1(x, 0.0))
+        val = val + lag.p_star * (l1 - lag.l1(x, 0.0))
     return val
 
 
-def _map3(fn, x, u, p):
+def _points(x, u, p):
+    """The broadcast query arrays, flattened, and their common shape."""
     bx, bu, bp = np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(u, dtype=float), np.asarray(p, dtype=float)
     )
-    if bx.ndim == 0:
-        return fn(float(bx), float(bu), float(bp))
-    out = np.empty(bx.shape)
-    flat = out.ravel()
-    for i, (xi, ui, pi) in enumerate(zip(bx.ravel(), bu.ravel(), bp.ravel())):
-        flat[i] = fn(float(xi), float(ui), float(pi))
-    return out
+    return bx.ravel(), bu.ravel(), bp.ravel(), bx.shape
+
+
+def _shaped(values, shape):
+    return values.reshape(shape) if shape else float(values[0])
 
 
 def eval_L(lag: Lagrangian, x, u, p):
     """L(x, u, p): repeated weight integral plus l0 plus l1 * p."""
-
-    def one(xi, ui, pi):
-        base = lag.base_eff(pi)
-        core = _quad(
-            lambda s: (pi - s) * lag.weight(xi, ui, s), base, pi,
-            lag.quad_tol, f"L(x={xi!r}, u={ui!r}, p={pi!r})",
-        )
-        return core + _l0(lag, xi, ui) + lag.l1(xi, ui) * pi
-
-    return _map3(one, x, u, p)
+    x, u, p, shape = _points(x, u, p)
+    core = _integrate(
+        lambda i, s: (p[i] - s) * lag.weight(x[i], u[i], s), lag.base_eff(p), p,
+        lag.quad_tol, "L", x=x, u=u, p=p,
+    )
+    l1 = lag.l1(x, u)
+    return _shaped(core + _l0(lag, x, u, l1) + l1 * p, shape)
 
 
 def eval_Lp(lag: Lagrangian, x, u, p):
     """dL/dp: one weight integral plus l1."""
-
-    def one(xi, ui, pi):
-        base = lag.base_eff(pi)
-        core = _quad(
-            lambda s: lag.weight(xi, ui, s), base, pi,
-            lag.quad_tol, f"L_p(x={xi!r}, u={ui!r}, p={pi!r})",
-        )
-        return core + lag.l1(xi, ui)
-
-    return _map3(one, x, u, p)
+    x, u, p, shape = _points(x, u, p)
+    core = _integrate(
+        lambda i, s: lag.weight(x[i], u[i], s), lag.base_eff(p), p,
+        lag.quad_tol, "L_p", x=x, u=u, p=p,
+    )
+    return _shaped(core + lag.l1(x, u), shape)
 
 
 def eval_Lpp(lag: Lagrangian, x, u, p):
     """d2L/dp2: the weight itself, no quadrature."""
-    return _map3(lambda xi, ui, pi: lag.weight(xi, ui, pi), x, u, p)
+    x, u, p, shape = _points(x, u, p)
+    weight = np.array(np.broadcast_to(np.asarray(lag.weight(x, u, p), dtype=float), x.shape))
+    return _shaped(weight, shape)
 
 
 def second_difference_lpp(lag: Lagrangian, x, u, p, h: float = 5e-3):
@@ -291,14 +308,13 @@ def second_difference_lpp(lag: Lagrangian, x, u, p, h: float = 5e-3):
     Fourth-order accurate, so the step can stay large enough that quadrature
     noise (about quad_tol / h^2) does not dominate.
     """
-
-    def one(xi, ui, pi):
-        vals = [eval_L(lag, xi, ui, pi + k * h) for k in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-        return (
-            -vals[0] + 16.0 * vals[1] - 30.0 * vals[2] + 16.0 * vals[3] - vals[4]
-        ) / (12.0 * h * h)
-
-    return _map3(one, x, u, p)
+    x, u, p, shape = _points(x, u, p)
+    k = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    v = eval_L(lag, x[:, None], u[:, None], p[:, None] + k * h)
+    second = (
+        -v[:, 0] + 16.0 * v[:, 1] - 30.0 * v[:, 2] + 16.0 * v[:, 3] - v[:, 4]
+    ) / (12.0 * h * h)
+    return _shaped(second, shape)
 
 
 def _affine_residuals(u_values, p_values, numeric, reference):

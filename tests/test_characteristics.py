@@ -260,3 +260,11 @@ def test_provider_call_shapes():
     arr = provider(0.0, 0.0, np.array([0.5, 1.0, 2.0]))
     assert arr.shape == (3,)
     assert isinstance(GProvider.__call__(provider, 0.0, 0.0, 0.5), float)
+
+
+def test_reduced_provider_keeps_the_query_shape():
+    spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0})
+    ps = np.array([[0.25, 0.5, 1.0], [2.0, 0.5, 4.0]])
+    got = reduced_ode_g(spec)(0.0, 0.5, ps)
+    assert got.shape == (2, 3)
+    assert np.max(np.abs(got - analytic_g(spec)(0.0, 0.5, ps))) < 1e-12

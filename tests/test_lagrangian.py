@@ -8,10 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paralyap import models
 from paralyap.characteristics import analytic_g, reduced_ode_g
 from paralyap.lagrangian import (
+    LagrangianError,
     LagrangianOptions,
     build_lagrangian,
     compare_closed_form,
@@ -185,3 +188,92 @@ def test_eval_broadcasting():
     assert grid.shape == (2, 3)
     assert np.allclose(grid, 0.5)
     assert isinstance(eval_L(lag, 0.0, 0.0, 1.0), float)
+
+
+@pytest.mark.parametrize("evaluator, stage", [(eval_L, "L"), (eval_Lp, "L_p")])
+def test_quadrature_failure_names_the_stage_and_the_point(evaluator, stage):
+    # The odd reaction exponent puts p < 0 off the branch: g, and so the
+    # weight, is nan there.  The first point is fine and must not be named.
+    spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0})
+    lag = _lag(spec)
+    with pytest.raises(LagrangianError) as info:
+        evaluator(lag, [0.1, 0.5], 0.5, [0.7, -0.5])
+    assert str(info.value).startswith(
+        f"quadrature failed at {stage}(x=0.5, u=0.5, p=-0.5): "
+    )
+
+
+_ROBIN = BoundaryCondition.robin(lambda u: u, lambda u: 1.0)
+
+# (spec, options, u range, p range); each p range stays on the model's branch.
+_PROPERTY_CASES = {
+    "rho_poly": (
+        models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0}),
+        {}, (0.25, 1.0), (0.05, 2.0),
+    ),
+    "porous_medium": (
+        models.from_descriptor({"model": "porous_medium", "m": 2.0}),
+        {}, (0.25, 1.0), (0.05, 2.0),
+    ),
+    "heat_robin_left": (
+        models.heat_equation(bc_left=_ROBIN), {"p_star": 0.5}, (-1.0, 1.0), (-2.0, 2.0),
+    ),
+    "mcf_robin_both": (
+        models.pure_mean_curvature(bc_left=_ROBIN, bc_right=_ROBIN),
+        {"p_star": 0.5}, (-1.0, 1.0), (-2.0, 2.0),
+    ),
+}
+
+
+def _queries(case, size):
+    _, _, (u_lo, u_hi), (p_lo, p_hi) = _PROPERTY_CASES[case]
+    point = st.tuples(
+        st.floats(0.0, 1.0), st.floats(u_lo, u_hi), st.floats(p_lo, p_hi)
+    )
+    return st.lists(point, min_size=1, max_size=size)
+
+
+@pytest.mark.parametrize("case", sorted(_PROPERTY_CASES))
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_batched_density_equals_pointwise(case, data):
+    spec, opts, _, _ = _PROPERTY_CASES[case]
+    lag = _lag(spec, **opts)
+    x, u, p = (np.array(v) for v in zip(*data.draw(_queries(case, 6))))
+    batch_L = eval_L(lag, x, u, p)
+    batch_Lp = eval_Lp(lag, x, u, p)
+    for i in range(len(x)):
+        assert batch_L[i] == eval_L(lag, x[i], u[i], p[i])
+        assert batch_Lp[i] == eval_Lp(lag, x[i], u[i], p[i])
+
+
+@pytest.mark.parametrize("desc, p_range", [
+    ({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0}, (0.05, 2.0)),
+    ({"model": "porous_medium", "m": 2.0}, (0.3, 2.0)),
+    ({"model": "mcf_pure"}, (-2.0, 2.0)),
+    ({"model": "inverse_mcf"}, (-2.0, 2.0)),
+])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_second_difference_matches_the_weight(desc, p_range, data):
+    spec = models.from_descriptor(desc)
+    lag = build_lagrangian(
+        spec, analytic_g(spec, p0=spec.closed_forms.canonical_p0),
+        LagrangianOptions(quad_tol=1e-12),
+    )
+    x = data.draw(st.floats(0.0, 1.0))
+    u = data.draw(st.floats(0.25, 1.0))
+    p = data.draw(st.floats(*p_range))
+    direct = eval_Lpp(lag, x, u, p)
+    assert second_difference_lpp(lag, x, u, p) == pytest.approx(direct, abs=1e-6 * (1.0 + direct))
+
+
+@pytest.mark.parametrize("case", ["heat_robin_left", "mcf_robin_both"])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(u=st.floats(-1.0, 1.0))
+def test_flux_vanishes_on_the_robin_manifold(case, u):
+    spec, opts, _, _ = _PROPERTY_CASES[case]
+    lag = _lag(spec, **opts)
+    ends = (0.0, 1.0) if spec.bc_right.kind == "robin" else (0.0,)
+    for x_end in ends:
+        assert abs(eval_Lp(lag, x_end, u, u)) < 1e-12

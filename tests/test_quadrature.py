@@ -1,4 +1,4 @@
-"""Adaptive Simpson integrator against integrals with known values.
+"""Adaptive Simpson and batched Gauss-Kronrod integrators against known integrals.
 
 Every expected number here is a hand integral: power and log antiderivatives,
 nothing taken from the code under test.
@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from paralyap.quadrature import QuadratureError, adaptive_simpson
+from paralyap.quadrature import QuadratureError, adaptive_simpson, integrate_batch
 
 
 def test_polynomial_is_nearly_exact():
@@ -97,3 +97,33 @@ def test_random_polynomials_match_antiderivative():
         exact = poly.integ()(b) - poly.integ()(a)
         val = adaptive_simpson(poly, a, b, tol=1e-11)
         assert abs(val - exact) <= 1e-9 * (1.0 + abs(exact))
+
+
+@pytest.mark.parametrize(
+    "f, a, b, exact",
+    [
+        (lambda s: s**3 - 2.0 * s, 0.0, 2.0, 0.0),
+        (np.sin, 0.0, math.pi, 2.0),
+        (lambda s: s * s, 1.0, 0.0, -1.0 / 3.0),
+        (lambda s: 1.0 / np.sqrt(s), 0.0, 1.0, 2.0),
+        (np.abs, -1.0, 1.0, 1.0),
+        (lambda s: 1.0 / s, 1e-10, 1.0, 10.0 * math.log(10.0)),
+        (lambda s: 1.0 / np.abs(s), -1.0, -1e-10, 10.0 * math.log(10.0)),
+        (lambda s: 1.0 / s, 0.0, 1.0, None),
+    ],
+    ids=["cubic", "sin", "reversed", "sqrt-at-0", "abs-across-0",
+         "log-positive", "log-negative", "1/s-at-0-diverges"],
+)
+def test_batch_integrator_on_hand_integrals(f, a, b, exact):
+    # The batched core samples no endpoint, so the singular edges need no
+    # guard in the integrand; the divergent 1/s must exhaust the depth cap.
+    def integrand(idx, s):
+        return f(s)
+
+    if exact is None:
+        with pytest.raises(QuadratureError) as info:
+            integrate_batch(integrand, a, b, tol=1e-10)
+        assert info.value.index == 0
+        return
+    val = integrate_batch(integrand, a, b, tol=1e-10)
+    assert abs(val - exact) <= 1e-9 * (1.0 + abs(exact))
