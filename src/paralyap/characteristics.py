@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .quadrature import adaptive_simpson
+from .quadrature import integrate_batch
 from .models import ProblemSpec
 
 __all__ = [
@@ -316,30 +316,10 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0,
             out[~rest] = g0 + np.log(np.abs(f0_seed / f0_query[~rest]))
         return float(out[0]) if scalar else out
 
-    def ratio(s):
-        f = float(spec.reaction(x_ref, u_ref, s))
-        r = -(
-            float(spec.reaction_dp(x_ref, u_ref, s))
-            + float(spec.diffusion_coeff_dx(x_ref, u_ref, s))
-            + s * float(spec.diffusion_coeff_du(x_ref, u_ref, s))
-        )
-        return r / f
+    def ratio(idx, s):
+        return rate_at(s) / np.asarray(spec.reaction(x_ref, u_ref, s), dtype=float)
 
-    # Cumulative quadrature over the sorted breakpoints, outward from p0.
-    points = np.unique(np.concatenate([active, [p0]]))
-    values = np.empty_like(points)
-    i0 = int(np.searchsorted(points, p0))
-    values[i0] = g0
-    for j in range(i0 + 1, len(points)):
-        values[j] = values[j - 1] + adaptive_simpson(
-            ratio, points[j - 1], points[j], tol=quad_tol, split_at_zero=False
-        )
-    for j in range(i0 - 1, -1, -1):
-        values[j] = values[j + 1] - adaptive_simpson(
-            ratio, points[j], points[j + 1], tol=quad_tol, split_at_zero=False
-        )
-    lookup = dict(zip(points.tolist(), values.tolist()))
-    out[~rest] = [lookup[v] for v in active.tolist()]
+    out[~rest] = g0 + integrate_batch(ratio, p0, active, quad_tol)
     return float(out[0]) if scalar else out
 
 
@@ -387,20 +367,14 @@ def analytic_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0) -> GProvider
 def reduced_ode_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0,
                   x_ref: float = 0.0, u_ref: float = 1.0,
                   quad_tol: float = 1e-12) -> GProvider:
-    """Provider that integrates dg/dp on demand, memoizing past queries."""
-    memo = {}
-    lock = threading.Lock()
+    """Provider that integrates dg/dp on demand.
+
+    Each query integrates from p0 afresh, so a value depends only on its own
+    p, never on the batch it arrives in or on earlier queries.
+    """
 
     def evaluate(x, u, p):
-        p_arr = np.asarray(p, dtype=float)
-        keys = p_arr.ravel().tolist()
-        missing = [v for v in keys if v not in memo]
-        if missing:
-            got = reduced_g(spec, np.array(missing), p0, g0, x_ref, u_ref, quad_tol)
-            with lock:
-                memo.update(zip(missing, np.atleast_1d(got).tolist()))
-        out = np.array([memo[v] for v in keys]).reshape(p_arr.shape)
-        return out if p_arr.ndim else float(out)
+        return reduced_g(spec, p, p0, g0, x_ref, u_ref, quad_tol)
 
     return GProvider("reduced_ode", p0, g0, evaluate)
 

@@ -25,8 +25,8 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .lagrangian import Lagrangian, eval_L
-from .models import ProblemSpec
-from .quadrature import adaptive_simpson
+from .models import ProblemSpec, _numeric_du
+from .quadrature import integrate_batch
 from .solver import Grid1D, SimulationResult, StateFrame
 
 __all__ = [
@@ -210,23 +210,18 @@ def standard_pme_energy(frame: StateFrame, m: float, grid: Optional[Grid1D] = No
 
 def filtration_energy(frame: StateFrame, a: Callable, a_du: Optional[Callable] = None,
                       grid: Optional[Grid1D] = None, quad_tol: float = 1e-9) -> dict:
-    """Standard energy for u_t = (a(u))_xx: E = int of (int_0^u a), decay -int (a_u u_x)^2."""
+    """Standard energy for u_t = (a(u))_xx: E = int of (int_0^u a), decay -int (a_u u_x)^2.
+
+    ``a`` and ``a_du`` are called on arrays of u values; without ``a_du`` a
+    central difference of ``a`` stands in for it.
+    """
     g = _grid_for(frame, grid)
     x = g.nodes
     if a_du is None:
-        a_du = lambda v: (a(v + 1e-6 * (1.0 + abs(v))) - a(v - 1e-6 * (1.0 + abs(v)))) / (
-            2e-6 * (1.0 + abs(v))
-        )
-    inner = {}
-
-    def antiderivative(v):
-        if v not in inner:
-            inner[v] = adaptive_simpson(lambda s: float(a(s)), 0.0, v, tol=quad_tol)
-        return inner[v]
-
-    E = float(simpson(np.array([antiderivative(float(v)) for v in frame.u]), x=x))
+        a_du = _numeric_du(a)
+    E = float(simpson(integrate_batch(lambda idx, s: a(s), 0.0, frame.u, quad_tol), x=x))
     p = np.gradient(frame.u, g.dx, edge_order=2)
-    flux = np.array([float(a_du(float(v))) for v in frame.u]) * p
+    flux = np.asarray(a_du(frame.u), dtype=float) * p
     return {"E": E, "dEdt": -float(simpson(flux * flux, x=x))}
 
 

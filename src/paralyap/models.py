@@ -652,12 +652,19 @@ def _filtration_power(m):
 
 
 def _filtration_superslow():
-    def a(u):
+    # a = exp(-1/u) for u > 0 and 0 elsewhere, with a' = exp(-1/u) / u**2
+    # and a'' = exp(-1/u) * (1 - 2u) / u**4.  The power of u goes into the
+    # exponent, so a tiny u gives 0 rather than 0 * inf.
+    def exp_over_power(u, k):
         u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
+        v = np.maximum(u, 1e-300)
+        return np.where(u > 0.0, np.exp(-1.0 / v - k * np.log(v)), 0.0)
 
-    return Filtration(a)
+    return Filtration(
+        lambda u: exp_over_power(u, 0.0),
+        lambda u: exp_over_power(u, 2.0),
+        lambda u: exp_over_power(u, 4.0) * (1.0 - 2.0 * np.asarray(u, dtype=float)),
+    )
 
 
 def _coefficient(presets, d, what):

@@ -1,23 +1,20 @@
 """Quadrature for the integrands this package builds.
 
-Two integrators share the same range handling:
+``integrate_batch`` is the one integrator.  It integrates one integrand over
+the ranges of many query points at once with Gauss-Kronrod 7/15 panels,
+calling the integrand once per sweep over all panels that are still open.
+The energy density in :mod:`paralyap.lagrangian`, the reduced ``dg/dp``
+quadrature and the filtration reference energy all run on it.
 
-* ``integrate_batch`` is the vectorised core.  It integrates one integrand
-  over the ranges of many query points at once with Gauss-Kronrod 7/15
-  panels, calling the integrand once per sweep over all panels that are
-  still open.  The energy density in :mod:`paralyap.lagrangian` runs on it.
-* ``adaptive_simpson`` is the scalar recursive Simpson rule with one Python
-  callback per abscissa.  It serves scalar callers such as the reduced
-  ``dg/dp`` quadrature and the filtration reference energy.
+``adaptive_simpson`` is kept as a front for scalar callbacks, because the
+package exports it and the ``perfbench`` tracer wraps it by name.  It calls
+the callback once per abscissa and hands the values to ``integrate_batch``;
+despite its name it applies no Simpson rule.
 
 The gradient integrands assembled by the action-density construction are
 smooth except possibly at p = 0, where degenerate weights like |p|**k with
-k <= -1 blow up.  Both integrators therefore split any range that straddles
-zero.  The Gauss-Kronrod nodes are interior, so the batched core never
-samples an endpoint; the Simpson rule, which does, steps a tiny distance
-inside the range when the endpoint value is non-finite, which drops a
-sliver of negligible measure whenever the integrand has a finite one-sided
-limit and escalates to an error when the integral genuinely diverges.
+k <= -1 blow up.  Any range that straddles zero is therefore split there,
+and the Gauss-Kronrod nodes are interior, so no endpoint is ever sampled.
 
 A range with one edge many decades closer to zero than the other (as happens
 when a gradient sampled at a critical point of u lands at p ~ 1e-15 and the
@@ -28,15 +25,10 @@ negative side), which maps the scale separation to an O(log) interval where
 the integrand varies tamely.
 """
 
-import math
-
 import numpy as np
 
 __all__ = ["QuadratureError", "adaptive_simpson", "integrate_batch"]
 
-# 2**_MAX_DEPTH panels is the subdivision budget.
-_MAX_DEPTH = 20
-_ENDPOINT_NUDGES = (1e-12, 1e-9, 1e-7)
 # One-sided ranges whose near-zero edge is this much smaller than the far
 # edge switch to log-space integration.
 _LOG_EDGE_RATIO = 1e-4
@@ -45,8 +37,7 @@ _LOG_EDGE_RATIO = 1e-4
 class QuadratureError(RuntimeError):
     """Adaptive refinement failed; the message names the offending abscissa.
 
-    ``index`` is the query point whose integral failed when the error comes
-    from ``integrate_batch``, and None otherwise.
+    ``index`` is the query point whose integral failed.
     """
 
     def __init__(self, message, index=None):
@@ -54,113 +45,13 @@ class QuadratureError(RuntimeError):
         self.index = index
 
 
-def _probe_endpoint(f, x, toward, span):
-    # Retreat toward the interior if the endpoint value is non-finite.
-    y = f(x)
-    if math.isfinite(y):
-        return x, y
-    direction = 1.0 if toward > x else -1.0
-    for rel in _ENDPOINT_NUDGES:
-        xn = x + direction * rel * span
-        y = f(xn)
-        if math.isfinite(y):
-            return xn, y
-    raise QuadratureError(f"integrand is non-finite near x = {x!r}")
+def adaptive_simpson(f, a, b, tol=1e-9):
+    """Integrate the scalar callback ``f`` over ``[a, b]``.
 
-
-def _interior(f, x):
-    y = f(x)
-    if not math.isfinite(y):
-        raise QuadratureError(f"integrand is non-finite at interior point x = {x!r}")
-    return y
-
-
-def _simpson(fa, fm, fb, width):
-    return width / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _log_space(f, a, b, tol):
-    # s = exp(t) carries ds = s dt, so the transformed integrand is f(s) * s.
-    def transformed(t):
-        s = math.exp(t)
-        return f(s) * s
-
-    return adaptive_simpson(transformed, math.log(a), math.log(b), tol, False)
-
-
-def _tail_slope(f, x1):
-    # Local power-law exponent d log|f| / d log s just inside a nudged
-    # endpoint; None when the probe pair cannot support an estimate.
-    y1 = abs(f(x1))
-    y2 = abs(f(10.0 * x1))
-    if not (math.isfinite(y1) and math.isfinite(y2)) or y1 == 0.0 or y2 == 0.0:
-        return None
-    return (math.log(y2) - math.log(y1)) / math.log(10.0)
-
-
-def _refine(f, a, fa, m, fm, b, fb, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = _interior(f, lm)
-    frm = _interior(f, rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth >= _MAX_DEPTH:
-        raise QuadratureError(
-            f"no convergence after {_MAX_DEPTH} subdivision levels near x = {m!r}"
-        )
-    return _refine(f, a, fa, lm, flm, m, fm, left, 0.5 * tol, depth + 1) + _refine(
-        f, m, fm, rm, frm, b, fb, right, 0.5 * tol, depth + 1
-    )
-
-
-def adaptive_simpson(f, a, b, tol=1e-9, split_at_zero=True):
-    """Integrate ``f`` over ``[a, b]``.
-
-    ``tol`` acts as a combined absolute and relative tolerance: the accepted
-    error is ``tol * (1 + |first estimate|)``.  With ``split_at_zero`` the
-    range is cut at 0 whenever 0 lies strictly inside, so one-sided endpoint
-    handling applies on each half.
+    ``tol`` acts as a combined absolute and relative tolerance, as in
+    ``integrate_batch``, which does the work.
     """
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-    if b < a:
-        return -adaptive_simpson(f, b, a, tol, split_at_zero)
-    if split_at_zero and a < 0.0 < b:
-        return adaptive_simpson(f, a, 0.0, 0.5 * tol, False) + adaptive_simpson(
-            f, 0.0, b, 0.5 * tol, False
-        )
-    if 0.0 < a < _LOG_EDGE_RATIO * b:
-        return _log_space(f, a, b, tol)
-    if b <= 0.0 and 0.0 < -b < _LOG_EDGE_RATIO * -a:
-        return _log_space(lambda s: f(-s), -b, -a, tol)
-    span = b - a
-    xa, fa = _probe_endpoint(f, a, b, span)
-    xb, fb = _probe_endpoint(f, b, a, span)
-    # A nudge off a singular endpoint at 0 can expose the same scale
-    # separation the pre-dispatch looks for; re-check on the nudged range.
-    # Tails at or steeper than 1/s make the dropped sliver divergent, so
-    # those still escalate instead of being integrated from the nudge on.
-    if xa != a and 0.0 < xa < _LOG_EDGE_RATIO * xb:
-        slope = _tail_slope(f, xa)
-        if slope is not None and slope <= -0.999:
-            raise QuadratureError(f"integral diverges at the endpoint x = {a!r}")
-        return _log_space(f, xa, xb, tol)
-    if xb != b and xb < 0.0 and 0.0 < -xb < _LOG_EDGE_RATIO * -xa:
-        slope = _tail_slope(lambda s: f(-s), -xb)
-        if slope is not None and slope <= -0.999:
-            raise QuadratureError(f"integral diverges at the endpoint x = {b!r}")
-        return _log_space(lambda s: f(-s), -xb, -xa, tol)
-    m = 0.5 * (xa + xb)
-    fm = _interior(f, m)
-    whole = _simpson(fa, fm, fb, xb - xa)
-    tol_abs = tol * (1.0 + abs(whole))
-    return _refine(f, xa, fa, m, fm, xb, fb, whole, tol_abs, 0)
+    return float(integrate_batch(lambda idx, s: np.array([f(float(v)) for v in s]), a, b, tol))
 
 
 # Gauss-Kronrod 7/15 on [-1, 1]: the 15 Kronrod nodes in ascending order,
@@ -195,6 +86,17 @@ _WG = np.array(list(_WG_POS) + [0.417959183673469387755102040816327] + list(reve
 # Bisection levels per range.  An integrable power singularity at an exact-
 # zero edge, such as s**-0.5 on [0, 1], takes about 50 levels at tol = 1e-9.
 _BATCH_MAX_DEPTH = 80
+# Open panels per range.  A convergent integrand keeps only the few panels
+# next to its trouble spots open, but one that never meets its tolerance,
+# such as a noisy one, may double its open panels with each sweep, and the
+# depth cap alone would let one point reach tens of millions of abscissae
+# (gigabytes) before it fires.
+_BATCH_MAX_PANELS = 2**10
+# A panel error within this factor of the panel's integral of |f| is
+# roundoff, which bisection cannot shrink, so such a panel is kept.  Without
+# this, panels near a singular edge at 0 fail their width-pro-rata budget on
+# roundoff alone and double with each sweep.
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 _LINEAR, _LOG_POS, _LOG_NEG = 0, 1, 2
 
 
@@ -257,15 +159,16 @@ def integrate_batch(f, a, b, tol=1e-9):
     Every range is covered by Gauss-Kronrod 7/15 panels.  A point is done
     when the summed |K15 - G7| of its panels is within ``tol * (1 + |I|)``,
     I being its current estimate.  Until then, each of its panels whose
-    estimate is within half that budget, pro rata to width, is kept and
-    every other panel is bisected.  A point's result depends only on its
+    estimate is within half that budget, pro rata to width, or at the
+    roundoff level of the panel is kept, and every other panel is bisected.  A point's result depends only on its
     own integrand values: panels are summed in a fixed order, so the same
     range and integrand give the same bits in any batch.
 
     Raises ``QuadratureError`` with ``index`` set to the failing point on a
     non-finite limit, a non-finite integrand value, or when the panels of
-    a point still fail after ``_BATCH_MAX_DEPTH`` bisections, which is how
-    a divergent integral such as that of 1/s over [0, 1] ends.
+    a point still fail after ``_BATCH_MAX_DEPTH`` bisections or a point holds
+    more than ``_BATCH_MAX_PANELS`` open panels, which is how a divergent
+    integral such as that of 1/s over [0, 1] ends.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = a.shape
@@ -301,10 +204,11 @@ def integrate_batch(f, a, b, tol=1e-9):
             raise QuadratureError(f"integrand is non-finite at s = {float(at)!r}", index=i)
         kron = half * _rule(y, _WK)
         err = np.abs(kron - half * _rule(y[1::2], _WG))
+        noise = _ROUNDOFF * half * _rule(np.abs(y), _WK)
         estimate = total + np.bincount(owner, kron, minlength=n)
         tol_abs = tol * (1.0 + np.abs(estimate))
         done = err_kept + np.bincount(owner, err, minlength=n) <= tol_abs
-        keep = done[owner] | (err <= tol_abs[owner] * half / budget_width[owner])
+        keep = done[owner] | (err <= tol_abs[owner] * half / budget_width[owner]) | (err <= noise)
         total += np.bincount(owner[keep], kron[keep], minlength=n)
         err_kept += np.bincount(owner[keep], err[keep], minlength=n)
         split = ~keep
@@ -315,11 +219,22 @@ def integrate_batch(f, a, b, tol=1e-9):
             np.column_stack([t_lo[split], mid[split]]).ravel(),
             np.column_stack([mid[split], t_hi[split]]).ravel(),
         )
-    # Name the worst panel of the first point that failed.
-    i = int(owner.min())
+        crowded = np.flatnonzero(np.bincount(owner, minlength=n) > _BATCH_MAX_PANELS)
+        if crowded.size:
+            raise _worst_panel_error(
+                owner, kind, t_hi, open_err, int(crowded[0]),
+                f"no convergence within {_BATCH_MAX_PANELS} open panels",
+            )
+    raise _worst_panel_error(
+        owner, kind, t_hi, open_err, int(owner.min()),
+        f"no convergence after {_BATCH_MAX_DEPTH} subdivision levels",
+    )
+
+
+def _worst_panel_error(owner, kind, t_hi, open_err, i, reason):
+    # Name the split point of the worst panel of point i.  The open panels
+    # are the halves of the panels that failed, so the left half of the j-th
+    # failed panel sits at 2 * j and its upper edge is the split point.
     j = 2 * int(np.argmax(np.where(owner[::2] == i, open_err, -1.0)))
     at, _ = _abscissae(kind[j:j + 1], t_hi[j:j + 1])
-    raise QuadratureError(
-        f"no convergence after {_BATCH_MAX_DEPTH} subdivision levels near s = {float(at[0])!r}",
-        index=i,
-    )
+    return QuadratureError(f"{reason} near s = {float(at[0])!r}", index=i)

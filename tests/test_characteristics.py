@@ -202,7 +202,7 @@ def test_reduced_provider_memoizes_and_matches_analytic():
     provider = reduced_ode_g(spec)
     ps = np.array([0.25, 0.5, 2.0])
     first = provider(0.0, 0.0, ps)
-    second = provider(0.9, -0.3, ps)  # x and u are ignored, cache answers
+    second = provider(0.9, -0.3, ps)  # x and u are ignored
     assert np.array_equal(first, second)
     exact = spec.closed_forms.g_of_p(ps, 1.0, 0.0)
     assert np.max(np.abs(first - exact)) < 1e-8
@@ -268,3 +268,10 @@ def test_reduced_provider_keeps_the_query_shape():
     got = reduced_ode_g(spec)(0.0, 0.5, ps)
     assert got.shape == (2, 3)
     assert np.max(np.abs(got - analytic_g(spec)(0.0, 0.5, ps))) < 1e-12
+
+
+def test_reduced_quadrature_does_not_depend_on_the_batch():
+    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
+    lone = reduced_g(spec, 0.7, method="quadrature")
+    grid = reduced_g(spec, np.append(np.linspace(0.05, 3.0, 100), 0.7), method="quadrature")
+    assert lone == grid[-1]

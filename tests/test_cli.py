@@ -43,6 +43,32 @@ def test_construct_energy_outputs(tmp_path):
     assert manifest["config"]["normalization"]["p0"] == 1.0  # resolved, not "canonical"
 
 
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"model": "heat"},
+        {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},
+        {"model": "mcf_poly", "n": 1.0},
+        {"model": "inverse_mcf"},
+        {"model": "porous_medium", "m": 2.0},
+        {"model": "rho_laplacian_pure", "rho": 3.0},
+        {"model": "mcf_pure"},
+        {"model": "quasilinear_gradient", "a": {"kind": "constant"}},
+        {"model": "quasilinear_gradient", "a": {"kind": "power_abs", "exponent": 1.0}},
+        {"model": "quasilinear_gradient", "a": {"kind": "mcf"}},
+        {"model": "filtration", "a": {"kind": "power"}},
+        {"model": "filtration", "a": {"kind": "superslow"}},
+    ],
+    ids=lambda d: "-".join([d["model"], *(v["kind"] for v in d.values() if isinstance(v, dict))]),
+)
+def test_construct_energy_runs_on_every_catalog_entry(tmp_path, descriptor):
+    # Default settings throughout: every model and preset that the
+    # descriptor reader accepts must build a density end to end.
+    code, out = _run(tmp_path, "construct-energy", {"model": descriptor})
+    assert code == 0
+    assert (out / "lagrangian_grid.csv").exists()
+
+
 def test_construct_energy_is_byte_reproducible(tmp_path):
     config = {
         "model": {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},

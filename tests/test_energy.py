@@ -123,12 +123,23 @@ def test_standard_degenerate_energies():
     assert out2["dEdt"] == pytest.approx(-4.0 / 3.0, rel=1e-3)
 
 
-def test_filtration_energy_reduces_to_the_dirichlet_pair():
+@pytest.mark.parametrize(
+    "a, a_du, E, dEdt",
+    [
+        # a = v is the Dirichlet pair: E = int sin^2 / 2, decay -int (pi cos)^2.
+        (lambda v: v, lambda v: 1.0, 0.25, -math.pi**2 / 2.0),
+        # a = v**2: E = int sin^3 / 3 = 4 / (9 pi), decay -int (pi sin(2 pi x))^2;
+        # a_du comes from the central-difference fallback.
+        (lambda v: v**2, None, 4.0 / (9.0 * math.pi), -math.pi**2 / 2.0),
+    ],
+    ids=["a=v", "a=v^2"],
+)
+def test_filtration_energy_on_a_sine(a, a_du, E, dEdt):
     grid = Grid1D(256)
     frame = _frame(models.heat_equation(), grid, np.sin(np.pi * grid.nodes))
-    out = filtration_energy(frame, a=lambda v: v, a_du=lambda v: 1.0, grid=grid)
-    assert out["E"] == pytest.approx(0.25, abs=1e-6)
-    assert out["dEdt"] == pytest.approx(-math.pi**2 / 2.0, rel=1e-3)
+    out = filtration_energy(frame, a=a, a_du=a_du, grid=grid)
+    assert out["E"] == pytest.approx(E, abs=1e-6)
+    assert out["dEdt"] == pytest.approx(dEdt, rel=1e-3)
 
 
 def test_trace_columns_and_model_oracle():

@@ -192,3 +192,14 @@ def test_filtration_derivative_fallback():
     spec = instantiate(filt)
     assert spec.diffusion_coeff(0.0, 0.5, 0.0) == pytest.approx(3.0 * 0.25, rel=1e-5)
     assert spec.diffusion_coeff_du(0.0, 0.5, 0.0) == pytest.approx(3.0, rel=1e-3)
+
+
+def test_superslow_filtration_ships_closed_form_derivatives():
+    # a = exp(-1/u): a' = exp(-1/u)/u**2 and a'' = exp(-1/u)(1 - 2u)/u**4,
+    # which at u = 1/4 are 16 e**-4 and 128 e**-4.
+    spec = from_descriptor({"model": "filtration", "a": {"kind": "superslow"}})
+    e4 = math.exp(-4.0)
+    assert spec.diffusion_coeff(0.0, 0.25, 0.0) == pytest.approx(16.0 * e4, rel=1e-12)
+    assert spec.diffusion_coeff_du(0.0, 0.25, 0.0) == pytest.approx(128.0 * e4, rel=1e-12)
+    assert spec.diffusion_coeff(0.0, -0.5, 0.0) == 0.0
+    assert spec.diffusion_coeff_du(0.0, 1e-100, 0.0) == 0.0  # not 0 * inf

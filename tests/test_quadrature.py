@@ -1,4 +1,4 @@
-"""Adaptive Simpson and batched Gauss-Kronrod integrators against known integrals.
+"""The batched Gauss-Kronrod integrator and its scalar front against known integrals.
 
 Every expected number here is a hand integral: power and log antiderivatives,
 nothing taken from the code under test.
@@ -9,11 +9,12 @@ import math
 import numpy as np
 import pytest
 
+from paralyap import quadrature
 from paralyap.quadrature import QuadratureError, adaptive_simpson, integrate_batch
 
 
 def test_polynomial_is_nearly_exact():
-    # Simpson is exact on cubics up to roundoff.
+    # Both rules of the Gauss-Kronrod pair are exact on cubics up to roundoff.
     val = adaptive_simpson(lambda s: s**3 - 2.0 * s, 0.0, 2.0, tol=1e-12)
     assert abs(val - (4.0 - 4.0)) < 1e-13
 
@@ -31,8 +32,8 @@ def test_reversed_limits_flip_sign():
 
 
 def test_integrable_endpoint_singularity():
-    # int_0^1 s^(-1/2) ds = 2; the integrand reports inf at the left end and
-    # the integrator retreats a sliver inside, dropping O(1e-6) of mass.
+    # int_0^1 s^(-1/2) ds = 2; the integrand reports inf at the left end,
+    # which the integrator never samples.
     def f(s):
         return 1.0 / math.sqrt(s) if s > 0.0 else math.inf
 
@@ -41,14 +42,14 @@ def test_integrable_endpoint_singularity():
 
 
 def test_interval_straddling_zero_with_kink():
-    # split_at_zero must keep the kink of |s| off the panel interiors.
+    # The split at zero must keep the kink of |s| off the panel interiors.
     val = adaptive_simpson(abs, -1.0, 1.0, tol=1e-12)
     assert abs(val - 1.0) < 1e-11
 
 
 def test_tiny_positive_edge_uses_log_substitution():
-    # int_{1e-10}^{1} ds/s = 10 ln 10 spans ten decades; bisection in s cannot
-    # resolve that within the depth cap, the exp substitution can.
+    # int_{1e-10}^{1} ds/s = 10 ln 10 spans ten decades; the exp substitution
+    # maps them to an interval where the integrand is tame.
     val = adaptive_simpson(lambda s: 1.0 / s, 1e-10, 1.0, tol=1e-10)
     assert abs(val - 10.0 * math.log(10.0)) < 1e-8
 
@@ -106,17 +107,19 @@ def test_random_polynomials_match_antiderivative():
         (np.sin, 0.0, math.pi, 2.0),
         (lambda s: s * s, 1.0, 0.0, -1.0 / 3.0),
         (lambda s: 1.0 / np.sqrt(s), 0.0, 1.0, 2.0),
+        (lambda s: s**-0.6, 0.0, 1.0, 2.5),
         (np.abs, -1.0, 1.0, 1.0),
         (lambda s: 1.0 / s, 1e-10, 1.0, 10.0 * math.log(10.0)),
         (lambda s: 1.0 / np.abs(s), -1.0, -1e-10, 10.0 * math.log(10.0)),
         (lambda s: 1.0 / s, 0.0, 1.0, None),
+        (lambda s: 1.0 / np.abs(s), -1.0, 0.0, None),
     ],
-    ids=["cubic", "sin", "reversed", "sqrt-at-0", "abs-across-0",
-         "log-positive", "log-negative", "1/s-at-0-diverges"],
+    ids=["cubic", "sin", "reversed", "sqrt-at-0", "s^-0.6-at-0", "abs-across-0",
+         "log-positive", "log-negative", "1/s-at-0-diverges", "1/|s|-at-0-diverges"],
 )
 def test_batch_integrator_on_hand_integrals(f, a, b, exact):
     # The batched core samples no endpoint, so the singular edges need no
-    # guard in the integrand; the divergent 1/s must exhaust the depth cap.
+    # guard in the integrand; the divergent ones must hit a refinement cap.
     def integrand(idx, s):
         return f(s)
 
@@ -127,3 +130,16 @@ def test_batch_integrator_on_hand_integrals(f, a, b, exact):
         return
     val = integrate_batch(integrand, a, b, tol=1e-10)
     assert abs(val - exact) <= 1e-9 * (1.0 + abs(exact))
+
+
+def test_batch_integrator_caps_the_open_panels_of_a_point(monkeypatch):
+    # s**-0.5 at an exact-zero edge keeps a few panels open; with the cap
+    # lowered below that, the point must fail alone and say why.
+    monkeypatch.setattr(quadrature, "_BATCH_MAX_PANELS", 1)
+
+    def integrand(idx, s):
+        return np.where(idx == 1, 1.0 / np.sqrt(np.abs(s)), np.cos(s))
+
+    with pytest.raises(QuadratureError, match="open panels") as info:
+        integrate_batch(integrand, 0.0, np.array([1.0, 1.0]), tol=1e-10)
+    assert info.value.index == 1
