@@ -446,7 +446,6 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
     coverage = float(np.mean(probe_d <= radius))
 
     k = min(8, len(pts))
-    state = {"extrapolations": 0}
     lock = threading.Lock()
 
     def evaluate(x, u, p):
@@ -465,8 +464,7 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
         n_far = int(np.count_nonzero(far))
         if n_far:
             with lock:
-                state["extrapolations"] += n_far
-            provider.extrapolations = state["extrapolations"]
+                provider.extrapolations += n_far
             out[far] = vals[idx[far, 0]]
         near = ~far
         if near.any():

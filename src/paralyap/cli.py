@@ -14,6 +14,7 @@ for byte.  Exit codes: 0 success, 1 error, 2 success with warnings.
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -396,15 +397,7 @@ def cmd_compare_closed_form(config, out_dir: Path, workers: int) -> int:
             "discrepancy_detected": doc["discrepancy_detected"],
         }
         lpp_cfg = cmp_cfg["lpp_check"]
-        opts = config["lagrangian"]
-        check_lag = build_lagrangian(
-            spec, provider,
-            LagrangianOptions(
-                p_base=None if opts["p_base"] is None else float(opts["p_base"]),
-                p_star=None if opts["p_star"] is None else float(opts["p_star"]),
-                quad_tol=float(lpp_cfg["quad_tol"]),
-            ),
-        )
+        check_lag = dataclasses.replace(lag, quad_tol=float(lpp_cfg["quad_tol"]))
         p_grid = np.linspace(
             float(lpp_cfg["p_min"]), float(lpp_cfg["p_max"]), int(lpp_cfg["n"])
         )

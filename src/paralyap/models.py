@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-6  # relative central-difference step for derivative fallbacks
+_FD_STEP2 = np.finfo(float).eps ** 0.25  # relative step of the second difference
 
 
 def _real_pow(base, expo):
@@ -82,6 +83,16 @@ def _numeric_du(f):
     return df
 
 
+def _numeric_d2u(f):
+    # One second difference; a step near eps**(1/4) balances the O(h**2)
+    # truncation against the O(eps / h**2) cancellation.
+    def d2f(u):
+        h = _FD_STEP2 * (1.0 + np.abs(u))
+        return (f(u + h) - 2.0 * f(u) + f(u - h)) / (h * h)
+
+    return d2f
+
+
 @dataclass(frozen=True)
 class BoundaryCondition:
     """One end of the unit interval.
@@ -110,8 +121,7 @@ class BoundaryCondition:
 
     @staticmethod
     def neumann():
-        zero = lambda u: _zeros_like(u)
-        return BoundaryCondition("robin", zero, zero)
+        return BoundaryCondition("robin", _zeros_like, _zeros_like)
 
 
 @dataclass(frozen=True)
@@ -232,9 +242,12 @@ class PorousMedium:
 class Filtration:
     """ut = (a(u))_xx with nondecreasing a.
 
-    Derivatives of ``a`` may be supplied; otherwise central differences with a
-    relative step of 1e-6 fill them in.  The shipped analytic gradient weight
-    assumes ``a`` is not affine; for affine ``a`` use the quasilinear family.
+    Derivatives of ``a`` may be supplied; otherwise central differences fill
+    them in: ``a'`` with a relative step of 1e-6, and ``a''`` as the
+    difference of ``a'`` when that is supplied, else as one second difference
+    of ``a`` with a relative step of eps**(1/4).  The shipped analytic
+    gradient weight assumes ``a`` is not affine; for affine ``a`` use the
+    quasilinear family.
     """
 
     a: Callable
@@ -243,28 +256,33 @@ class Filtration:
 
 
 def _passthrough_ut(x, u, p, q, ut):
-    return np.asarray(ut, dtype=float) + _zeros_like(p, q)
+    return np.asarray(ut, dtype=float) + _zeros_like(x, u, p, q)
 
 
-def _poly_reaction(n):
-    n = float(n)
-    if n == 0.0:
-        react = lambda x, u, p: -1.0 + _zeros_like(x, u, p)
-        react_dp = lambda x, u, p: _zeros_like(x, u, p)
-    else:
-        react = lambda x, u, p: -_real_pow(p, n) + _zeros_like(x, u)
-        react_dp = lambda x, u, p: -n * _real_pow(p, n - 1.0) + _zeros_like(x, u)
-    return react, react_dp
+def _zero3(x, u, p):
+    return _zeros_like(x, u, p)
+
+
+def _flat_g(p, p0=1.0, g0=0.0):
+    return g0 + _zeros_like(p)
+
+
+def _unit_weight(p):
+    return 1.0 + _zeros_like(p)
+
+
+def _log_ratio_g(k):
+    """g = g0 + k log|p0/p|, the weight |p0/p|**k, valid on both signs of p."""
+    return lambda p, p0=1.0, g0=0.0: g0 + k * np.log(np.abs(p0 / np.asarray(p, dtype=float)))
 
 
 def _poly_g_of_p(n):
-    n = float(n)
     if n == 0.0:
-        return lambda p, p0=1.0, g0=0.0: g0 + _zeros_like(p)
+        return _flat_g
     if n.is_integer() and int(n) % 2 == 0:
         # Even reaction exponent: the weight is even in p, valid on both
         # signs of the gradient.
-        return lambda p, p0=1.0, g0=0.0: g0 + n * np.log(np.abs(p0 / np.asarray(p, dtype=float)))
+        return _log_ratio_g(n)
 
     def g(p, p0=1.0, g0=0.0):
         # Odd or fractional exponent: only gradients with the sign of p0 are
@@ -276,31 +294,69 @@ def _poly_g_of_p(n):
     return g
 
 
-def _quasilinear_spec(name, a, h, bc_left, bc_right, closed, params, reducible):
-    def diffusion(x, u, p):
-        return a(p) + _zeros_like(x, u)
+def _spec(name, bcs, diffusion, reaction, closed, *, diffusion_du=_zero3, reaction_dp=_zero3,
+          rhs=None, f1_weight=_passthrough_ut, reducible=True, singular=False,
+          char_system=None, **extra):
+    """Assemble one builtin; ``extra`` goes into ``params`` after the name.
 
-    def reaction(x, u, p):
-        return -h(u) + _zeros_like(x, p)
+    No builtin coefficient depends on x, so ``diffusion_coeff_dx`` is zero.
+    Unless ``rhs`` is given the evolution is quasilinear,
+    ``ut = diffusion * q - reaction``.
+    """
+    if rhs is None:
 
-    def rhs(x, u, p, q):
-        return diffusion(x, u, p) * q - reaction(x, u, p)
+        def rhs(x, u, p, q):
+            return diffusion(x, u, p) * q - reaction(x, u, p)
 
-    zero3 = lambda x, u, p: _zeros_like(x, u, p)
     return ProblemSpec(
         name=name,
-        diffusion_coeff=diffusion,
-        diffusion_coeff_dx=zero3,
-        diffusion_coeff_du=zero3,
-        reaction=reaction,
-        reaction_dp=zero3,
-        rhs=rhs,
-        f1_weight=_passthrough_ut,
-        bc_left=bc_left,
-        bc_right=bc_right,
+        diffusion_coeff=diffusion, diffusion_coeff_dx=_zero3, diffusion_coeff_du=diffusion_du,
+        reaction=reaction, reaction_dp=reaction_dp,
+        rhs=rhs, f1_weight=f1_weight,
+        bc_left=bcs[0], bc_right=bcs[1],
         structure_flags=StructureFlags(shared_factor_reducible=reducible),
         closed_forms=closed,
-        params=params,
+        char_system=char_system,
+        singular_gradient_weight=singular,
+        params={"model": name, **extra},
+    )
+
+
+def _poly_forced(name, bcs, a, n, lagrangian, lagrangian_note, **extra):
+    """ut = a(u_x) u_xx + u_x**n: its reaction is -p**n and its weight |p0/p|**n."""
+    if n == 0.0:
+        reaction = lambda x, u, p: -1.0 + _zeros_like(x, u, p)
+        reaction_dp = _zero3
+    else:
+        reaction = lambda x, u, p: -_real_pow(p, n) + _zeros_like(x, u)
+        reaction_dp = lambda x, u, p: -n * _real_pow(p, n - 1.0) + _zeros_like(x, u)
+    closed = ClosedForms(
+        g_of_p=_poly_g_of_p(n),
+        lagrangian=lagrangian,
+        lagrangian_note=lagrangian_note,
+        decay_weight=(lambda p: _real_pow(np.abs(p), -n)) if n else _unit_weight,
+    )
+    return _spec(
+        name, bcs, lambda x, u, p: a(p) + _zeros_like(x, u), reaction, closed,
+        reaction_dp=reaction_dp, reducible=n > 0, singular=n > 0, **extra, n=n,
+    )
+
+
+def _filtration_spec(name, bcs, a_du, a_du2, lagrangian=None, char_system=None, **extra):
+    """ut = (a(u))_xx = a'(u) u_xx + a''(u) u_x**2, with the weight |p0/p|."""
+    closed = ClosedForms(
+        g_of_p=_log_ratio_g(1.0), lagrangian=lagrangian, decay_weight=lambda p: 1.0 / np.abs(p)
+    )
+    return _spec(
+        name, bcs,
+        lambda x, u, p: a_du(u) + _zeros_like(x, p),
+        lambda x, u, p: -a_du2(u) * p * p + _zeros_like(x),
+        closed,
+        diffusion_du=lambda x, u, p: a_du2(u) + _zeros_like(x, p),
+        reaction_dp=lambda x, u, p: -2.0 * a_du2(u) * p + _zeros_like(x),
+        singular=True,
+        char_system=char_system,
+        **extra,
     )
 
 
@@ -310,33 +366,25 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
     Boundary conditions default to homogeneous Dirichlet at both ends.
     Out-of-range parameters raise ``ValueError``.
     """
-    bc_left = bc_left if bc_left is not None else BoundaryCondition.dirichlet()
-    bc_right = bc_right if bc_right is not None else BoundaryCondition.dirichlet()
+    bcs = (
+        bc_left if bc_left is not None else BoundaryCondition.dirichlet(),
+        bc_right if bc_right is not None else BoundaryCondition.dirichlet(),
+    )
 
     if isinstance(model, QuasilinearGradient):
         closed = ClosedForms(
-            g_of_p=lambda p, p0=1.0, g0=0.0: g0 + _zeros_like(p),
-            lagrangian=model.closed_form_lagrangian,
-            decay_weight=lambda p: 1.0 + _zeros_like(p),
+            g_of_p=_flat_g, lagrangian=model.closed_form_lagrangian, decay_weight=_unit_weight
         )
-        return _quasilinear_spec(
-            model.label, model.a, model.h, bc_left, bc_right, closed,
-            {"model": model.label}, reducible=True,
+        return _spec(
+            model.label, bcs,
+            lambda x, u, p: model.a(p) + _zeros_like(x, u),
+            lambda x, u, p: -model.h(u) + _zeros_like(x, p),
+            closed,
         )
 
     if isinstance(model, RhoLaplacianPoly):
         rho, n = float(model.rho), float(model.n)
         coef = rho - 1.0
-
-        def diffusion(x, u, p):
-            return coef * np.abs(p) ** (rho - 2.0) + _zeros_like(x, u)
-
-        react, react_dp = _poly_reaction(n)
-        zero3 = lambda x, u, p: _zeros_like(x, u, p)
-
-        def rhs(x, u, p, q):
-            return diffusion(x, u, p) * q - react(x, u, p)
-
         # The closed energy density has an antiderivative singularity when the
         # reaction exponent hits rho - 1 or rho; the oracle is disabled there.
         if min(abs(n - rho), abs(n - (rho - 1.0))) > 1e-9:
@@ -349,78 +397,23 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
                 "closed-form coefficient (rho-1)/((rho-n)(rho-n-1)) is singular "
                 "for n in {rho-1, rho}; numeric construction only"
             )
-        closed = ClosedForms(
-            g_of_p=_poly_g_of_p(n),
-            lagrangian=lag_cf,
-            lagrangian_note=lag_note,
-            decay_weight=lambda p: _real_pow(np.abs(p), -n) if n else 1.0 + _zeros_like(p),
-        )
-        return ProblemSpec(
-            name="rho_laplacian_poly",
-            diffusion_coeff=diffusion,
-            diffusion_coeff_dx=zero3,
-            diffusion_coeff_du=zero3,
-            reaction=react,
-            reaction_dp=react_dp,
-            rhs=rhs,
-            f1_weight=_passthrough_ut,
-            bc_left=bc_left,
-            bc_right=bc_right,
-            structure_flags=StructureFlags(shared_factor_reducible=n > 0),
-            closed_forms=closed,
-            singular_gradient_weight=n > 0,
-            params={"model": "rho_laplacian_poly", "rho": rho, "n": n},
+        return _poly_forced(
+            "rho_laplacian_poly", bcs, lambda p: coef * np.abs(p) ** (rho - 2.0), n,
+            lag_cf, lag_note, rho=rho,
         )
 
     if isinstance(model, McfPoly):
         n = float(model.n)
-
-        def diffusion(x, u, p):
-            return (1.0 + p * p) ** -1.5 + _zeros_like(x, u)
-
-        react, react_dp = _poly_reaction(n)
-        zero3 = lambda x, u, p: _zeros_like(x, u, p)
-
-        def rhs(x, u, p, q):
-            return diffusion(x, u, p) * q - react(x, u, p)
-
         if abs(n - 2.0) <= 1e-12:
             lag_cf = lambda u, p: np.arctanh(1.0 / np.sqrt(1.0 + p * p)) - 2.0 * np.sqrt(1.0 + p * p) - u
         else:
             lag_cf = None
-        closed = ClosedForms(
-            g_of_p=_poly_g_of_p(n),
-            lagrangian=lag_cf,
-            lagrangian_note="" if lag_cf else "closed form recorded for n = 2 only",
-            decay_weight=lambda p: _real_pow(np.abs(p), -n) if n else 1.0 + _zeros_like(p),
-        )
-        return ProblemSpec(
-            name="mcf_poly",
-            diffusion_coeff=diffusion,
-            diffusion_coeff_dx=zero3,
-            diffusion_coeff_du=zero3,
-            reaction=react,
-            reaction_dp=react_dp,
-            rhs=rhs,
-            f1_weight=_passthrough_ut,
-            bc_left=bc_left,
-            bc_right=bc_right,
-            structure_flags=StructureFlags(shared_factor_reducible=n > 0),
-            closed_forms=closed,
-            singular_gradient_weight=n > 0,
-            params={"model": "mcf_poly", "n": n},
+        return _poly_forced(
+            "mcf_poly", bcs, lambda p: (1.0 + p * p) ** -1.5, n,
+            lag_cf, "" if lag_cf else "closed form recorded for n = 2 only",
         )
 
     if isinstance(model, InverseMcf):
-
-        def diffusion(x, u, p):
-            return 1.0 + _zeros_like(x, u, p)
-
-        def reaction(x, u, p):
-            return -(1.0 + p * p) + _zeros_like(x, u)
-
-        def reaction_dp(x, u, p):
-            return -2.0 * p + _zeros_like(x, u)
 
         def rhs(x, u, p, q):
             a = 1.0 + p * p
@@ -432,7 +425,6 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
             a = 1.0 + p * p
             return ut + q * q / (q - a) + _zeros_like(x, u)
 
-        zero3 = lambda x, u, p: _zeros_like(x, u, p)
         closed = ClosedForms(
             g_of_p=lambda p, p0=1.0, g0=0.0: g0 + np.log((1.0 + p0 * p0) / (1.0 + np.asarray(p, dtype=float) ** 2)),
             lagrangian=lambda u, p: p * np.arctan(p) - 0.5 * np.log1p(p * p) - u,
@@ -445,126 +437,47 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
             decay_weight=lambda p: (2.0 + p * p) * p * p / (1.0 + p * p) ** 3,
             canonical_p0=0.0,
         )
-        return ProblemSpec(
-            name="inverse_mcf",
-            diffusion_coeff=diffusion,
-            diffusion_coeff_dx=zero3,
-            diffusion_coeff_du=zero3,
-            reaction=reaction,
-            reaction_dp=reaction_dp,
+        return _spec(
+            "inverse_mcf", bcs,
+            lambda x, u, p: 1.0 + _zeros_like(x, u, p),
+            lambda x, u, p: -(1.0 + p * p) + _zeros_like(x, u),
+            closed,
+            reaction_dp=lambda x, u, p: -2.0 * p + _zeros_like(x, u),
             rhs=rhs,
             f1_weight=f1_weight,
-            bc_left=bc_left,
-            bc_right=bc_right,
-            structure_flags=StructureFlags(shared_factor_reducible=True),
-            closed_forms=closed,
-            params={"model": "inverse_mcf"},
         )
 
     if isinstance(model, PorousMedium):
         m = float(model.m)
-
-        def diffusion(x, u, p):
-            return m * _real_pow(u, m - 1.0) + _zeros_like(x, p)
-
+        a_du = lambda u: m * _real_pow(u, m - 1.0)
         if m == 1.0:
-            zero3 = lambda x, u, p: _zeros_like(x, u, p)
-            diffusion_du = zero3
-            reaction = zero3
-            reaction_dp = zero3
-        else:
-
-            def diffusion_du(x, u, p):
-                return m * (m - 1.0) * _real_pow(u, m - 2.0) + _zeros_like(x, p)
-
-            def reaction(x, u, p):
-                return -m * (m - 1.0) * _real_pow(u, m - 2.0) * p * p + _zeros_like(x)
-
-            def reaction_dp(x, u, p):
-                return -2.0 * m * (m - 1.0) * _real_pow(u, m - 2.0) * p + _zeros_like(x)
-
-            zero3 = lambda x, u, p: _zeros_like(x, u, p)
-
-        def rhs(x, u, p, q):
-            return diffusion(x, u, p) * q - reaction(x, u, p)
+            closed = ClosedForms(
+                g_of_p=_flat_g, lagrangian=lambda u, p: 0.5 * p * p + 0.0 * u,
+                decay_weight=_unit_weight,
+            )
+            return _spec(
+                "porous_medium", bcs, lambda x, u, p: a_du(u) + _zeros_like(x, p), _zero3,
+                closed, reducible=False, m=m, divergence_form_m=m,
+            )
 
         # Characteristics in the original time stall where u**(m-1) vanishes;
         # dividing the flow speed by m*u**(m-2) removes the shared factor and
         # leaves this polynomial field (valid for u > 0).
-        char_system = None
-        if m > 1.0:
+        def char_system(x, u, p):
+            return (u, u * p, -(m - 1.0) * p * p, (m - 1.0) * p)
 
-            def char_system(x, u, p):
-                return (u, u * p, -(m - 1.0) * p * p, (m - 1.0) * p)
-
-        if m > 1.0:
-            g_of_p = lambda p, p0=1.0, g0=0.0: g0 + np.log(np.abs(p0 / np.asarray(p, dtype=float)))
-            lag_cf = lambda u, p: m * _real_pow(u, m - 1.0) * np.abs(p) * (np.log(np.abs(p)) - 1.0)
-            weight = lambda p: 1.0 / np.abs(p)
-        else:
-            g_of_p = lambda p, p0=1.0, g0=0.0: g0 + _zeros_like(p)
-            lag_cf = lambda u, p: 0.5 * p * p + 0.0 * u
-            weight = lambda p: 1.0 + _zeros_like(p)
-        closed = ClosedForms(g_of_p=g_of_p, lagrangian=lag_cf, decay_weight=weight)
-        return ProblemSpec(
-            name="porous_medium",
-            diffusion_coeff=diffusion,
-            diffusion_coeff_dx=zero3,
-            diffusion_coeff_du=diffusion_du,
-            reaction=reaction,
-            reaction_dp=reaction_dp,
-            rhs=rhs,
-            f1_weight=_passthrough_ut,
-            bc_left=bc_left,
-            bc_right=bc_right,
-            structure_flags=StructureFlags(shared_factor_reducible=m > 1.0),
-            closed_forms=closed,
-            char_system=char_system,
-            singular_gradient_weight=m > 1.0,
-            params={"model": "porous_medium", "m": m, "divergence_form_m": m},
+        return _filtration_spec(
+            "porous_medium", bcs, a_du, lambda u: m * (m - 1.0) * _real_pow(u, m - 2.0),
+            lagrangian=lambda u, p: a_du(u) * np.abs(p) * (np.log(np.abs(p)) - 1.0),
+            char_system=char_system, m=m, divergence_form_m=m,
         )
 
     if isinstance(model, Filtration):
-        a = model.a
-        a_du = model.a_du if model.a_du is not None else _numeric_du(a)
-        a_du2 = model.a_du2 if model.a_du2 is not None else _numeric_du(a_du)
-
-        def diffusion(x, u, p):
-            return a_du(u) + _zeros_like(x, p)
-
-        def diffusion_du(x, u, p):
-            return a_du2(u) + _zeros_like(x, p)
-
-        def reaction(x, u, p):
-            return -a_du2(u) * p * p + _zeros_like(x)
-
-        def reaction_dp(x, u, p):
-            return -2.0 * a_du2(u) * p + _zeros_like(x)
-
-        def rhs(x, u, p, q):
-            return diffusion(x, u, p) * q - reaction(x, u, p)
-
-        zero3 = lambda x, u, p: _zeros_like(x, u, p)
-        closed = ClosedForms(
-            g_of_p=lambda p, p0=1.0, g0=0.0: g0 + np.log(np.abs(p0 / np.asarray(p, dtype=float))),
-            decay_weight=lambda p: 1.0 / np.abs(p),
-        )
-        return ProblemSpec(
-            name="filtration",
-            diffusion_coeff=diffusion,
-            diffusion_coeff_dx=zero3,
-            diffusion_coeff_du=diffusion_du,
-            reaction=reaction,
-            reaction_dp=reaction_dp,
-            rhs=rhs,
-            f1_weight=_passthrough_ut,
-            bc_left=bc_left,
-            bc_right=bc_right,
-            structure_flags=StructureFlags(shared_factor_reducible=True),
-            closed_forms=closed,
-            singular_gradient_weight=True,
-            params={"model": "filtration"},
-        )
+        a_du = model.a_du if model.a_du is not None else _numeric_du(model.a)
+        a_du2 = model.a_du2
+        if a_du2 is None:
+            a_du2 = _numeric_du(model.a_du) if model.a_du is not None else _numeric_d2u(model.a)
+        return _filtration_spec("filtration", bcs, a_du, a_du2)
 
     raise ValueError(f"unknown builtin model {model!r}")
 
@@ -575,7 +488,7 @@ def _pure_rho_model(rho):
         raise ValueError(f"rho must be >= 2, got {rho}")
     return QuasilinearGradient(
         a=lambda p: (rho - 1.0) * np.abs(p) ** (rho - 2.0),
-        h=lambda u: _zeros_like(u),
+        h=_zeros_like,
         label="rho_laplacian_pure",
         closed_form_lagrangian=lambda u, p: np.abs(p) ** rho / rho + 0.0 * u,
     )
@@ -584,7 +497,7 @@ def _pure_rho_model(rho):
 def _pure_mcf_model():
     return QuasilinearGradient(
         a=lambda p: (1.0 + p * p) ** -1.5,
-        h=lambda u: _zeros_like(u),
+        h=_zeros_like,
         label="mcf_pure",
         closed_form_lagrangian=lambda u, p: np.sqrt(1.0 + p * p) + 0.0 * u,
     )
@@ -593,7 +506,7 @@ def _pure_mcf_model():
 def _heat_model():
     return QuasilinearGradient(
         a=lambda p: 1.0 + _zeros_like(p),
-        h=lambda u: _zeros_like(u),
+        h=_zeros_like,
         label="heat",
         closed_form_lagrangian=lambda u, p: 0.5 * p * p + 0.0 * u,
     )
@@ -626,7 +539,7 @@ _A_PRESETS = {
 }
 
 _H_PRESETS = {
-    "zero": lambda d: (lambda u: _zeros_like(u)),
+    "zero": lambda d: _zeros_like,
     "constant": lambda d: (lambda u, v=float(d.get("value", 1.0)): v + _zeros_like(u)),
     "linear": lambda d: (lambda u, s=float(d.get("slope", 1.0)): s * u),
 }
@@ -642,7 +555,7 @@ def _filtration_power(m):
         return Filtration(
             lambda u: np.asarray(u, dtype=float),
             lambda u: 1.0 + _zeros_like(u),
-            lambda u: _zeros_like(u),
+            _zeros_like,
         )
     # For u >= 0 this is u**m; the odd extension keeps a nondecreasing.
     a = lambda u: _real_pow(np.abs(u), m) * np.sign(u)
@@ -691,7 +604,7 @@ def _bc_from_descriptor(d):
             return BoundaryCondition.neumann()
         if kind == "constant":
             v = float(b.get("value", 0.0))
-            return BoundaryCondition.robin(lambda u: v + _zeros_like(u), lambda u: _zeros_like(u))
+            return BoundaryCondition.robin(lambda u: v + _zeros_like(u), _zeros_like)
         if kind == "linear":
             s = float(b.get("slope", 1.0))
             return BoundaryCondition.robin(lambda u: s * u, lambda u: s + _zeros_like(u))

@@ -18,6 +18,7 @@ keeps nonnegative states nonnegative at desk scale, which the expanded form
 does not.  Models opt in through params["divergence_form_m"].
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -54,9 +55,12 @@ class Grid1D:
     def dx(self) -> float:
         return 1.0 / self.n_cells
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_cells + 1)
+        # Built once per grid and shared by every caller, hence read-only.
+        x = np.linspace(0.0, 1.0, self.n_cells + 1)
+        x.flags.writeable = False
+        return x
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,10 @@ def test_tabulated_far_query_counts_as_extrapolation():
     before = provider.extrapolations
     provider(0.5, 0.9, 5.0)
     assert provider.extrapolations == before + 1
+    # The public counter is the only count: a reset sticks.
+    provider.extrapolations = 0
+    provider(0.5, 0.9, np.array([5.0, 6.0]))
+    assert provider.extrapolations == 2
 
 
 def test_tabulated_tracks_a_varying_weight():

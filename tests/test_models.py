@@ -203,3 +203,60 @@ def test_superslow_filtration_ships_closed_form_derivatives():
     assert spec.diffusion_coeff_du(0.0, 0.25, 0.0) == pytest.approx(128.0 * e4, rel=1e-12)
     assert spec.diffusion_coeff(0.0, -0.5, 0.0) == 0.0
     assert spec.diffusion_coeff_du(0.0, 1e-100, 0.0) == 0.0  # not 0 * inf
+
+
+@pytest.mark.parametrize("u", [0.1, 0.5, 1.3])
+def test_filtration_second_derivative_fallback(u):
+    # Only a = exp supplied: a'' = e**u comes from one second difference.
+    spec = instantiate(models.Filtration(a=np.exp))
+    assert spec.diffusion_coeff_du(0.0, u, 0.0) == pytest.approx(math.exp(u), rel=1e-7)
+
+
+def _central(f, args, k, h=1e-5):
+    step = h * (1.0 + np.abs(args[k]))
+    hi, lo = list(args), list(args)
+    hi[k] = args[k] + step
+    lo[k] = args[k] - step
+    return (f(*hi) - f(*lo)) / (2.0 * step)
+
+
+@pytest.mark.parametrize("index", range(len(_builtin_roster())))
+def test_derivative_hooks_match_central_differences(index):
+    spec, box = _builtin_roster()[index]
+    rng = np.random.default_rng(index)
+    xs = rng.uniform(*box.x, 200)
+    us = rng.uniform(*box.u, 200)
+    ps = rng.uniform(*box.p, 200)
+    # Away from p = 0, where |p|**e and p**n need not be differentiable.
+    ps = np.where(np.abs(ps) < 0.05, np.copysign(0.05, ps), ps)
+    args = (xs, us, ps)
+    for hook, f, k in (
+        (spec.diffusion_coeff_dx, spec.diffusion_coeff, 0),
+        (spec.diffusion_coeff_du, spec.diffusion_coeff, 1),
+        (spec.reaction_dp, spec.reaction, 2),
+    ):
+        np.testing.assert_allclose(
+            hook(*args), _central(f, args, k), rtol=1e-6, atol=1e-6,
+            err_msg=f"{spec.name}: {hook.__qualname__}",
+        )
+
+
+@pytest.mark.parametrize("index", range(len(_builtin_roster())))
+def test_evaluators_return_the_broadcast_shape(index):
+    spec, box = _builtin_roster()[index]
+    mid = [0.5 * (lo + hi) for lo, hi in (box.x, box.u, box.p, box.q)]
+    mid.append(0.25)  # ut
+    column = lambda k: np.linspace(*(box.x, box.u, box.p, box.q, (0.0, 0.5))[k], 3)
+    cases = [((), {})]  # all scalars
+    cases += [((3,), {k: column(k)}) for k in range(5)]  # one array
+    cases.append(((3, 4), {0: column(0)[:, None], 2: np.linspace(*box.p, 4)}))  # mixed
+    for shape, arrays in cases:
+        args = [arrays.get(k, mid[k]) for k in range(5)]
+        for name, n_args in (
+            ("diffusion_coeff", 3), ("diffusion_coeff_dx", 3), ("diffusion_coeff_du", 3),
+            ("reaction", 3), ("reaction_dp", 3), ("rhs", 4), ("f1_weight", 5),
+        ):
+            if max(arrays, default=-1) >= n_args:
+                continue
+            out = getattr(spec, name)(*args[:n_args])
+            assert np.shape(out) == shape, f"{spec.name}.{name} on {sorted(arrays)}"

@@ -32,6 +32,16 @@ def test_grid_properties():
         Grid1D(4)
 
 
+def test_grid_nodes_are_built_once_and_read_only():
+    grid = Grid1D(16)
+    assert grid.nodes is grid.nodes
+    assert np.array_equal(grid.nodes, np.linspace(0.0, 1.0, 17))
+    with pytest.raises(ValueError):
+        grid.nodes[3] = 0.5
+    # The cached array is not a dataclass field: equal grids stay equal.
+    assert grid == Grid1D(16) and hash(grid) == hash(Grid1D(16))
+
+
 def test_divergence_stencil_hand_value():
     # u = x^2 on eight cells, m = 2: w = x^4 and the stencil at x = 0.5 is
     # (0.375^4 - 2*0.5^4 + 0.625^4) / 0.125^2 = 3.03125 (exact 12 x^2 = 3).
