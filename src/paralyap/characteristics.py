@@ -26,7 +26,6 @@ import enum
 import json
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -388,7 +387,7 @@ class SeedGrid:
 def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
                controls: CharControls = CharControls(),
                query_box: tuple = ((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-               coverage_min: float = 0.9, workers: int = 1) -> GProvider:
+               coverage_min: float = 0.9) -> GProvider:
     """Integrate a curve per seed and interpolate the collected g samples.
 
     Every accepted state with x inside [0, 1] becomes a sample.  Queries use
@@ -403,6 +402,11 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
     roughly evenly spaced along each curve; the adaptive controller would
     otherwise stride across easy models in a handful of accepted steps and
     starve the table.
+
+    The curves are integrated one after another in the calling thread: the
+    integrator is pure Python, so worker threads would only contend for the
+    interpreter lock.  The provider may still be queried from several
+    threads; a lock guards its ``extrapolations`` counter.
     """
     if controls.dt_max is None:
         controls = dataclasses.replace(controls, dt_max=0.05)
@@ -411,15 +415,7 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
         for u0 in seed_grid.u0_values
         for q0 in seed_grid.p0_values
     ]
-
-    def run(seed):
-        return integrate_characteristics(spec, seed, controls)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trajectories = list(pool.map(run, seeds))
-    else:
-        trajectories = [run(seed) for seed in seeds]
+    trajectories = [integrate_characteristics(spec, seed, controls) for seed in seeds]
 
     pts, vals = [], []
     for traj in trajectories:

@@ -6,17 +6,17 @@ integrand and dumps it on a grid, ``simulate`` evolves an initial profile,
 ``compare-closed-form`` scores the numeric construction against a builtin's
 closed-form reference.
 
-All runs are driven by a JSON config plus ``--config/--out/--workers``
-and write a manifest recording the fully resolved configuration, so a rerun
-of the same config with the same package version reproduces every CSV byte
-for byte.  Exit codes: 0 success, 1 error, 2 success with warnings.
+All runs are driven by a JSON config plus ``--config/--out`` and write a
+manifest recording the fully resolved configuration, so a rerun of the same
+config with the same package version reproduces every CSV byte for byte.
+``--workers N`` is accepted for compatibility and ignored: every stage runs
+in one thread.  Exit codes: 0 success, 1 error, 2 success with warnings.
 """
 
 import argparse
 import copy
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -128,7 +128,7 @@ def _char_controls(config) -> CharControls:
     return CharControls(**config["char_controls"])
 
 
-def _build_provider(spec, config, workers) -> GProvider:
+def _build_provider(spec, config) -> GProvider:
     mode = config["g_mode"]
     norm = config["normalization"]
     if norm["p0"] == "canonical":
@@ -148,7 +148,7 @@ def _build_provider(spec, config, workers) -> GProvider:
             box = tuple((float(a), float(b)) for a, b in config["query_box"])
             return tabulate_g(
                 spec, seeds, _char_controls(config), box,
-                coverage_min=float(config["coverage_min"]), workers=workers,
+                coverage_min=float(config["coverage_min"]),
             )
     except (ValueError, ReducedGError, CharacteristicsError) as exc:
         raise CliError("characteristics", str(exc))
@@ -205,11 +205,10 @@ def _write(out_dir: Path, name: str, text: str):
     (out_dir / name).write_text(text)
 
 
-def _manifest(out_dir, command, config, workers, results):
+def _manifest(out_dir, command, config, results):
     payload = {
         "command": command,
         "version": __version__,
-        "workers": workers,
         "config": config,
         "results": results,
     }
@@ -229,9 +228,9 @@ def _provider_summary(provider: GProvider):
     }
 
 
-def cmd_construct_energy(config, out_dir: Path, workers: int) -> int:
+def cmd_construct_energy(config, out_dir: Path) -> int:
     spec = _build_spec(config)
-    provider = _build_provider(spec, config, workers)
+    provider = _build_provider(spec, config)
     lag = _build_lagrangian(spec, provider, config)
 
     dump = config["grid_dump"]
@@ -265,7 +264,7 @@ def cmd_construct_energy(config, out_dir: Path, workers: int) -> int:
            json.dumps(sidecar, sort_keys=True, indent=2, default=repr) + "\n")
 
     warn = provider.low_coverage
-    _manifest(out_dir, "construct-energy", config, workers, {
+    _manifest(out_dir, "construct-energy", config, {
         "p_base": lag.p_base,
         "p_star": lag.p_star,
         "provider": _provider_summary(provider),
@@ -279,12 +278,15 @@ def cmd_construct_energy(config, out_dir: Path, workers: int) -> int:
 
 
 def _run_simulation(config, spec):
-    grid = Grid1D(int(config["grid"]["n_cells"]))
+    try:
+        grid = Grid1D(int(config["grid"]["n_cells"]))
+        controls = SolverControls(output_stride=int(config["time"]["output_stride"]))
+    except ValueError as exc:
+        raise CliError("solver", str(exc))
     u0 = _initial_profile(config, grid)
-    controls = SolverControls(output_stride=int(config["time"]["output_stride"]))
     try:
         result = simulate(spec, u0, float(config["time"]["t_end"]), grid, controls)
-    except SolverError as exc:
+    except (SolverError, ValueError) as exc:
         raise CliError("solver", str(exc))
     return grid, result
 
@@ -300,11 +302,11 @@ def _trajectory_lines(grid, result):
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(config, out_dir: Path, workers: int) -> int:
+def cmd_simulate(config, out_dir: Path) -> int:
     spec = _build_spec(config)
     grid, result = _run_simulation(config, spec)
     _write(out_dir, "trajectory.csv", _trajectory_lines(grid, result))
-    _manifest(out_dir, "simulate", config, workers, {
+    _manifest(out_dir, "simulate", config, {
         "termination": result.termination,
         "n_steps": result.n_steps,
         "dt_smallest": result.dt_smallest,
@@ -314,16 +316,16 @@ def cmd_simulate(config, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_verify(config, out_dir: Path, workers: int) -> int:
+def cmd_verify(config, out_dir: Path) -> int:
     spec = _build_spec(config)
-    provider = _build_provider(spec, config, workers)
+    provider = _build_provider(spec, config)
     lag = _build_lagrangian(spec, provider, config)
     grid, result = _run_simulation(config, spec)
     try:
         trace = energy_trace(lag, result, grid)
+        report = verify_decay(trace)
     except (ValueError, LagrangianError, QuadratureError) as exc:
         raise CliError("energy", str(exc))
-    report = verify_decay(trace)
     payload = report.to_dict()
     m = spec.params.get("divergence_form_m")
     if m is not None:
@@ -339,7 +341,7 @@ def cmd_verify(config, out_dir: Path, workers: int) -> int:
     _write(out_dir, "energy_trace.csv", trace.to_csv())
     _write(out_dir, "verify_report.json",
            json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _manifest(out_dir, "verify", config, workers, {
+    _manifest(out_dir, "verify", config, {
         "passed_monotonicity": report.passed_monotonicity,
         "passed_consistency": report.passed_consistency,
         "max_consistency_error": report.max_consistency_error,
@@ -355,9 +357,9 @@ def cmd_verify(config, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_compare_closed_form(config, out_dir: Path, workers: int) -> int:
+def cmd_compare_closed_form(config, out_dir: Path) -> int:
     spec = _build_spec(config)
-    provider = _build_provider(spec, config, workers)
+    provider = _build_provider(spec, config)
     lag = _build_lagrangian(spec, provider, config)
     cmp_cfg = config["compare"]
     us = _axis(cmp_cfg["u"])
@@ -372,7 +374,7 @@ def cmd_compare_closed_form(config, out_dir: Path, workers: int) -> int:
         report["note"] = comparison["note"]
         _write(out_dir, "comparison.json",
                json.dumps(report, sort_keys=True, indent=2) + "\n")
-        _manifest(out_dir, "compare-closed-form", config, workers, report)
+        _manifest(out_dir, "compare-closed-form", config, report)
         print(report["note"])
         return 0
 
@@ -416,7 +418,7 @@ def cmd_compare_closed_form(config, out_dir: Path, workers: int) -> int:
         }
     _write(out_dir, "comparison.json",
            json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _manifest(out_dir, "compare-closed-form", config, workers, report)
+    _manifest(out_dir, "compare-closed-form", config, report)
     return 0
 
 
@@ -436,14 +438,13 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=False, help="JSON run configuration")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker pool size; 0 means available parallelism")
+    # Accepted for compatibility and ignored: nothing runs in parallel.
+    parser.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
     try:
         config = _resolve_config(args.config)
-        return _COMMANDS[args.command](config, Path(args.out), workers)
+        return _COMMANDS[args.command](config, Path(args.out))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

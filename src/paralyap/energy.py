@@ -8,8 +8,10 @@ derivative (centered differences of the E series), and the predicted decay
 
 whose integrand is nonnegative up to the sign, so E must fall except at
 equilibria.  All x-integrals are composite Simpson on the solver's own node
-grid; no re-interpolation, so the energy monitor and the solver see exactly
-the same discrete state.
+grid; no re-interpolation.  u_x and u_xx come from the solver's own padded
+node stencil, so at every free node (Robin ends included) the energy monitor
+sees exactly the discrete derivatives that produced u_t.  Only at a pinned
+Dirichlet end, which the solver never evaluates, one-sided stencils stand in.
 
 Models whose weight carries a negative power of the gradient (porous medium,
 gradient-forced flows) have a formally divergent integrand where u_x
@@ -27,7 +29,7 @@ from scipy.integrate import simpson
 from .lagrangian import Lagrangian, eval_L
 from .models import ProblemSpec, _numeric_du
 from .quadrature import integrate_batch
-from .solver import Grid1D, SimulationResult, StateFrame
+from .solver import Grid1D, SimulationResult, StateFrame, _node_derivatives
 
 __all__ = [
     "EnergyTrace",
@@ -51,35 +53,8 @@ def _grid_for(frame: StateFrame, grid: Optional[Grid1D]) -> Grid1D:
 
 
 def node_gradient(spec: ProblemSpec, frame: StateFrame, grid: Optional[Grid1D] = None):
-    """u_x at every node: central interior, boundary-aware at the ends.
-
-    Robin ends report b(u) exactly (the same value the solver's ghost node
-    enforces); Dirichlet ends use the second-order one-sided stencil.
-    """
-    g = _grid_for(frame, grid)
-    u = frame.u
-    dx = g.dx
-    p = np.empty_like(u)
-    p[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    if spec.bc_left.kind == "robin":
-        p[0] = float(spec.bc_left.robin_b(u[0]))
-    else:
-        p[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
-    if spec.bc_right.kind == "robin":
-        p[-1] = float(spec.bc_right.robin_b(u[-1]))
-    else:
-        p[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx)
-    return p
-
-
-def _node_curvature(frame: StateFrame, grid: Grid1D):
-    u = frame.u
-    dx2 = grid.dx * grid.dx
-    q = np.empty_like(u)
-    q[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx2
-    q[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / dx2
-    q[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dx2
-    return q
+    """u_x at every node from the solver's stencil: b(u) exactly at a Robin end."""
+    return _node_derivatives(spec, _grid_for(frame, grid), frame.u)[0]
 
 
 def energy_of_frame(lag: Lagrangian, frame: StateFrame, grid: Optional[Grid1D] = None) -> float:
@@ -118,13 +93,12 @@ def decay_formula(spec: ProblemSpec, g_provider: Callable, frame: StateFrame,
                   grid: Optional[Grid1D] = None) -> DecayValue:
     """The predicted dE/dt for one frame, with its masked fraction."""
     g = _grid_for(frame, grid)
-    p = node_gradient(spec, frame, g)
-    q = _node_curvature(frame, g)
+    p, q = _node_derivatives(spec, g, frame.u)
     with np.errstate(all="ignore"):
         weight = np.exp(np.asarray(g_provider(g.nodes, frame.u, p), dtype=float))
         f1 = np.asarray(spec.f1_weight(g.nodes, frame.u, p, q, frame.ut), dtype=float)
         integrand = weight * f1 * frame.ut
-    return _masked_decay(spec, frame, grid if grid is not None else g, integrand, p)
+    return _masked_decay(spec, frame, g, integrand, p)
 
 
 def _model_decay(spec: ProblemSpec, frame: StateFrame, grid: Grid1D,

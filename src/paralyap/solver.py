@@ -8,9 +8,11 @@ deliberately avoided: where the diffusion coefficient vanishes the Jacobian
 is singular, and desk-scale grids make the explicit penalty affordable.
 
 Dirichlet ends are pinned at the initial profile's end values (the
-homogeneous case pins them at zero).  Robin ends u_x = b(u) close the
-stencil with the mirrored ghost node u_{-1} = u_1 - 2 dx b(u_0), which makes
-the central gradient at the end equal b(u) exactly.
+homogeneous case pins them at zero).  One node stencil gives u_x and u_xx
+to the solver and to the energy monitor.  It pads the state with a ghost
+node per end; a Robin end u_x = b(u) gets the mirror node
+u_{-1} = u_1 - 2 dx b(u_0) (on the right, u_{n+1} = u_{n-1} + 2 dx b(u_n)),
+which makes the central gradient at the end equal b(u) exactly.
 
 The porous-medium family advances the divergence form (u^m)_xx with a
 conservative stencil on u^m instead of the expanded product rule; the stencil
@@ -77,6 +79,10 @@ class SolverControls:
     dt_floor: float = 1e-12
     output_stride: int = 1
 
+    def __post_init__(self):
+        if self.output_stride < 1:
+            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -105,45 +111,58 @@ def _degenerate_power(u: np.ndarray, m: float) -> np.ndarray:
     return np.maximum(u, 0.0) ** m
 
 
-def _robin_ghosts(spec: ProblemSpec, u: np.ndarray, dx: float):
-    left = right = None
-    if spec.bc_left.kind == "robin":
-        left = u[1] - 2.0 * dx * float(spec.bc_left.robin_b(u[0]))
-    if spec.bc_right.kind == "robin":
-        right = u[-2] + 2.0 * dx * float(spec.bc_right.robin_b(u[-1]))
-    return left, right
+def _padded(spec: ProblemSpec, dx: float, u: np.ndarray):
+    """``u`` with one ghost node per end, and (node, inward step, b(u) or None) per end.
+
+    A Robin end's ghost is the mirror node u_{i+d} - 2 d dx b(u_i), so the
+    central difference there is b(u_i).  A Dirichlet end is padded with its
+    own value; every stencil result at that node is replaced or zeroed.
+    """
+    up = np.empty(len(u) + 2)
+    up[1:-1] = u
+    ends = []
+    for bc, i, d in ((spec.bc_left, 0, 1), (spec.bc_right, -1, -1)):
+        b = float(bc.robin_b(u[i])) if bc.kind == "robin" else None
+        up[i] = u[i] if b is None else u[i + d] - d * (2.0 * dx * b)
+        ends.append((i, d, b))
+    return up, ends
+
+
+def _node_derivatives(spec: ProblemSpec, grid: Grid1D, u: np.ndarray):
+    """u_x and u_xx at every node: the one stencil of the solver and the energy monitor.
+
+    Central differences over the padded state, with u_x = b(u) exactly at a
+    Robin end.  A Dirichlet end is pinned, so only the energy monitor reads it:
+    the second-order one-sided u_x and the four-point one-sided u_xx.
+    """
+    dx = grid.dx
+    up, ends = _padded(spec, dx, u)
+    p = (up[2:] - up[:-2]) / (2.0 * dx)
+    q = (up[2:] - 2.0 * up[1:-1] + up[:-2]) / (dx * dx)
+    for i, d, b in ends:
+        if b is not None:
+            p[i] = b
+        else:
+            p[i] = d * (-3.0 * u[i] + 4.0 * u[i + d] - u[i + 2 * d]) / (2.0 * dx)
+            q[i] = (2.0 * u[i] - 5.0 * u[i + d] + 4.0 * u[i + 2 * d] - u[i + 3 * d]) / (dx * dx)
+    return p, q
 
 
 def evolution_rhs(spec: ProblemSpec, grid: Grid1D, u: np.ndarray) -> np.ndarray:
     """du/dt at every node; Dirichlet nodes report 0 (they are pinned)."""
-    x = grid.nodes
     dx = grid.dx
-    ut = np.zeros_like(u)
-    ghost_left, ghost_right = _robin_ghosts(spec, u, dx)
-
+    lo = int(spec.bc_left.kind == "dirichlet")
+    hi = len(u) - int(spec.bc_right.kind == "dirichlet")
     m = spec.params.get("divergence_form_m")
-    if m is not None:
-        v = _degenerate_power(u, float(m))
-        ut[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-        if ghost_left is not None:
-            gv = _degenerate_power(np.array([ghost_left]), float(m))[0]
-            ut[0] = (v[1] - 2.0 * v[0] + gv) / (dx * dx)
-        if ghost_right is not None:
-            gv = _degenerate_power(np.array([ghost_right]), float(m))[0]
-            ut[-1] = (gv - 2.0 * v[-1] + v[-2]) / (dx * dx)
+    if m is None:
+        p, q = _node_derivatives(spec, grid, u)
+        ut = np.zeros_like(u)
+        ut[lo:hi] = spec.rhs(grid.nodes[lo:hi], u[lo:hi], p[lo:hi], q[lo:hi])
         return ut
-
-    p = (u[2:] - u[:-2]) / (2.0 * dx)
-    q = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-    ut[1:-1] = spec.rhs(x[1:-1], u[1:-1], p, q)
-    if ghost_left is not None:
-        p0 = float(spec.bc_left.robin_b(u[0]))
-        q0 = (u[1] - 2.0 * u[0] + ghost_left) / (dx * dx)
-        ut[0] = float(spec.rhs(x[0], u[0], p0, q0))
-    if ghost_right is not None:
-        p1 = float(spec.bc_right.robin_b(u[-1]))
-        q1 = (ghost_right - 2.0 * u[-1] + u[-2]) / (dx * dx)
-        ut[-1] = float(spec.rhs(x[-1], u[-1], p1, q1))
+    v = _degenerate_power(_padded(spec, dx, u)[0], float(m))
+    ut = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
+    ut[:lo] = 0.0
+    ut[hi:] = 0.0
     return ut
 
 

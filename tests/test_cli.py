@@ -5,6 +5,10 @@ directory, exactly as a shell invocation would.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,64 @@ def test_verify_adds_the_conventional_pair_for_divergence_models(tmp_path, capsy
     std = report["standard_energy"]
     assert len(std["E"]) == len(std["dEdt"])
     assert std["monotone"] is True
+
+
+def test_workers_flag_is_accepted_and_ignored(tmp_path, capsys):
+    config = {"model": {"model": "heat"}, "grid": {"n_cells": 16},
+              "time": {"t_end": 1e-3, "output_stride": 16}}
+    code1, out1 = _run(tmp_path, "simulate", config, name="a")
+    code2, out2 = _run(tmp_path, "simulate", config, name="b", extra=("--workers", "3"))
+    assert code1 == 0 and code2 == 0
+    for fname in ("trajectory.csv", "manifest.json"):
+        assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
+    assert "workers" not in _read_json(out1 / "manifest.json")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "--workers" not in capsys.readouterr().out
+
+
+_SMALL_VERIFY = {"model": {"model": "heat"}, "grid": {"n_cells": 16},
+                 "time": {"t_end": 1e-3, "output_stride": 8}}
+
+
+@pytest.mark.parametrize("section, override, stage", [
+    ("time", {"t_end": 0}, "solver"),
+    ("grid", {"n_cells": 4}, "solver"),
+    ("time", {"output_stride": 0}, "solver"),
+    ("time", {"output_stride": -2}, "solver"),
+    # Only the initial and the final frame are stored: too few to verify.
+    ("time", {"output_stride": 1000000}, "energy"),
+], ids=["t_end-0", "n_cells-4", "stride-0", "stride-negative", "stride-huge"])
+def test_bad_grid_and_time_values_name_the_stage(tmp_path, capsys, section, override, stage):
+    config = {**_SMALL_VERIFY, section: {**_SMALL_VERIFY[section], **override}}
+    code, _ = _run(tmp_path, "verify", config)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {stage}: ")
+
+
+def test_benchmark_launcher_runs_a_traced_verify(tmp_path):
+    # perfbench/launch.py and perfbench/tracer.py bind CLI and module
+    # functions by name; a rename that breaks them must fail here.
+    root = Path(__file__).resolve().parents[1]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "model": {"model": "heat",
+                  "bc": [{"kind": "robin", "b": {"kind": "linear", "slope": 1.0}}, "dirichlet"]},
+        "g_mode": "tabulated",
+        "grid": {"n_cells": 16},
+        "time": {"t_end": 0.004, "output_stride": 8},
+    }))
+    marks, trace = tmp_path / "marks.json", tmp_path / "trace.npz"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "launch.py"), str(marks), str(trace),
+         "verify", "--config", str(cfg), "--out", str(tmp_path / "out"), "--workers", "1"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=300,
+    )
+    # 2: the consistency warning of a sine profile that misses the Robin condition.
+    assert proc.returncode == 2, proc.stderr
+    assert "setup_end" in _read_json(marks)
+    assert trace.exists()
 
 
 def test_compare_closed_form_scores_a_builtin(tmp_path):

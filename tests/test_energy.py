@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from paralyap import models
 from paralyap.characteristics import analytic_g
@@ -45,14 +46,13 @@ def test_node_gradient_interior_and_ends():
 
 
 def test_node_gradient_reports_robin_slope_exactly():
-    spec = models.heat_equation(
-        bc_left=BoundaryCondition.robin(lambda u: 3.0 * u, lambda u: 3.0)
-    )
+    robin = BoundaryCondition.robin(lambda u: 3.0 * u, lambda u: 3.0)
     grid = Grid1D(16)
     u = 0.5 + 0.1 * grid.nodes
-    frame = _frame(spec, grid, u)
-    p = node_gradient(spec, frame, grid)
-    assert p[0] == pytest.approx(3.0 * u[0], abs=1e-14)
+    for end, side in ((0, "bc_left"), (-1, "bc_right")):
+        spec = models.heat_equation(**{side: robin})
+        p = node_gradient(spec, _frame(spec, grid, u), grid)
+        assert p[end] == pytest.approx(3.0 * u[end], abs=1e-14)
 
 
 def test_dirichlet_energy_of_a_sine():
@@ -81,6 +81,27 @@ def test_heat_decay_formula_value():
     assert d.mask_fraction == 0.0
     assert d.reliable
     assert d.value == pytest.approx(-math.pi**4 / 2.0, rel=2e-3)
+
+
+def test_decay_formula_uses_the_solver_curvature_at_a_robin_end():
+    # inverse_mcf carries u_xx in f1_weight, so the energy monitor must read
+    # the ghost-node curvature the solver used, q_0 = 2 (u_1 - u_0) / dx^2 at
+    # a Neumann end, not a one-sided stencil.
+    spec = models.from_descriptor({"model": "inverse_mcf", "bc": ["neumann", "dirichlet"]})
+    provider = analytic_g(spec, p0=spec.closed_forms.canonical_p0)
+    grid = Grid1D(16)
+    x, dx = grid.nodes, grid.dx
+    u = 0.3 * np.cos(0.5 * np.pi * x)
+    frame = _frame(spec, grid, u)
+    p = np.gradient(u, dx, edge_order=2)
+    p[0] = 0.0
+    q = np.empty_like(u)
+    q[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
+    q[0] = 2.0 * (u[1] - u[0]) / dx**2
+    q[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dx**2
+    integrand = np.exp(provider(x, u, p)) * spec.f1_weight(x, u, p, q, frame.ut) * frame.ut
+    expected = -simpson(integrand, x=x)
+    assert decay_formula(spec, provider, frame, grid).value == pytest.approx(expected, rel=1e-12)
 
 
 def test_singular_weight_masks_flat_gradients():

@@ -218,6 +218,9 @@ _PROPERTY_CASES = {
     "heat_robin_left": (
         models.heat_equation(bc_left=_ROBIN), {"p_star": 0.5}, (-1.0, 1.0), (-2.0, 2.0),
     ),
+    "heat_robin_right": (
+        models.heat_equation(bc_right=_ROBIN), {"p_star": 0.5}, (-1.0, 1.0), (-2.0, 2.0),
+    ),
     "mcf_robin_both": (
         models.pure_mean_curvature(bc_left=_ROBIN, bc_right=_ROBIN),
         {"p_star": 0.5}, (-1.0, 1.0), (-2.0, 2.0),
@@ -268,12 +271,12 @@ def test_second_difference_matches_the_weight(desc, p_range, data):
     assert second_difference_lpp(lag, x, u, p) == pytest.approx(direct, abs=1e-6 * (1.0 + direct))
 
 
-@pytest.mark.parametrize("case", ["heat_robin_left", "mcf_robin_both"])
+@pytest.mark.parametrize("case", ["heat_robin_left", "heat_robin_right", "mcf_robin_both"])
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(u=st.floats(-1.0, 1.0))
 def test_flux_vanishes_on_the_robin_manifold(case, u):
     spec, opts, _, _ = _PROPERTY_CASES[case]
     lag = _lag(spec, **opts)
-    ends = (0.0, 1.0) if spec.bc_right.kind == "robin" else (0.0,)
+    ends = [x for x, bc in ((0.0, spec.bc_left), (1.0, spec.bc_right)) if bc.kind == "robin"]
     for x_end in ends:
         assert abs(eval_Lp(lag, x_end, u, u)) < 1e-12

@@ -17,6 +17,7 @@ from paralyap.solver import (
     SolverControls,
     SolverError,
     StateFrame,
+    _node_derivatives,
     evolution_rhs,
     simulate,
     step,
@@ -81,6 +82,71 @@ def test_robin_end_uses_the_ghost_node():
     # ghost = u[1] - 2 dx b(u[0]); for constant u = c the end rhs is -2c/dx
     assert ut[0] == pytest.approx(-2.0 * 0.5 / grid.dx, rel=1e-12)
     assert np.max(np.abs(ut[1:])) == 0.0
+
+
+def _robin(slope):
+    return {"kind": "robin", "b": {"kind": "linear", "slope": slope}}
+
+
+@pytest.mark.parametrize("desc", [
+    {"model": "heat"},
+    {"model": "porous_medium", "m": 2.0},
+    {"model": "inverse_mcf"},
+], ids=lambda d: d["model"])
+def test_robin_ends_mirror_each_other(desc):
+    # Reflecting x -> 1 - x turns u_x = u at the left end into u_x = -u at
+    # the right end, and flips the sign of u_x everywhere.
+    left = models.from_descriptor({**desc, "bc": [_robin(1.0), "dirichlet"]})
+    right = models.from_descriptor({**desc, "bc": ["dirichlet", _robin(-1.0)]})
+    grid = Grid1D(32)
+    x = grid.nodes
+    u = 0.6 + 0.3 * np.cos(np.pi * x) + 0.05 * np.sin(3.0 * np.pi * x)
+    ut_left = evolution_rhs(left, grid, u)
+    ut_right = evolution_rhs(right, grid, u[::-1])[::-1]
+    # Not bitwise: the end sums run in opposite order.
+    assert np.max(np.abs(ut_right - ut_left)) <= 1e-12 * np.max(np.abs(ut_left))
+    assert ut_left[-1] == 0.0 and ut_left[0] != 0.0
+    p_left = _node_derivatives(left, grid, u)[0]
+    p_right = _node_derivatives(right, grid, u[::-1])[0][::-1]
+    assert np.array_equal(p_right, -p_left)
+    assert p_left[0] == u[0]
+
+
+def test_porous_medium_with_neumann_ends_conserves_mass():
+    spec = models.from_descriptor(
+        {"model": "porous_medium", "m": 2.0, "bc": ["neumann", "neumann"]}
+    )
+    grid = Grid1D(32)
+    u = np.random.default_rng(5).uniform(0.1, 1.0, grid.n_cells + 1)
+    ut = evolution_rhs(spec, grid, u)
+    weights = np.full(len(u), grid.dx)
+    weights[[0, -1]] *= 0.5
+    assert abs(float(np.sum(weights * ut))) <= 1e-12 * float(np.max(np.abs(ut)))
+
+
+_STENCIL_MODELS = [
+    {"model": "heat"},
+    {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},
+    {"model": "inverse_mcf"},
+]
+_STENCIL_ENDS = {"dirichlet": "dirichlet", "robin": _robin(2.0), "neumann": "neumann"}
+
+
+@pytest.mark.parametrize("right", sorted(_STENCIL_ENDS))
+@pytest.mark.parametrize("left", sorted(_STENCIL_ENDS))
+@pytest.mark.parametrize("desc", _STENCIL_MODELS, ids=lambda d: d["model"])
+def test_rhs_is_the_model_rhs_on_the_shared_stencil(desc, left, right):
+    spec = models.from_descriptor({**desc, "bc": [_STENCIL_ENDS[left], _STENCIL_ENDS[right]]})
+    grid = Grid1D(16)
+    x = grid.nodes
+    u = 0.2 + 0.3 * x + 0.1 * np.sin(2.0 * np.pi * x)
+    ut = evolution_rhs(spec, grid, u)
+    p, q = _node_derivatives(spec, grid, u)
+    free = np.ones(len(u), dtype=bool)
+    free[0] = left != "dirichlet"
+    free[-1] = right != "dirichlet"
+    assert np.array_equal(ut[free], spec.rhs(x[free], u[free], p[free], q[free]))
+    assert np.all(ut[~free] == 0.0)
 
 
 def test_heun_step_matches_reference_update():
