@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .quadrature import integrate_batch
 from .models import ProblemSpec
@@ -431,6 +430,10 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
     scale = np.std(pts, axis=0)
     scale[scale < 1e-12] = 1.0
     scaled = pts / scale
+    # Imported here, not at module load, so that importing paralyap does not
+    # load scipy; the tree is the only scipy use in the package.
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(scaled)
 
     self_nn = tree.query(scaled, k=2)[0][:, 1]

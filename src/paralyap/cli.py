@@ -281,11 +281,12 @@ def _run_simulation(config, spec):
     try:
         grid = Grid1D(int(config["grid"]["n_cells"]))
         controls = SolverControls(output_stride=int(config["time"]["output_stride"]))
-    except ValueError as exc:
+        t_end = float(config["time"]["t_end"])
+    except (ValueError, TypeError, KeyError) as exc:
         raise CliError("solver", str(exc))
     u0 = _initial_profile(config, grid)
     try:
-        result = simulate(spec, u0, float(config["time"]["t_end"]), grid, controls)
+        result = simulate(spec, u0, t_end, grid, controls)
     except (SolverError, ValueError) as exc:
         raise CliError("solver", str(exc))
     return grid, result
@@ -293,12 +294,11 @@ def _run_simulation(config, spec):
 
 def _trajectory_lines(grid, result):
     lines = ["t,x,u,ut"]
-    x = grid.nodes
+    x = grid.nodes.tolist()
     for frame in result:
-        for i in range(len(x)):
-            lines.append(",".join(
-                _float_cell(v) for v in (frame.t, x[i], frame.u[i], frame.ut[i])
-            ))
+        t = _float_cell(frame.t)
+        lines.extend(f"{t},{xi!r},{ui!r},{uti!r}"
+                     for xi, ui, uti in zip(x, frame.u.tolist(), frame.ut.tolist()))
     return "\n".join(lines) + "\n"
 
 

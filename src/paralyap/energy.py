@@ -7,8 +7,10 @@ derivative (centered differences of the E series), and the predicted decay
     dE/dt = -integral of exp(g(x, u, u_x)) * f1_weight(...) * u_t,
 
 whose integrand is nonnegative up to the sign, so E must fall except at
-equilibria.  All x-integrals are composite Simpson on the solver's own node
-grid; no re-interpolation.  u_x and u_xx come from the solver's own padded
+equilibria.  All x-integrals use one composite Simpson rule on the solver's
+own node grid, with no re-interpolation; an even node count (odd n_cells)
+closes the last interval with the end correction scipy's ``simpson`` applies
+for equal spacing.  u_x and u_xx come from the solver's own padded
 node stencil, so at every free node (Robin ends included) the energy monitor
 sees exactly the discrete derivatives that produced u_t.  Only at a pinned
 Dirichlet end, which the solver never evaluates, one-sided stencils stand in.
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .lagrangian import Lagrangian, eval_L
 from .models import ProblemSpec, _numeric_du
@@ -52,6 +53,26 @@ def _grid_for(frame: StateFrame, grid: Optional[Grid1D]) -> Grid1D:
     return grid if grid is not None else Grid1D(len(frame.u) - 1)
 
 
+def _simpson(y: np.ndarray, dx: float) -> float:
+    """Composite Simpson rule for node values ``y`` spaced ``dx`` apart.
+
+    With an even node count, Simpson covers the first n-1 nodes and the last
+    interval gets the equal-spacing correction of scipy >= 1.11 (Cartwright):
+    +5dx/12 y[-1] + 2dx/3 y[-2] - dx/12 y[-3].  The weighted sum goes through
+    ``np.sum``, not a BLAS dot, so it does not depend on the thread count.
+    """
+    n = len(y)
+    m = n if n % 2 else n - 1
+    w = np.zeros(n)
+    w[1:m - 1:2] = 4.0
+    w[2:m - 1:2] = 2.0
+    w[0] = w[m - 1] = 1.0
+    w *= dx / 3.0
+    if m < n:
+        w[-3:] += dx / 12.0 * np.array([-1.0, 8.0, 5.0])
+    return float(np.sum(w * y))
+
+
 def node_gradient(spec: ProblemSpec, frame: StateFrame, grid: Optional[Grid1D] = None):
     """u_x at every node from the solver's stencil: b(u) exactly at a Robin end."""
     return _node_derivatives(spec, _grid_for(frame, grid), frame.u)[0]
@@ -65,7 +86,7 @@ def energy_of_frame(lag: Lagrangian, frame: StateFrame, grid: Optional[Grid1D] =
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ValueError(f"energy integrand not finite at node {bad} (x={x[bad]!r})")
-    return float(simpson(values, x=x))
+    return _simpson(values, g.dx)
 
 
 @dataclass(frozen=True)
@@ -85,7 +106,7 @@ def _masked_decay(spec: ProblemSpec, frame: StateFrame, grid: Grid1D,
         p_scale = float(np.max(np.abs(p)))
         mask |= np.abs(p) < _GRAD_EPS_REL * p_scale
     vals = np.where(mask, 0.0, integrand)
-    value = -float(simpson(vals, x=grid.nodes))
+    value = -_simpson(vals, grid.dx)
     return DecayValue(value, float(np.mean(mask)))
 
 
@@ -174,12 +195,11 @@ def energy_trace(lag: Lagrangian, result: SimulationResult,
 def standard_pme_energy(frame: StateFrame, m: float, grid: Optional[Grid1D] = None) -> dict:
     """The conventional porous-medium pair: E = int |u|^(m+1)/(m+1), its decay."""
     g = _grid_for(frame, grid)
-    x = g.nodes
     u_abs = np.abs(frame.u)
-    E = float(simpson(u_abs ** (m + 1.0) / (m + 1.0), x=x))
+    E = _simpson(u_abs ** (m + 1.0) / (m + 1.0), g.dx)
     w = u_abs ** m
     wx = np.gradient(w, g.dx, edge_order=2)
-    return {"E": E, "dEdt": -float(simpson(wx * wx, x=x))}
+    return {"E": E, "dEdt": -_simpson(wx * wx, g.dx)}
 
 
 def filtration_energy(frame: StateFrame, a: Callable, a_du: Optional[Callable] = None,
@@ -190,13 +210,12 @@ def filtration_energy(frame: StateFrame, a: Callable, a_du: Optional[Callable] =
     central difference of ``a`` stands in for it.
     """
     g = _grid_for(frame, grid)
-    x = g.nodes
     if a_du is None:
         a_du = _numeric_du(a)
-    E = float(simpson(integrate_batch(lambda idx, s: a(s), 0.0, frame.u, quad_tol), x=x))
+    E = _simpson(integrate_batch(lambda idx, s: a(s), 0.0, frame.u, quad_tol), g.dx)
     p = np.gradient(frame.u, g.dx, edge_order=2)
     flux = np.asarray(a_du(frame.u), dtype=float) * p
-    return {"E": E, "dEdt": -float(simpson(flux * flux, x=x))}
+    return {"E": E, "dEdt": -_simpson(flux * flux, g.dx)}
 
 
 @dataclass

@@ -214,12 +214,19 @@ _SMALL_VERIFY = {"model": {"model": "heat"}, "grid": {"n_cells": 16},
     ("time", {"output_stride": -2}, "solver"),
     # Only the initial and the final frame are stored: too few to verify.
     ("time", {"output_stride": 1000000}, "energy"),
-], ids=["t_end-0", "n_cells-4", "stride-0", "stride-negative", "stride-huge"])
+    # Values of the wrong type, which int() and float() reject with TypeError.
+    ("time", {"t_end": None}, "solver"),
+    ("grid", {"n_cells": None}, "solver"),
+    ("time", {"output_stride": [1]}, "solver"),
+], ids=["t_end-0", "n_cells-4", "stride-0", "stride-negative", "stride-huge",
+        "t_end-null", "n_cells-null", "stride-list"])
 def test_bad_grid_and_time_values_name_the_stage(tmp_path, capsys, section, override, stage):
     config = {**_SMALL_VERIFY, section: {**_SMALL_VERIFY[section], **override}}
     code, _ = _run(tmp_path, "verify", config)
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: {stage}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}: ")
+    assert "Traceback" not in err
 
 
 def test_benchmark_launcher_runs_a_traced_verify(tmp_path):
@@ -245,6 +252,32 @@ def test_benchmark_launcher_runs_a_traced_verify(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "setup_end" in _read_json(marks)
     assert trace.exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported only when tabulate_g builds its kd-tree, in set-up.
+    root = Path(__file__).resolve().parents[1]
+    script = "\n".join([
+        "import json, sys",
+        "import paralyap.cli",
+        "before = sorted(m for m in sys.modules if m.startswith('scipy'))",
+        "from paralyap import models",
+        "from paralyap.characteristics import SeedGrid, tabulate_g",
+        "provider = tabulate_g(models.heat_equation(), SeedGrid((0.0, 1.0), (0.5, 1.0)))",
+        "kd_tree = 'scipy.spatial' in sys.modules",
+        "g = float(provider(0.5, 0.5, 0.75))",
+        "print(json.dumps({'before': before, 'kd_tree': kd_tree, 'g': g}))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["before"] == []
+    assert seen["g"] == 0.0  # heat: g vanishes identically
+    assert seen["kd_tree"]
 
 
 def test_compare_closed_form_scores_a_builtin(tmp_path):

@@ -15,6 +15,7 @@ from paralyap import models
 from paralyap.characteristics import analytic_g
 from paralyap.energy import (
     EnergyTrace,
+    _simpson,
     decay_formula,
     energy_of_frame,
     energy_trace,
@@ -23,7 +24,7 @@ from paralyap.energy import (
     standard_pme_energy,
     verify_decay,
 )
-from paralyap.lagrangian import LagrangianError, build_lagrangian
+from paralyap.lagrangian import LagrangianError, build_lagrangian, eval_L
 from paralyap.models import BoundaryCondition
 from paralyap.solver import Grid1D, SolverControls, StateFrame, evolution_rhs, simulate
 
@@ -61,6 +62,26 @@ def test_dirichlet_energy_of_a_sine():
     frame = _frame(spec, grid, np.sin(np.pi * grid.nodes))
     E = energy_of_frame(lag, frame, grid)
     assert E == pytest.approx(math.pi**2 / 4.0, abs=2e-3)
+
+
+def test_simpson_matches_scipy_for_odd_and_even_node_counts():
+    rng = np.random.default_rng(7)
+    for n_cells in range(8, 65):
+        grid = Grid1D(n_cells)
+        x = grid.nodes
+        for y in (np.exp(x) * np.sin(3.0 * x), rng.standard_normal(len(x))):
+            gap = abs(_simpson(y, grid.dx) - simpson(y, x=x))
+            assert gap <= 1e-14 * np.sum(np.abs(y)) * grid.dx, (n_cells, gap)
+
+
+def test_energy_of_an_odd_cell_count_matches_scipy():
+    # 9 cells give 10 nodes, so the last interval takes the end correction.
+    spec, lag = _heat_lagrangian()
+    grid = Grid1D(9)
+    x = grid.nodes
+    frame = _frame(spec, grid, np.sin(np.pi * x) + 0.3 * x * x)
+    values = eval_L(lag, x, frame.u, node_gradient(spec, frame, grid))
+    assert energy_of_frame(lag, frame, grid) == pytest.approx(simpson(values, x=x), rel=1e-14)
 
 
 def test_energy_rejects_non_finite_states():
