@@ -9,11 +9,11 @@ weights the diffusion coefficient.  Along the auxiliary curves
                                               - p * diffusion_coeff_du,
 
 g satisfies an ODE, so integrating the curves from the seed plane x = 0
-(where g is fixed to 0) samples the field.  Three queryable representations
-are provided: closed-form (``analytic_g``), integration of dg/dp at a frozen
-base point (``reduced_ode_g``, valid when that ratio does not depend on the
-frozen point), and scattered-sample interpolation over many integrated
-curves (``tabulate_g``).
+(where g is fixed to 0) samples the field.  One integrator advances a batch
+of curves as one array; a lone curve is a batch of one.  Three queryable
+representations are provided: closed-form (``analytic_g``), integration of
+dg/dp at a frozen base point (``reduced_ode_g``), and interpolation over a
+batch of curves (``tabulate_g``).
 
 Since diffusion_coeff >= 0, x never decreases along a curve, and the
 fifth-order update used here keeps that guarantee exactly: its weights are
@@ -123,17 +123,99 @@ _B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
 _B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0, 277.0 / 14336.0, 1.0 / 4.0)
 
 
-def _default_field(spec: ProblemSpec):
-    def rhs(x, u, p):
-        fq = float(spec.diffusion_coeff(x, u, p))
-        dg = (
-            -float(spec.reaction_dp(x, u, p))
-            - float(spec.diffusion_coeff_dx(x, u, p))
-            - p * float(spec.diffusion_coeff_du(x, u, p))
-        )
-        return (fq, fq * p, float(spec.reaction(x, u, p)), dg)
+def _g_rate(spec: ProblemSpec, x, u, p):
+    """dg/dtau on a curve; ``reduced_g`` divides it by the reaction."""
+    return -(
+        np.asarray(spec.reaction_dp(x, u, p), dtype=float)
+        + np.asarray(spec.diffusion_coeff_dx(x, u, p), dtype=float)
+        + p * np.asarray(spec.diffusion_coeff_du(x, u, p), dtype=float)
+    )
 
-    return rhs
+
+def _integrate_curves(spec: ProblemSpec, seeds, controls: CharControls):
+    """Advance one curve per seed row (u0, p0, g0) from x = 0, all as one (n, 4) array.
+
+    Each curve has its own step size, attempts, stall count and termination;
+    every operation is elementwise, so a curve does not depend on its batch.
+    Returns the accepted (tau, x, u, p, g) rows grouped by curve in seed
+    order, the curve of each row, and each curve's termination.
+    """
+
+    def field(y):
+        x, u, p = y[:, 0], y[:, 1], y[:, 2]
+        if spec.char_system is not None:
+            out = spec.char_system(x, u, p)
+        else:
+            fq = np.asarray(spec.diffusion_coeff(x, u, p), dtype=float)
+            out = (fq, fq * p, spec.reaction(x, u, p), _g_rate(spec, x, u, p))
+        if len(out) != 4:
+            raise CharacteristicsError(f"curve field returned {len(out)} components, not 4")
+        # Broadcast against x, so a scalar output gives every curve that value.
+        k = np.column_stack(np.broadcast_arrays(x, *out)[1:])
+        bad = ~np.all(np.isfinite(k), axis=1)
+        if bad.any():
+            raise CharacteristicsError(
+                f"curve field returned a bad value at state {tuple(y[bad][0].tolist())}"
+            )
+        return k
+
+    seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
+    n = len(seeds)
+    x_end, dt_max = (math.inf if v is None else v for v in (controls.x_end, controls.dt_max))
+    tau_end = controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max))
+    idx, tau, dt = np.arange(n), np.zeros(n), np.full(n, float(controls.dt0))
+    stall = np.zeros(n, dtype=int)
+    y = np.column_stack([np.zeros(n), seeds])
+    k0 = field(y)
+    rows, row_curve = [np.column_stack([tau, y])], [idx]
+    ends = np.full(n, Termination.MAX_STEPS, dtype=object)
+    live, step = np.ones(n, dtype=bool), 0
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Each live curve makes one attempt per pass: ``step`` counts them all.
+        while step < controls.max_steps and live.any():
+            step += 1
+            idx, y, tau, dt, k0, stall = (a[live] for a in (idx, y, tau, dt, k0, stall))
+            # Hard clamps: land exactly on tau_max, and cap so x barely
+            # crosses x_end instead of overshooting it.
+            to_end = np.where(k0[:, 0] > 0.0, (x_end + 1e-9 - y[:, 0]) / k0[:, 0], math.inf)
+            dt = np.minimum(np.minimum(np.minimum(dt, dt_max), controls.tau_max - tau), to_end)
+            under = dt < controls.dt_min
+            if under.any():
+                raise CharacteristicsError(f"step size underflow at tau={float(tau[under][0])!r}")
+            # Each weighted sum runs in stage order, as for a lone curve.
+            ks = [k0]
+            for a in _A[1:]:
+                ks.append(field(y + dt[:, None] * sum(w * k for w, k in zip(a, ks))))
+            y5, y4 = (y + dt[:, None] * sum(w * k for w, k in zip(b, ks)) for b in (_B5, _B4))
+            err = np.max(np.abs(y5 - y4) / (controls.tol * (1.0 + np.abs(y5))), axis=1)
+            ok = err <= 1.0
+            tau = np.where(ok, tau + dt, tau)
+            y = np.where(ok[:, None], y5, y)
+            # float_power rounds as libm's pow; an array ``**`` may take a SIMD path.
+            dt = dt * np.where(
+                ok, np.minimum(5.0, np.maximum(0.2, 0.9 * np.float_power(err + 1e-300, -0.2))),
+                np.where(np.isfinite(err), np.maximum(0.2, 0.9 * np.float_power(err, -0.25)), 0.2),
+            )
+            if ok.any():
+                rows.append(np.column_stack([tau[ok], y[ok]]))
+                row_curve.append(idx[ok])
+                k0[ok] = field(y[ok])
+            # Accepted states are finite: a non-finite y5 makes err nan.
+            blowup = ok & (np.max(np.abs(y[:, 2:]), axis=1) > controls.blowup_cap)
+            reached = ok & ~blowup & (y[:, 0] >= x_end)
+            moving = ok & ~(blowup | reached | (tau >= tau_end))
+            slow = np.abs(k0[:, 0]) < controls.stall_eps
+            stall = np.where(moving, np.where(slow, stall + 1, 0), stall)
+            stalled = moving & (stall >= controls.stall_window)
+            ends[idx[blowup]] = Termination.BLOWUP
+            ends[idx[reached]] = Termination.REACHED_X_END
+            ends[idx[stalled]] = Termination.STALLED
+            live = ~ok | (moving & ~stalled)
+
+    curve = np.concatenate(row_curve)
+    order = np.argsort(curve, kind="stable")
+    return np.concatenate(rows)[order], curve[order], tuple(ends)
 
 
 def integrate_characteristics(spec: ProblemSpec, init: dict,
@@ -146,80 +228,16 @@ def integrate_characteristics(spec: ProblemSpec, init: dict,
     observation, not a failure: reaching ``x_end``, stalling (dx/dtau below
     ``stall_eps`` for ``stall_window`` accepted steps), a component passing
     ``blowup_cap``, or exhausting ``max_steps``.  Only a step-size underflow
-    raises.
+    or a non-finite field value raises.
 
     Models may supply ``char_system`` to integrate a rescaled field with the
     same curve geometry; the porous-medium builtin does this to remove the
-    shared degenerate factor from the flow speed.
+    shared degenerate factor from the flow speed.  The curve is a batch of
+    one for the integrator that ``tabulate_g`` uses.
     """
-    field_fn = spec.char_system if spec.char_system is not None else _default_field(spec)
-    tau = 0.0
-    y = (0.0, float(init["u0"]), float(init["p0"]), float(init.get("g0", 0.0)))
-    states = [CharState(tau, *y)]
-    dt = float(controls.dt0)
-    stall_run = 0
-    termination = Termination.MAX_STEPS
-
-    def eval_field(yv):
-        out = field_fn(yv[0], yv[1], yv[2])
-        if len(out) != 4 or not all(math.isfinite(v) for v in out):
-            raise CharacteristicsError(f"curve field returned a bad value at state {yv}")
-        return out
-
-    k0 = eval_field(y)
-    step = 0
-    while step < controls.max_steps:
-        step += 1
-        # Hard clamps: land exactly on tau_max, and cap so x barely crosses
-        # x_end instead of overshooting it.
-        if controls.dt_max is not None:
-            dt = min(dt, controls.dt_max)
-        dt = min(dt, controls.tau_max - tau)
-        if controls.x_end is not None and k0[0] > 0.0:
-            dt = min(dt, (controls.x_end + 1e-9 - y[0]) / k0[0])
-        if dt < controls.dt_min:
-            raise CharacteristicsError(f"step size underflow at tau={tau!r}")
-
-        ks = [k0]
-        for i in range(1, 6):
-            yi = tuple(
-                y[c] + dt * sum(_A[i][j] * ks[j][c] for j in range(i)) for c in range(4)
-            )
-            ks.append(eval_field(yi))
-        y5 = tuple(y[c] + dt * sum(_B5[j] * ks[j][c] for j in range(6)) for c in range(4))
-        y4 = tuple(y[c] + dt * sum(_B4[j] * ks[j][c] for j in range(6)) for c in range(4))
-
-        err = max(
-            abs(y5[c] - y4[c]) / (controls.tol * (1.0 + abs(y5[c]))) for c in range(4)
-        )
-        if not math.isfinite(err):
-            dt *= 0.2
-            continue
-        if err > 1.0:
-            dt *= max(0.2, 0.9 * err ** -0.25)
-            continue
-
-        tau += dt
-        y = y5
-        states.append(CharState(tau, *y))
-        k0 = eval_field(y)
-        dt *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
-
-        if abs(y[2]) > controls.blowup_cap or abs(y[3]) > controls.blowup_cap:
-            termination = Termination.BLOWUP
-            break
-        if controls.x_end is not None and y[0] >= controls.x_end:
-            termination = Termination.REACHED_X_END
-            break
-        if tau >= controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max)):
-            termination = Termination.MAX_STEPS
-            break
-        stall_run = stall_run + 1 if abs(k0[0]) < controls.stall_eps else 0
-        if stall_run >= controls.stall_window:
-            termination = Termination.STALLED
-            break
-
-    return CharTrajectory(tuple(states), termination)
+    seed = (init["u0"], init["p0"], init.get("g0", 0.0))
+    states, _, ends = _integrate_curves(spec, [seed], controls)
+    return CharTrajectory(tuple(CharState(*row) for row in states.tolist()), ends[0])
 
 
 def trajectory_csv(traj: CharTrajectory) -> str:
@@ -263,18 +281,11 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0,
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     scalar = np.isscalar(p) or np.asarray(p).ndim == 0
 
-    def rate_at(s):
-        return -(
-            np.asarray(spec.reaction_dp(x_ref, u_ref, s), dtype=float)
-            + np.asarray(spec.diffusion_coeff_dx(x_ref, u_ref, s), dtype=float)
-            + s * np.asarray(spec.diffusion_coeff_du(x_ref, u_ref, s), dtype=float)
-        )
-
     # A rate that vanishes on the whole span means g is the constant g0;
     # rest points of the reaction are immaterial in that case.
     span = np.linspace(min(float(np.min(p_arr)), p0), max(float(np.max(p_arr)), p0), _PROBE_N)
     with np.errstate(all="ignore"):
-        rate_span = rate_at(span)
+        rate_span = _g_rate(spec, x_ref, u_ref, span)
     if np.all(np.isfinite(rate_span)) and float(np.max(np.abs(rate_span))) == 0.0:
         out = np.full(p_arr.shape, g0)
         return float(out[0]) if scalar else out
@@ -295,7 +306,7 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0,
     hi = max(float(np.max(active)), p0)
     probes = np.linspace(lo, hi, _PROBE_N)
     f0 = np.asarray(spec.reaction(x_ref, u_ref, probes), dtype=float)
-    rate = rate_at(probes)
+    rate = _g_rate(spec, x_ref, u_ref, probes)
     if not (np.all(np.isfinite(f0)) and np.all(np.isfinite(rate))):
         raise ReducedGError("reaction or its derivatives are not finite on the p range")
 
@@ -315,7 +326,8 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0,
         return float(out[0]) if scalar else out
 
     def ratio(idx, s):
-        return rate_at(s) / np.asarray(spec.reaction(x_ref, u_ref, s), dtype=float)
+        rate = _g_rate(spec, x_ref, u_ref, s)
+        return rate / np.asarray(spec.reaction(x_ref, u_ref, s), dtype=float)
 
     out[~rest] = g0 + integrate_batch(ratio, p0, active, quad_tol)
     return float(out[0]) if scalar else out
@@ -402,30 +414,21 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
     otherwise stride across easy models in a handful of accepted steps and
     starve the table.
 
-    The curves are integrated one after another in the calling thread: the
-    integrator is pure Python, so worker threads would only contend for the
-    interpreter lock.  The provider may still be queried from several
-    threads; a lock guards its ``extrapolations`` counter.
+    The curves advance as one batch.  The provider may be queried from
+    several threads; a lock guards its ``extrapolations`` counter.
     """
+    box = np.asarray(query_box, dtype=float)
+    if box.shape != (3, 2):
+        raise ValueError(f"query_box needs three (lo, hi) pairs, not shape {box.shape}")
     if controls.dt_max is None:
         controls = dataclasses.replace(controls, dt_max=0.05)
-    seeds = [
-        {"u0": float(u0), "p0": float(q0), "g0": 0.0}
-        for u0 in seed_grid.u0_values
-        for q0 in seed_grid.p0_values
-    ]
-    trajectories = [integrate_characteristics(spec, seed, controls) for seed in seeds]
+    seeds = [(u0, q0, 0.0) for u0 in seed_grid.u0_values for q0 in seed_grid.p0_values]
+    states, _, ends = _integrate_curves(spec, seeds, controls)
 
-    pts, vals = [], []
-    for traj in trajectories:
-        for s in traj.states:
-            if 0.0 <= s.x <= 1.0 + 1e-9:
-                pts.append((s.x, s.u, s.p))
-                vals.append(s.g)
+    samples = states[(states[:, 1] >= 0.0) & (states[:, 1] <= 1.0 + 1e-9), 1:]
+    pts, vals = samples[:, :3], samples[:, 3]
     if len(pts) < 2:
         raise CharacteristicsError("tabulation produced fewer than 2 samples")
-    pts = np.asarray(pts, dtype=float)
-    vals = np.asarray(vals, dtype=float)
 
     scale = np.std(pts, axis=0)
     scale[scale < 1e-12] = 1.0
@@ -439,7 +442,7 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
     self_nn = tree.query(scaled, k=2)[0][:, 1]
     radius = 3.0 * float(np.median(self_nn))
 
-    grids = [np.linspace(lo, hi, 9) for lo, hi in query_box]
+    grids = [np.linspace(lo, hi, 9) for lo, hi in box]
     probe = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, 3)
     probe_d = tree.query(probe / scale, k=1)[0]
     coverage = float(np.mean(probe_d <= radius))
@@ -488,16 +491,9 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
         "radius_scaled": radius,
         "coverage": coverage,
         "coverage_min": coverage_min,
-        "query_box": [[float(a), float(b)] for a, b in query_box],
-        "terminations": sorted(
-            {t.termination.value for t in trajectories}
-        ),
-        "samples": {
-            "x": [float(v) for v in pts[:, 0]],
-            "u": [float(v) for v in pts[:, 1]],
-            "p": [float(v) for v in pts[:, 2]],
-            "g": [float(v) for v in vals],
-        },
+        "query_box": box.tolist(),
+        "terminations": sorted({t.value for t in ends}),
+        "samples": dict(zip(("x", "u", "p", "g"), samples.T.tolist())),
     }
     provider = GProvider(
         "tabulated", float("nan"), 0.0, evaluate,

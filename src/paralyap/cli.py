@@ -121,35 +121,41 @@ def _build_spec(config) -> ProblemSpec:
 
 
 def _char_controls(config) -> CharControls:
-    allowed = {f for f in CharControls.__dataclass_fields__}
-    extra = set(config["char_controls"]) - allowed
+    kinds = {f.name: f.type for f in dataclasses.fields(CharControls)}
+    extra = set(config["char_controls"]) - set(kinds)
     if extra:
         raise CliError("characteristics", f"unknown curve controls {sorted(extra)}")
-    return CharControls(**config["char_controls"])
+    # A wrong type raises here; only the Optional controls (x_end, dt_max) take null.
+    return CharControls(**{
+        key: None if value is None and kinds[key] not in (int, float)
+        else (int if kinds[key] is int else float)(value)
+        for key, value in config["char_controls"].items()
+    })
 
 
 def _build_provider(spec, config) -> GProvider:
     mode = config["g_mode"]
     norm = config["normalization"]
-    if norm["p0"] == "canonical":
-        forms = spec.closed_forms
-        norm["p0"] = forms.canonical_p0 if forms is not None else 1.0
-    p0, g0 = float(norm["p0"]), float(norm["g0"])
+    try:
+        if norm["p0"] == "canonical":
+            forms = spec.closed_forms
+            norm["p0"] = forms.canonical_p0 if forms is not None else 1.0
+        p0, g0 = float(norm["p0"]), float(norm["g0"])
+        if mode == "tabulated":
+            seeds = SeedGrid(*(tuple(map(float, config["seed_grid"][k])) for k in ("u0", "p0")))
+            # Each range is converted as given; tabulate_g checks the box shape.
+            box = tuple(tuple(map(float, r)) for r in config["query_box"])
+            coverage_min = float(config["coverage_min"])
+            controls = _char_controls(config)
+    except (TypeError, ValueError) as exc:
+        raise CliError("characteristics", f"bad provider setting: {exc}")
     try:
         if mode == "analytic":
             return analytic_g(spec, p0, g0)
         if mode == "reduced":
             return reduced_ode_g(spec, p0, g0)
         if mode == "tabulated":
-            seeds = SeedGrid(
-                tuple(float(v) for v in config["seed_grid"]["u0"]),
-                tuple(float(v) for v in config["seed_grid"]["p0"]),
-            )
-            box = tuple((float(a), float(b)) for a, b in config["query_box"])
-            return tabulate_g(
-                spec, seeds, _char_controls(config), box,
-                coverage_min=float(config["coverage_min"]),
-            )
+            return tabulate_g(spec, seeds, controls, box, coverage_min=coverage_min)
     except (ValueError, ReducedGError, CharacteristicsError) as exc:
         raise CliError("characteristics", str(exc))
     raise CliError("cli", f"unknown g_mode {mode!r}")
@@ -158,14 +164,12 @@ def _build_provider(spec, config) -> GProvider:
 def _build_lagrangian(spec, provider, config) -> Lagrangian:
     opts = config["lagrangian"]
     try:
-        return build_lagrangian(
-            spec, provider,
-            LagrangianOptions(
-                p_base=None if opts["p_base"] is None else float(opts["p_base"]),
-                p_star=None if opts["p_star"] is None else float(opts["p_star"]),
-                quad_tol=float(opts["quad_tol"]),
-            ),
-        )
+        p_base, p_star = (None if opts[k] is None else float(opts[k]) for k in ("p_base", "p_star"))
+        options = LagrangianOptions(p_base=p_base, p_star=p_star, quad_tol=float(opts["quad_tol"]))
+    except (TypeError, ValueError) as exc:
+        raise CliError("lagrangian", f"bad setting: {exc}")
+    try:
+        return build_lagrangian(spec, provider, options)
     except (LagrangianError, QuadratureError) as exc:
         raise CliError("lagrangian", str(exc))
 

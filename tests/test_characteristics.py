@@ -26,6 +26,10 @@ from paralyap.characteristics import (
     reduced_ode_g,
     tabulate_g,
     trajectory_csv,
+    _A,
+    _B4,
+    _B5,
+    _integrate_curves,
 )
 from paralyap.models import BoundaryCondition, ProblemSpec
 
@@ -121,6 +125,155 @@ def test_trajectory_csv_shape():
     lines = text.strip().split("\n")
     assert lines[0] == "tau,x,u,p,g"
     assert len(lines) == len(traj.states) + 1
+
+
+def _lone_rows(spec, seed, controls):
+    traj = integrate_characteristics(spec, dict(zip(("u0", "p0", "g0"), seed)), controls)
+    return [[s.tau, s.x, s.u, s.p, s.g] for s in traj.states], traj.termination
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"model": "heat"},
+    {"model": "inverse_mcf"},
+    {"model": "mcf_poly", "n": 2.0},
+    # porous_medium integrates its rescaled char_system, valid for u > 0.
+    {"model": "porous_medium", "m": 2.0},
+], ids=["heat", "inverse_mcf", "mcf_poly-2", "porous_medium-2"])
+def test_batch_curves_equal_their_lone_runs(descriptor):
+    spec = models.from_descriptor(descriptor)
+    seeds = [(u0, p0, 0.0) for u0 in (0.25, 0.5, 1.0) for p0 in (-1.0, 0.3, 1.5)]
+    controls = CharControls(dt_max=0.05)
+    states, curve, ends = _integrate_curves(spec, seeds, controls)
+    assert len(ends) == len(seeds)
+    assert np.array_equal(curve, np.sort(curve))
+    for i, seed in enumerate(seeds):
+        rows, termination = _lone_rows(spec, seed, controls)
+        assert states[curve == i].tolist() == rows
+        assert ends[i] is termination
+
+
+def _scalar_curve(spec, seed, controls):
+    """One curve in Python floats: the per-curve loop the batch replaces."""
+
+    def field(x, u, p):
+        if spec.char_system is not None:
+            return tuple(float(v) for v in spec.char_system(x, u, p))
+        fq = float(spec.diffusion_coeff(x, u, p))
+        rate = -(float(spec.reaction_dp(x, u, p)) + float(spec.diffusion_coeff_dx(x, u, p))
+                 + p * float(spec.diffusion_coeff_du(x, u, p)))
+        return fq, fq * p, float(spec.reaction(x, u, p)), rate
+
+    tau, y, dt, stall = 0.0, (0.0, *seed), controls.dt0, 0
+    rows, k0 = [[tau, *y]], field(*y[:3])
+    for _ in range(controls.max_steps):
+        dt = min(dt, controls.dt_max, controls.tau_max - tau)
+        if k0[0] > 0.0:
+            dt = min(dt, (controls.x_end + 1e-9 - y[0]) / k0[0])
+        ks = [k0]
+        for a in _A[1:]:
+            ks.append(field(*(y[c] + dt * sum(w * k[c] for w, k in zip(a, ks)) for c in range(3))))
+        y5, y4 = (tuple(y[c] + dt * sum(w * k[c] for w, k in zip(b, ks)) for c in range(4))
+                  for b in (_B5, _B4))
+        err = max(abs(y5[c] - y4[c]) / (controls.tol * (1.0 + abs(y5[c]))) for c in range(4))
+        if not err <= 1.0:
+            dt *= max(0.2, 0.9 * err ** -0.25) if math.isfinite(err) else 0.2
+            continue
+        tau, y = tau + dt, y5
+        rows.append([tau, *y])
+        k0 = field(*y[:3])
+        dt *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
+        if max(abs(y[2]), abs(y[3])) > controls.blowup_cap:
+            return rows, Termination.BLOWUP
+        if y[0] >= controls.x_end:
+            return rows, Termination.REACHED_X_END
+        if tau >= controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max)):
+            return rows, Termination.MAX_STEPS
+        stall = stall + 1 if abs(k0[0]) < controls.stall_eps else 0
+        if stall >= controls.stall_window:
+            return rows, Termination.STALLED
+    return rows, Termination.MAX_STEPS
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"model": "heat"},
+    {"model": "inverse_mcf"},
+    {"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0},
+    {"model": "porous_medium", "m": 2.0},
+], ids=["heat", "inverse_mcf", "rho_laplacian_poly-3-2", "porous_medium-2"])
+def test_batch_equals_the_scalar_loop(descriptor):
+    # These fields need no pow of a non-integer exponent, so the scalar loop
+    # and the batch do the same float operations and agree bit for bit.
+    spec = models.from_descriptor(descriptor)
+    seeds = [(u0, p0, 0.0) for u0 in (0.25, 1.0) for p0 in (-2.0, -0.5, 0.5, 2.0)]
+    controls = CharControls(dt_max=0.05)
+    states, curve, ends = _integrate_curves(spec, seeds, controls)
+    for i, seed in enumerate(seeds):
+        rows, termination = _scalar_curve(spec, seed, controls)
+        assert states[curve == i].tolist() == rows
+        assert ends[i] is termination
+
+
+def test_batch_terminations_match_lone_runs():
+    # inverse_mcf has p = tan(atan(p0) - tau): from p0 = -5 it passes the
+    # cap near tau = 0.2, from p0 = 0 it lives out the tau budget.
+    spec = models.from_descriptor({"model": "inverse_mcf"})
+    controls = CharControls(tau_max=1.0, x_end=None, blowup_cap=1e3)
+    seeds = [(0.0, 0.0, 0.0), (0.0, -5.0, 0.0), (1.0, 0.5, 0.0)]
+    _, _, ends = _integrate_curves(spec, seeds, controls)
+    assert ends == (Termination.MAX_STEPS, Termination.BLOWUP, Termination.MAX_STEPS)
+    for seed, end in zip(seeds, ends):
+        assert _lone_rows(spec, seed, controls)[1] is end
+
+    # Diffusion u: a curve from u0 = 0 never moves in x, one from u0 = 1
+    # reaches x_end.  The scalar reaction callbacks are broadcast.
+    spec = _custom_spec(lambda x, u, p: u, lambda x, u, p: 0.0, lambda x, u, p: 0.0)
+    controls = CharControls(tau_max=1e6, stall_window=20, dt_max=0.5)
+    seeds = [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
+    states, curve, ends = _integrate_curves(spec, seeds, controls)
+    assert ends == (Termination.STALLED, Termination.REACHED_X_END)
+    for i, seed in enumerate(seeds):
+        rows, termination = _lone_rows(spec, seed, controls)
+        assert states[curve == i].tolist() == rows
+        assert ends[i] is termination
+
+
+def test_batch_failures_name_the_state_and_tau():
+    spec = _custom_spec(
+        lambda x, u, p: np.where(u > 0.5, math.nan, 1.0),
+        lambda x, u, p: 0.0, lambda x, u, p: 0.0,
+    )
+    with pytest.raises(CharacteristicsError, match=r"at state \(0\.0, 1\.0, 2\.0, 0\.0\)"):
+        _integrate_curves(spec, [(0.0, 1.0, 0.0), (1.0, 2.0, 0.0)], CharControls())
+    # A zero tolerance rejects every step until the step size underflows.
+    with pytest.raises(CharacteristicsError, match=r"step size underflow at tau=0\.0"):
+        integrate_characteristics(models.heat_equation(), {"u0": 0.0, "p0": 1.0},
+                                  CharControls(tol=0.0))
+
+
+def test_tabulated_samples_are_the_lone_states():
+    spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0})
+    grid = SeedGrid((-1.0, 0.0, 1.0), (0.5, 1.0, 1.5))
+    provider = tabulate_g(spec, grid)
+    controls = CharControls(dt_max=0.05)
+    expected = [
+        row
+        for u0 in grid.u0_values for p0 in grid.p0_values
+        for row in _lone_rows(spec, (u0, p0, 0.0), controls)[0]
+        if 0.0 <= row[1] <= 1.0 + 1e-9
+    ]
+    samples = provider.snapshot["samples"]
+    got = [list(r) for r in zip(samples["x"], samples["u"], samples["p"], samples["g"])]
+    assert got == [row[1:] for row in expected]
+
+
+@pytest.mark.parametrize("box", [
+    ((0.0, 1.0), (-1.0, 1.0)),
+    ((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0)),
+    ((0.0, 1.0, 2.0), (-1.0, 1.0), (-1.0, 1.0)),
+], ids=["two-ranges", "four-ranges", "triple"])
+def test_tabulated_rejects_a_malformed_query_box(box):
+    with pytest.raises(ValueError):
+        tabulate_g(models.heat_equation(), SeedGrid((0.0, 1.0), (0.5, 1.0)), query_box=box)
 
 
 # ---------------------------------------------------------------------------

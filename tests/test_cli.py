@@ -229,6 +229,28 @@ def test_bad_grid_and_time_values_name_the_stage(tmp_path, capsys, section, over
     assert "Traceback" not in err
 
 
+_TABULATED = {"g_mode": "tabulated", "seed_grid": {"u0": [0.0, 1.0], "p0": [0.5, 1.0]}}
+
+
+@pytest.mark.parametrize("override, stage", [
+    ({**_TABULATED, "char_controls": {"tol": None}}, "characteristics"),
+    ({**_TABULATED, "seed_grid": {"u0": None}}, "characteristics"),
+    ({**_TABULATED, "coverage_min": None}, "characteristics"),
+    ({**_TABULATED, "query_box": [[0.0, 1.0], [-1.0, 1.0]]}, "characteristics"),
+    ({**_TABULATED, "query_box": [[0.0, 1.0]] * 4}, "characteristics"),
+    ({"normalization": {"p0": None}}, "characteristics"),
+    ({"normalization": None}, "characteristics"),
+    ({"lagrangian": {"quad_tol": None}}, "lagrangian"),
+], ids=["tol-null", "u0-null", "coverage_min-null", "query_box-2", "query_box-4",
+        "p0-null", "normalization-null", "quad_tol-null"])
+def test_bad_provider_and_lagrangian_values_name_the_stage(tmp_path, capsys, override, stage):
+    code, _ = _run(tmp_path, "verify", {**_SMALL_VERIFY, **override})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}: ")
+    assert "Traceback" not in err
+
+
 def test_benchmark_launcher_runs_a_traced_verify(tmp_path):
     # perfbench/launch.py and perfbench/tracer.py bind CLI and module
     # functions by name; a rename that breaks them must fail here.
