@@ -176,31 +176,36 @@ def _build_lagrangian(spec, provider, config) -> Lagrangian:
 
 def _initial_profile(config, grid: Grid1D) -> np.ndarray:
     init = config["initial"]
+    if not isinstance(init, dict):
+        raise CliError("cli", f"initial must be a JSON object, got {init!r}")
     x = grid.nodes
     profile = init.get("profile", "sin")
-    amp = float(init.get("amplitude", 1.0))
-    if profile == "zero":
-        return np.zeros_like(x)
-    if profile == "sin":
-        return amp * np.sin(np.pi * float(init.get("k", 1)) * x)
-    if profile == "shifted_sin":
-        return float(init.get("offset", 0.5)) + amp * np.sin(np.pi * x)
-    if profile == "ramp_sin":
-        return x + amp * np.sin(np.pi * x)
-    if profile == "bump":
-        c = float(init.get("center", 0.5))
-        s = float(init.get("sharpness", 8.0))
-        return np.maximum(0.0, amp - s * (x - c) ** 2)
-    if profile == "csv":
-        path = init.get("path")
-        if not path:
-            raise CliError("cli", "initial profile 'csv' needs a 'path'")
-        vals = np.loadtxt(path, dtype=float, ndmin=1)
-        if len(vals) != len(x):
-            raise CliError(
-                "cli", f"initial CSV has {len(vals)} values, grid wants {len(x)}"
-            )
-        return vals
+    try:
+        amp = float(init.get("amplitude", 1.0))
+        if profile == "zero":
+            return np.zeros_like(x)
+        if profile == "sin":
+            return amp * np.sin(np.pi * float(init.get("k", 1)) * x)
+        if profile == "shifted_sin":
+            return float(init.get("offset", 0.5)) + amp * np.sin(np.pi * x)
+        if profile == "ramp_sin":
+            return x + amp * np.sin(np.pi * x)
+        if profile == "bump":
+            c = float(init.get("center", 0.5))
+            s = float(init.get("sharpness", 8.0))
+            return np.maximum(0.0, amp - s * (x - c) ** 2)
+        if profile == "csv":
+            path = init.get("path")
+            if not path:
+                raise CliError("cli", "initial profile 'csv' needs a 'path'")
+            vals = np.loadtxt(path, dtype=float, ndmin=1)
+            if len(vals) != len(x):
+                raise CliError(
+                    "cli", f"initial CSV has {len(vals)} values, grid wants {len(x)}"
+                )
+            return vals
+    except (TypeError, ValueError, OSError) as exc:
+        raise CliError("cli", f"bad initial profile setting: {exc}")
     raise CliError("cli", f"unknown initial profile {profile!r}")
 
 
@@ -238,9 +243,14 @@ def cmd_construct_energy(config, out_dir: Path) -> int:
     lag = _build_lagrangian(spec, provider, config)
 
     dump = config["grid_dump"]
-    xs = [float(v) for v in dump["x"]]
-    us = _axis(dump["u"])
-    ps = _axis(dump["p"])
+    try:
+        xs = [float(v) for v in dump["x"]]
+        if not xs:
+            raise ValueError("x needs at least one value")
+        us = _axis(dump["u"])
+        ps = _axis(dump["p"])
+    except (TypeError, ValueError, KeyError) as exc:
+        raise CliError("cli", f"bad grid_dump setting: {exc}")
     # Rows run over x, then u, then p: the C order of an "ij" meshgrid.
     xx, uu, pp = (a.ravel() for a in np.meshgrid(xs, us, ps, indexing="ij"))
     try:
@@ -296,20 +306,22 @@ def _run_simulation(config, spec):
     return grid, result
 
 
-def _trajectory_lines(grid, result):
-    lines = ["t,x,u,ut"]
-    x = grid.nodes.tolist()
-    for frame in result:
-        t = _float_cell(frame.t)
-        lines.extend(f"{t},{xi!r},{ui!r},{uti!r}"
-                     for xi, ui, uti in zip(x, frame.u.tolist(), frame.ut.tolist()))
-    return "\n".join(lines) + "\n"
+def _write_trajectory(out_dir: Path, grid, result):
+    """Stream trajectory.csv one frame at a time; the whole table is never built."""
+    x = [repr(xi) for xi in grid.nodes.tolist()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "trajectory.csv", "w") as fh:
+        fh.write("t,x,u,ut\n")
+        for frame in result:
+            t = _float_cell(frame.t)
+            fh.write("".join(f"{t},{xi},{ui!r},{uti!r}\n"
+                             for xi, ui, uti in zip(x, frame.u.tolist(), frame.ut.tolist())))
 
 
 def cmd_simulate(config, out_dir: Path) -> int:
     spec = _build_spec(config)
     grid, result = _run_simulation(config, spec)
-    _write(out_dir, "trajectory.csv", _trajectory_lines(grid, result))
+    _write_trajectory(out_dir, grid, result)
     _manifest(out_dir, "simulate", config, {
         "termination": result.termination,
         "n_steps": result.n_steps,
@@ -366,10 +378,14 @@ def cmd_compare_closed_form(config, out_dir: Path) -> int:
     provider = _build_provider(spec, config)
     lag = _build_lagrangian(spec, provider, config)
     cmp_cfg = config["compare"]
-    us = _axis(cmp_cfg["u"])
-    ps = _axis(cmp_cfg["p"])
     try:
-        comparison = compare_closed_form(lag, us, ps, x=float(cmp_cfg["x"]))
+        x = float(cmp_cfg["x"])
+        us = _axis(cmp_cfg["u"])
+        ps = _axis(cmp_cfg["p"])
+    except (TypeError, ValueError, KeyError) as exc:
+        raise CliError("cli", f"bad compare setting: {exc}")
+    try:
+        comparison = compare_closed_form(lag, us, ps, x=x)
     except (LagrangianError, QuadratureError) as exc:
         raise CliError("lagrangian", str(exc))
 
@@ -403,17 +419,19 @@ def cmd_compare_closed_form(config, out_dir: Path) -> int:
             "discrepancy_detected": doc["discrepancy_detected"],
         }
         lpp_cfg = cmp_cfg["lpp_check"]
-        check_lag = dataclasses.replace(lag, quad_tol=float(lpp_cfg["quad_tol"]))
-        p_grid = np.linspace(
-            float(lpp_cfg["p_min"]), float(lpp_cfg["p_max"]), int(lpp_cfg["n"])
-        )
+        try:
+            h, quad_tol = float(lpp_cfg["h"]), float(lpp_cfg["quad_tol"])
+            p_grid = np.linspace(
+                float(lpp_cfg["p_min"]), float(lpp_cfg["p_max"]), int(lpp_cfg["n"])
+            )
+        except (TypeError, ValueError, KeyError) as exc:
+            raise CliError("cli", f"bad compare.lpp_check setting: {exc}")
+        check_lag = dataclasses.replace(lag, quad_tol=quad_tol)
         u_ref = float(us[len(us) // 2])
-        second = second_difference_lpp(
-            check_lag, float(cmp_cfg["x"]), u_ref, p_grid, h=float(lpp_cfg["h"])
-        )
-        direct = eval_Lpp(check_lag, float(cmp_cfg["x"]), u_ref, p_grid)
+        second = second_difference_lpp(check_lag, x, u_ref, p_grid, h=h)
+        direct = eval_Lpp(check_lag, x, u_ref, p_grid)
         report["lpp_check"] = {
-            "h": float(lpp_cfg["h"]),
+            "h": h,
             "u": u_ref,
             "p": [float(v) for v in p_grid],
             "second_difference": [float(v) for v in np.atleast_1d(second)],

@@ -7,6 +7,11 @@ degenerate coefficients move with the state.  Implicit stepping is
 deliberately avoided: where the diffusion coefficient vanishes the Jacobian
 is singular, and desk-scale grids make the explicit penalty affordable.
 
+The CFL bound reads u_x from the stencil of np.gradient (central inside,
+first order at the ends), written out by hand because the call costs three
+times as much.  The hand-written form must stay bitwise equal to
+np.gradient, or every step size and stored frame would move.
+
 Dirichlet ends are pinned at the initial profile's end values (the
 homogeneous case pins them at zero).  One node stencil gives u_x and u_xx
 to the solver and to the energy monitor.  It pads the state with a ghost
@@ -82,6 +87,13 @@ class SolverControls:
     def __post_init__(self):
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+        # A nan bound would vanish in min(dt_cap, bound) and drop the CFL limit.
+        if not (math.isfinite(self.cfl_safety) and self.cfl_safety > 0.0):
+            raise ValueError(f"cfl_safety must be finite and > 0, got {self.cfl_safety!r}")
+        if self.dt_max is not None and not (math.isfinite(self.dt_max) and self.dt_max > 0.0):
+            raise ValueError(f"dt_max must be None or finite and > 0, got {self.dt_max!r}")
+        if not (math.isfinite(self.dt_floor) and self.dt_floor >= 0.0):
+            raise ValueError(f"dt_floor must be finite and >= 0, got {self.dt_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -103,10 +115,9 @@ class SimulationResult:
 
 
 def _degenerate_power(u: np.ndarray, m: float) -> np.ndarray:
-    if float(np.min(u)) < -1e-12:
-        raise SolverError(
-            f"negative state {float(np.min(u))!r} fed to the degenerate power u^{m}"
-        )
+    u_min = float(u.min())
+    if u_min < -1e-12:
+        raise SolverError(f"negative state {u_min!r} fed to the degenerate power u^{m}")
     # Roundoff-level negatives are clipped so fractional powers stay real.
     return np.maximum(u, 0.0) ** m
 
@@ -183,22 +194,28 @@ def step(spec: ProblemSpec, grid: Grid1D, frame: StateFrame, dt: float,
     mid = _pin(spec, frame.u + dt * k1, pins)
     k2 = evolution_rhs(spec, grid, mid)
     u_new = _pin(spec, frame.u + 0.5 * dt * (k1 + k2), pins)
-    if not np.all(np.isfinite(u_new)):
+    if not np.isfinite(u_new).all():
         raise SolverError(f"non-finite state after step to t={frame.t + dt!r}")
     return StateFrame(frame.t + dt, u_new, evolution_rhs(spec, grid, u_new))
 
 
 def _cfl_dt(spec: ProblemSpec, grid: Grid1D, u: np.ndarray, controls: SolverControls,
             dt_cap: float, t: float) -> float:
-    p = np.gradient(u, grid.dx)
+    # np.gradient(u, dx) written out at a third of its cost.  It must stay
+    # bitwise equal to np.gradient, or every step size and frame moves.
+    dx = grid.dx
+    p = np.empty_like(u)
+    p[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
+    p[0] = (u[1] - u[0]) / dx
+    p[-1] = (u[-1] - u[-2]) / dx
     with np.errstate(all="ignore"):
         coef = np.abs(np.asarray(spec.diffusion_coeff(grid.nodes, u, p), dtype=float))
-    coef_max = float(np.max(coef)) if coef.size else 0.0
+    coef_max = float(coef.max()) if coef.size else 0.0
     if not math.isfinite(coef_max):
         raise SolverError(f"diffusion coefficient not finite at t={t!r}")
     dt = dt_cap
     if coef_max > 1e-30:
-        dt = min(dt, controls.cfl_safety * grid.dx * grid.dx / coef_max)
+        dt = min(dt, controls.cfl_safety * dx * dx / coef_max)
     if dt < controls.dt_floor:
         raise SolverError(f"CFL time step {dt!r} fell below the floor at t={t!r}")
     return dt

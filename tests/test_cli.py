@@ -8,12 +8,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paralyap.cli import main
+from paralyap.cli import _write_trajectory, main
+from paralyap.models import from_descriptor
+from paralyap.solver import Grid1D, SolverControls, simulate
 
 
 def _run(tmp_path, command, config, name="run", extra=()):
@@ -154,6 +157,30 @@ def test_simulate_outputs(tmp_path):
     assert len(rows) == 1 + results["n_frames"] * 33
 
 
+def test_trajectory_writer_holds_one_frame_at_a_time(tmp_path):
+    spec = from_descriptor({"model": "porous_medium", "m": 2.0})
+    grid = Grid1D(512)
+    u0 = np.maximum(0.0, 1.0 - 8.0 * (grid.nodes - 0.5) ** 2)
+    result = simulate(spec, u0, 2.5e-3, grid, SolverControls(output_stride=16))
+    assert len(result) == 199
+    tracemalloc.start()
+    try:
+        _write_trajectory(tmp_path, grid, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The whole 6.5 MB table held as one string plus its line list peaks
+    # near 24 MiB; one frame's rows take well under 1 MiB.
+    assert peak < 2 * 2**20
+    x = grid.nodes.tolist()
+    rows = ["t,x,u,ut"] + [
+        f"{float(frame.t)!r},{xi!r},{ui!r},{uti!r}"
+        for frame in result
+        for xi, ui, uti in zip(x, frame.u.tolist(), frame.ut.tolist())
+    ]
+    assert (tmp_path / "trajectory.csv").read_text() == "\n".join(rows) + "\n"
+
+
 def test_verify_passes_for_linear_diffusion(tmp_path):
     code, out = _run(tmp_path, "verify", {
         "model": {"model": "heat"},
@@ -226,6 +253,33 @@ def test_bad_grid_and_time_values_name_the_stage(tmp_path, capsys, section, over
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {stage}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, override", [
+    ("simulate", {"initial": None}),
+    ("simulate", {"initial": {"amplitude": None}}),
+    ("simulate", {"initial": {"k": [1]}}),
+    ("simulate", {"initial": {"profile": "bump", "center": "a"}}),
+    ("simulate", {"initial": {"profile": "csv", "path": "missing.csv"}}),
+    ("simulate", {"initial": {"profile": "csv", "path": "abc.csv"}}),
+    ("construct-energy", {"grid_dump": {"x": None}}),
+    ("construct-energy", {"grid_dump": {"x": []}}),
+    ("construct-energy", {"grid_dump": {"u": {"n": "many"}}}),
+    ("compare-closed-form", {"compare": {"x": None}}),
+    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
+                             "compare": {"lpp_check": {"n": None}}}),
+], ids=["initial-null", "amplitude-null", "k-list", "center-string", "csv-missing",
+        "csv-not-numbers", "dump-x-null", "dump-x-empty", "dump-u-n-string",
+        "compare-x-null", "lpp_check-n-null"])
+def test_bad_initial_and_dump_values_name_the_stage(tmp_path, capsys, monkeypatch,
+                                                    command, override):
+    (tmp_path / "abc.csv").write_text("abc\n")
+    monkeypatch.chdir(tmp_path)
+    code, _ = _run(tmp_path, command, {**_SMALL_VERIFY, **override})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cli: ")
     assert "Traceback" not in err
 
 

@@ -17,6 +17,7 @@ from paralyap.solver import (
     SolverControls,
     SolverError,
     StateFrame,
+    _cfl_dt,
     _node_derivatives,
     evolution_rhs,
     simulate,
@@ -259,3 +260,89 @@ def test_bad_inputs_raise():
         simulate(spec, np.zeros(5), t_end=1e-3, grid=grid)
     with pytest.raises(ValueError):
         simulate(spec, np.zeros(grid.n_cells + 1), t_end=0.0, grid=grid)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cfl_safety", float("nan")),
+    ("cfl_safety", math.inf),
+    ("cfl_safety", 0.0),
+    ("cfl_safety", -0.4),
+    ("dt_max", float("nan")),
+    ("dt_max", math.inf),
+    ("dt_max", 0.0),
+    ("dt_max", -1e-3),
+    ("dt_floor", float("nan")),
+    ("dt_floor", math.inf),
+    ("dt_floor", -1e-12),
+])
+def test_solver_controls_reject_bounds_that_drop_the_cfl_limit(field, value):
+    # min(dt_cap, nan) is dt_cap: a nan safety factor would silently run at dt_max.
+    with pytest.raises(ValueError, match=field):
+        SolverControls(**{field: value})
+
+
+def test_solver_controls_accept_their_limits():
+    SolverControls(cfl_safety=1e-3, dt_max=None, dt_floor=0.0)
+    SolverControls(dt_max=1e-3)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", _robin(2.0)], ids=["dirichlet", "robin"])
+@pytest.mark.parametrize("desc", [
+    {"model": "heat"},
+    {"model": "porous_medium", "m": 2.0},
+    {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},
+    {"model": "mcf_poly", "n": 2.0},
+], ids=lambda d: d["model"])
+def test_cfl_step_keeps_the_np_gradient_stencil(desc, bc):
+    # The CFL bound reads u_x from np.gradient's stencil: second order inside,
+    # first order at the ends.  Bitwise equality keeps every step size, and
+    # so every stored frame, as it was.
+    spec = models.from_descriptor({**desc, "bc": [bc, bc]})
+    grid = Grid1D(8)
+    controls = SolverControls()
+    for seed in range(24):
+        u = np.random.default_rng(seed).uniform(0.1, 1.0, grid.n_cells + 1)
+        p = np.gradient(u, grid.dx)
+        coef = np.abs(np.asarray(spec.diffusion_coeff(grid.nodes, u, p), dtype=float))
+        expected = min(1.0, controls.cfl_safety * grid.dx * grid.dx / float(np.max(coef)))
+        assert _cfl_dt(spec, grid, u, controls, 1.0, 0.0) == expected
+
+
+def _negative_state():
+    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
+    u = np.full(9, 0.5)
+    u[1] = -0.1
+    evolution_rhs(spec, Grid1D(8), u)
+
+
+def _overflowing_step():
+    spec = models.heat_equation()
+    grid = Grid1D(8)
+    u = np.sin(np.pi * grid.nodes)
+    with np.errstate(all="ignore"):
+        step(spec, grid, StateFrame(0.0, u, evolution_rhs(spec, grid, u)), 1e300)
+
+
+def _nan_coefficient():
+    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
+    u = np.full(9, 0.5)
+    u[4] = np.nan
+    _cfl_dt(spec, Grid1D(8), u, SolverControls(), 1.0, 0.25)
+
+
+def _step_below_floor():
+    spec = models.heat_equation()
+    grid = Grid1D(8)
+    _cfl_dt(spec, grid, np.zeros(9), SolverControls(dt_floor=1.0), 1.0, 0.25)
+
+
+@pytest.mark.parametrize("trigger, message", [
+    (_negative_state, "negative state -0.1 fed to the degenerate power u^2.0"),
+    (_overflowing_step, "non-finite state after step to t=1e+300"),
+    (_nan_coefficient, "diffusion coefficient not finite at t=0.25"),
+    (_step_below_floor, "CFL time step 0.00625 fell below the floor at t=0.25"),
+], ids=["negative", "non-finite-state", "non-finite-coefficient", "below-floor"])
+def test_solver_checks_keep_their_messages(trigger, message):
+    with pytest.raises(SolverError) as info:
+        trigger()
+    assert str(info.value) == message
