@@ -239,9 +239,7 @@ def _provider_summary(provider: GProvider):
 
 def cmd_construct_energy(config, out_dir: Path) -> int:
     spec = _build_spec(config)
-    provider = _build_provider(spec, config)
-    lag = _build_lagrangian(spec, provider, config)
-
+    # The dump grid is read before the build, so a bad setting fails fast.
     dump = config["grid_dump"]
     try:
         xs = [float(v) for v in dump["x"]]
@@ -251,6 +249,8 @@ def cmd_construct_energy(config, out_dir: Path) -> int:
         ps = _axis(dump["p"])
     except (TypeError, ValueError, KeyError) as exc:
         raise CliError("cli", f"bad grid_dump setting: {exc}")
+    provider = _build_provider(spec, config)
+    lag = _build_lagrangian(spec, provider, config)
     # Rows run over x, then u, then p: the C order of an "ij" meshgrid.
     xx, uu, pp = (a.ravel() for a in np.meshgrid(xs, us, ps, indexing="ij"))
     try:
@@ -375,8 +375,7 @@ def cmd_verify(config, out_dir: Path) -> int:
 
 def cmd_compare_closed_form(config, out_dir: Path) -> int:
     spec = _build_spec(config)
-    provider = _build_provider(spec, config)
-    lag = _build_lagrangian(spec, provider, config)
+    # Every compare setting is read before the build, so a bad one fails fast.
     cmp_cfg = config["compare"]
     try:
         x = float(cmp_cfg["x"])
@@ -384,6 +383,18 @@ def cmd_compare_closed_form(config, out_dir: Path) -> int:
         ps = _axis(cmp_cfg["p"])
     except (TypeError, ValueError, KeyError) as exc:
         raise CliError("cli", f"bad compare setting: {exc}")
+    forms = spec.closed_forms
+    if forms is not None and forms.documented_lagrangian is not None:
+        lpp_cfg = cmp_cfg["lpp_check"]
+        try:
+            h, quad_tol = float(lpp_cfg["h"]), float(lpp_cfg["quad_tol"])
+            p_grid = np.linspace(
+                float(lpp_cfg["p_min"]), float(lpp_cfg["p_max"]), int(lpp_cfg["n"])
+            )
+        except (TypeError, ValueError, KeyError) as exc:
+            raise CliError("cli", f"bad compare.lpp_check setting: {exc}")
+    provider = _build_provider(spec, config)
+    lag = _build_lagrangian(spec, provider, config)
     try:
         comparison = compare_closed_form(lag, us, ps, x=x)
     except (LagrangianError, QuadratureError) as exc:
@@ -418,14 +429,6 @@ def cmd_compare_closed_form(config, out_dir: Path) -> int:
             "note": doc["note"],
             "discrepancy_detected": doc["discrepancy_detected"],
         }
-        lpp_cfg = cmp_cfg["lpp_check"]
-        try:
-            h, quad_tol = float(lpp_cfg["h"]), float(lpp_cfg["quad_tol"])
-            p_grid = np.linspace(
-                float(lpp_cfg["p_min"]), float(lpp_cfg["p_max"]), int(lpp_cfg["n"])
-            )
-        except (TypeError, ValueError, KeyError) as exc:
-            raise CliError("cli", f"bad compare.lpp_check setting: {exc}")
         check_lag = dataclasses.replace(lag, quad_tol=quad_tol)
         u_ref = float(us[len(us) // 2])
         second = second_difference_lpp(check_lag, x, u_ref, p_grid, h=h)

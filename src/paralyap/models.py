@@ -15,13 +15,21 @@ Every equation handled by this package is carried around as a
   nonlinear models contribute extra curvature terms.
 
 Evaluators are pure, broadcast over numpy arrays, and can be shared freely
-across threads.  Builtins also ship optional closed-form references
-(:class:`ClosedForms`) used by tests and comparison commands; those formulas
-drop the free multiplicative normalization constant, which is the same as
-fixing the seed values ``p0 = 1`` and ``g0 = 0``.
+across threads.  A builtin's evaluators return the broadcast shape of their
+arguments, and that happens in one place: ``_spec`` wraps each callback in
+``_broadcasting``.  So a builtin callback may return any value that
+broadcasts against its arguments, a constant included.  A hand-built
+:class:`ProblemSpec` may still return scalars, which is why consumers
+convert with ``np.asarray``.
+
+Builtins also ship optional closed-form references (:class:`ClosedForms`)
+used by tests and comparison commands; those formulas drop the free
+multiplicative normalization constant, which is the same as fixing the seed
+values ``p0 = 1`` and ``g0 = 0``.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -68,11 +76,28 @@ def _real_pow(base, expo):
         return np.asarray(base, dtype=float) ** e
 
 
-def _zeros_like(*args):
-    out = 0.0
-    for a in args:
-        out = out + 0.0 * np.asarray(a, dtype=float)
-    return out
+def _zero(*args):
+    return 0.0
+
+
+def _broadcasting(f):
+    """``f`` with its value given the broadcast shape of its arguments.
+
+    A value that already has that shape comes back unchanged; any other
+    value that broadcasts is copied into a new, writable float array.  When
+    every argument is a scalar the shape is ``()``, so a scalar value stays
+    a scalar.
+    """
+
+    @functools.wraps(f)
+    def evaluator(*args):
+        out = f(*args)
+        shape = np.broadcast(*args).shape
+        if np.shape(out) == shape:
+            return out
+        return np.array(np.broadcast_to(out, shape), dtype=float)
+
+    return evaluator
 
 
 def _numeric_du(f):
@@ -103,7 +128,6 @@ class BoundaryCondition:
 
     kind: str
     robin_b: Optional[Callable] = None
-    robin_b_du: Optional[Callable] = None
 
     def __post_init__(self):
         if self.kind not in ("dirichlet", "robin"):
@@ -116,12 +140,12 @@ class BoundaryCondition:
         return BoundaryCondition("dirichlet")
 
     @staticmethod
-    def robin(b, b_du=None):
-        return BoundaryCondition("robin", b, b_du if b_du is not None else _numeric_du(b))
+    def robin(b):
+        return BoundaryCondition("robin", b)
 
     @staticmethod
     def neumann():
-        return BoundaryCondition("robin", _zeros_like, _zeros_like)
+        return BoundaryCondition("robin", _zero)
 
 
 @dataclass(frozen=True)
@@ -256,19 +280,17 @@ class Filtration:
 
 
 def _passthrough_ut(x, u, p, q, ut):
-    return np.asarray(ut, dtype=float) + _zeros_like(x, u, p, q)
-
-
-def _zero3(x, u, p):
-    return _zeros_like(x, u, p)
+    # A copy, so the result never aliases the caller's ut (a StateFrame's);
+    # [()] turns a 0-d copy into a scalar.
+    return np.array(ut, dtype=float)[()]
 
 
 def _flat_g(p, p0=1.0, g0=0.0):
-    return g0 + _zeros_like(p)
+    return np.full(np.shape(p), g0, dtype=float)[()]
 
 
 def _unit_weight(p):
-    return 1.0 + _zeros_like(p)
+    return np.ones(np.shape(p))[()]
 
 
 def _log_ratio_g(k):
@@ -294,25 +316,28 @@ def _poly_g_of_p(n):
     return g
 
 
-def _spec(name, bcs, diffusion, reaction, closed, *, diffusion_du=_zero3, reaction_dp=_zero3,
+def _spec(name, bcs, diffusion, reaction, closed, *, diffusion_du=_zero, reaction_dp=_zero,
           rhs=None, f1_weight=_passthrough_ut, reducible=True, singular=False,
           char_system=None, **extra):
     """Assemble one builtin; ``extra`` goes into ``params`` after the name.
 
     No builtin coefficient depends on x, so ``diffusion_coeff_dx`` is zero.
     Unless ``rhs`` is given the evolution is quasilinear,
-    ``ut = diffusion * q - reaction``.
+    ``ut = diffusion * q - reaction``.  Every stored evaluator goes through
+    ``_broadcasting``.
     """
     if rhs is None:
 
         def rhs(x, u, p, q):
             return diffusion(x, u, p) * q - reaction(x, u, p)
 
+    b = _broadcasting
     return ProblemSpec(
         name=name,
-        diffusion_coeff=diffusion, diffusion_coeff_dx=_zero3, diffusion_coeff_du=diffusion_du,
-        reaction=reaction, reaction_dp=reaction_dp,
-        rhs=rhs, f1_weight=f1_weight,
+        diffusion_coeff=b(diffusion), diffusion_coeff_dx=b(_zero),
+        diffusion_coeff_du=b(diffusion_du),
+        reaction=b(reaction), reaction_dp=b(reaction_dp),
+        rhs=b(rhs), f1_weight=b(f1_weight),
         bc_left=bcs[0], bc_right=bcs[1],
         structure_flags=StructureFlags(shared_factor_reducible=reducible),
         closed_forms=closed,
@@ -325,11 +350,11 @@ def _spec(name, bcs, diffusion, reaction, closed, *, diffusion_du=_zero3, reacti
 def _poly_forced(name, bcs, a, n, lagrangian, lagrangian_note, **extra):
     """ut = a(u_x) u_xx + u_x**n: its reaction is -p**n and its weight |p0/p|**n."""
     if n == 0.0:
-        reaction = lambda x, u, p: -1.0 + _zeros_like(x, u, p)
-        reaction_dp = _zero3
+        reaction = lambda x, u, p: -1.0
+        reaction_dp = _zero
     else:
-        reaction = lambda x, u, p: -_real_pow(p, n) + _zeros_like(x, u)
-        reaction_dp = lambda x, u, p: -n * _real_pow(p, n - 1.0) + _zeros_like(x, u)
+        reaction = lambda x, u, p: -_real_pow(p, n)
+        reaction_dp = lambda x, u, p: -n * _real_pow(p, n - 1.0)
     closed = ClosedForms(
         g_of_p=_poly_g_of_p(n),
         lagrangian=lagrangian,
@@ -337,7 +362,7 @@ def _poly_forced(name, bcs, a, n, lagrangian, lagrangian_note, **extra):
         decay_weight=(lambda p: _real_pow(np.abs(p), -n)) if n else _unit_weight,
     )
     return _spec(
-        name, bcs, lambda x, u, p: a(p) + _zeros_like(x, u), reaction, closed,
+        name, bcs, lambda x, u, p: a(p), reaction, closed,
         reaction_dp=reaction_dp, reducible=n > 0, singular=n > 0, **extra, n=n,
     )
 
@@ -349,11 +374,11 @@ def _filtration_spec(name, bcs, a_du, a_du2, lagrangian=None, char_system=None, 
     )
     return _spec(
         name, bcs,
-        lambda x, u, p: a_du(u) + _zeros_like(x, p),
-        lambda x, u, p: -a_du2(u) * p * p + _zeros_like(x),
+        lambda x, u, p: a_du(u),
+        lambda x, u, p: -a_du2(u) * p * p,
         closed,
-        diffusion_du=lambda x, u, p: a_du2(u) + _zeros_like(x, p),
-        reaction_dp=lambda x, u, p: -2.0 * a_du2(u) * p + _zeros_like(x),
+        diffusion_du=lambda x, u, p: a_du2(u),
+        reaction_dp=lambda x, u, p: -2.0 * a_du2(u) * p,
         singular=True,
         char_system=char_system,
         **extra,
@@ -377,8 +402,8 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
         )
         return _spec(
             model.label, bcs,
-            lambda x, u, p: model.a(p) + _zeros_like(x, u),
-            lambda x, u, p: -model.h(u) + _zeros_like(x, p),
+            lambda x, u, p: model.a(p),
+            lambda x, u, p: -model.h(u),
             closed,
         )
 
@@ -417,13 +442,13 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
 
         def rhs(x, u, p, q):
             a = 1.0 + p * p
-            return a * a / (a - q) + _zeros_like(x, u)
+            return a * a / (a - q)
 
         def f1_weight(x, u, p, q, ut):
             # Exact curvature-carrying part: ut plus the defect of the
             # evolution against its own linearization at zero curvature.
             a = 1.0 + p * p
-            return ut + q * q / (q - a) + _zeros_like(x, u)
+            return ut + q * q / (q - a)
 
         closed = ClosedForms(
             g_of_p=lambda p, p0=1.0, g0=0.0: g0 + np.log((1.0 + p0 * p0) / (1.0 + np.asarray(p, dtype=float) ** 2)),
@@ -439,10 +464,10 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
         )
         return _spec(
             "inverse_mcf", bcs,
-            lambda x, u, p: 1.0 + _zeros_like(x, u, p),
-            lambda x, u, p: -(1.0 + p * p) + _zeros_like(x, u),
+            lambda x, u, p: 1.0,
+            lambda x, u, p: -(1.0 + p * p),
             closed,
-            reaction_dp=lambda x, u, p: -2.0 * p + _zeros_like(x, u),
+            reaction_dp=lambda x, u, p: -2.0 * p,
             rhs=rhs,
             f1_weight=f1_weight,
         )
@@ -456,7 +481,7 @@ def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
                 decay_weight=_unit_weight,
             )
             return _spec(
-                "porous_medium", bcs, lambda x, u, p: a_du(u) + _zeros_like(x, p), _zero3,
+                "porous_medium", bcs, lambda x, u, p: a_du(u), _zero,
                 closed, reducible=False, m=m, divergence_form_m=m,
             )
 
@@ -488,7 +513,7 @@ def _pure_rho_model(rho):
         raise ValueError(f"rho must be >= 2, got {rho}")
     return QuasilinearGradient(
         a=lambda p: (rho - 1.0) * np.abs(p) ** (rho - 2.0),
-        h=_zeros_like,
+        h=_zero,
         label="rho_laplacian_pure",
         closed_form_lagrangian=lambda u, p: np.abs(p) ** rho / rho + 0.0 * u,
     )
@@ -497,7 +522,7 @@ def _pure_rho_model(rho):
 def _pure_mcf_model():
     return QuasilinearGradient(
         a=lambda p: (1.0 + p * p) ** -1.5,
-        h=_zeros_like,
+        h=_zero,
         label="mcf_pure",
         closed_form_lagrangian=lambda u, p: np.sqrt(1.0 + p * p) + 0.0 * u,
     )
@@ -505,8 +530,8 @@ def _pure_mcf_model():
 
 def _heat_model():
     return QuasilinearGradient(
-        a=lambda p: 1.0 + _zeros_like(p),
-        h=_zeros_like,
+        a=lambda p: 1.0,
+        h=_zero,
         label="heat",
         closed_form_lagrangian=lambda u, p: 0.5 * p * p + 0.0 * u,
     )
@@ -531,7 +556,7 @@ def heat_equation(bc_left=None, bc_right=None):
 # JSON descriptors
 
 _A_PRESETS = {
-    "constant": lambda d: (lambda p, v=float(d.get("value", 1.0)): v + _zeros_like(p)),
+    "constant": lambda d: (lambda p, v=float(d.get("value", 1.0)): v),
     "power_abs": lambda d: (
         lambda p, c=float(d.get("coef", 1.0)), e=float(d.get("exponent", 0.0)): c * np.abs(p) ** e
     ),
@@ -539,8 +564,8 @@ _A_PRESETS = {
 }
 
 _H_PRESETS = {
-    "zero": lambda d: _zeros_like,
-    "constant": lambda d: (lambda u, v=float(d.get("value", 1.0)): v + _zeros_like(u)),
+    "zero": lambda d: _zero,
+    "constant": lambda d: (lambda u, v=float(d.get("value", 1.0)): v),
     "linear": lambda d: (lambda u, s=float(d.get("slope", 1.0)): s * u),
 }
 
@@ -554,8 +579,8 @@ def _filtration_power(m):
     if m == 1.0:
         return Filtration(
             lambda u: np.asarray(u, dtype=float),
-            lambda u: 1.0 + _zeros_like(u),
-            _zeros_like,
+            lambda u: 1.0,
+            _zero,
         )
     # For u >= 0 this is u**m; the odd extension keeps a nondecreasing.
     a = lambda u: _real_pow(np.abs(u), m) * np.sign(u)
@@ -604,10 +629,10 @@ def _bc_from_descriptor(d):
             return BoundaryCondition.neumann()
         if kind == "constant":
             v = float(b.get("value", 0.0))
-            return BoundaryCondition.robin(lambda u: v + _zeros_like(u), _zeros_like)
+            return BoundaryCondition.robin(lambda u: v)
         if kind == "linear":
             s = float(b.get("slope", 1.0))
-            return BoundaryCondition.robin(lambda u: s * u, lambda u: s + _zeros_like(u))
+            return BoundaryCondition.robin(lambda u: s * u)
         raise ValueError(f"unknown robin slope kind {kind!r}")
     raise ValueError(f"unknown boundary condition descriptor {d!r}")
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paralyap import cli
 from paralyap.cli import _write_trajectory, main
 from paralyap.models import from_descriptor
 from paralyap.solver import Grid1D, SolverControls, simulate
@@ -283,7 +284,23 @@ def test_bad_initial_and_dump_values_name_the_stage(tmp_path, capsys, monkeypatc
     assert "Traceback" not in err
 
 
-_TABULATED = {"g_mode": "tabulated", "seed_grid": {"u0": [0.0, 1.0], "p0": [0.5, 1.0]}}
+@pytest.mark.parametrize("command, override", [
+    ("construct-energy", {"grid_dump": {"x": None}}),
+    ("compare-closed-form", {"compare": {"x": None}}),
+    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
+                             "compare": {"lpp_check": {"n": None}}}),
+], ids=["dump-x-null", "compare-x-null", "lpp_check-n-null"])
+def test_bad_dump_values_fail_before_the_build(tmp_path, capsys, monkeypatch, command, override):
+    def no_build(spec, config):
+        raise AssertionError("the g provider was built before the dump settings were read")
+
+    monkeypatch.setattr(cli, "_build_provider", no_build)
+    code, _ = _run(tmp_path, command, {**_SMALL_VERIFY, **override})
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cli: ")
+
+
+_TABULATED ={"g_mode": "tabulated", "seed_grid": {"u0": [0.0, 1.0], "p0": [0.5, 1.0]}}
 
 
 @pytest.mark.parametrize("override, stage", [

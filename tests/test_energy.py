@@ -47,7 +47,7 @@ def test_node_gradient_interior_and_ends():
 
 
 def test_node_gradient_reports_robin_slope_exactly():
-    robin = BoundaryCondition.robin(lambda u: 3.0 * u, lambda u: 3.0)
+    robin = BoundaryCondition.robin(lambda u: 3.0 * u)
     grid = Grid1D(16)
     u = 0.5 + 0.1 * grid.nodes
     for end, side in ((0, "bc_left"), (-1, "bc_right")):

@@ -96,7 +96,7 @@ def test_star_point_defaults_to_base_point():
 
 def test_robin_end_cancels_the_gradient_slope():
     spec = models.heat_equation(
-        bc_left=BoundaryCondition.robin(lambda u: u, lambda u: 1.0)
+        bc_left=BoundaryCondition.robin(lambda u: u)
     )
     lag = _lag(spec)
     assert lag.l1_kind == "left"
@@ -107,7 +107,7 @@ def test_robin_end_cancels_the_gradient_slope():
 
 
 def test_two_robin_ends_interpolate_the_boundary_term():
-    robin = BoundaryCondition.robin(lambda u: u, lambda u: 1.0)
+    robin = BoundaryCondition.robin(lambda u: u)
     spec = models.heat_equation(bc_left=robin, bc_right=robin)
     lag = _lag(spec)
     assert lag.l1_kind == "interp"
@@ -117,7 +117,7 @@ def test_two_robin_ends_interpolate_the_boundary_term():
 
 @pytest.mark.parametrize("both_ends", [False, True])
 def test_density_does_not_depend_on_query_history(both_ends):
-    robin = BoundaryCondition.robin(lambda u: u, lambda u: 1.0)
+    robin = BoundaryCondition.robin(lambda u: u)
     spec = models.pure_mean_curvature(
         bc_left=robin, bc_right=robin if both_ends else None
     )
@@ -132,7 +132,7 @@ def test_star_point_term_with_a_robin_end():
     # Unit weight and no reaction: l1 = -u, so l0 = p_star * (l1(u) - l1(0))
     # = -0.5 u and L = p^2/2 - u p - 0.5 u.
     spec = models.heat_equation(
-        bc_left=BoundaryCondition.robin(lambda u: u, lambda u: 1.0)
+        bc_left=BoundaryCondition.robin(lambda u: u)
     )
     lag = _lag(spec, p_star=0.5)
     for u, p in ((0.7, 1.3), (-0.4, 0.2), (0.0, -1.1)):
@@ -203,7 +203,7 @@ def test_quadrature_failure_names_the_stage_and_the_point(evaluator, stage):
     )
 
 
-_ROBIN = BoundaryCondition.robin(lambda u: u, lambda u: 1.0)
+_ROBIN = BoundaryCondition.robin(lambda u: u)
 
 # (spec, options, u range, p range); each p range stays on the model's branch.
 _PROPERTY_CASES = {

@@ -43,6 +43,25 @@ def _builtin_roster():
             from_descriptor({"model": "filtration", "a": {"kind": "power", "exponent": 3.0}}),
             SampleBox(u=(0.2, 1.0)),
         ),
+        # Branches whose callbacks return constants or depend on fewer
+        # arguments than the evaluator takes.
+        (from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 0.0}), SampleBox()),
+        (from_descriptor({"model": "mcf_poly", "n": 0.0}), SampleBox()),
+        (from_descriptor({"model": "porous_medium", "m": 1.0}), SampleBox(u=(0.2, 1.0))),
+        (
+            from_descriptor({"model": "filtration", "a": {"kind": "power", "exponent": 1.0}}),
+            SampleBox(),
+        ),
+        (
+            from_descriptor({"model": "quasilinear_gradient", "a": {"kind": "constant", "value": 2.0},
+                             "h": {"kind": "constant", "value": 0.5}}),
+            SampleBox(),
+        ),
+        (
+            from_descriptor({"model": "heat", "bc": [
+                {"kind": "robin", "b": {"kind": "constant", "value": 0.5}}, "dirichlet"]}),
+            SampleBox(),
+        ),
     ]
 
 
@@ -260,3 +279,20 @@ def test_evaluators_return_the_broadcast_shape(index):
                 continue
             out = getattr(spec, name)(*args[:n_args])
             assert np.shape(out) == shape, f"{spec.name}.{name} on {sorted(arrays)}"
+
+
+@pytest.mark.parametrize("index", range(len(_builtin_roster())))
+def test_evaluators_return_fresh_arrays(index):
+    spec, box = _builtin_roster()[index]
+    rng = np.random.default_rng(index)
+    args = [rng.uniform(*r, 4) for r in (box.x, box.u, box.p, box.q, (0.0, 0.5))]
+    kept = [a.copy() for a in args]
+    for name, n_args in (
+        ("diffusion_coeff", 3), ("diffusion_coeff_dx", 3), ("diffusion_coeff_du", 3),
+        ("reaction", 3), ("reaction_dp", 3), ("rhs", 4), ("f1_weight", 5),
+    ):
+        out = getattr(spec, name)(*args[:n_args])
+        assert not any(np.shares_memory(out, a) for a in args), f"{spec.name}.{name}"
+        out[...] = 7.0
+        for a, k in zip(args, kept):
+            np.testing.assert_array_equal(a, k, err_msg=f"{spec.name}.{name}")

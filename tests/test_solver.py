@@ -75,7 +75,7 @@ def test_interior_rhs_matches_reference_stencil():
 
 def test_robin_end_uses_the_ghost_node():
     spec = models.heat_equation(
-        bc_left=BoundaryCondition.robin(lambda u: u, lambda u: 1.0)
+        bc_left=BoundaryCondition.robin(lambda u: u)
     )
     grid = Grid1D(8)
     u = np.full(grid.n_cells + 1, 0.5)
