@@ -25,7 +25,6 @@ import dataclasses
 import enum
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -414,8 +413,7 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
     otherwise stride across easy models in a handful of accepted steps and
     starve the table.
 
-    The curves advance as one batch.  The provider may be queried from
-    several threads; a lock guards its ``extrapolations`` counter.
+    The curves advance as one batch.
     """
     box = np.asarray(query_box, dtype=float)
     if box.shape != (3, 2):
@@ -448,7 +446,6 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
     coverage = float(np.mean(probe_d <= radius))
 
     k = min(8, len(pts))
-    lock = threading.Lock()
 
     def evaluate(x, u, p):
         q = np.column_stack([
@@ -465,8 +462,7 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
         far = d[:, 0] > radius
         n_far = int(np.count_nonzero(far))
         if n_far:
-            with lock:
-                provider.extrapolations += n_far
+            provider.extrapolations += n_far
             out[far] = vals[idx[far, 0]]
         near = ~far
         if near.any():

@@ -54,7 +54,7 @@ _DEFAULTS = {
     "model": {"model": "heat", "bc": ["dirichlet", "dirichlet"]},
     "g_mode": "analytic",
     "normalization": {"p0": "canonical", "g0": 0.0},
-    "lagrangian": {"p_base": None, "p_star": None, "quad_tol": 1e-9},
+    "lagrangian": {"p_base": None, "quad_tol": 1e-9},
     "grid": {"n_cells": 128},
     "time": {"t_end": 0.01, "output_stride": 8},
     "initial": {"profile": "sin", "amplitude": 1.0, "k": 1},
@@ -164,10 +164,13 @@ def _build_provider(spec, config) -> GProvider:
 def _build_lagrangian(spec, provider, config) -> Lagrangian:
     opts = config["lagrangian"]
     try:
-        p_base, p_star = (None if opts[k] is None else float(opts[k]) for k in ("p_base", "p_star"))
-        options = LagrangianOptions(p_base=p_base, p_star=p_star, quad_tol=float(opts["quad_tol"]))
+        extra = set(opts) - set(_DEFAULTS["lagrangian"])
+        p_base = None if opts["p_base"] is None else float(opts["p_base"])
+        options = LagrangianOptions(p_base=p_base, quad_tol=float(opts["quad_tol"]))
     except (TypeError, ValueError) as exc:
         raise CliError("lagrangian", f"bad setting: {exc}")
+    if extra:
+        raise CliError("lagrangian", f"unknown settings {sorted(extra)}")
     try:
         return build_lagrangian(spec, provider, options)
     except (LagrangianError, QuadratureError) as exc:
@@ -280,7 +283,6 @@ def cmd_construct_energy(config, out_dir: Path) -> int:
     warn = provider.low_coverage
     _manifest(out_dir, "construct-energy", config, {
         "p_base": lag.p_base,
-        "p_star": lag.p_star,
         "provider": _provider_summary(provider),
         "warning": "low_coverage" if warn else None,
     })
@@ -367,8 +369,8 @@ def cmd_verify(config, out_dir: Path) -> int:
               file=sys.stderr)
         return 1
     if not report.passed_consistency:
-        print(f"consistency warnings: {len(report.consistency_violations)}",
-              file=sys.stderr)
+        print(f"consistency warnings: {len(report.consistency_violations)} "
+              f"({report.checked_frames} frames checked)", file=sys.stderr)
         return 2
     return 0
 

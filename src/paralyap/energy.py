@@ -225,6 +225,7 @@ class VerifyReport:
     consistency_violations: list
     max_consistency_error: float
     unreliable_fraction: float
+    checked_frames: int
 
     @property
     def passed_monotonicity(self) -> bool:
@@ -232,11 +233,13 @@ class VerifyReport:
 
     @property
     def passed_consistency(self) -> bool:
-        return not self.consistency_violations
+        """No violation, and at least one frame was checked."""
+        return self.checked_frames >= 1 and not self.consistency_violations
 
     def to_dict(self) -> dict:
         return {
             "n_times": self.n_times,
+            "checked_frames": self.checked_frames,
             "passed_monotonicity": self.passed_monotonicity,
             "passed_consistency": self.passed_consistency,
             "max_consistency_error": self.max_consistency_error,
@@ -254,7 +257,8 @@ def verify_decay(trace: EnergyTrace, tol_mono: float = 1e-8,
     Monotonicity: each E step may rise at most tol_mono * (1 + |E|).
     Consistency: at interior times whose masked fraction is below
     ``mask_reliable``, measured and predicted dE/dt must agree to
-    tol_consistency * (1 + |predicted|).
+    tol_consistency * (1 + |predicted|).  A trace in which no interior time
+    is reliable does not pass consistency.
     """
     if len(trace) < 3:
         raise ValueError("a trace needs at least 3 times to verify")
@@ -289,4 +293,5 @@ def verify_decay(trace: EnergyTrace, tol_mono: float = 1e-8,
         consistency_violations=cons,
         max_consistency_error=max_err if checked else 0.0,
         unreliable_fraction=unreliable,
+        checked_frames=checked,
     )

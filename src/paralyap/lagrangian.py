@@ -13,12 +13,13 @@ on two jobs:
   L_p vanishes where u_x = b(u).  Dirichlet ends need no flux condition and
   take l1 = 0; with Robin at both ends l1 interpolates linearly in x.
 * ``l0`` (the p-free part) is pinned by the compatibility condition
-  dl0/du = l1_x + p_star * l1_u + exp(g(x, u, p_star)) * reaction(x, u, p_star)
-  at a fixed gradient value p_star.  The l1_u term integrates exactly, so
-  l0(x, u) = p_star * (l1(x, u) - l1(x, 0))
-             + integral(0..u) of [l1_x(x, s) + exp(g) * reaction](x, s, p_star) ds,
+  dl0/du = l1_x + exp(g(x, u, p_base)) * reaction(x, u, p_base), so
+  l0(x, u) = integral(0..u) of [l1_x + exp(g) * reaction](x, s, p_base) ds,
   one quadrature per query with no stored state; l1_x = l1(1, s) - l1(0, s)
-  with Robin at both ends and 0 otherwise.
+  with Robin at both ends and 0 otherwise.  The point must be p_base: along
+  the transport equation of g the core below has Euler-Lagrange residual
+  exp(g) * reaction at p minus its value at p_base, so the affine part has
+  to supply exactly the value at p_base.
 
 The repeated p-integral is evaluated as the single integral
 integral(base..p) of (p - s) * weight(s) ds, which equals the nested form
@@ -73,7 +74,6 @@ class LagrangianError(RuntimeError):
 @dataclass(frozen=True)
 class LagrangianOptions:
     p_base: Optional[float] = None
-    p_star: Optional[float] = None
     quad_tol: float = 1e-9
 
 
@@ -82,9 +82,7 @@ class Lagrangian:
     spec: ProblemSpec
     g_provider: GProvider
     p_base: float
-    p_star: float
     quad_tol: float
-    l1_kind: str
     metadata: dict = field(default_factory=dict)
 
     def weight(self, x, u, p):
@@ -95,14 +93,11 @@ class Lagrangian:
 
     def l1(self, x, u):
         """Coefficient of p: minus the weight integral to b(u) at Robin ends."""
-        if self.l1_kind == "zero":
+        ends = _robin_ends(self.spec)
+        if not ends:
             return np.zeros(np.broadcast(x, u).shape)[()]
-        if self.l1_kind == "left":
-            return self._end_l1((0.0,), u)[0]
-        if self.l1_kind == "right":
-            return self._end_l1((1.0,), u)[0]
-        left, right = self._end_l1((0.0, 1.0), u)
-        return (1.0 - x) * left + x * right
+        end = self._end_l1(ends, u)
+        return end[0] if len(ends) == 1 else (1.0 - x) * end[0] + x * end[1]
 
     def _end_l1(self, ends, u):
         """l1 at each Robin end in ``ends`` for every u, as one quadrature batch."""
@@ -114,11 +109,13 @@ class Lagrangian:
             np.broadcast_to(np.asarray(bcs[e].robin_b(u), dtype=float), u.shape).ravel()
             for e in ends
         ])
-        val = -_integrate(
-            lambda i, s: self.weight(x_end[i], uu[i], s), self.base_eff(bu), bu,
-            self.quad_tol, "l1", x=x_end, u=uu,
-        )
+        val = -_weight_integral(self, x_end, uu, bu, "l1")
         return val.reshape((len(ends),) + u.shape)
+
+
+def _robin_ends(spec: ProblemSpec):
+    """The x of each Robin end, left before right."""
+    return tuple(x for x, bc in ((0.0, spec.bc_left), (1.0, spec.bc_right)) if bc.kind == "robin")
 
 
 def _weight(spec: ProblemSpec, g_provider: GProvider, x, u, p):
@@ -162,6 +159,14 @@ def _integrate(f, a, b, tol, stage, **point):
         raise LagrangianError(f"quadrature failed at {stage}({where}): {exc}") from exc
 
 
+def _weight_integral(lag: Lagrangian, x, u, top, stage, **point):
+    """integral(base_eff(top)..top) of the weight at flat (x, u): L_p without l1."""
+    return _integrate(
+        lambda i, s: lag.weight(x[i], u[i], s), lag.base_eff(top), top,
+        lag.quad_tol, stage, x=x, u=u, **point,
+    )
+
+
 def build_lagrangian(spec: ProblemSpec, g_provider: GProvider,
                      options: LagrangianOptions = LagrangianOptions()) -> Lagrangian:
     """Assemble the energy integrand for one model and one g representation."""
@@ -169,31 +174,17 @@ def build_lagrangian(spec: ProblemSpec, g_provider: GProvider,
     p_base, probe_info = _probe_p_base(
         lambda x, u, p: _weight(spec, g_provider, x, u, p), options.p_base
     )
-    p_star = p_base if options.p_star is None else float(options.p_star)
-    robin_left = spec.bc_left.kind == "robin"
-    robin_right = spec.bc_right.kind == "robin"
-    if robin_left and robin_right:
-        l1_kind = "interp"
-    elif robin_left:
-        l1_kind = "left"
-    elif robin_right:
-        l1_kind = "right"
-    else:
-        l1_kind = "zero"
-
     return Lagrangian(
         spec=spec,
         g_provider=g_provider,
         p_base=p_base,
-        p_star=p_star,
         quad_tol=options.quad_tol,
-        l1_kind=l1_kind,
         metadata={
             **probe_info,
             "p_base": p_base,
-            "p_star": p_star,
             "quad_tol": options.quad_tol,
-            "l1_kind": l1_kind,
+            "l1_kind": {(): "zero", (0.0,): "left", (1.0,): "right"}.get(
+                _robin_ends(spec), "interp"),
             "g_variant": g_provider.variant,
             "normalization": {"p0": g_provider.p0, "g0": g_provider.g0},
         },
@@ -201,15 +192,15 @@ def build_lagrangian(spec: ProblemSpec, g_provider: GProvider,
 
 
 def _exp_g_reaction(lag: Lagrangian, x, u):
-    """exp(g) * reaction at (x, u, p_star), resolving 0*inf limits by probing.
+    """exp(g) * reaction at (x, u, p_base), resolving 0*inf limits by probing.
 
     The direct value wins where finite.  Elsewhere the product is probed at
-    p_star + 1e-6 and p_star + 1e-7: agreement means a finite limit, decay
+    p_base + 1e-6 and p_base + 1e-7: agreement means a finite limit, decay
     means limit 0, growth means the compatibility integrand genuinely
-    diverges and a different p_star is needed.
+    diverges and a different p_base is needed.
     """
     spec = lag.spec
-    ps = lag.p_star
+    p_base = lag.p_base
     x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
 
     def at(xs, us, p):
@@ -220,13 +211,13 @@ def _exp_g_reaction(lag: Lagrangian, x, u):
             val = np.where(np.isfinite(gv), np.exp(gv) * f0, np.nan)
         return np.broadcast_to(val, xs.shape)
 
-    out = at(x, u, ps).copy()
+    out = at(x, u, p_base).copy()
     bad = ~np.isfinite(out)
     if not bad.any():
         return out
     xb, ub = x[bad], u[bad]
-    t6 = at(xb, ub, ps + 1e-6)
-    t7 = at(xb, ub, ps + 1e-7)
+    t6 = at(xb, ub, p_base + 1e-6)
+    t7 = at(xb, ub, p_base + 1e-7)
     undefined = ~(np.isfinite(t6) & np.isfinite(t7))
     agree = np.abs(t7 - t6) <= 1e-3 * (1.0 + np.abs(t7))
     decays = ~agree & (np.abs(t7) < 0.5 * np.abs(t6))
@@ -235,38 +226,37 @@ def _exp_g_reaction(lag: Lagrangian, x, u):
         if mask.any():
             i = int(np.flatnonzero(mask)[0])
             raise LagrangianError(
-                f"compatibility integrand {what} p_star={ps!r} at "
-                f"(x={float(xb[i])!r}, u={float(ub[i])!r}); choose a different p_star"
+                f"compatibility integrand {what} p_base={p_base!r} at "
+                f"(x={float(xb[i])!r}, u={float(ub[i])!r}); choose a different p_base"
             )
     out[bad] = np.where(decays, 0.0, t7)
     return out
 
 
-def _l0(lag: Lagrangian, x, u, l1):
-    """The p-free part, integrated from l0(x, 0) = 0 (see the module docstring).
-
-    ``l1`` is lag.l1(x, u), which the caller needs as well.
-    """
-    interp = lag.l1_kind == "interp"
+def _l0(lag: Lagrangian, x, u):
+    """The p-free part, integrated from l0(x, 0) = 0 (see the module docstring)."""
+    both = len(_robin_ends(lag.spec)) == 2
 
     def integrand(i, s):
         l1_x = 0.0
-        if interp:
+        if both:
             left, right = lag._end_l1((0.0, 1.0), s)
             l1_x = right - left
         return l1_x + _exp_g_reaction(lag, x[i], s)
 
-    val = _integrate(integrand, 0.0, u, lag.quad_tol, "l0", x=x, u=u)
-    if lag.p_star != 0.0:
-        val = val + lag.p_star * (l1 - lag.l1(x, 0.0))
-    return val
+    return _integrate(integrand, 0.0, u, lag.quad_tol, "l0", x=x, u=u)
 
 
 def _points(x, u, p):
-    """The broadcast query arrays, flattened, and their common shape."""
+    """The broadcast query arrays, flattened, and their common shape.
+
+    A subnormal gradient is flushed to 0: a weight like 1/|p| overflows
+    there, while at p = 0 the density is finite.
+    """
     bx, bu, bp = np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(u, dtype=float), np.asarray(p, dtype=float)
     )
+    bp = np.where(np.abs(bp) < np.finfo(float).tiny, 0.0, bp)
     return bx.ravel(), bu.ravel(), bp.ravel(), bx.shape
 
 
@@ -281,18 +271,13 @@ def eval_L(lag: Lagrangian, x, u, p):
         lambda i, s: (p[i] - s) * lag.weight(x[i], u[i], s), lag.base_eff(p), p,
         lag.quad_tol, "L", x=x, u=u, p=p,
     )
-    l1 = lag.l1(x, u)
-    return _shaped(core + _l0(lag, x, u, l1) + l1 * p, shape)
+    return _shaped(core + _l0(lag, x, u) + lag.l1(x, u) * p, shape)
 
 
 def eval_Lp(lag: Lagrangian, x, u, p):
     """dL/dp: one weight integral plus l1."""
     x, u, p, shape = _points(x, u, p)
-    core = _integrate(
-        lambda i, s: lag.weight(x[i], u[i], s), lag.base_eff(p), p,
-        lag.quad_tol, "L_p", x=x, u=u, p=p,
-    )
-    return _shaped(core + lag.l1(x, u), shape)
+    return _shaped(_weight_integral(lag, x, u, p, "L_p", p=p) + lag.l1(x, u), shape)
 
 
 def eval_Lpp(lag: Lagrangian, x, u, p):

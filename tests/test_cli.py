@@ -312,8 +312,9 @@ _TABULATED ={"g_mode": "tabulated", "seed_grid": {"u0": [0.0, 1.0], "p0": [0.5, 
     ({"normalization": {"p0": None}}, "characteristics"),
     ({"normalization": None}, "characteristics"),
     ({"lagrangian": {"quad_tol": None}}, "lagrangian"),
+    ({"lagrangian": {"p_star": 0.5}}, "lagrangian"),
 ], ids=["tol-null", "u0-null", "coverage_min-null", "query_box-2", "query_box-4",
-        "p0-null", "normalization-null", "quad_tol-null"])
+        "p0-null", "normalization-null", "quad_tol-null", "p_star-unknown"])
 def test_bad_provider_and_lagrangian_values_name_the_stage(tmp_path, capsys, override, stage):
     code, _ = _run(tmp_path, "verify", {**_SMALL_VERIFY, **override})
     assert code == 1

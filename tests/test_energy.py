@@ -252,6 +252,17 @@ def test_verify_skips_heavily_masked_times():
     assert report.unreliable_fraction == pytest.approx(0.25)
 
 
+def test_verify_does_not_pass_consistency_without_a_checked_frame():
+    # Every interior time is masked, so nothing was compared: no pass.
+    trace = _synthetic_trace([1.0, 0.8, 0.6, 0.4], mask=[0.0, 0.5, 0.5, 0.0])
+    report = verify_decay(trace, mask_reliable=0.1)
+    assert report.checked_frames == 0
+    assert report.to_dict()["checked_frames"] == 0
+    assert not report.passed_consistency
+    assert report.passed_monotonicity
+    assert verify_decay(_synthetic_trace([1.0, 0.8, 0.6, 0.4])).checked_frames == 2
+
+
 def test_verify_needs_three_times():
     with pytest.raises(ValueError):
         verify_decay(_synthetic_trace([1.0, 0.5]))

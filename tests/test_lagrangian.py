@@ -24,6 +24,7 @@ from paralyap.lagrangian import (
     second_difference_lpp,
 )
 from paralyap.models import BoundaryCondition
+from paralyap.quadrature import integrate_batch
 
 
 def _lag(spec, p0=1.0, **opts):
@@ -84,14 +85,7 @@ def test_base_point_override_is_recorded():
     spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
     lag = _lag(spec, p_base=2.0)
     assert lag.p_base == 2.0
-    assert lag.p_star == 2.0
     assert lag.metadata["p_base_probe"] == "overridden"
-
-
-def test_star_point_defaults_to_base_point():
-    lag = _lag(models.heat_equation())
-    assert lag.p_base == 0.0
-    assert lag.p_star == lag.p_base
 
 
 def test_robin_end_cancels_the_gradient_slope():
@@ -99,7 +93,7 @@ def test_robin_end_cancels_the_gradient_slope():
         bc_left=BoundaryCondition.robin(lambda u: u)
     )
     lag = _lag(spec)
-    assert lag.l1_kind == "left"
+    assert lag.metadata["l1_kind"] == "left"
     # l1(u) = -int_0^u w = -u for the unit weight
     assert lag.l1(0.0, 0.7) == pytest.approx(-0.7, abs=1e-10)
     for u in (-0.8, -0.1, 0.4, 1.0):
@@ -110,7 +104,7 @@ def test_two_robin_ends_interpolate_the_boundary_term():
     robin = BoundaryCondition.robin(lambda u: u)
     spec = models.heat_equation(bc_left=robin, bc_right=robin)
     lag = _lag(spec)
-    assert lag.l1_kind == "interp"
+    assert lag.metadata["l1_kind"] == "interp"
     assert lag.l1(0.0, 0.5) == pytest.approx(lag.l1(1.0, 0.5), abs=1e-10)
     assert lag.l1(0.25, 0.5) == pytest.approx(-0.5, abs=1e-10)
 
@@ -121,23 +115,58 @@ def test_density_does_not_depend_on_query_history(both_ends):
     spec = models.pure_mean_curvature(
         bc_left=robin, bc_right=robin if both_ends else None
     )
-    fresh = eval_L(_lag(spec, p_star=0.5), 0.5, 0.8, 0.7)
-    lag = _lag(spec, p_star=0.5)
+    fresh = eval_L(_lag(spec), 0.5, 0.8, 0.7)
+    lag = _lag(spec)
     for u in np.random.default_rng(0).uniform(-1.0, 1.0, 200):
         eval_L(lag, 0.5, u, 0.7)
     assert eval_L(lag, 0.5, 0.8, 0.7) == fresh
 
 
 def test_star_point_term_with_a_robin_end():
-    # Unit weight and no reaction: l1 = -u, so l0 = p_star * (l1(u) - l1(0))
-    # = -0.5 u and L = p^2/2 - u p - 0.5 u.
+    # Unit weight and no reaction: l1 = -u and l1_x = 0, so l0 = 0 and
+    # L = p^2/2 - u p, whose Euler-Lagrange residual L_u - L_px - p L_pu
+    # is -p + p = 0, as heat needs.
     spec = models.heat_equation(
         bc_left=BoundaryCondition.robin(lambda u: u)
     )
-    lag = _lag(spec, p_star=0.5)
+    lag = _lag(spec)
     for u, p in ((0.7, 1.3), (-0.4, 0.2), (0.0, -1.1)):
-        exact = 0.5 * p * p - u * p - 0.5 * u
+        exact = 0.5 * p * p - u * p
         assert eval_L(lag, 0.3, u, p) == pytest.approx(exact, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [-4.2e-319, 5e-324, -0.0])
+def test_subnormal_gradient_is_the_zero_gradient(p):
+    # The weight ~ 1/|p| overflows below the smallest normal float; such a
+    # gradient must give the finite value at p = 0, not a quadrature failure.
+    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
+    lag = _lag(spec)
+    for u in (0.0, 0.5):
+        assert eval_L(lag, 0.4, u, p) == eval_L(lag, 0.4, u, 0.0)
+
+
+def test_porous_medium_energy_on_an_exact_free_boundary_wave():
+    # For m = 2, u = (c/2)(ct - x)_+ solves u_t = (u^2)_xx: a ramp of slope
+    # -c/2 whose front moves at speed c.  A left Robin end b = -c/2 holds it
+    # exactly, and the energy must fall at the predicted rate
+    # dE/dt = -int exp(g) f1 u_t dx = -(c^4 / 2) t.
+    c = 1.0
+    robin = {"kind": "robin", "b": {"kind": "constant", "value": -0.5 * c}}
+    spec = models.from_descriptor(
+        {"model": "porous_medium", "m": 2.0, "bc": [robin, "dirichlet"]}
+    )
+    lag = _lag(spec)
+
+    def energy(t):
+        return integrate_batch(
+            lambda i, x: eval_L(lag, x, 0.5 * c * (c * t[i] - x), -0.5 * c),
+            0.0, c * t, 1e-9,
+        )
+
+    t = np.array([0.3, 0.5, 0.8])
+    h = 1e-3
+    dEdt = (energy(t + h) - energy(t - h)) / (2.0 * h)
+    assert np.max(np.abs(dEdt / (-0.5 * c**4 * t) - 1.0)) < 1e-10
 
 
 def test_second_difference_agrees_with_direct_weight():
@@ -216,14 +245,14 @@ _PROPERTY_CASES = {
         {}, (0.25, 1.0), (0.05, 2.0),
     ),
     "heat_robin_left": (
-        models.heat_equation(bc_left=_ROBIN), {"p_star": 0.5}, (-1.0, 1.0), (-2.0, 2.0),
+        models.heat_equation(bc_left=_ROBIN), {}, (-1.0, 1.0), (-2.0, 2.0),
     ),
     "heat_robin_right": (
-        models.heat_equation(bc_right=_ROBIN), {"p_star": 0.5}, (-1.0, 1.0), (-2.0, 2.0),
+        models.heat_equation(bc_right=_ROBIN), {}, (-1.0, 1.0), (-2.0, 2.0),
     ),
     "mcf_robin_both": (
         models.pure_mean_curvature(bc_left=_ROBIN, bc_right=_ROBIN),
-        {"p_star": 0.5}, (-1.0, 1.0), (-2.0, 2.0),
+        {}, (-1.0, 1.0), (-2.0, 2.0),
     ),
 }
 
@@ -280,3 +309,56 @@ def test_flux_vanishes_on_the_robin_manifold(case, u):
     ends = [x for x, bc in ((0.0, spec.bc_left), (1.0, spec.bc_right)) if bc.kind == "robin"]
     for x_end in ends:
         assert abs(eval_Lp(lag, x_end, u, u)) < 1e-12
+
+
+_POSITIVE = ((0.25, 1.0), (0.05, 2.0))
+# Every builtin family with (u range, p range) on its valid gradient branch:
+# the singular weights and the odd reaction exponent need p > 0.
+_FAMILIES = {
+    "heat": ({"model": "heat"}, ((-1.0, 1.0), (-2.0, 2.0))),
+    "rho_poly": ({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0}, _POSITIVE),
+    "mcf_poly": ({"model": "mcf_poly", "n": 1.0}, _POSITIVE),
+    "inverse_mcf": ({"model": "inverse_mcf"}, ((-1.0, 1.0), (-1.5, 1.5))),
+    "porous_medium": ({"model": "porous_medium", "m": 2.0}, _POSITIVE),
+    "rho_pure": ({"model": "rho_laplacian_pure", "rho": 3.0}, ((-1.0, 1.0), (-2.0, 2.0))),
+    "mcf_pure": ({"model": "mcf_pure"}, ((-1.0, 1.0), (-2.0, 2.0))),
+    "quasilinear": (
+        {"model": "quasilinear_gradient", "a": {"kind": "mcf"},
+         "h": {"kind": "linear", "slope": 1.0}},
+        ((-1.0, 1.0), (-2.0, 2.0)),
+    ),
+    "filtration": ({"model": "filtration", "a": {"kind": "power", "exponent": 2.0}}, _POSITIVE),
+}
+_SLOPES = {
+    "constant": {"kind": "constant", "value": 0.5},
+    "linear": {"kind": "linear", "slope": 1.0},
+}
+
+
+@pytest.mark.parametrize("slope", sorted(_SLOPES))
+@pytest.mark.parametrize("ends", ["left", "right", "both"])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_euler_lagrange_identity_with_robin_ends(family, ends, slope):
+    # L_u - L_px - p L_pu = exp(g) * reaction is what makes E decay along
+    # solutions; the Robin term l1 and the compatibility part l0 must keep
+    # it.  Central differences on 50 random points, all in one batch.
+    desc, (u_box, p_box) = _FAMILIES[family]
+    robin = {"kind": "robin", "b": _SLOPES[slope]}
+    bc = [robin if ends in (side, "both") else "dirichlet" for side in ("left", "right")]
+    spec = models.from_descriptor({**desc, "bc": bc})
+    lag = _lag(spec, p0=spec.closed_forms.canonical_p0)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.1, 0.9, 50)
+    u = rng.uniform(*u_box, 50)
+    p = rng.uniform(*p_box, 50)
+    h = 1e-5
+    hu = h * (1.0 + np.abs(u))
+    sign = np.array([[1.0], [-1.0]])
+    zero = np.zeros((2, 1))
+    L = eval_L(lag, x, u + sign * hu, p)
+    Lp = eval_Lp(lag, x + np.vstack([sign, zero]) * h, u + np.vstack([zero, sign]) * hu, p)
+    L_u = (L[0] - L[1]) / (2.0 * hu)
+    L_px = (Lp[0] - Lp[1]) / (2.0 * h)
+    L_pu = (Lp[2] - Lp[3]) / (2.0 * hu)
+    weighted = np.exp(lag.g_provider(x, u, p)) * spec.reaction(x, u, p)
+    assert np.max(np.abs(L_u - L_px - p * L_pu - weighted)) < 1e-9
