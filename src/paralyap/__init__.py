@@ -15,7 +15,8 @@ fully nonlinear evolution.  The pieces:
 - :mod:`paralyap.solver` evolves the PDE on a uniform grid.
 - :mod:`paralyap.energy` traces E along a simulation and checks the
   decay identities.
-- :mod:`paralyap.cli` wraps the pipeline in a batch command.
+- :mod:`paralyap.cli` wraps the pipeline in a batch command and writes
+  every artifact.
 """
 
 __version__ = "0.1.0"
@@ -34,7 +35,6 @@ from .characteristics import (
     reduced_g,
     reduced_ode_g,
     tabulate_g,
-    trajectory_csv,
 )
 from .energy import (
     DecayValue,
@@ -150,7 +150,6 @@ __all__ = [
     "standard_pme_energy",
     "step",
     "tabulate_g",
-    "trajectory_csv",
     "validate_spec",
     "verify_decay",
 ]

@@ -23,7 +23,6 @@ values of the diffusion coefficient.
 
 import dataclasses
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -46,7 +45,6 @@ __all__ = [
     "analytic_g",
     "reduced_ode_g",
     "tabulate_g",
-    "trajectory_csv",
 ]
 
 
@@ -237,13 +235,6 @@ def integrate_characteristics(spec: ProblemSpec, init: dict,
     seed = (init["u0"], init["p0"], init.get("g0", 0.0))
     states, _, ends = _integrate_curves(spec, [seed], controls)
     return CharTrajectory(tuple(CharState(*row) for row in states.tolist()), ends[0])
-
-
-def trajectory_csv(traj: CharTrajectory) -> str:
-    lines = ["tau,x,u,p,g"]
-    for s in traj.states:
-        lines.append(",".join(repr(float(v)) for v in (s.tau, s.x, s.u, s.p, s.g)))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +487,3 @@ def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
         coverage=coverage, low_coverage=coverage < coverage_min, snapshot=snapshot,
     )
     return provider
-
-
-def provider_snapshot_json(provider: GProvider) -> str:
-    if provider.snapshot is None:
-        data = {
-            "variant": provider.variant,
-            "p0": provider.p0,
-            "g0": provider.g0,
-        }
-    else:
-        data = dict(provider.snapshot)
-        data["extrapolations"] = provider.extrapolations
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"

@@ -9,6 +9,9 @@ closed-form reference.
 All runs are driven by a JSON config plus ``--config/--out`` and write a
 manifest recording the fully resolved configuration, so a rerun of the same
 config with the same package version reproduces every CSV byte for byte.
+This module alone fixes the byte format of the artifacts: ``_write_csv``
+writes each float as ``repr`` and ``_write_json`` sorts keys and indents by
+two; only the streamed ``trajectory.csv`` has its own writer.
 ``--workers N`` is accepted for compatibility and ignored: every stage runs
 in one thread.  Exit codes: 0 success, 1 error, 2 success with warnings.
 """
@@ -30,7 +33,6 @@ from .characteristics import (
     ReducedGError,
     SeedGrid,
     analytic_g,
-    provider_snapshot_json,
     reduced_ode_g,
     tabulate_g,
 )
@@ -217,18 +219,26 @@ def _write(out_dir: Path, name: str, text: str):
     (out_dir / name).write_text(text)
 
 
+def _write_json(out_dir: Path, name: str, payload):
+    """The one JSON format of every artifact: sorted keys, 2-space indent, final newline."""
+    _write(out_dir, name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(out_dir: Path, name: str, header, columns):
+    """One row per index, each float as ``repr``; a None column gives empty cells."""
+    n = max(len(c) for c in columns if c is not None)
+    cells = [[""] * n if c is None else [repr(float(v)) for v in c] for c in columns]
+    rows = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    _write(out_dir, name, "\n".join(rows) + "\n")
+
+
 def _manifest(out_dir, command, config, results):
-    payload = {
+    _write_json(out_dir, "manifest.json", {
         "command": command,
         "version": __version__,
         "config": config,
         "results": results,
-    }
-    _write(out_dir, "manifest.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _float_cell(v):
-    return repr(float(v))
+    })
 
 
 def _provider_summary(provider: GProvider):
@@ -265,9 +275,7 @@ def cmd_construct_energy(config, out_dir: Path) -> int:
         )
     except (LagrangianError, QuadratureError) as exc:
         raise CliError("lagrangian", str(exc))
-    lines = ["x,u,p,L,L_p,L_pp"]
-    lines.extend(",".join(_float_cell(v) for v in row) for row in zip(*columns))
-    _write(out_dir, "lagrangian_grid.csv", "\n".join(lines) + "\n")
+    _write_csv(out_dir, "lagrangian_grid.csv", ("x", "u", "p", "L", "L_p", "L_pp"), columns)
 
     sidecar = dict(lag.metadata)
     sidecar["provider"] = _provider_summary(provider)
@@ -276,9 +284,9 @@ def cmd_construct_energy(config, out_dir: Path) -> int:
         comparison = compare_closed_form(lag, us, ps, x=xs[0])
         sidecar["closed_form_residual"] = comparison["max_residual"]
     if provider.variant == "tabulated":
-        _write(out_dir, "g_provider.json", provider_snapshot_json(provider))
-    _write(out_dir, "lagrangian_sidecar.json",
-           json.dumps(sidecar, sort_keys=True, indent=2, default=repr) + "\n")
+        _write_json(out_dir, "g_provider.json",
+                    {**provider.snapshot, "extrapolations": provider.extrapolations})
+    _write_json(out_dir, "lagrangian_sidecar.json", sidecar)
 
     warn = provider.low_coverage
     _manifest(out_dir, "construct-energy", config, {
@@ -293,19 +301,22 @@ def cmd_construct_energy(config, out_dir: Path) -> int:
     return 0
 
 
-def _run_simulation(config, spec):
+def _simulation_inputs(config):
+    """The grid, initial profile, end time and solver controls of a run."""
     try:
         grid = Grid1D(int(config["grid"]["n_cells"]))
         controls = SolverControls(output_stride=int(config["time"]["output_stride"]))
         t_end = float(config["time"]["t_end"])
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError("solver", str(exc))
-    u0 = _initial_profile(config, grid)
+    return grid, _initial_profile(config, grid), t_end, controls
+
+
+def _run_simulation(spec, grid, u0, t_end, controls):
     try:
-        result = simulate(spec, u0, t_end, grid, controls)
+        return simulate(spec, u0, t_end, grid, controls)
     except (SolverError, ValueError) as exc:
         raise CliError("solver", str(exc))
-    return grid, result
 
 
 def _write_trajectory(out_dir: Path, grid, result):
@@ -315,14 +326,15 @@ def _write_trajectory(out_dir: Path, grid, result):
     with open(out_dir / "trajectory.csv", "w") as fh:
         fh.write("t,x,u,ut\n")
         for frame in result:
-            t = _float_cell(frame.t)
+            t = repr(float(frame.t))
             fh.write("".join(f"{t},{xi},{ui!r},{uti!r}\n"
                              for xi, ui, uti in zip(x, frame.u.tolist(), frame.ut.tolist())))
 
 
 def cmd_simulate(config, out_dir: Path) -> int:
     spec = _build_spec(config)
-    grid, result = _run_simulation(config, spec)
+    grid, u0, t_end, controls = _simulation_inputs(config)
+    result = _run_simulation(spec, grid, u0, t_end, controls)
     _write_trajectory(out_dir, grid, result)
     _manifest(out_dir, "simulate", config, {
         "termination": result.termination,
@@ -336,9 +348,11 @@ def cmd_simulate(config, out_dir: Path) -> int:
 
 def cmd_verify(config, out_dir: Path) -> int:
     spec = _build_spec(config)
+    # The simulation settings are read before the build, so a bad one fails fast.
+    grid, u0, t_end, controls = _simulation_inputs(config)
     provider = _build_provider(spec, config)
     lag = _build_lagrangian(spec, provider, config)
-    grid, result = _run_simulation(config, spec)
+    result = _run_simulation(spec, grid, u0, t_end, controls)
     try:
         trace = energy_trace(lag, result, grid)
         report = verify_decay(trace)
@@ -356,9 +370,11 @@ def cmd_verify(config, out_dir: Path) -> int:
                 for i in range(len(dual) - 1)
             ),
         }
-    _write(out_dir, "energy_trace.csv", trace.to_csv())
-    _write(out_dir, "verify_report.json",
-           json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_csv(out_dir, "energy_trace.csv",
+               ("t", "E", "dEdt_measured", "dEdt_formula", "dEdt_model", "mask_fraction"),
+               (trace.times, trace.E, trace.dEdt_measured, trace.dEdt_formula,
+                trace.dEdt_model, trace.mask_fraction))
+    _write_json(out_dir, "verify_report.json", payload)
     _manifest(out_dir, "verify", config, {
         "passed_monotonicity": report.passed_monotonicity,
         "passed_consistency": report.passed_consistency,
@@ -405,22 +421,16 @@ def cmd_compare_closed_form(config, out_dir: Path) -> int:
     report = {"model": comparison["model"], "oracle": comparison["oracle"]}
     if comparison["oracle"] is None:
         report["note"] = comparison["note"]
-        _write(out_dir, "comparison.json",
-               json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write_json(out_dir, "comparison.json", report)
         _manifest(out_dir, "compare-closed-form", config, report)
         print(report["note"])
         return 0
 
-    lines = ["u,p,L_numeric,L_closed,residual_after_affine_fit"]
-    for i, u in enumerate(us):
-        for j, p in enumerate(ps):
-            lines.append(",".join(_float_cell(v) for v in (
-                u, p,
-                comparison["L_numeric"][i][j],
-                comparison["L_closed"][i][j],
-                comparison["residual"][i][j],
-            )))
-    _write(out_dir, "comparison.csv", "\n".join(lines) + "\n")
+    # Rows run over u, then p, as the tables do.
+    _write_csv(out_dir, "comparison.csv",
+               ("u", "p", "L_numeric", "L_closed", "residual_after_affine_fit"),
+               (np.repeat(us, len(ps)), np.tile(ps, len(us)),
+                *(comparison[k].ravel() for k in ("L_numeric", "L_closed", "residual"))))
 
     report["max_residual"] = comparison["max_residual"]
     report["note"] = comparison["note"]
@@ -443,8 +453,7 @@ def cmd_compare_closed_form(config, out_dir: Path) -> int:
             "direct_weight": [float(v) for v in np.atleast_1d(direct)],
             "max_residual": float(np.max(np.abs(np.atleast_1d(second) - np.atleast_1d(direct)))),
         }
-    _write(out_dir, "comparison.json",
-           json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_json(out_dir, "comparison.json", report)
     _manifest(out_dir, "compare-closed-form", config, report)
     return 0
 

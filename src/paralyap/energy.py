@@ -18,8 +18,8 @@ Dirichlet end, which the solver never evaluates, one-sided stencils stand in.
 Models whose weight carries a negative power of the gradient (porous medium,
 gradient-forced flows) have a formally divergent integrand where u_x
 vanishes.  Those nodes are masked to zero and the masked fraction is
-reported; past 20 percent the formula value is flagged unreliable rather
-than silently trusted.
+reported; ``verify_decay`` checks consistency only at frames whose masked
+fraction is at most ``mask_reliable``.
 """
 
 from dataclasses import dataclass
@@ -45,7 +45,6 @@ __all__ = [
     "VerifyReport",
 ]
 
-_MASK_UNRELIABLE = 0.2
 _GRAD_EPS_REL = 1e-6
 
 
@@ -94,10 +93,6 @@ class DecayValue:
     value: float
     mask_fraction: float
 
-    @property
-    def reliable(self) -> bool:
-        return self.mask_fraction <= _MASK_UNRELIABLE
-
 
 def _masked_decay(spec: ProblemSpec, frame: StateFrame, grid: Grid1D,
                   integrand: np.ndarray, p: np.ndarray) -> DecayValue:
@@ -143,24 +138,6 @@ class EnergyTrace:
 
     def __len__(self):
         return len(self.times)
-
-    def to_csv(self) -> str:
-        lines = ["t,E,dEdt_measured,dEdt_formula,dEdt_model,mask_fraction"]
-        for i in range(len(self.times)):
-            model = "" if self.dEdt_model is None else repr(float(self.dEdt_model[i]))
-            lines.append(
-                ",".join(
-                    [
-                        repr(float(self.times[i])),
-                        repr(float(self.E[i])),
-                        repr(float(self.dEdt_measured[i])),
-                        repr(float(self.dEdt_formula[i])),
-                        model,
-                        repr(float(self.mask_fraction[i])),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
 
 
 def energy_trace(lag: Lagrangian, result: SimulationResult,

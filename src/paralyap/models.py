@@ -122,8 +122,9 @@ def _numeric_d2u(f):
 class BoundaryCondition:
     """One end of the unit interval.
 
-    ``dirichlet`` pins the solution to zero.  ``robin`` prescribes the slope
-    through ``u_x = b(u)``; a zero-slope ``b`` is the Neumann condition.
+    ``dirichlet`` holds the solution at the initial profile's end value.
+    ``robin`` prescribes the slope through ``u_x = b(u)``; a zero-slope ``b``
+    is the Neumann condition.
     """
 
     kind: str

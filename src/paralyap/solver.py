@@ -12,8 +12,9 @@ first order at the ends), written out by hand because the call costs three
 times as much.  The hand-written form must stay bitwise equal to
 np.gradient, or every step size and stored frame would move.
 
-Dirichlet ends are pinned at the initial profile's end values (the
-homogeneous case pins them at zero).  One node stencil gives u_x and u_xx
+Dirichlet ends hold the initial profile's end values: ``evolution_rhs``
+returns 0 at a Dirichlet node, so no stage moves it (a -0.0 end value
+becomes +0.0 after the first step).  One node stencil gives u_x and u_xx
 to the solver and to the energy monitor.  It pads the state with a ghost
 node per end; a Robin end u_x = b(u) gets the mirror node
 u_{-1} = u_1 - 2 dx b(u_0) (on the right, u_{n+1} = u_{n-1} + 2 dx b(u_n)),
@@ -160,7 +161,7 @@ def _node_derivatives(spec: ProblemSpec, grid: Grid1D, u: np.ndarray):
 
 
 def evolution_rhs(spec: ProblemSpec, grid: Grid1D, u: np.ndarray) -> np.ndarray:
-    """du/dt at every node; Dirichlet nodes report 0 (they are pinned)."""
+    """du/dt at every node; 0 at a Dirichlet node, which holds its end value."""
     dx = grid.dx
     lo = int(spec.bc_left.kind == "dirichlet")
     hi = len(u) - int(spec.bc_right.kind == "dirichlet")
@@ -177,23 +178,17 @@ def evolution_rhs(spec: ProblemSpec, grid: Grid1D, u: np.ndarray) -> np.ndarray:
     return ut
 
 
-def _pin(spec: ProblemSpec, u: np.ndarray, pins) -> np.ndarray:
-    if spec.bc_left.kind == "dirichlet":
-        u[0] = pins[0]
-    if spec.bc_right.kind == "dirichlet":
-        u[-1] = pins[1]
-    return u
-
-
 def step(spec: ProblemSpec, grid: Grid1D, frame: StateFrame, dt: float,
          k1: Optional[np.ndarray] = None) -> StateFrame:
-    """One Heun update.  ``k1`` may reuse the rhs already stored in the frame."""
-    pins = (frame.u[0], frame.u[-1])
+    """One Heun update.  ``k1`` may reuse the rhs already stored in the frame.
+
+    The rhs is 0 at a Dirichlet node, so each stage leaves that end value as it is.
+    """
     if k1 is None:
         k1 = evolution_rhs(spec, grid, frame.u)
-    mid = _pin(spec, frame.u + dt * k1, pins)
+    mid = frame.u + dt * k1
     k2 = evolution_rhs(spec, grid, mid)
-    u_new = _pin(spec, frame.u + 0.5 * dt * (k1 + k2), pins)
+    u_new = frame.u + 0.5 * dt * (k1 + k2)
     if not np.isfinite(u_new).all():
         raise SolverError(f"non-finite state after step to t={frame.t + dt!r}")
     return StateFrame(frame.t + dt, u_new, evolution_rhs(spec, grid, u_new))

@@ -5,7 +5,6 @@ lines, the inverse curvature model gives p = -tan(tau), and polynomial
 reactions give exact logarithms for g.
 """
 
-import json
 import math
 
 import numpy as np
@@ -21,11 +20,9 @@ from paralyap.characteristics import (
     Termination,
     analytic_g,
     integrate_characteristics,
-    provider_snapshot_json,
     reduced_g,
     reduced_ode_g,
     tabulate_g,
-    trajectory_csv,
     _A,
     _B4,
     _B5,
@@ -116,15 +113,6 @@ def test_dt_cap_limits_accepted_steps():
     steps = np.diff(taus)
     assert float(np.max(steps)) <= 0.01 + 1e-12
     assert len(taus) >= 50
-
-
-def test_trajectory_csv_shape():
-    spec = models.heat_equation()
-    traj = integrate_characteristics(spec, {"u0": 0.0, "p0": 1.0})
-    text = trajectory_csv(traj)
-    lines = text.strip().split("\n")
-    assert lines[0] == "tau,x,u,p,g"
-    assert len(lines) == len(traj.states) + 1
 
 
 def _lone_rows(spec, seed, controls):
@@ -399,16 +387,6 @@ def test_tabulated_tracks_a_varying_weight():
     )
     exact = float(spec.closed_forms.g_of_p(0.8, 1.0, 0.0))
     assert float(provider(0.5, 0.0, 0.8)) == pytest.approx(exact, abs=0.05)
-
-
-def test_snapshot_json_round_trip():
-    spec = models.heat_equation()
-    grid = SeedGrid((0.0, 1.0), (0.5, 1.0))
-    provider = tabulate_g(spec, grid)
-    payload = json.loads(provider_snapshot_json(provider))
-    assert payload["variant"] == "tabulated"
-    assert payload["n_samples"] == len(payload["samples"]["g"])
-    assert set(payload["samples"]) == {"x", "u", "p", "g"}
 
 
 def test_provider_call_shapes():

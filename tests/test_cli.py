@@ -77,18 +77,84 @@ def test_construct_energy_runs_on_every_catalog_entry(tmp_path, descriptor):
     assert (out / "lagrangian_grid.csv").exists()
 
 
+_SMALL_DUMP = {"x": [0.0], "u": {"min": 0.25, "max": 1.0, "n": 3},
+               "p": {"min": 0.25, "max": 2.0, "n": 5}}
+_SMALL_COMPARE = {"x": 0.0, "u": {"min": 0.25, "max": 1.0, "n": 2},
+                  "p": {"min": 0.25, "max": 1.0, "n": 3}}
+_CONSTRUCT_FILES = {"manifest.json", "lagrangian_grid.csv", "lagrangian_sidecar.json"}
+_VERIFY_FILES = {"manifest.json", "energy_trace.csv", "verify_report.json"}
+
+
+# (command, config, every artifact it writes) for each command and g mode.
+_REPRODUCIBLE_RUNS = {
+    "construct-reduced": (
+        "construct-energy", {"model": {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},
+                             "g_mode": "reduced", "grid_dump": _SMALL_DUMP},
+        _CONSTRUCT_FILES),
+    "construct-tabulated": (
+        "construct-energy", {"model": {"model": "heat"}, "g_mode": "tabulated",
+                             "seed_grid": {"u0": [0.0, 1.0], "p0": [0.5, 1.0]},
+                             "grid_dump": _SMALL_DUMP},
+        _CONSTRUCT_FILES | {"g_provider.json"}),
+    "simulate-heat": (
+        "simulate", {"model": {"model": "heat"}, "grid": {"n_cells": 16},
+                     "time": {"t_end": 1e-3, "output_stride": 16}},
+        {"manifest.json", "trajectory.csv"}),
+    "verify-heat": (
+        "verify", {"model": {"model": "heat"}, "grid": {"n_cells": 16},
+                   "time": {"t_end": 1e-3, "output_stride": 8}},
+        _VERIFY_FILES),
+    "verify-porous-medium": (
+        "verify", {"model": {"model": "porous_medium", "m": 2.0}, "grid": {"n_cells": 16},
+                   "time": {"t_end": 1e-3, "output_stride": 8},
+                   "initial": {"profile": "bump"}},
+        _VERIFY_FILES),
+    "compare-inverse-mcf": (
+        "compare-closed-form", {"model": {"model": "inverse_mcf"}, "compare": _SMALL_COMPARE},
+        {"manifest.json", "comparison.csv", "comparison.json"}),
+    "compare-mcf-poly": (
+        "compare-closed-form", {"model": {"model": "mcf_poly", "n": 1.0},
+                                "compare": _SMALL_COMPARE},
+        {"manifest.json", "comparison.json"}),
+}
+
+
 def test_construct_energy_is_byte_reproducible(tmp_path):
-    config = {
-        "model": {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},
-        "g_mode": "reduced",
-        "grid_dump": {"x": [0.0], "u": {"min": 0.25, "max": 1.0, "n": 3},
-                      "p": {"min": 0.25, "max": 2.0, "n": 5}},
-    }
-    code1, out1 = _run(tmp_path, "construct-energy", config, name="a")
-    code2, out2 = _run(tmp_path, "construct-energy", config, name="b")
-    assert code1 == 0 and code2 == 0
-    for fname in ("lagrangian_grid.csv", "lagrangian_sidecar.json"):
-        assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
+    # Every command, and every artifact it writes, is the same byte for byte
+    # on a rerun of the same config.
+    for case, (command, config, files) in _REPRODUCIBLE_RUNS.items():
+        code1, out1 = _run(tmp_path, command, config, name=f"{case}-a")
+        code2, out2 = _run(tmp_path, command, config, name=f"{case}-b")
+        assert code1 == code2 and code1 in (0, 2), case
+        assert {f.name for f in out1.iterdir()} == {f.name for f in out2.iterdir()} == files, case
+        for fname in files:
+            assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes(), (case, fname)
+
+
+def test_artifact_writers_fix_the_byte_format(tmp_path):
+    cli._write_csv(tmp_path, "table.csv", ("a", "none", "b"),
+                   (np.array([0.1, 1.0 / 3.0, 1e-300, 5e-324, -0.0]), None, range(5)))
+    assert (tmp_path / "table.csv").read_text() == (
+        "a,none,b\n"
+        "0.1,,0.0\n"
+        "0.3333333333333333,,1.0\n"
+        "1e-300,,2.0\n"
+        "5e-324,,3.0\n"
+        "-0.0,,4.0\n"
+    )
+    cli._write_json(tmp_path, "report.json", {"b": [1.0, float("nan")], "a": {"d": 1, "c": None}})
+    assert (tmp_path / "report.json").read_text() == (
+        '{\n'
+        '  "a": {\n'
+        '    "c": null,\n'
+        '    "d": 1\n'
+        '  },\n'
+        '  "b": [\n'
+        '    1.0,\n'
+        '    NaN\n'
+        '  ]\n'
+        '}\n'
+    )
 
 
 def test_construct_energy_reduced_handles_a_rest_point_base(tmp_path):
@@ -124,6 +190,9 @@ def test_construct_energy_tabulated_writes_the_snapshot(tmp_path):
     snap = _read_json(out / "g_provider.json")
     assert snap["variant"] == "tabulated"
     assert snap["n_samples"] == len(snap["samples"]["g"])
+    assert set(snap["samples"]) == {"x", "u", "p", "g"}
+    provider = _read_json(out / "manifest.json")["results"]["provider"]
+    assert snap["extrapolations"] == provider["extrapolations"]
 
 
 def test_low_coverage_returns_a_warning_code(tmp_path, capsys):
@@ -284,6 +353,10 @@ def test_bad_initial_and_dump_values_name_the_stage(tmp_path, capsys, monkeypatc
     assert "Traceback" not in err
 
 
+def _no_build(spec, config):
+    raise AssertionError("the g provider was built before the run settings were read")
+
+
 @pytest.mark.parametrize("command, override", [
     ("construct-energy", {"grid_dump": {"x": None}}),
     ("compare-closed-form", {"compare": {"x": None}}),
@@ -291,13 +364,26 @@ def test_bad_initial_and_dump_values_name_the_stage(tmp_path, capsys, monkeypatc
                              "compare": {"lpp_check": {"n": None}}}),
 ], ids=["dump-x-null", "compare-x-null", "lpp_check-n-null"])
 def test_bad_dump_values_fail_before_the_build(tmp_path, capsys, monkeypatch, command, override):
-    def no_build(spec, config):
-        raise AssertionError("the g provider was built before the dump settings were read")
-
-    monkeypatch.setattr(cli, "_build_provider", no_build)
+    monkeypatch.setattr(cli, "_build_provider", _no_build)
     code, _ = _run(tmp_path, command, {**_SMALL_VERIFY, **override})
     assert code == 1
     assert capsys.readouterr().err.startswith("error: cli: ")
+
+
+@pytest.mark.parametrize("section, override, stage", [
+    ("grid", {"n_cells": 4}, "solver"),
+    ("time", {"output_stride": 0}, "solver"),
+    ("initial", {"profile": "csv"}, "cli"),
+    ("initial", {"profile": "csv", "path": "missing.csv"}, "cli"),
+], ids=["n_cells-4", "stride-0", "csv-no-path", "csv-missing"])
+def test_bad_simulation_values_fail_before_the_build(tmp_path, capsys, monkeypatch,
+                                                     section, override, stage):
+    monkeypatch.setattr(cli, "_build_provider", _no_build)
+    monkeypatch.chdir(tmp_path)
+    config = {**_SMALL_VERIFY, section: {**_SMALL_VERIFY.get(section, {}), **override}}
+    code, _ = _run(tmp_path, "verify", config)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {stage}: ")
 
 
 _TABULATED ={"g_mode": "tabulated", "seed_grid": {"u0": [0.0, 1.0], "p0": [0.5, 1.0]}}

@@ -100,7 +100,6 @@ def test_heat_decay_formula_value():
     frame = _frame(spec, grid, np.sin(np.pi * grid.nodes))
     d = decay_formula(spec, lag.g_provider, frame, grid)
     assert d.mask_fraction == 0.0
-    assert d.reliable
     assert d.value == pytest.approx(-math.pi**4 / 2.0, rel=2e-3)
 
 
@@ -144,7 +143,6 @@ def test_off_branch_gradients_are_masked_too():
     frame = _frame(spec, grid, np.sin(np.pi * grid.nodes))
     d = decay_formula(spec, analytic_g(spec), frame, grid)
     assert d.mask_fraction >= 0.5
-    assert not d.reliable
     assert math.isfinite(d.value)
 
 
@@ -197,9 +195,6 @@ def test_trace_columns_and_model_oracle():
     # unit decay weight: the model oracle is the same -int ut^2 integral
     assert trace.dEdt_model is not None
     assert np.allclose(trace.dEdt_model, trace.dEdt_formula, rtol=1e-12)
-    text = trace.to_csv()
-    assert text.splitlines()[0] == "t,E,dEdt_measured,dEdt_formula,dEdt_model,mask_fraction"
-    assert len(text.strip().splitlines()) == len(trace) + 1
 
 
 def test_verify_accepts_a_clean_heat_run():

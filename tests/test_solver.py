@@ -182,6 +182,19 @@ def test_dirichlet_values_are_pinned_to_the_initial_profile():
         assert frame.u[-1] == 1.0
 
 
+def test_dirichlet_ends_hold_their_value_in_the_divergence_form():
+    # The rhs is 0 at a Dirichlet node, so the Heun stages hold each end
+    # value bit for bit; no step writes it back.
+    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
+    grid = Grid1D(16)
+    u0 = 0.3 + 0.4 * grid.nodes + 0.5 * np.sin(np.pi * grid.nodes)
+    result = simulate(spec, u0, t_end=2e-3, grid=grid)
+    assert result.n_steps > 1
+    for frame in result:
+        assert frame.ut[0] == 0.0 and frame.ut[-1] == 0.0
+        assert frame.u[0] == u0[0] and frame.u[-1] == u0[-1]
+
+
 def test_linear_steady_state_is_preserved():
     spec = models.heat_equation()
     grid = Grid1D(16)
