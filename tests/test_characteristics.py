@@ -5,12 +5,13 @@ lines, the inverse curvature model gives p = -tan(tau), and polynomial
 reactions give exact logarithms for g.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from paralyap import models
+from paralyap import cli, models
 from paralyap.characteristics import (
     CharacteristicsError,
     CharControls,
@@ -387,6 +388,18 @@ def test_tabulated_tracks_a_varying_weight():
     )
     exact = float(spec.closed_forms.g_of_p(0.8, 1.0, 0.0))
     assert float(provider(0.5, 0.0, 0.8)) == pytest.approx(exact, abs=0.05)
+
+
+def test_snapshot_json_round_trip(tmp_path):
+    spec = models.heat_equation()
+    grid = SeedGrid((0.0, 1.0), (0.5, 1.0))
+    provider = tabulate_g(spec, grid)
+    cli._write_json(tmp_path, "g_provider.json", provider.snapshot)
+    payload = json.loads((tmp_path / "g_provider.json").read_text())
+    assert payload == provider.snapshot
+    assert payload["variant"] == "tabulated"
+    assert payload["n_samples"] == len(payload["samples"]["g"])
+    assert set(payload["samples"]) == {"x", "u", "p", "g"}
 
 
 def test_provider_call_shapes():
