@@ -63,20 +63,11 @@ from .models import (
     BoundaryCondition,
     ClosedForms,
     Filtration,
-    InverseMcf,
-    McfPoly,
-    PorousMedium,
     ProblemSpec,
-    QuasilinearGradient,
-    RhoLaplacianPoly,
     SampleBox,
     StructureFlags,
     ValidationReport,
     from_descriptor,
-    heat_equation,
-    instantiate,
-    pure_mean_curvature,
-    pure_rho_laplacian,
     validate_spec,
 )
 from .quadrature import QuadratureError, adaptive_simpson, integrate_batch
@@ -103,17 +94,12 @@ __all__ = [
     "Filtration",
     "GProvider",
     "Grid1D",
-    "InverseMcf",
     "Lagrangian",
     "LagrangianError",
     "LagrangianOptions",
-    "McfPoly",
-    "PorousMedium",
     "ProblemSpec",
     "QuadratureError",
-    "QuasilinearGradient",
     "ReducedGError",
-    "RhoLaplacianPoly",
     "SampleBox",
     "SeedGrid",
     "SimulationResult",
@@ -136,13 +122,9 @@ __all__ = [
     "eval_Lpp",
     "filtration_energy",
     "from_descriptor",
-    "heat_equation",
-    "instantiate",
     "integrate_batch",
     "integrate_characteristics",
     "node_gradient",
-    "pure_mean_curvature",
-    "pure_rho_laplacian",
     "reduced_g",
     "reduced_ode_g",
     "second_difference_lpp",

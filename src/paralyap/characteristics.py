@@ -241,18 +241,21 @@ def integrate_characteristics(spec: ProblemSpec, init: dict,
 # Reduced computation of g as a function of p alone
 
 _PROBE_N = 65
+# The frozen point (x, u) at which the reduced rate is integrated, and the
+# quadrature tolerance of that integral.
+_X_REF, _U_REF = 0.0, 1.0
+_REDUCED_TOL = 1e-12
 
 
-def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0,
-              x_ref: float = 0.0, u_ref: float = 1.0, quad_tol: float = 1e-12,
-              method: str = "auto"):
+def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0, method: str = "auto"):
     """g as a function of p alone, normalized to g(p0) = g0.
 
     Dividing the g rate by dp/dtau turns the curve system into
     dg/dp = (-reaction_dp - diffusion_coeff_dx - p*diffusion_coeff_du) /
-    reaction, which is integrated at the frozen point (x_ref, u_ref).  The
-    result is meaningful when that ratio does not depend on the frozen point,
-    which the ``shared_factor_reducible`` structure flag asserts.
+    reaction, which is integrated at the frozen point (x, u) = (0, 1) to a
+    tolerance of 1e-12.  The result is meaningful when that ratio does not
+    depend on the frozen point, which the ``shared_factor_reducible``
+    structure flag asserts.
 
     ``method="auto"`` uses the exact logarithm of the reaction ratio whenever
     the diffusion coefficient has no x or u dependence on the probed range;
@@ -275,13 +278,13 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0,
     # rest points of the reaction are immaterial in that case.
     span = np.linspace(min(float(np.min(p_arr)), p0), max(float(np.max(p_arr)), p0), _PROBE_N)
     with np.errstate(all="ignore"):
-        rate_span = _g_rate(spec, x_ref, u_ref, span)
+        rate_span = _g_rate(spec, _X_REF, _U_REF, span)
     if np.all(np.isfinite(rate_span)) and float(np.max(np.abs(rate_span))) == 0.0:
         out = np.full(p_arr.shape, g0)
         return float(out[0]) if scalar else out
 
-    f0_seed = float(spec.reaction(x_ref, u_ref, p0))
-    f0_query = np.asarray(spec.reaction(x_ref, u_ref, p_arr), dtype=float)
+    f0_seed = float(spec.reaction(_X_REF, _U_REF, p0))
+    f0_query = np.asarray(spec.reaction(_X_REF, _U_REF, p_arr), dtype=float)
     rest_tol = 1e-13 * (1.0 + abs(f0_seed) + float(np.max(np.abs(f0_query), initial=0.0)))
     if abs(f0_seed) <= rest_tol:
         raise ReducedGError(f"the seed gradient p0={p0!r} is a rest point of the reaction")
@@ -295,8 +298,8 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0,
     lo = min(float(np.min(active)), p0)
     hi = max(float(np.max(active)), p0)
     probes = np.linspace(lo, hi, _PROBE_N)
-    f0 = np.asarray(spec.reaction(x_ref, u_ref, probes), dtype=float)
-    rate = _g_rate(spec, x_ref, u_ref, probes)
+    f0 = np.asarray(spec.reaction(_X_REF, _U_REF, probes), dtype=float)
+    rate = _g_rate(spec, _X_REF, _U_REF, probes)
     if not (np.all(np.isfinite(f0)) and np.all(np.isfinite(rate))):
         raise ReducedGError("reaction or its derivatives are not finite on the p range")
 
@@ -307,8 +310,8 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0,
             "p cannot flow across a rest point"
         )
 
-    coef_dx = np.asarray(spec.diffusion_coeff_dx(x_ref, u_ref, probes), dtype=float)
-    coef_du = np.asarray(spec.diffusion_coeff_du(x_ref, u_ref, probes), dtype=float)
+    coef_dx = np.asarray(spec.diffusion_coeff_dx(_X_REF, _U_REF, probes), dtype=float)
+    coef_du = np.asarray(spec.diffusion_coeff_du(_X_REF, _U_REF, probes), dtype=float)
     pure_p = float(np.max(np.abs(coef_dx))) == 0.0 and float(np.max(np.abs(coef_du))) == 0.0
     if method == "auto" and pure_p:
         with np.errstate(divide="ignore"):
@@ -316,10 +319,10 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0,
         return float(out[0]) if scalar else out
 
     def ratio(idx, s):
-        rate = _g_rate(spec, x_ref, u_ref, s)
-        return rate / np.asarray(spec.reaction(x_ref, u_ref, s), dtype=float)
+        rate = _g_rate(spec, _X_REF, _U_REF, s)
+        return rate / np.asarray(spec.reaction(_X_REF, _U_REF, s), dtype=float)
 
-    out[~rest] = g0 + integrate_batch(ratio, p0, active, quad_tol)
+    out[~rest] = g0 + integrate_batch(ratio, p0, active, _REDUCED_TOL)
     return float(out[0]) if scalar else out
 
 
@@ -364,9 +367,7 @@ def analytic_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0) -> GProvider
     return GProvider("analytic", p0, g0, evaluate)
 
 
-def reduced_ode_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0,
-                  x_ref: float = 0.0, u_ref: float = 1.0,
-                  quad_tol: float = 1e-12) -> GProvider:
+def reduced_ode_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0) -> GProvider:
     """Provider that integrates dg/dp on demand.
 
     Each query integrates from p0 afresh, so a value depends only on its own
@@ -374,7 +375,7 @@ def reduced_ode_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0,
     """
 
     def evaluate(x, u, p):
-        return reduced_g(spec, p, p0, g0, x_ref, u_ref, quad_tol)
+        return reduced_g(spec, p, p0, g0)
 
     return GProvider("reduced_ode", p0, g0, evaluate)
 

@@ -48,10 +48,6 @@ __all__ = [
 _GRAD_EPS_REL = 1e-6
 
 
-def _grid_for(frame: StateFrame, grid: Optional[Grid1D]) -> Grid1D:
-    return grid if grid is not None else Grid1D(len(frame.u) - 1)
-
-
 def _simpson(y: np.ndarray, dx: float) -> float:
     """Composite Simpson rule for node values ``y`` spaced ``dx`` apart.
 
@@ -72,20 +68,19 @@ def _simpson(y: np.ndarray, dx: float) -> float:
     return float(np.sum(w * y))
 
 
-def node_gradient(spec: ProblemSpec, frame: StateFrame, grid: Optional[Grid1D] = None):
+def node_gradient(spec: ProblemSpec, frame: StateFrame, grid: Grid1D):
     """u_x at every node from the solver's stencil: b(u) exactly at a Robin end."""
-    return _node_derivatives(spec, _grid_for(frame, grid), frame.u)[0]
+    return _node_derivatives(spec, grid, frame.u)[0]
 
 
-def energy_of_frame(lag: Lagrangian, frame: StateFrame, grid: Optional[Grid1D] = None) -> float:
-    g = _grid_for(frame, grid)
-    x = g.nodes
-    p = node_gradient(lag.spec, frame, g)
+def energy_of_frame(lag: Lagrangian, frame: StateFrame, grid: Grid1D) -> float:
+    x = grid.nodes
+    p = node_gradient(lag.spec, frame, grid)
     values = eval_L(lag, x, frame.u, p)
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ValueError(f"energy integrand not finite at node {bad} (x={x[bad]!r})")
-    return _simpson(values, g.dx)
+    return _simpson(values, grid.dx)
 
 
 @dataclass(frozen=True)
@@ -106,15 +101,14 @@ def _masked_decay(spec: ProblemSpec, frame: StateFrame, grid: Grid1D,
 
 
 def decay_formula(spec: ProblemSpec, g_provider: Callable, frame: StateFrame,
-                  grid: Optional[Grid1D] = None) -> DecayValue:
+                  grid: Grid1D) -> DecayValue:
     """The predicted dE/dt for one frame, with its masked fraction."""
-    g = _grid_for(frame, grid)
-    p, q = _node_derivatives(spec, g, frame.u)
+    p, q = _node_derivatives(spec, grid, frame.u)
     with np.errstate(all="ignore"):
-        weight = np.exp(np.asarray(g_provider(g.nodes, frame.u, p), dtype=float))
-        f1 = np.asarray(spec.f1_weight(g.nodes, frame.u, p, q, frame.ut), dtype=float)
+        weight = np.exp(np.asarray(g_provider(grid.nodes, frame.u, p), dtype=float))
+        f1 = np.asarray(spec.f1_weight(grid.nodes, frame.u, p, q, frame.ut), dtype=float)
         integrand = weight * f1 * frame.ut
-    return _masked_decay(spec, frame, g, integrand, p)
+    return _masked_decay(spec, frame, grid, integrand, p)
 
 
 def _model_decay(spec: ProblemSpec, frame: StateFrame, grid: Grid1D,
@@ -140,24 +134,22 @@ class EnergyTrace:
         return len(self.times)
 
 
-def energy_trace(lag: Lagrangian, result: SimulationResult,
-                 grid: Optional[Grid1D] = None) -> EnergyTrace:
+def energy_trace(lag: Lagrangian, result: SimulationResult, grid: Grid1D) -> EnergyTrace:
     """E, measured dE/dt, predicted dE/dt, and the model oracle per frame."""
-    g = _grid_for(result[0], grid)
     spec = lag.spec
     times = np.array([f.t for f in result], dtype=float)
-    E = np.array([energy_of_frame(lag, f, g) for f in result])
+    E = np.array([energy_of_frame(lag, f, grid) for f in result])
     formula = []
     masks = []
     model_vals = []
     have_model = spec.closed_forms is not None and spec.closed_forms.decay_weight is not None
     for f in result:
-        d = decay_formula(spec, lag.g_provider, f, g)
+        d = decay_formula(spec, lag.g_provider, f, grid)
         formula.append(d.value)
         masks.append(d.mask_fraction)
         if have_model:
-            p = node_gradient(spec, f, g)
-            model_vals.append(_model_decay(spec, f, g, p).value)
+            p = node_gradient(spec, f, grid)
+            model_vals.append(_model_decay(spec, f, grid, p).value)
     measured = np.gradient(E, times) if len(times) > 2 else np.zeros_like(E)
     return EnergyTrace(
         times=times,
@@ -169,30 +161,28 @@ def energy_trace(lag: Lagrangian, result: SimulationResult,
     )
 
 
-def standard_pme_energy(frame: StateFrame, m: float, grid: Optional[Grid1D] = None) -> dict:
+def standard_pme_energy(frame: StateFrame, m: float, grid: Grid1D) -> dict:
     """The conventional porous-medium pair: E = int |u|^(m+1)/(m+1), its decay."""
-    g = _grid_for(frame, grid)
     u_abs = np.abs(frame.u)
-    E = _simpson(u_abs ** (m + 1.0) / (m + 1.0), g.dx)
+    E = _simpson(u_abs ** (m + 1.0) / (m + 1.0), grid.dx)
     w = u_abs ** m
-    wx = np.gradient(w, g.dx, edge_order=2)
-    return {"E": E, "dEdt": -_simpson(wx * wx, g.dx)}
+    wx = np.gradient(w, grid.dx, edge_order=2)
+    return {"E": E, "dEdt": -_simpson(wx * wx, grid.dx)}
 
 
-def filtration_energy(frame: StateFrame, a: Callable, a_du: Optional[Callable] = None,
-                      grid: Optional[Grid1D] = None, quad_tol: float = 1e-9) -> dict:
+def filtration_energy(frame: StateFrame, a: Callable, grid: Grid1D,
+                      a_du: Optional[Callable] = None, quad_tol: float = 1e-9) -> dict:
     """Standard energy for u_t = (a(u))_xx: E = int of (int_0^u a), decay -int (a_u u_x)^2.
 
     ``a`` and ``a_du`` are called on arrays of u values; without ``a_du`` a
     central difference of ``a`` stands in for it.
     """
-    g = _grid_for(frame, grid)
     if a_du is None:
         a_du = _numeric_du(a)
-    E = _simpson(integrate_batch(lambda idx, s: a(s), 0.0, frame.u, quad_tol), g.dx)
-    p = np.gradient(frame.u, g.dx, edge_order=2)
+    E = _simpson(integrate_batch(lambda idx, s: a(s), 0.0, frame.u, quad_tol), grid.dx)
+    p = np.gradient(frame.u, grid.dx, edge_order=2)
     flux = np.asarray(a_du(frame.u), dtype=float) * p
-    return {"E": E, "dEdt": -_simpson(flux * flux, g.dx)}
+    return {"E": E, "dEdt": -_simpson(flux * flux, grid.dx)}
 
 
 @dataclass

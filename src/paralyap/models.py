@@ -22,6 +22,13 @@ broadcasts against its arguments, a constant included.  A hand-built
 :class:`ProblemSpec` may still return scalars, which is why consumers
 convert with ``np.asarray``.
 
+Builtins are built only by :func:`from_descriptor`, from a JSON-compatible
+descriptor such as ``{"model": "porous_medium", "m": 2.0}``.  One table,
+``_FAMILIES``, maps each descriptor name to the builder of its family; a
+builder reads and checks its own numbers and presets and assembles the spec
+on ``_spec`` (directly, or through the ``_quasilinear``, ``_poly_forced`` and
+``_filtration_spec`` templates).  A new family is one builder and one row.
+
 Builtins also ship optional closed-form references (:class:`ClosedForms`)
 used by tests and comparison commands; those formulas drop the free
 multiplicative normalization constant, which is the same as fixing the seed
@@ -41,16 +48,7 @@ __all__ = [
     "StructureFlags",
     "ClosedForms",
     "ProblemSpec",
-    "QuasilinearGradient",
-    "RhoLaplacianPoly",
-    "McfPoly",
-    "InverseMcf",
-    "PorousMedium",
     "Filtration",
-    "pure_rho_laplacian",
-    "pure_mean_curvature",
-    "heat_equation",
-    "instantiate",
     "from_descriptor",
     "SampleBox",
     "Violation",
@@ -209,63 +207,8 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class QuasilinearGradient:
-    """ut = a(u_x) u_xx + h(u) with a >= 0."""
-
-    a: Callable
-    h: Callable
-    label: str = "quasilinear_gradient"
-    closed_form_lagrangian: Optional[Callable] = None
-
-
-@dataclass(frozen=True)
-class RhoLaplacianPoly:
-    """ut = (rho - 1)|u_x|**(rho-2) u_xx + u_x**n, rho >= 2, n >= 0."""
-
-    rho: float
-    n: float
-
-    def __post_init__(self):
-        if self.rho < 2.0:
-            raise ValueError(f"rho must be >= 2, got {self.rho}")
-        if self.n < 0.0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-
-
-@dataclass(frozen=True)
-class McfPoly:
-    """ut = u_xx / (1 + u_x**2)**(3/2) + u_x**n, n >= 0."""
-
-    n: float
-
-    def __post_init__(self):
-        if self.n < 0.0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-
-
-@dataclass(frozen=True)
-class InverseMcf:
-    """ut = (1 + u_x**2)**2 / ((1 + u_x**2) - u_xx).
-
-    Fully nonlinear; the resolved evolution is singular where the curvature
-    reaches 1 + u_x**2, so sampling boxes must stay below that threshold.
-    """
-
-
-@dataclass(frozen=True)
-class PorousMedium:
-    """ut = (u**m)_xx for u >= 0, m >= 1."""
-
-    m: float
-
-    def __post_init__(self):
-        if self.m < 1.0:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-
-
-@dataclass(frozen=True)
 class Filtration:
-    """ut = (a(u))_xx with nondecreasing a.
+    """ut = (a(u))_xx with nondecreasing a, passed as a filtration descriptor's ``a``.
 
     Derivatives of ``a`` may be supplied; otherwise central differences fill
     them in: ``a'`` with a relative step of 1e-6, and ``a''`` as the
@@ -348,6 +291,12 @@ def _spec(name, bcs, diffusion, reaction, closed, *, diffusion_du=_zero, reactio
     )
 
 
+def _quasilinear(name, bcs, a, h, lagrangian):
+    """ut = a(u_x) u_xx + h(u) with a >= 0: its weight is flat, g = g0."""
+    closed = ClosedForms(g_of_p=_flat_g, lagrangian=lagrangian, decay_weight=_unit_weight)
+    return _spec(name, bcs, lambda x, u, p: a(p), lambda x, u, p: -h(u), closed)
+
+
 def _poly_forced(name, bcs, a, n, lagrangian, lagrangian_note, **extra):
     """ut = a(u_x) u_xx + u_x**n: its reaction is -p**n and its weight |p0/p|**n."""
     if n == 0.0:
@@ -386,192 +335,213 @@ def _filtration_spec(name, bcs, a_du, a_du2, lagrangian=None, char_system=None, 
     )
 
 
-def instantiate(model, bc_left=None, bc_right=None) -> ProblemSpec:
-    """Resolve a builtin model description into a :class:`ProblemSpec`.
+# One builder per family: it reads and checks the descriptor ``d`` and
+# builds the spec with the boundary conditions ``bcs``.
 
-    Boundary conditions default to homogeneous Dirichlet at both ends.
-    Out-of-range parameters raise ``ValueError``.
-    """
-    bcs = (
-        bc_left if bc_left is not None else BoundaryCondition.dirichlet(),
-        bc_right if bc_right is not None else BoundaryCondition.dirichlet(),
-    )
 
-    if isinstance(model, QuasilinearGradient):
-        closed = ClosedForms(
-            g_of_p=_flat_g, lagrangian=model.closed_form_lagrangian, decay_weight=_unit_weight
+def _heat(d, bcs):
+    """ut = u_xx; the density reduces to u_x**2 / 2."""
+    return _quasilinear("heat", bcs, lambda p: 1.0, _zero, lambda u, p: 0.5 * p * p + 0.0 * u)
+
+
+def _quasilinear_gradient(d, bcs):
+    """ut = a(u_x) u_xx + h(u) with preset coefficients; no closed-form density."""
+    a = _coefficient(_A_PRESETS, d.get("a", {"kind": "constant"}), "diffusion")
+    h = _coefficient(_H_PRESETS, d.get("h", {"kind": "zero"}), "forcing")
+    return _quasilinear("quasilinear_gradient", bcs, a, h, None)
+
+
+def _rho_laplacian_poly(d, bcs):
+    """ut = (rho - 1)|u_x|**(rho-2) u_xx + u_x**n, rho >= 2, n >= 0."""
+    rho, n = _number(d, "rho", at_least=2.0), _number(d, "n", at_least=0.0)
+    coef = rho - 1.0
+    # The closed energy density has an antiderivative singularity when the
+    # reaction exponent hits rho - 1 or rho; the oracle is disabled there.
+    if min(abs(n - rho), abs(n - (rho - 1.0))) > 1e-9:
+        c = coef / ((rho - n) * (rho - n - 1.0))
+        lag_cf = lambda u, p, c=c, e=rho - n: c * np.abs(p) ** e - u
+        lag_note = ""
+    else:
+        lag_cf = None
+        lag_note = (
+            "closed-form coefficient (rho-1)/((rho-n)(rho-n-1)) is singular "
+            "for n in {rho-1, rho}; numeric construction only"
         )
-        return _spec(
-            model.label, bcs,
-            lambda x, u, p: model.a(p),
-            lambda x, u, p: -model.h(u),
-            closed,
-        )
-
-    if isinstance(model, RhoLaplacianPoly):
-        rho, n = float(model.rho), float(model.n)
-        coef = rho - 1.0
-        # The closed energy density has an antiderivative singularity when the
-        # reaction exponent hits rho - 1 or rho; the oracle is disabled there.
-        if min(abs(n - rho), abs(n - (rho - 1.0))) > 1e-9:
-            c = coef / ((rho - n) * (rho - n - 1.0))
-            lag_cf = lambda u, p, c=c, e=rho - n: c * np.abs(p) ** e - u
-            lag_note = ""
-        else:
-            lag_cf = None
-            lag_note = (
-                "closed-form coefficient (rho-1)/((rho-n)(rho-n-1)) is singular "
-                "for n in {rho-1, rho}; numeric construction only"
-            )
-        return _poly_forced(
-            "rho_laplacian_poly", bcs, lambda p: coef * np.abs(p) ** (rho - 2.0), n,
-            lag_cf, lag_note, rho=rho,
-        )
-
-    if isinstance(model, McfPoly):
-        n = float(model.n)
-        if abs(n - 2.0) <= 1e-12:
-            lag_cf = lambda u, p: np.arctanh(1.0 / np.sqrt(1.0 + p * p)) - 2.0 * np.sqrt(1.0 + p * p) - u
-        else:
-            lag_cf = None
-        return _poly_forced(
-            "mcf_poly", bcs, lambda p: (1.0 + p * p) ** -1.5, n,
-            lag_cf, "" if lag_cf else "closed form recorded for n = 2 only",
-        )
-
-    if isinstance(model, InverseMcf):
-
-        def rhs(x, u, p, q):
-            a = 1.0 + p * p
-            return a * a / (a - q)
-
-        def f1_weight(x, u, p, q, ut):
-            # Exact curvature-carrying part: ut plus the defect of the
-            # evolution against its own linearization at zero curvature.
-            a = 1.0 + p * p
-            return ut + q * q / (q - a)
-
-        closed = ClosedForms(
-            g_of_p=lambda p, p0=1.0, g0=0.0: g0 + np.log((1.0 + p0 * p0) / (1.0 + np.asarray(p, dtype=float) ** 2)),
-            lagrangian=lambda u, p: p * np.arctan(p) - 0.5 * np.log1p(p * p) - u,
-            lagrangian_note="direct double integration of the weight (1+p^2)^-1",
-            documented_lagrangian=lambda u, p: p * np.arctan(p) - np.log1p(p * p) - u,
-            documented_note=(
-                "published energy density carries log(1+p^2) with coefficient 1; "
-                "the constructed density carries coefficient 1/2"
-            ),
-            decay_weight=lambda p: (2.0 + p * p) * p * p / (1.0 + p * p) ** 3,
-            canonical_p0=0.0,
-        )
-        return _spec(
-            "inverse_mcf", bcs,
-            lambda x, u, p: 1.0,
-            lambda x, u, p: -(1.0 + p * p),
-            closed,
-            reaction_dp=lambda x, u, p: -2.0 * p,
-            rhs=rhs,
-            f1_weight=f1_weight,
-        )
-
-    if isinstance(model, PorousMedium):
-        m = float(model.m)
-        a_du = lambda u: m * _real_pow(u, m - 1.0)
-        if m == 1.0:
-            closed = ClosedForms(
-                g_of_p=_flat_g, lagrangian=lambda u, p: 0.5 * p * p + 0.0 * u,
-                decay_weight=_unit_weight,
-            )
-            return _spec(
-                "porous_medium", bcs, lambda x, u, p: a_du(u), _zero,
-                closed, reducible=False, m=m, divergence_form_m=m,
-            )
-
-        # Characteristics in the original time stall where u**(m-1) vanishes;
-        # dividing the flow speed by m*u**(m-2) removes the shared factor and
-        # leaves this polynomial field (valid for u > 0).
-        def char_system(x, u, p):
-            return (u, u * p, -(m - 1.0) * p * p, (m - 1.0) * p)
-
-        return _filtration_spec(
-            "porous_medium", bcs, a_du, lambda u: m * (m - 1.0) * _real_pow(u, m - 2.0),
-            lagrangian=lambda u, p: a_du(u) * np.abs(p) * (np.log(np.abs(p)) - 1.0),
-            char_system=char_system, m=m, divergence_form_m=m,
-        )
-
-    if isinstance(model, Filtration):
-        a_du = model.a_du if model.a_du is not None else _numeric_du(model.a)
-        a_du2 = model.a_du2
-        if a_du2 is None:
-            a_du2 = _numeric_du(model.a_du) if model.a_du is not None else _numeric_d2u(model.a)
-        return _filtration_spec("filtration", bcs, a_du, a_du2)
-
-    raise ValueError(f"unknown builtin model {model!r}")
-
-
-def _pure_rho_model(rho):
-    rho = float(rho)
-    if rho < 2.0:
-        raise ValueError(f"rho must be >= 2, got {rho}")
-    return QuasilinearGradient(
-        a=lambda p: (rho - 1.0) * np.abs(p) ** (rho - 2.0),
-        h=_zero,
-        label="rho_laplacian_pure",
-        closed_form_lagrangian=lambda u, p: np.abs(p) ** rho / rho + 0.0 * u,
+    return _poly_forced(
+        "rho_laplacian_poly", bcs, lambda p: coef * np.abs(p) ** (rho - 2.0), n,
+        lag_cf, lag_note, rho=rho,
     )
 
 
-def _pure_mcf_model():
-    return QuasilinearGradient(
-        a=lambda p: (1.0 + p * p) ** -1.5,
-        h=_zero,
-        label="mcf_pure",
-        closed_form_lagrangian=lambda u, p: np.sqrt(1.0 + p * p) + 0.0 * u,
+def _rho_laplacian_pure(d, bcs):
+    """Gradient diffusion ut = (rho-1)|u_x|**(rho-2) u_xx with no forcing, rho >= 2."""
+    rho = _number(d, "rho", at_least=2.0)
+    return _quasilinear(
+        "rho_laplacian_pure", bcs, lambda p: (rho - 1.0) * np.abs(p) ** (rho - 2.0), _zero,
+        lambda u, p: np.abs(p) ** rho / rho + 0.0 * u,
     )
 
 
-def _heat_model():
-    return QuasilinearGradient(
-        a=lambda p: 1.0,
-        h=_zero,
-        label="heat",
-        closed_form_lagrangian=lambda u, p: 0.5 * p * p + 0.0 * u,
+def _mcf_poly(d, bcs):
+    """ut = u_xx / (1 + u_x**2)**(3/2) + u_x**n, n >= 0."""
+    n = _number(d, "n", at_least=0.0)
+    if abs(n - 2.0) <= 1e-12:
+        lag_cf = lambda u, p: np.arctanh(1.0 / np.sqrt(1.0 + p * p)) - 2.0 * np.sqrt(1.0 + p * p) - u
+    else:
+        lag_cf = None
+    return _poly_forced(
+        "mcf_poly", bcs, lambda p: (1.0 + p * p) ** -1.5, n,
+        lag_cf, "" if lag_cf else "closed form recorded for n = 2 only",
     )
 
 
-def pure_rho_laplacian(rho, bc_left=None, bc_right=None):
-    """Gradient diffusion ut = (rho-1)|u_x|**(rho-2) u_xx with no forcing."""
-    return instantiate(_pure_rho_model(rho), bc_left=bc_left, bc_right=bc_right)
-
-
-def pure_mean_curvature(bc_left=None, bc_right=None):
+def _mcf_pure(d, bcs):
     """Graphical curvature shortening ut = u_xx / (1 + u_x**2)**(3/2)."""
-    return instantiate(_pure_mcf_model(), bc_left=bc_left, bc_right=bc_right)
+    return _quasilinear(
+        "mcf_pure", bcs, lambda p: (1.0 + p * p) ** -1.5, _zero,
+        lambda u, p: np.sqrt(1.0 + p * p) + 0.0 * u,
+    )
 
 
-def heat_equation(bc_left=None, bc_right=None):
-    """Linear diffusion ut = u_xx; the density reduces to u_x**2 / 2."""
-    return instantiate(_heat_model(), bc_left=bc_left, bc_right=bc_right)
+def _inverse_mcf(d, bcs):
+    """ut = (1 + u_x**2)**2 / ((1 + u_x**2) - u_xx).
+
+    Fully nonlinear; the resolved evolution is singular where the curvature
+    reaches 1 + u_x**2, so sampling boxes must stay below that threshold.
+    """
+
+    def rhs(x, u, p, q):
+        a = 1.0 + p * p
+        return a * a / (a - q)
+
+    def f1_weight(x, u, p, q, ut):
+        # Exact curvature-carrying part: ut plus the defect of the
+        # evolution against its own linearization at zero curvature.
+        a = 1.0 + p * p
+        return ut + q * q / (q - a)
+
+    closed = ClosedForms(
+        g_of_p=lambda p, p0=1.0, g0=0.0: g0 + np.log((1.0 + p0 * p0) / (1.0 + np.asarray(p, dtype=float) ** 2)),
+        lagrangian=lambda u, p: p * np.arctan(p) - 0.5 * np.log1p(p * p) - u,
+        lagrangian_note="direct double integration of the weight (1+p^2)^-1",
+        documented_lagrangian=lambda u, p: p * np.arctan(p) - np.log1p(p * p) - u,
+        documented_note=(
+            "published energy density carries log(1+p^2) with coefficient 1; "
+            "the constructed density carries coefficient 1/2"
+        ),
+        decay_weight=lambda p: (2.0 + p * p) * p * p / (1.0 + p * p) ** 3,
+        canonical_p0=0.0,
+    )
+    return _spec(
+        "inverse_mcf", bcs,
+        lambda x, u, p: 1.0,
+        lambda x, u, p: -(1.0 + p * p),
+        closed,
+        reaction_dp=lambda x, u, p: -2.0 * p,
+        rhs=rhs,
+        f1_weight=f1_weight,
+    )
+
+
+def _porous_medium(d, bcs):
+    """ut = (u**m)_xx for u >= 0, m >= 1."""
+    m = _number(d, "m", at_least=1.0)
+    a_du = lambda u: m * _real_pow(u, m - 1.0)
+    if m == 1.0:
+        closed = ClosedForms(
+            g_of_p=_flat_g, lagrangian=lambda u, p: 0.5 * p * p + 0.0 * u,
+            decay_weight=_unit_weight,
+        )
+        return _spec(
+            "porous_medium", bcs, lambda x, u, p: a_du(u), _zero,
+            closed, reducible=False, m=m, divergence_form_m=m,
+        )
+
+    # Characteristics in the original time stall where u**(m-1) vanishes;
+    # dividing the flow speed by m*u**(m-2) removes the shared factor and
+    # leaves this polynomial field (valid for u > 0).
+    def char_system(x, u, p):
+        return (u, u * p, -(m - 1.0) * p * p, (m - 1.0) * p)
+
+    return _filtration_spec(
+        "porous_medium", bcs, a_du, lambda u: m * (m - 1.0) * _real_pow(u, m - 2.0),
+        lagrangian=lambda u, p: a_du(u) * np.abs(p) * (np.log(np.abs(p)) - 1.0),
+        char_system=char_system, m=m, divergence_form_m=m,
+    )
+
+
+def _filtration(d, bcs):
+    """ut = (a(u))_xx for a preset ``a`` or a :class:`Filtration` object."""
+    filt = d.get("a", {"kind": "power"})
+    if not isinstance(filt, Filtration):
+        filt = _coefficient(_FILTRATION_PRESETS, filt, "filtration")
+    a_du = filt.a_du if filt.a_du is not None else _numeric_du(filt.a)
+    a_du2 = filt.a_du2
+    if a_du2 is None:
+        a_du2 = _numeric_du(filt.a_du) if filt.a_du is not None else _numeric_d2u(filt.a)
+    return _filtration_spec("filtration", bcs, a_du, a_du2)
+
+
+_FAMILIES = {
+    "heat": _heat,
+    "quasilinear_gradient": _quasilinear_gradient,
+    "rho_laplacian_poly": _rho_laplacian_poly,
+    "rho_laplacian_pure": _rho_laplacian_pure,
+    "mcf_poly": _mcf_poly,
+    "mcf_pure": _mcf_pure,
+    "inverse_mcf": _inverse_mcf,
+    "porous_medium": _porous_medium,
+    "filtration": _filtration,
+}
 
 
 # ---------------------------------------------------------------------------
 # JSON descriptors
 
+
+def _number(d, key, default=None, *, at_least=-math.inf, above=-math.inf):
+    """``d[key]``, or ``default`` when absent, as a finite float in range.
+
+    The value must be ``>= at_least`` and ``> above``; anything else raises
+    ``ValueError`` before a model is built.
+    """
+    value = d.get(key, default)
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    if v < at_least:
+        raise ValueError(f"{key} must be >= {at_least:g}, got {v!r}")
+    if v <= above:
+        raise ValueError(f"{key} must be > {above:g}, got {v!r}")
+    return v
+
+
 _A_PRESETS = {
-    "constant": lambda d: (lambda p, v=float(d.get("value", 1.0)): v),
+    "constant": lambda d: (lambda p, v=_number(d, "value", 1.0): v),
     "power_abs": lambda d: (
-        lambda p, c=float(d.get("coef", 1.0)), e=float(d.get("exponent", 0.0)): c * np.abs(p) ** e
+        lambda p, c=_number(d, "coef", 1.0), e=_number(d, "exponent", 0.0): c * np.abs(p) ** e
     ),
     "mcf": lambda d: (lambda p: (1.0 + p * p) ** -1.5),
 }
 
 _H_PRESETS = {
     "zero": lambda d: _zero,
-    "constant": lambda d: (lambda u, v=float(d.get("value", 1.0)): v),
-    "linear": lambda d: (lambda u, s=float(d.get("slope", 1.0)): s * u),
+    "constant": lambda d: (lambda u, v=_number(d, "value", 1.0): v),
+    "linear": lambda d: (lambda u, s=_number(d, "slope", 1.0): s * u),
+}
+
+_B_PRESETS = {
+    "zero": lambda d: _zero,
+    "constant": lambda d: (lambda u, v=_number(d, "value", 0.0): v),
+    "linear": lambda d: (lambda u, s=_number(d, "slope", 1.0): s * u),
 }
 
 _FILTRATION_PRESETS = {
-    "power": lambda d: _filtration_power(float(d.get("exponent", 2.0))),
+    # A positive exponent keeps a nondecreasing.
+    "power": lambda d: _filtration_power(_number(d, "exponent", 2.0, above=0.0)),
     "superslow": lambda d: _filtration_superslow(),
 }
 
@@ -606,13 +576,16 @@ def _filtration_superslow():
     )
 
 
+def _lookup(table, key, what):
+    if not isinstance(key, str) or key not in table:
+        raise ValueError(f"unknown {what} {key!r}; choose from {sorted(table)}")
+    return table[key]
+
+
 def _coefficient(presets, d, what):
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError(f"{what} descriptor must be an object with a 'kind' field")
-    kind = d["kind"]
-    if kind not in presets:
-        raise ValueError(f"unknown {what} kind {kind!r}; choose from {sorted(presets)}")
-    return presets[kind](d)
+    return _lookup(presets, d["kind"], f"{what} kind")(d)
 
 
 def _bc_from_descriptor(d):
@@ -625,61 +598,32 @@ def _bc_from_descriptor(d):
         raise ValueError(f"unknown boundary condition {d!r}")
     if isinstance(d, dict) and d.get("kind") == "robin":
         b = d.get("b", {"kind": "zero"})
-        kind = b.get("kind")
-        if kind == "zero":
-            return BoundaryCondition.neumann()
-        if kind == "constant":
-            v = float(b.get("value", 0.0))
-            return BoundaryCondition.robin(lambda u: v)
-        if kind == "linear":
-            s = float(b.get("slope", 1.0))
-            return BoundaryCondition.robin(lambda u: s * u)
-        raise ValueError(f"unknown robin slope kind {kind!r}")
+        return BoundaryCondition.robin(_coefficient(_B_PRESETS, b, "robin slope"))
     raise ValueError(f"unknown boundary condition descriptor {d!r}")
 
 
 def from_descriptor(descriptor: dict) -> ProblemSpec:
-    """Build a :class:`ProblemSpec` from a plain JSON-compatible dictionary.
+    """Build a builtin :class:`ProblemSpec` from a JSON-compatible dictionary.
+
+    This is the one constructor of a builtin.  ``descriptor["model"]`` names
+    a family of ``_FAMILIES``; the other entries are that family's numbers
+    and presets, and ``bc`` lists the two ends (default: Dirichlet at both).
+    Every number must be finite and in its family's range, or ``ValueError``
+    is raised before anything is built.  The one non-JSON entry accepted is
+    a :class:`Filtration` as the ``a`` of a ``filtration`` descriptor.
 
     Example: ``{"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0,
-    "bc": ["dirichlet", "dirichlet"]}``.
+    "bc": ["dirichlet", {"kind": "robin", "b": {"kind": "linear", "slope": 1.0}}]}``.
+    The descriptor is recorded as ``params["descriptor"]``.
     """
     if not isinstance(descriptor, dict) or "model" not in descriptor:
         raise ValueError("model descriptor must be an object with a 'model' field")
-    name = descriptor["model"]
+    build = _lookup(_FAMILIES, descriptor["model"], "model")
     bc = descriptor.get("bc", ["dirichlet", "dirichlet"])
     if not isinstance(bc, (list, tuple)) or len(bc) != 2:
         raise ValueError("'bc' must list exactly two boundary conditions")
-    bc_left, bc_right = (_bc_from_descriptor(b) for b in bc)
-
-    if name == "rho_laplacian_poly":
-        model = RhoLaplacianPoly(float(descriptor["rho"]), float(descriptor["n"]))
-    elif name == "mcf_poly":
-        model = McfPoly(float(descriptor["n"]))
-    elif name == "inverse_mcf":
-        model = InverseMcf()
-    elif name == "porous_medium":
-        model = PorousMedium(float(descriptor["m"]))
-    elif name == "heat":
-        model = _heat_model()
-    elif name == "rho_laplacian_pure":
-        model = _pure_rho_model(float(descriptor["rho"]))
-    elif name == "mcf_pure":
-        model = _pure_mcf_model()
-    elif name == "quasilinear_gradient":
-        model = QuasilinearGradient(
-            a=_coefficient(_A_PRESETS, descriptor.get("a", {"kind": "constant"}), "diffusion"),
-            h=_coefficient(_H_PRESETS, descriptor.get("h", {"kind": "zero"}), "forcing"),
-        )
-    elif name == "filtration":
-        model = _coefficient(_FILTRATION_PRESETS, descriptor.get("a", {"kind": "power"}), "filtration")
-    else:
-        raise ValueError(f"unknown model {name!r}")
-
-    spec = instantiate(model, bc_left, bc_right)
-    resolved = dict(spec.params)
-    resolved["descriptor"] = descriptor
-    return dataclasses.replace(spec, params=resolved)
+    spec = build(descriptor, tuple(_bc_from_descriptor(b) for b in bc))
+    return dataclasses.replace(spec, params={**spec.params, "descriptor": descriptor})
 
 
 # ---------------------------------------------------------------------------

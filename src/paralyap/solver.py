@@ -216,7 +216,7 @@ def _cfl_dt(spec: ProblemSpec, grid: Grid1D, u: np.ndarray, controls: SolverCont
     return dt
 
 
-def simulate(spec: ProblemSpec, u0, t_end: float, grid: Optional[Grid1D] = None,
+def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,
              controls: SolverControls = SolverControls()) -> SimulationResult:
     """Advance u0 to t_end, storing every ``output_stride``-th frame.
 
@@ -225,12 +225,10 @@ def simulate(spec: ProblemSpec, u0, t_end: float, grid: Optional[Grid1D] = None,
     monitors never re-derive u_t.
     """
     u = np.array(u0, dtype=float)
-    if grid is None:
-        grid = Grid1D(len(u) - 1)
     if len(u) != grid.n_cells + 1:
         raise ValueError(f"u0 has {len(u)} nodes, grid wants {grid.n_cells + 1}")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if spec.params.get("divergence_form_m") is not None and float(np.min(u)) < 0.0:
         raise SolverError("degenerate power models need u0 >= 0")
 

@@ -49,7 +49,7 @@ def _custom_spec(diffusion, reaction, reaction_dp):
 
 
 def test_linear_diffusion_curves_are_straight_lines():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     traj = integrate_characteristics(spec, {"u0": 0.25, "p0": -0.5})
     assert traj.termination is Termination.REACHED_X_END
     last = traj.states[-1]
@@ -73,7 +73,7 @@ def test_inverse_curvature_curve_matches_tangent_solution():
 
 
 def test_tau_budget_termination():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     controls = CharControls(tau_max=0.7, x_end=None)
     traj = integrate_characteristics(spec, {"u0": 0.0, "p0": 1.0}, controls)
     assert traj.termination is Termination.MAX_STEPS
@@ -107,7 +107,7 @@ def test_bad_field_value_raises():
 
 
 def test_dt_cap_limits_accepted_steps():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     controls = CharControls(x_end=None, tau_max=0.5, dt_max=0.01)
     traj = integrate_characteristics(spec, {"u0": 0.0, "p0": 1.0}, controls)
     taus = [s.tau for s in traj.states]
@@ -235,8 +235,8 @@ def test_batch_failures_name_the_state_and_tau():
         _integrate_curves(spec, [(0.0, 1.0, 0.0), (1.0, 2.0, 0.0)], CharControls())
     # A zero tolerance rejects every step until the step size underflows.
     with pytest.raises(CharacteristicsError, match=r"step size underflow at tau=0\.0"):
-        integrate_characteristics(models.heat_equation(), {"u0": 0.0, "p0": 1.0},
-                                  CharControls(tol=0.0))
+        integrate_characteristics(models.from_descriptor({"model": "heat"}),
+                                  {"u0": 0.0, "p0": 1.0}, CharControls(tol=0.0))
 
 
 def test_tabulated_samples_are_the_lone_states():
@@ -262,7 +262,8 @@ def test_tabulated_samples_are_the_lone_states():
 ], ids=["two-ranges", "four-ranges", "triple"])
 def test_tabulated_rejects_a_malformed_query_box(box):
     with pytest.raises(ValueError):
-        tabulate_g(models.heat_equation(), SeedGrid((0.0, 1.0), (0.5, 1.0)), query_box=box)
+        tabulate_g(models.from_descriptor({"model": "heat"}), SeedGrid((0.0, 1.0), (0.5, 1.0)),
+                   query_box=box)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,7 @@ def test_reduced_inverse_curvature_normalized_at_zero():
 
 
 def test_reduced_constant_when_rate_vanishes():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     out = reduced_g(spec, np.array([-1.0, 0.0, 2.0]), p0=1.0, g0=0.25)
     assert np.allclose(out, 0.25)
 
@@ -352,7 +353,7 @@ def test_reduced_provider_memoizes_and_matches_analytic():
 
 
 def test_tabulated_provider_covers_and_interpolates():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = SeedGrid(tuple(np.linspace(-1.0, 1.0, 5)), tuple(np.linspace(-1.0, 1.0, 5)))
     provider = tabulate_g(spec, grid, query_box=((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
     assert provider.variant == "tabulated"
@@ -367,7 +368,7 @@ def test_tabulated_provider_covers_and_interpolates():
 
 
 def test_tabulated_far_query_counts_as_extrapolation():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = SeedGrid((0.0,), (0.5,))
     provider = tabulate_g(spec, grid, query_box=((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
     assert provider.low_coverage
@@ -391,7 +392,7 @@ def test_tabulated_tracks_a_varying_weight():
 
 
 def test_snapshot_json_round_trip(tmp_path):
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = SeedGrid((0.0, 1.0), (0.5, 1.0))
     provider = tabulate_g(spec, grid)
     cli._write_json(tmp_path, "g_provider.json", provider.snapshot)

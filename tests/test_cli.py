@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paralyap import cli
+from paralyap import cli, models
 from paralyap.cli import _write_trajectory, main
 from paralyap.models import from_descriptor
 from paralyap.solver import Grid1D, SolverControls, simulate
@@ -51,22 +51,24 @@ def test_construct_energy_outputs(tmp_path):
     assert manifest["config"]["normalization"]["p0"] == 1.0  # resolved, not "canonical"
 
 
+_CATALOG = [
+    {"model": "heat"},
+    {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},
+    {"model": "mcf_poly", "n": 1.0},
+    {"model": "inverse_mcf"},
+    {"model": "porous_medium", "m": 2.0},
+    {"model": "rho_laplacian_pure", "rho": 3.0},
+    {"model": "mcf_pure"},
+    {"model": "quasilinear_gradient", "a": {"kind": "constant"}},
+    {"model": "quasilinear_gradient", "a": {"kind": "power_abs", "exponent": 1.0}},
+    {"model": "quasilinear_gradient", "a": {"kind": "mcf"}},
+    {"model": "filtration", "a": {"kind": "power"}},
+    {"model": "filtration", "a": {"kind": "superslow"}},
+]
+
+
 @pytest.mark.parametrize(
-    "descriptor",
-    [
-        {"model": "heat"},
-        {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},
-        {"model": "mcf_poly", "n": 1.0},
-        {"model": "inverse_mcf"},
-        {"model": "porous_medium", "m": 2.0},
-        {"model": "rho_laplacian_pure", "rho": 3.0},
-        {"model": "mcf_pure"},
-        {"model": "quasilinear_gradient", "a": {"kind": "constant"}},
-        {"model": "quasilinear_gradient", "a": {"kind": "power_abs", "exponent": 1.0}},
-        {"model": "quasilinear_gradient", "a": {"kind": "mcf"}},
-        {"model": "filtration", "a": {"kind": "power"}},
-        {"model": "filtration", "a": {"kind": "superslow"}},
-    ],
+    "descriptor", _CATALOG,
     ids=lambda d: "-".join([d["model"], *(v["kind"] for v in d.values() if isinstance(v, dict))]),
 )
 def test_construct_energy_runs_on_every_catalog_entry(tmp_path, descriptor):
@@ -75,6 +77,18 @@ def test_construct_energy_runs_on_every_catalog_entry(tmp_path, descriptor):
     code, out = _run(tmp_path, "construct-energy", {"model": descriptor})
     assert code == 0
     assert (out / "lagrangian_grid.csv").exists()
+
+
+def test_catalog_smoke_test_and_readme_list_every_family():
+    # A family added to the catalog must also be smoke-tested above and
+    # documented in README's "Built-in models" table.
+    families = set(models._FAMILIES)
+    assert {d["model"] for d in _CATALOG} == families
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Built-in models", 1)[1].split("\n\n", 2)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    assert {row.split("`")[1] for row in rows} == families
+    assert len(rows) == len(families)
 
 
 _SMALL_DUMP = {"x": [0.0], "u": {"min": 0.25, "max": 1.0, "n": 3},
@@ -315,8 +329,11 @@ _SMALL_VERIFY = {"model": {"model": "heat"}, "grid": {"n_cells": 16},
     ("time", {"t_end": None}, "solver"),
     ("grid", {"n_cells": None}, "solver"),
     ("time", {"output_stride": [1]}, "solver"),
+    # Not finite: nan would stop at once, inf would never reach its end.
+    ("time", {"t_end": "nan"}, "solver"),
+    ("time", {"t_end": "inf"}, "solver"),
 ], ids=["t_end-0", "n_cells-4", "stride-0", "stride-negative", "stride-huge",
-        "t_end-null", "n_cells-null", "stride-list"])
+        "t_end-null", "n_cells-null", "stride-list", "t_end-nan", "t_end-inf"])
 def test_bad_grid_and_time_values_name_the_stage(tmp_path, capsys, section, override, stage):
     config = {**_SMALL_VERIFY, section: {**_SMALL_VERIFY[section], **override}}
     code, _ = _run(tmp_path, "verify", config)
@@ -355,6 +372,34 @@ def test_bad_initial_and_dump_values_name_the_stage(tmp_path, capsys, monkeypatc
 
 def _no_build(spec, config):
     raise AssertionError("the g provider was built before the run settings were read")
+
+
+def _robin_b(b):
+    return {"model": "heat", "bc": [{"kind": "robin", "b": b}, "dirichlet"]}
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"model": "rho_laplacian_poly", "rho": "nan", "n": 1.0},
+    {"model": "rho_laplacian_poly", "rho": 1.5, "n": 1.0},
+    {"model": "mcf_poly", "n": "inf"},
+    {"model": "mcf_poly", "n": -1.0},
+    {"model": "quasilinear_gradient", "a": {"kind": "power_abs", "exponent": "nan"}},
+    {"model": "porous_medium", "m": "nan"},
+    {"model": "porous_medium", "m": "inf"},
+    {"model": "porous_medium", "m": 0.5},
+    {"model": "filtration", "a": {"kind": "power", "exponent": -1}},
+    _robin_b(1.0),
+    _robin_b("zero"),
+    {"model": ["heat"]},
+], ids=["rho-nan", "rho-1.5", "n-inf", "n-negative", "power_abs-nan", "m-nan", "m-inf",
+        "m-0.5", "filtration-decreasing", "robin-b-number", "robin-b-string", "model-list"])
+def test_bad_descriptors_fail_in_the_models_stage(tmp_path, capsys, monkeypatch, descriptor):
+    monkeypatch.setattr(cli, "_build_provider", _no_build)
+    code, _ = _run(tmp_path, "construct-energy", {"model": descriptor})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: models: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, override", [
@@ -443,7 +488,8 @@ def test_importing_the_cli_loads_no_scipy():
         "before = sorted(m for m in sys.modules if m.startswith('scipy'))",
         "from paralyap import models",
         "from paralyap.characteristics import SeedGrid, tabulate_g",
-        "provider = tabulate_g(models.heat_equation(), SeedGrid((0.0, 1.0), (0.5, 1.0)))",
+        "spec = models.from_descriptor({'model': 'heat'})",
+        "provider = tabulate_g(spec, SeedGrid((0.0, 1.0), (0.5, 1.0)))",
         "kd_tree = 'scipy.spatial' in sys.modules",
         "g = float(provider(0.5, 0.5, 0.75))",
         "print(json.dumps({'before': before, 'kd_tree': kd_tree, 'g': g}))",

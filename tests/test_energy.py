@@ -25,12 +25,11 @@ from paralyap.energy import (
     verify_decay,
 )
 from paralyap.lagrangian import LagrangianError, build_lagrangian, eval_L
-from paralyap.models import BoundaryCondition
 from paralyap.solver import Grid1D, SolverControls, StateFrame, evolution_rhs, simulate
 
 
 def _heat_lagrangian():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     return spec, build_lagrangian(spec, analytic_g(spec))
 
 
@@ -39,7 +38,7 @@ def _frame(spec, grid, u):
 
 
 def test_node_gradient_interior_and_ends():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(64)
     frame = _frame(spec, grid, grid.nodes**2)
     p = node_gradient(spec, frame, grid)
@@ -47,11 +46,11 @@ def test_node_gradient_interior_and_ends():
 
 
 def test_node_gradient_reports_robin_slope_exactly():
-    robin = BoundaryCondition.robin(lambda u: 3.0 * u)
+    robin = {"kind": "robin", "b": {"kind": "linear", "slope": 3.0}}
     grid = Grid1D(16)
     u = 0.5 + 0.1 * grid.nodes
-    for end, side in ((0, "bc_left"), (-1, "bc_right")):
-        spec = models.heat_equation(**{side: robin})
+    for end, bc in ((0, [robin, "dirichlet"]), (-1, ["dirichlet", robin])):
+        spec = models.from_descriptor({"model": "heat", "bc": bc})
         p = node_gradient(spec, _frame(spec, grid, u), grid)
         assert p[end] == pytest.approx(3.0 * u[end], abs=1e-14)
 
@@ -151,7 +150,7 @@ def test_standard_degenerate_energies():
     grid = Grid1D(256)
 
     # m = 1: E = int sin^2 / 2 = 1/4, decay = -int (pi cos)^2 = -pi^2/2
-    frame = _frame(models.heat_equation(), grid, np.sin(np.pi * grid.nodes))
+    frame = _frame(models.from_descriptor({"model": "heat"}), grid, np.sin(np.pi * grid.nodes))
     out = standard_pme_energy(frame, 1.0, grid)
     assert out["E"] == pytest.approx(0.25, abs=1e-6)
     assert out["dEdt"] == pytest.approx(-math.pi**2 / 2.0, rel=1e-3)
@@ -176,7 +175,7 @@ def test_standard_degenerate_energies():
 )
 def test_filtration_energy_on_a_sine(a, a_du, E, dEdt):
     grid = Grid1D(256)
-    frame = _frame(models.heat_equation(), grid, np.sin(np.pi * grid.nodes))
+    frame = _frame(models.from_descriptor({"model": "heat"}), grid, np.sin(np.pi * grid.nodes))
     out = filtration_energy(frame, a=a, a_du=a_du, grid=grid)
     assert out["E"] == pytest.approx(E, abs=1e-6)
     assert out["dEdt"] == pytest.approx(dEdt, rel=1e-3)

@@ -23,8 +23,10 @@ from paralyap.lagrangian import (
     eval_Lpp,
     second_difference_lpp,
 )
-from paralyap.models import BoundaryCondition
 from paralyap.quadrature import integrate_batch
+
+# The Robin end u_x = b(u) = u.
+_ROBIN = {"kind": "robin", "b": {"kind": "linear", "slope": 1.0}}
 
 
 def _lag(spec, p0=1.0, **opts):
@@ -32,7 +34,7 @@ def _lag(spec, p0=1.0, **opts):
 
 
 def test_curvature_weight_double_integral():
-    lag = _lag(models.pure_mean_curvature())
+    lag = _lag(models.from_descriptor({"model": "mcf_pure"}))
     assert lag.p_base == 0.0
     assert eval_L(lag, 0.0, 0.0, 1.0) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-9)
     # d/dp of sqrt(1+p^2) - 1 is p / sqrt(1+p^2)
@@ -41,14 +43,14 @@ def test_curvature_weight_double_integral():
 
 
 def test_degenerate_weight_double_integral():
-    lag = _lag(models.pure_rho_laplacian(3.0))
+    lag = _lag(models.from_descriptor({"model": "rho_laplacian_pure", "rho": 3.0}))
     assert lag.p_base == 0.0
     assert eval_L(lag, 0.0, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert eval_L(lag, 0.0, 0.0, -1.0) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_linear_diffusion_density_is_quadratic():
-    lag = _lag(models.heat_equation())
+    lag = _lag(models.from_descriptor({"model": "heat"}))
     ps = np.array([-2.0, -0.5, 0.0, 1.5])
     vals = eval_L(lag, 0.0, 0.3, ps)
     assert np.max(np.abs(vals - 0.5 * ps * ps)) < 1e-9
@@ -89,9 +91,7 @@ def test_base_point_override_is_recorded():
 
 
 def test_robin_end_cancels_the_gradient_slope():
-    spec = models.heat_equation(
-        bc_left=BoundaryCondition.robin(lambda u: u)
-    )
+    spec = models.from_descriptor({"model": "heat", "bc": [_ROBIN, "dirichlet"]})
     lag = _lag(spec)
     assert lag.metadata["l1_kind"] == "left"
     # l1(u) = -int_0^u w = -u for the unit weight
@@ -101,8 +101,7 @@ def test_robin_end_cancels_the_gradient_slope():
 
 
 def test_two_robin_ends_interpolate_the_boundary_term():
-    robin = BoundaryCondition.robin(lambda u: u)
-    spec = models.heat_equation(bc_left=robin, bc_right=robin)
+    spec = models.from_descriptor({"model": "heat", "bc": [_ROBIN, _ROBIN]})
     lag = _lag(spec)
     assert lag.metadata["l1_kind"] == "interp"
     assert lag.l1(0.0, 0.5) == pytest.approx(lag.l1(1.0, 0.5), abs=1e-10)
@@ -111,9 +110,8 @@ def test_two_robin_ends_interpolate_the_boundary_term():
 
 @pytest.mark.parametrize("both_ends", [False, True])
 def test_density_does_not_depend_on_query_history(both_ends):
-    robin = BoundaryCondition.robin(lambda u: u)
-    spec = models.pure_mean_curvature(
-        bc_left=robin, bc_right=robin if both_ends else None
+    spec = models.from_descriptor(
+        {"model": "mcf_pure", "bc": [_ROBIN, _ROBIN if both_ends else "dirichlet"]}
     )
     fresh = eval_L(_lag(spec), 0.5, 0.8, 0.7)
     lag = _lag(spec)
@@ -126,9 +124,7 @@ def test_star_point_term_with_a_robin_end():
     # Unit weight and no reaction: l1 = -u and l1_x = 0, so l0 = 0 and
     # L = p^2/2 - u p, whose Euler-Lagrange residual L_u - L_px - p L_pu
     # is -p + p = 0, as heat needs.
-    spec = models.heat_equation(
-        bc_left=BoundaryCondition.robin(lambda u: u)
-    )
+    spec = models.from_descriptor({"model": "heat", "bc": [_ROBIN, "dirichlet"]})
     lag = _lag(spec)
     for u, p in ((0.7, 1.3), (-0.4, 0.2), (0.0, -1.1)):
         exact = 0.5 * p * p - u * p
@@ -212,7 +208,7 @@ def test_comparison_surfaces_the_documented_variant():
 
 
 def test_eval_broadcasting():
-    lag = _lag(models.heat_equation())
+    lag = _lag(models.from_descriptor({"model": "heat"}))
     grid = eval_L(lag, 0.0, np.zeros((2, 3)), np.ones((2, 3)))
     assert grid.shape == (2, 3)
     assert np.allclose(grid, 0.5)
@@ -232,8 +228,6 @@ def test_quadrature_failure_names_the_stage_and_the_point(evaluator, stage):
     )
 
 
-_ROBIN = BoundaryCondition.robin(lambda u: u)
-
 # (spec, options, u range, p range); each p range stays on the model's branch.
 _PROPERTY_CASES = {
     "rho_poly": (
@@ -245,13 +239,15 @@ _PROPERTY_CASES = {
         {}, (0.25, 1.0), (0.05, 2.0),
     ),
     "heat_robin_left": (
-        models.heat_equation(bc_left=_ROBIN), {}, (-1.0, 1.0), (-2.0, 2.0),
+        models.from_descriptor({"model": "heat", "bc": [_ROBIN, "dirichlet"]}),
+        {}, (-1.0, 1.0), (-2.0, 2.0),
     ),
     "heat_robin_right": (
-        models.heat_equation(bc_right=_ROBIN), {}, (-1.0, 1.0), (-2.0, 2.0),
+        models.from_descriptor({"model": "heat", "bc": ["dirichlet", _ROBIN]}),
+        {}, (-1.0, 1.0), (-2.0, 2.0),
     ),
     "mcf_robin_both": (
-        models.pure_mean_curvature(bc_left=_ROBIN, bc_right=_ROBIN),
+        models.from_descriptor({"model": "mcf_pure", "bc": [_ROBIN, _ROBIN]}),
         {}, (-1.0, 1.0), (-2.0, 2.0),
     ),
 }

@@ -10,16 +10,7 @@ import numpy as np
 import pytest
 
 from paralyap import models
-from paralyap.models import (
-    BoundaryCondition,
-    McfPoly,
-    PorousMedium,
-    RhoLaplacianPoly,
-    SampleBox,
-    from_descriptor,
-    instantiate,
-    validate_spec,
-)
+from paralyap.models import BoundaryCondition, SampleBox, from_descriptor, validate_spec
 
 
 def _builtin_roster():
@@ -121,10 +112,10 @@ def test_closed_form_density_values():
     # (rho-1)/((rho-n)(rho-n-1)) |p|^(rho-n) - u = |p|^2 - u
     assert rho.closed_forms.lagrangian(0.25, -2.0) == pytest.approx(4.0 - 0.25)
 
-    pure = models.pure_rho_laplacian(3.0)
+    pure = models.from_descriptor({"model": "rho_laplacian_pure", "rho": 3.0})
     assert pure.closed_forms.lagrangian(0.7, 1.0) == pytest.approx(1.0 / 3.0)
 
-    mcf = models.pure_mean_curvature()
+    mcf = models.from_descriptor({"model": "mcf_pure"})
     assert mcf.closed_forms.lagrangian(0.0, 1.0) == pytest.approx(math.sqrt(2.0))
 
 
@@ -139,14 +130,35 @@ def test_degenerate_reaction_exponent_disables_the_oracle():
 
 
 def test_constructor_guards():
-    with pytest.raises(ValueError):
-        RhoLaplacianPoly(1.5, 1.0)
-    with pytest.raises(ValueError):
-        McfPoly(-1.0)
-    with pytest.raises(ValueError):
-        PorousMedium(0.5)
-    with pytest.raises(ValueError):
-        models.pure_rho_laplacian(1.0)
+    # Every descriptor number is finite and in its family's range, or the
+    # build stops with a message that names it.
+    cases = [
+        # Out of the family's range.
+        ({"model": "rho_laplacian_poly", "rho": 1.5, "n": 1.0}, "rho must be >= 2"),
+        ({"model": "rho_laplacian_poly", "rho": 3.0, "n": -1.0}, "n must be >= 0"),
+        ({"model": "mcf_poly", "n": -1.0}, "n must be >= 0"),
+        ({"model": "porous_medium", "m": 0.5}, "m must be >= 1"),
+        ({"model": "rho_laplacian_pure", "rho": 1.0}, "rho must be >= 2"),
+        ({"model": "filtration", "a": {"kind": "power", "exponent": -1.0}}, "exponent must be > 0"),
+        ({"model": "filtration", "a": {"kind": "power", "exponent": 0.0}}, "exponent must be > 0"),
+        # Not finite, missing, or not a number at all.
+        ({"model": "rho_laplacian_poly", "rho": "nan", "n": 1.0}, "rho must be a finite number"),
+        ({"model": "rho_laplacian_poly", "rho": 3.0, "n": math.nan}, "n must be a finite number"),
+        ({"model": "mcf_poly", "n": "inf"}, "n must be a finite number"),
+        ({"model": "porous_medium", "m": "nan"}, "m must be a finite number"),
+        ({"model": "porous_medium", "m": math.inf}, "m must be a finite number"),
+        ({"model": "porous_medium"}, "m must be a finite number"),
+        ({"model": "porous_medium", "m": 10**400}, "m must be a finite number"),
+        ({"model": "quasilinear_gradient", "a": {"kind": "power_abs", "exponent": "nan"}},
+         "exponent must be a finite number"),
+        ({"model": "quasilinear_gradient", "h": {"kind": "linear", "slope": [1.0]}},
+         "slope must be a finite number"),
+        ({"model": "heat", "bc": [{"kind": "robin", "b": {"kind": "constant", "value": "inf"}},
+                                  "dirichlet"]}, "value must be a finite number"),
+    ]
+    for descriptor, message in cases:
+        with pytest.raises(ValueError, match=message):
+            from_descriptor(descriptor)
 
 
 def test_boundary_condition_builders():
@@ -179,6 +191,12 @@ def test_descriptor_errors():
         from_descriptor({"model": "heat", "bc": ["dirichlet", "free"]})
     with pytest.raises(ValueError):
         from_descriptor({"model": "quasilinear_gradient", "a": {"kind": "no_such"}})
+    # Names that are not strings, and Robin slopes that are not objects.
+    with pytest.raises(ValueError, match="unknown model"):
+        from_descriptor({"model": ["heat"]})
+    for b in (1.0, "zero", {"value": 1.0}, {"kind": ["zero"]}):
+        with pytest.raises(ValueError, match="robin slope"):
+            from_descriptor({"model": "heat", "bc": [{"kind": "robin", "b": b}, "dirichlet"]})
 
 
 def test_descriptor_is_recorded_in_params():
@@ -186,11 +204,6 @@ def test_descriptor_is_recorded_in_params():
     spec = from_descriptor(d)
     assert spec.params["descriptor"] == d
     assert spec.name == "mcf_poly"
-
-
-def test_instantiate_rejects_unknown_model():
-    with pytest.raises(ValueError):
-        instantiate(object())
 
 
 def test_validator_reports_a_broken_model_instead_of_raising():
@@ -208,7 +221,7 @@ def test_validator_reports_a_broken_model_instead_of_raising():
 def test_filtration_derivative_fallback():
     # Only a itself supplied: derivatives come from central differences.
     filt = models.Filtration(a=lambda u: np.asarray(u, dtype=float) ** 3)
-    spec = instantiate(filt)
+    spec = from_descriptor({"model": "filtration", "a": filt})
     assert spec.diffusion_coeff(0.0, 0.5, 0.0) == pytest.approx(3.0 * 0.25, rel=1e-5)
     assert spec.diffusion_coeff_du(0.0, 0.5, 0.0) == pytest.approx(3.0, rel=1e-3)
 
@@ -227,7 +240,7 @@ def test_superslow_filtration_ships_closed_form_derivatives():
 @pytest.mark.parametrize("u", [0.1, 0.5, 1.3])
 def test_filtration_second_derivative_fallback(u):
     # Only a = exp supplied: a'' = e**u comes from one second difference.
-    spec = instantiate(models.Filtration(a=np.exp))
+    spec = from_descriptor({"model": "filtration", "a": models.Filtration(a=np.exp)})
     assert spec.diffusion_coeff_du(0.0, u, 0.0) == pytest.approx(math.exp(u), rel=1e-7)
 
 

@@ -11,7 +11,6 @@ import pytest
 from scipy.integrate import trapezoid
 
 from paralyap import models
-from paralyap.models import BoundaryCondition
 from paralyap.solver import (
     Grid1D,
     SolverControls,
@@ -63,7 +62,7 @@ def test_degenerate_power_rejects_negative_states():
 
 
 def test_interior_rhs_matches_reference_stencil():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(16)
     rng = np.random.default_rng(11)
     u = rng.uniform(-1.0, 1.0, grid.n_cells + 1)
@@ -74,9 +73,7 @@ def test_interior_rhs_matches_reference_stencil():
 
 
 def test_robin_end_uses_the_ghost_node():
-    spec = models.heat_equation(
-        bc_left=BoundaryCondition.robin(lambda u: u)
-    )
+    spec = models.from_descriptor({"model": "heat", "bc": [_robin(1.0), "dirichlet"]})
     grid = Grid1D(8)
     u = np.full(grid.n_cells + 1, 0.5)
     ut = evolution_rhs(spec, grid, u)
@@ -151,7 +148,7 @@ def test_rhs_is_the_model_rhs_on_the_shared_stencil(desc, left, right):
 
 
 def test_heun_step_matches_reference_update():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(16)
     u0 = np.sin(np.pi * grid.nodes)
     frame = StateFrame(0.0, u0, evolution_rhs(spec, grid, u0))
@@ -196,7 +193,7 @@ def test_dirichlet_ends_hold_their_value_in_the_divergence_form():
 
 
 def test_linear_steady_state_is_preserved():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(16)
     result = simulate(spec, grid.nodes.copy(), t_end=0.01, grid=grid)
     assert np.max(np.abs(result[-1].u - grid.nodes)) < 1e-12
@@ -205,7 +202,7 @@ def test_linear_steady_state_is_preserved():
 def test_heat_decay_rate_matches_the_spectrum():
     # sin(pi x) decays like exp(-lambda t) with the discrete eigenvalue
     # lambda = 2 (1 - cos(pi dx)) / dx^2.
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(64)
     u0 = np.sin(np.pi * grid.nodes)
     t_end = 0.02
@@ -217,7 +214,7 @@ def test_heat_decay_rate_matches_the_spectrum():
 
 
 def test_frames_carry_their_own_rhs():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(16)
     result = simulate(spec, np.sin(np.pi * grid.nodes), t_end=1e-3, grid=grid)
     for frame in result:
@@ -225,7 +222,7 @@ def test_frames_carry_their_own_rhs():
 
 
 def test_output_stride_thins_frames_but_keeps_ends():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(32)
     u0 = np.sin(np.pi * grid.nodes)
     dense = simulate(spec, u0, t_end=2e-3, grid=grid)
@@ -239,7 +236,7 @@ def test_output_stride_thins_frames_but_keeps_ends():
 
 
 def test_cfl_scales_with_the_diffusion_coefficient():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(32)
     u0 = np.sin(np.pi * grid.nodes)
     result = simulate(spec, u0, t_end=1e-2, grid=grid)
@@ -267,7 +264,7 @@ def test_porous_medium_front_stays_nonnegative():
 
 
 def test_bad_inputs_raise():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(16)
     with pytest.raises(ValueError):
         simulate(spec, np.zeros(5), t_end=1e-3, grid=grid)
@@ -329,7 +326,7 @@ def _negative_state():
 
 
 def _overflowing_step():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(8)
     u = np.sin(np.pi * grid.nodes)
     with np.errstate(all="ignore"):
@@ -344,7 +341,7 @@ def _nan_coefficient():
 
 
 def _step_below_floor():
-    spec = models.heat_equation()
+    spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(8)
     _cfl_dt(spec, grid, np.zeros(9), SolverControls(dt_floor=1.0), 1.0, 0.25)
 
