@@ -9,7 +9,7 @@ fully nonlinear evolution.  The pieces:
   boundary conditions, optional closed-form references) and validates it.
 - :mod:`paralyap.characteristics` integrates the auxiliary curve system
   and exposes the log-weight g through interchangeable providers
-  (analytic, reduced 1-D quadrature, tabulated scattered data).
+  (analytic, reduced 1-D quadrature, curves traced back to x = 0).
 - :mod:`paralyap.lagrangian` assembles the density L from the weight
   exp(g) times the second-order coefficient and evaluates L, L_p, L_pp.
 - :mod:`paralyap.solver` evolves the PDE on a uniform grid.
@@ -28,7 +28,6 @@ from .characteristics import (
     CharTrajectory,
     GProvider,
     ReducedGError,
-    SeedGrid,
     Termination,
     analytic_g,
     integrate_characteristics,
@@ -101,7 +100,6 @@ __all__ = [
     "QuadratureError",
     "ReducedGError",
     "SampleBox",
-    "SeedGrid",
     "SimulationResult",
     "SolverControls",
     "SolverError",

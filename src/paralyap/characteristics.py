@@ -8,17 +8,17 @@ weights the diffusion coefficient.  Along the auxiliary curves
                                               - diffusion_coeff_dx
                                               - p * diffusion_coeff_du,
 
-g satisfies an ODE, so integrating the curves from the seed plane x = 0
-(where g is fixed to 0) samples the field.  One integrator advances a batch
-of curves as one array; a lone curve is a batch of one.  Three queryable
-representations are provided: closed-form (``analytic_g``), integration of
-dg/dp at a frozen base point (``reduced_ode_g``), and interpolation over a
-batch of curves (``tabulate_g``).
+g satisfies an ODE.  One integrator advances a batch of curves as one
+array, each toward the plane x = ``x_end``; a lone curve is a batch of one.
+Three queryable representations are provided: closed-form (``analytic_g``),
+integration of dg/dp at a frozen base point (``reduced_ode_g``), and the
+exact solution normalized on the plane x = 0, found by tracing each query's
+curve back to that plane (``tabulate_g``).
 
-Since diffusion_coeff >= 0, x never decreases along a curve, and the
-fifth-order update used here keeps that guarantee exactly: its weights are
-all nonnegative, so the x increment is a nonnegative combination of stage
-values of the diffusion coefficient.
+Since diffusion_coeff >= 0, x moves monotonically toward the plane along a
+curve, and the fifth-order update used here keeps that guarantee exactly:
+its weights are all nonnegative, so the x increment is a nonnegative
+combination of stage values of the directed speed.
 """
 
 import dataclasses
@@ -46,6 +46,11 @@ __all__ = [
     "reduced_ode_g",
     "tabulate_g",
 ]
+
+# A step that crosses the plane x = x_end by more than this is redone with
+# the secant step that lands on it; a curve this close to the plane has
+# reached it.
+_LAND_TOL = 1e-12
 
 
 class CharacteristicsError(RuntimeError):
@@ -92,7 +97,9 @@ class CharTrajectory:
 class CharControls:
     """Step-size and termination controls for the curve integrator."""
 
-    dt0: float = 1e-3
+    # The length of the unit interval: with the landing clamp, a curve's
+    # first attempt is the step that reaches the plane at its starting speed.
+    dt0: float = 1.0
     tol: float = 1e-8
     tau_max: float = 50.0
     x_end: Optional[float] = 1.0
@@ -101,8 +108,7 @@ class CharControls:
     blowup_cap: float = 1e8
     max_steps: int = 200000
     dt_min: float = 1e-14
-    # Upper bound on the accepted step; the tabulation path sets this to keep
-    # sample spacing along each curve roughly uniform.
+    # Upper bound on the accepted step, for a caller that wants dense states.
     dt_max: Optional[float] = None
 
 
@@ -129,16 +135,20 @@ def _g_rate(spec: ProblemSpec, x, u, p):
     )
 
 
-def _integrate_curves(spec: ProblemSpec, seeds, controls: CharControls):
-    """Advance one curve per seed row (u0, p0, g0) from x = 0, all as one (n, 4) array.
+def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
+    """Advance one curve per start row (x0, u0, p0, g0), all as one (n, 4) array.
 
-    Each curve has its own step size, attempts, stall count and termination;
-    every operation is elementwise, so a curve does not depend on its batch.
-    Returns the accepted (tau, x, u, p, g) rows grouped by curve in seed
-    order, the curve of each row, and each curve's termination.
+    Each curve moves toward the plane x = ``controls.x_end``: the field is
+    multiplied by the sign of ``x_end - x0`` (+1.0 when there is no plane, or
+    it lies ahead), so tau grows either way.  A curve that starts on the
+    plane has reached it.  Each curve has its own step size, attempts, stall
+    count and termination; every operation is elementwise, so a curve does
+    not depend on its batch.  Returns the accepted (tau, x, u, p, g) rows
+    grouped by curve in start order, the curve of each row, and each curve's
+    termination.
     """
 
-    def field(y):
+    def field(y, sign):
         x, u, p = y[:, 0], y[:, 1], y[:, 2]
         if spec.char_system is not None:
             out = spec.char_system(x, u, p)
@@ -154,28 +164,32 @@ def _integrate_curves(spec: ProblemSpec, seeds, controls: CharControls):
             raise CharacteristicsError(
                 f"curve field returned a bad value at state {tuple(y[bad][0].tolist())}"
             )
-        return k
+        return k * sign[:, None]
 
-    seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
-    n = len(seeds)
+    starts = np.asarray(starts, dtype=float).reshape(-1, 4)
+    n = len(starts)
     x_end, dt_max = (math.inf if v is None else v for v in (controls.x_end, controls.dt_max))
     tau_end = controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max))
-    idx, tau, dt = np.arange(n), np.zeros(n), np.full(n, float(controls.dt0))
-    stall = np.zeros(n, dtype=int)
-    y = np.column_stack([np.zeros(n), seeds])
-    k0 = field(y)
-    rows, row_curve = [np.column_stack([tau, y])], [idx]
-    ends = np.full(n, Termination.MAX_STEPS, dtype=object)
-    live, step = np.ones(n, dtype=bool), 0
+    rows, row_curve = [np.column_stack([np.zeros(n), starts])], [np.arange(n)]
+    sign = np.where(starts[:, 0] > x_end, -1.0, 1.0)
+    live = sign * (x_end - starts[:, 0]) > _LAND_TOL
+    ends = np.full(n, Termination.REACHED_X_END, dtype=object)
+    ends[live] = Termination.MAX_STEPS
+    idx, y, sign = np.flatnonzero(live), starts[live], sign[live]
+    m = len(idx)
+    tau, dt, stall = np.zeros(m), np.full(m, float(controls.dt0)), np.zeros(m, dtype=int)
+    k0 = field(y, sign)
+    live, step = np.ones(m, dtype=bool), 0
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Each live curve makes one attempt per pass: ``step`` counts them all.
         while step < controls.max_steps and live.any():
             step += 1
-            idx, y, tau, dt, k0, stall = (a[live] for a in (idx, y, tau, dt, k0, stall))
-            # Hard clamps: land exactly on tau_max, and cap so x barely
-            # crosses x_end instead of overshooting it.
-            to_end = np.where(k0[:, 0] > 0.0, (x_end + 1e-9 - y[:, 0]) / k0[:, 0], math.inf)
+            idx, y, sign, tau, dt, k0, stall = (a[live] for a in (idx, y, sign, tau, dt, k0, stall))
+            # Hard clamps: land exactly on tau_max, and stop where the plane
+            # lies at the current speed.
+            gap = sign * (x_end - y[:, 0])
+            to_end = np.where(k0[:, 0] > 0.0, gap / k0[:, 0], math.inf)
             dt = np.minimum(np.minimum(np.minimum(dt, dt_max), controls.tau_max - tau), to_end)
             under = dt < controls.dt_min
             if under.any():
@@ -183,25 +197,29 @@ def _integrate_curves(spec: ProblemSpec, seeds, controls: CharControls):
             # Each weighted sum runs in stage order, as for a lone curve.
             ks = [k0]
             for a in _A[1:]:
-                ks.append(field(y + dt[:, None] * sum(w * k for w, k in zip(a, ks))))
+                ks.append(field(y + dt[:, None] * sum(w * k for w, k in zip(a, ks)), sign))
             y5, y4 = (y + dt[:, None] * sum(w * k for w, k in zip(b, ks)) for b in (_B5, _B4))
             err = np.max(np.abs(y5 - y4) / (controls.tol * (1.0 + np.abs(y5))), axis=1)
-            ok = err <= 1.0
+            # A step that passes the plane is redone with the secant step to it.
+            gap5 = sign * (x_end - y5[:, 0])
+            over = (err <= 1.0) & (gap5 < -_LAND_TOL)
+            ok = (err <= 1.0) & ~over
             tau = np.where(ok, tau + dt, tau)
             y = np.where(ok[:, None], y5, y)
             # float_power rounds as libm's pow; an array ``**`` may take a SIMD path.
-            dt = dt * np.where(
+            dt = np.where(over, dt * gap / (gap - gap5), dt * np.where(
                 ok, np.minimum(5.0, np.maximum(0.2, 0.9 * np.float_power(err + 1e-300, -0.2))),
                 np.where(np.isfinite(err), np.maximum(0.2, 0.9 * np.float_power(err, -0.25)), 0.2),
-            )
+            ))
             if ok.any():
                 rows.append(np.column_stack([tau[ok], y[ok]]))
                 row_curve.append(idx[ok])
-                k0[ok] = field(y[ok])
             # Accepted states are finite: a non-finite y5 makes err nan.
             blowup = ok & (np.max(np.abs(y[:, 2:]), axis=1) > controls.blowup_cap)
-            reached = ok & ~blowup & (y[:, 0] >= x_end)
+            reached = ok & ~blowup & (sign * (x_end - y[:, 0]) <= _LAND_TOL)
             moving = ok & ~(blowup | reached | (tau >= tau_end))
+            if moving.any():
+                k0[moving] = field(y[moving], sign[moving])
             slow = np.abs(k0[:, 0]) < controls.stall_eps
             stall = np.where(moving, np.where(slow, stall + 1, 0), stall)
             stalled = moving & (stall >= controls.stall_window)
@@ -217,23 +235,26 @@ def _integrate_curves(spec: ProblemSpec, seeds, controls: CharControls):
 
 def integrate_characteristics(spec: ProblemSpec, init: dict,
                               controls: CharControls = CharControls()) -> CharTrajectory:
-    """Integrate one characteristic curve from the seed plane x = 0.
+    """Integrate one characteristic curve toward the plane x = ``controls.x_end``.
 
-    ``init`` supplies u0, p0 and optionally g0 (default 0).  The curve starts
-    at x = 0 and is advanced with an embedded 5(4) pair under a mixed
-    absolute/relative error target ``controls.tol``.  Termination is an
-    observation, not a failure: reaching ``x_end``, stalling (dx/dtau below
-    ``stall_eps`` for ``stall_window`` accepted steps), a component passing
-    ``blowup_cap``, or exhausting ``max_steps``.  Only a step-size underflow
-    or a non-finite field value raises.
+    ``init`` supplies u0, p0 and optionally x0 and g0 (default 0 both).  The
+    curve runs forward in x when the plane lies ahead of x0 (or there is
+    none) and backward when it lies behind.  It is advanced with an embedded
+    5(4) pair under a mixed absolute/relative error target ``controls.tol``;
+    a step that would pass the plane is redone with the secant step that
+    lands on it.  Termination is an observation, not a failure: reaching
+    ``x_end``, stalling (dx/dtau below ``stall_eps`` for ``stall_window``
+    accepted steps), a component passing ``blowup_cap``, or exhausting
+    ``max_steps`` or ``tau_max``.  Only a step-size underflow or a non-finite
+    field value raises.
 
     Models may supply ``char_system`` to integrate a rescaled field with the
     same curve geometry; the porous-medium builtin does this to remove the
     shared degenerate factor from the flow speed.  The curve is a batch of
     one for the integrator that ``tabulate_g`` uses.
     """
-    seed = (init["u0"], init["p0"], init.get("g0", 0.0))
-    states, _, ends = _integrate_curves(spec, [seed], controls)
+    start = (init.get("x0", 0.0), init["u0"], init["p0"], init.get("g0", 0.0))
+    states, _, ends = _integrate_curves(spec, [start], controls)
     return CharTrajectory(tuple(CharState(*row) for row in states.tolist()), ends[0])
 
 
@@ -335,18 +356,18 @@ class GProvider:
     """A queryable g(x, u, p) with its normalization and provenance.
 
     ``variant`` is one of "analytic", "reduced_ode", "tabulated".  Analytic
-    and reduced variants are functions of p alone and are x-independent;
-    the tabulated variant interpolates scattered curve samples in (x, u, p).
+    and reduced variants are functions of p alone, normalized at the
+    gradient ``p0``, and are x-independent; the tabulated variant is
+    normalized on the plane x = 0 instead, so its ``p0`` is None.
+    ``extrapolations`` counts the queries answered with nan because their
+    curve did not reach that plane.
     """
 
     variant: str
-    p0: float
+    p0: Optional[float]
     g0: float
     _eval: Callable = field(repr=False)
-    coverage: Optional[float] = None
-    low_coverage: bool = False
     extrapolations: int = 0
-    snapshot: Optional[dict] = field(default=None, repr=False)
 
     def __call__(self, x, u, p):
         return self._eval(x, u, p)
@@ -380,111 +401,34 @@ def reduced_ode_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0) -> GProvi
     return GProvider("reduced_ode", p0, g0, evaluate)
 
 
-@dataclass(frozen=True)
-class SeedGrid:
-    u0_values: tuple
-    p0_values: tuple
+def tabulate_g(spec: ProblemSpec, g0: float = 0.0,
+               controls: CharControls = CharControls()) -> GProvider:
+    """g with g = g0 on the plane x = 0, by tracing each query's curve back to it.
 
+    For each query (x, u, p) the characteristic curve through that point is
+    followed backward in tau until it reaches x = 0; the answer is g0 minus
+    the g gained along the way, so it solves the transport equation exactly
+    up to the integrator's tolerance.  All queries of a call advance as one
+    batch, and each answer depends only on its own query.  The plane is
+    reachable wherever the diffusion coefficient is positive.  A curve that
+    stalls, blows up or runs out of tau is answered with nan, and counted in
+    ``extrapolations``.  ``controls.x_end`` is ignored: the plane is x = 0.
 
-def tabulate_g(spec: ProblemSpec, seed_grid: SeedGrid,
-               controls: CharControls = CharControls(),
-               query_box: tuple = ((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-               coverage_min: float = 0.9) -> GProvider:
-    """Integrate a curve per seed and interpolate the collected g samples.
-
-    Every accepted state with x inside [0, 1] becomes a sample.  Queries use
-    inverse-distance weighting (power 2, 8 nearest neighbors) in per-axis
-    scaled coordinates, which reproduces sample values exactly at the nodes.
-    Coverage of ``query_box`` is probed on a 9x9x9 grid: a point counts as
-    covered when its nearest sample lies within three median nearest-neighbor
-    spacings.  Low coverage flags the provider; queries beyond the covered
-    radius fall back to the nearest sample and bump ``extrapolations``.
-
-    Unless the caller caps the step size, a default ``dt_max`` keeps samples
-    roughly evenly spaced along each curve; the adaptive controller would
-    otherwise stride across easy models in a handful of accepted steps and
-    starve the table.
-
-    The curves advance as one batch.
+    The function name, the "tabulated" variant and the ``extrapolations``
+    field are kept from an earlier interpolation table, because the
+    benchmark's tracer binds them by name and its configs name the mode.
     """
-    box = np.asarray(query_box, dtype=float)
-    if box.shape != (3, 2):
-        raise ValueError(f"query_box needs three (lo, hi) pairs, not shape {box.shape}")
-    if controls.dt_max is None:
-        controls = dataclasses.replace(controls, dt_max=0.05)
-    seeds = [(u0, q0, 0.0) for u0 in seed_grid.u0_values for q0 in seed_grid.p0_values]
-    states, _, ends = _integrate_curves(spec, seeds, controls)
-
-    samples = states[(states[:, 1] >= 0.0) & (states[:, 1] <= 1.0 + 1e-9), 1:]
-    pts, vals = samples[:, :3], samples[:, 3]
-    if len(pts) < 2:
-        raise CharacteristicsError("tabulation produced fewer than 2 samples")
-
-    scale = np.std(pts, axis=0)
-    scale[scale < 1e-12] = 1.0
-    scaled = pts / scale
-    # Imported here, not at module load, so that importing paralyap does not
-    # load scipy; the tree is the only scipy use in the package.
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(scaled)
-
-    self_nn = tree.query(scaled, k=2)[0][:, 1]
-    radius = 3.0 * float(np.median(self_nn))
-
-    grids = [np.linspace(lo, hi, 9) for lo, hi in box]
-    probe = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, 3)
-    probe_d = tree.query(probe / scale, k=1)[0]
-    coverage = float(np.mean(probe_d <= radius))
-
-    k = min(8, len(pts))
+    controls = dataclasses.replace(controls, x_end=0.0)
 
     def evaluate(x, u, p):
-        q = np.column_stack([
-            np.broadcast_arrays(
-                np.asarray(x, dtype=float), np.asarray(u, dtype=float),
-                np.asarray(p, dtype=float)
-            )[i].ravel()
-            for i in range(3)
-        ])
-        d, idx = tree.query(q / scale, k=k)
-        d = np.atleast_2d(d)
-        idx = np.atleast_2d(idx)
-        out = np.empty(len(q))
-        far = d[:, 0] > radius
-        n_far = int(np.count_nonzero(far))
-        if n_far:
-            provider.extrapolations += n_far
-            out[far] = vals[idx[far, 0]]
-        near = ~far
-        if near.any():
-            dn = d[near]
-            exact = dn[:, 0] < 1e-12
-            # Exact hits are overwritten below, so their 1/0 weights may be
-            # computed as inf/nan without consequence.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                w = 1.0 / dn**2
-                iw = np.sum(w * vals[idx[near]], axis=1) / np.sum(w, axis=1)
-            iw[exact] = vals[idx[near][exact, 0]]
-            out[near] = iw
-        shape = np.broadcast_shapes(
-            np.asarray(x).shape, np.asarray(u).shape, np.asarray(p).shape
-        )
-        return out.reshape(shape) if shape else float(out[0])
+        x, u, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, u, p)))
+        starts = np.column_stack([x.ravel(), u.ravel(), p.ravel(), np.zeros(x.size)])
+        states, curve, ends = _integrate_curves(spec, starts, controls)
+        last = states[np.searchsorted(curve, np.arange(len(ends)), side="right") - 1, 4]
+        reached = np.array([end is Termination.REACHED_X_END for end in ends], dtype=bool)
+        provider.extrapolations += int(np.count_nonzero(~reached))
+        out = np.where(reached, g0 - last, np.nan)
+        return out.reshape(x.shape) if x.ndim else float(out[0])
 
-    snapshot = {
-        "variant": "tabulated",
-        "n_samples": int(len(pts)),
-        "scale": [float(v) for v in scale],
-        "radius_scaled": radius,
-        "coverage": coverage,
-        "coverage_min": coverage_min,
-        "query_box": box.tolist(),
-        "terminations": sorted({t.value for t in ends}),
-        "samples": dict(zip(("x", "u", "p", "g"), samples.T.tolist())),
-    }
-    provider = GProvider(
-        "tabulated", float("nan"), 0.0, evaluate,
-        coverage=coverage, low_coverage=coverage < coverage_min, snapshot=snapshot,
-    )
+    provider = GProvider("tabulated", None, g0, evaluate)
     return provider

@@ -13,7 +13,8 @@ This module alone fixes the byte format of the artifacts: ``_write_csv``
 writes each float as ``repr`` and ``_write_json`` sorts keys and indents by
 two; only the streamed ``trajectory.csv`` has its own writer.
 ``--workers N`` is accepted for compatibility and ignored: every stage runs
-in one thread.  Exit codes: 0 success, 1 error, 2 success with warnings.
+in one thread.  Exit codes: 0 success, 1 error, 2 success with consistency
+warnings.
 """
 
 import argparse
@@ -31,7 +32,6 @@ from .characteristics import (
     CharControls,
     GProvider,
     ReducedGError,
-    SeedGrid,
     analytic_g,
     reduced_ode_g,
     tabulate_g,
@@ -61,12 +61,6 @@ _DEFAULTS = {
     "time": {"t_end": 0.01, "output_stride": 8},
     "initial": {"profile": "sin", "amplitude": 1.0, "k": 1},
     "char_controls": {},
-    "seed_grid": {
-        "u0": [-1.0, -0.5, 0.0, 0.5, 1.0],
-        "p0": [-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0],
-    },
-    "query_box": [[0.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]],
-    "coverage_min": 0.9,
     "grid_dump": {
         "x": [0.5],
         "u": {"min": 0.25, "max": 1.0, "n": 9},
@@ -108,7 +102,15 @@ def _resolve_config(path):
         raise CliError("cli", f"config is not valid JSON: {exc}")
     if not isinstance(user, dict):
         raise CliError("cli", "config must be a JSON object")
+    _refuse_unknown(user, _DEFAULTS, "cli")
     return _merge(_DEFAULTS, user)
+
+
+def _refuse_unknown(settings, known, module):
+    """A setting nothing reads is an error, not a silent no-op."""
+    extra = set(settings) - set(known)
+    if extra:
+        raise CliError(module, f"unknown settings {sorted(extra)}")
 
 
 def _axis(d):
@@ -123,11 +125,10 @@ def _build_spec(config) -> ProblemSpec:
 
 
 def _char_controls(config) -> CharControls:
-    kinds = {f.name: f.type for f in dataclasses.fields(CharControls)}
-    extra = set(config["char_controls"]) - set(kinds)
-    if extra:
-        raise CliError("characteristics", f"unknown curve controls {sorted(extra)}")
-    # A wrong type raises here; only the Optional controls (x_end, dt_max) take null.
+    # x_end is no setting: the tabulated provider traces every curve to x = 0.
+    kinds = {f.name: f.type for f in dataclasses.fields(CharControls) if f.name != "x_end"}
+    _refuse_unknown(config["char_controls"], kinds, "characteristics")
+    # A wrong type raises here; only the Optional control dt_max takes null.
     return CharControls(**{
         key: None if value is None and kinds[key] not in (int, float)
         else (int if kinds[key] is int else float)(value)
@@ -144,10 +145,6 @@ def _build_provider(spec, config) -> GProvider:
             norm["p0"] = forms.canonical_p0 if forms is not None else 1.0
         p0, g0 = float(norm["p0"]), float(norm["g0"])
         if mode == "tabulated":
-            seeds = SeedGrid(*(tuple(map(float, config["seed_grid"][k])) for k in ("u0", "p0")))
-            # Each range is converted as given; tabulate_g checks the box shape.
-            box = tuple(tuple(map(float, r)) for r in config["query_box"])
-            coverage_min = float(config["coverage_min"])
             controls = _char_controls(config)
     except (TypeError, ValueError) as exc:
         raise CliError("characteristics", f"bad provider setting: {exc}")
@@ -157,7 +154,7 @@ def _build_provider(spec, config) -> GProvider:
         if mode == "reduced":
             return reduced_ode_g(spec, p0, g0)
         if mode == "tabulated":
-            return tabulate_g(spec, seeds, controls, box, coverage_min=coverage_min)
+            return tabulate_g(spec, g0, controls)
     except (ValueError, ReducedGError, CharacteristicsError) as exc:
         raise CliError("characteristics", str(exc))
     raise CliError("cli", f"unknown g_mode {mode!r}")
@@ -166,13 +163,11 @@ def _build_provider(spec, config) -> GProvider:
 def _build_lagrangian(spec, provider, config) -> Lagrangian:
     opts = config["lagrangian"]
     try:
-        extra = set(opts) - set(_DEFAULTS["lagrangian"])
         p_base = None if opts["p_base"] is None else float(opts["p_base"])
         options = LagrangianOptions(p_base=p_base, quad_tol=float(opts["quad_tol"]))
     except (TypeError, ValueError) as exc:
         raise CliError("lagrangian", f"bad setting: {exc}")
-    if extra:
-        raise CliError("lagrangian", f"unknown settings {sorted(extra)}")
+    _refuse_unknown(opts, _DEFAULTS["lagrangian"], "lagrangian")
     try:
         return build_lagrangian(spec, provider, options)
     except (LagrangianError, QuadratureError) as exc:
@@ -242,12 +237,7 @@ def _manifest(out_dir, command, config, results):
 
 
 def _provider_summary(provider: GProvider):
-    return {
-        "variant": provider.variant,
-        "coverage": provider.coverage,
-        "low_coverage": provider.low_coverage,
-        "extrapolations": provider.extrapolations,
-    }
+    return {"variant": provider.variant, "extrapolations": provider.extrapolations}
 
 
 def cmd_construct_energy(config, out_dir: Path) -> int:
@@ -283,27 +273,19 @@ def cmd_construct_energy(config, out_dir: Path) -> int:
     if forms is not None and forms.lagrangian is not None:
         comparison = compare_closed_form(lag, us, ps, x=xs[0])
         sidecar["closed_form_residual"] = comparison["max_residual"]
-    if provider.variant == "tabulated":
-        _write_json(out_dir, "g_provider.json",
-                    {**provider.snapshot, "extrapolations": provider.extrapolations})
     _write_json(out_dir, "lagrangian_sidecar.json", sidecar)
-
-    warn = provider.low_coverage
     _manifest(out_dir, "construct-energy", config, {
         "p_base": lag.p_base,
         "provider": _provider_summary(provider),
-        "warning": "low_coverage" if warn else None,
     })
-    if warn:
-        print(f"warning: tabulated g coverage {provider.coverage:.3f} "
-              f"below {config['coverage_min']}", file=sys.stderr)
-        return 2
     return 0
 
 
 def _simulation_inputs(config):
     """The grid, initial profile, end time and solver controls of a run."""
     try:
+        for section in ("grid", "time"):
+            _refuse_unknown(config[section], _DEFAULTS[section], "solver")
         grid = Grid1D(int(config["grid"]["n_cells"]))
         controls = SolverControls(output_stride=int(config["time"]["output_stride"]))
         t_end = float(config["time"]["t_end"])
@@ -379,6 +361,7 @@ def cmd_verify(config, out_dir: Path) -> int:
         "passed_monotonicity": report.passed_monotonicity,
         "passed_consistency": report.passed_consistency,
         "max_consistency_error": report.max_consistency_error,
+        "provider": _provider_summary(provider),
     })
     if not report.passed_monotonicity:
         print(f"monotonicity violations: {len(report.monotonicity_violations)}",

@@ -519,10 +519,13 @@ def _number(d, key, default=None, *, at_least=-math.inf, above=-math.inf):
     return v
 
 
+# A positive coefficient and a nonnegative exponent keep the diffusion
+# forward and finite.
 _A_PRESETS = {
-    "constant": lambda d: (lambda p, v=_number(d, "value", 1.0): v),
+    "constant": lambda d: (lambda p, v=_number(d, "value", 1.0, above=0.0): v),
     "power_abs": lambda d: (
-        lambda p, c=_number(d, "coef", 1.0), e=_number(d, "exponent", 0.0): c * np.abs(p) ** e
+        lambda p, c=_number(d, "coef", 1.0, above=0.0),
+        e=_number(d, "exponent", 0.0, at_least=0.0): c * np.abs(p) ** e
     ),
     "mcf": lambda d: (lambda p: (1.0 + p * p) ** -1.5),
 }

@@ -2,22 +2,21 @@
 
 The oracle curves are solvable by hand: linear diffusion gives straight
 lines, the inverse curvature model gives p = -tan(tau), and polynomial
-reactions give exact logarithms for g.
+reactions give exact logarithms for g.  Normalized on the plane x = 0, the
+same curves give g in closed form at every (x, u, p).
 """
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from paralyap import cli, models
+from paralyap import models
 from paralyap.characteristics import (
     CharacteristicsError,
     CharControls,
     GProvider,
     ReducedGError,
-    SeedGrid,
     Termination,
     analytic_g,
     integrate_characteristics,
@@ -27,6 +26,7 @@ from paralyap.characteristics import (
     _A,
     _B4,
     _B5,
+    _LAND_TOL,
     _integrate_curves,
 )
 from paralyap.models import BoundaryCondition, ProblemSpec
@@ -116,8 +116,8 @@ def test_dt_cap_limits_accepted_steps():
     assert len(taus) >= 50
 
 
-def _lone_rows(spec, seed, controls):
-    traj = integrate_characteristics(spec, dict(zip(("u0", "p0", "g0"), seed)), controls)
+def _lone_rows(spec, start, controls):
+    traj = integrate_characteristics(spec, dict(zip(("x0", "u0", "p0", "g0"), start)), controls)
     return [[s.tau, s.x, s.u, s.p, s.g] for s in traj.states], traj.termination
 
 
@@ -130,7 +130,7 @@ def _lone_rows(spec, seed, controls):
 ], ids=["heat", "inverse_mcf", "mcf_poly-2", "porous_medium-2"])
 def test_batch_curves_equal_their_lone_runs(descriptor):
     spec = models.from_descriptor(descriptor)
-    seeds = [(u0, p0, 0.0) for u0 in (0.25, 0.5, 1.0) for p0 in (-1.0, 0.3, 1.5)]
+    seeds = [(0.0, u0, p0, 0.0) for u0 in (0.25, 0.5, 1.0) for p0 in (-1.0, 0.3, 1.5)]
     controls = CharControls(dt_max=0.05)
     states, curve, ends = _integrate_curves(spec, seeds, controls)
     assert len(ends) == len(seeds)
@@ -152,12 +152,13 @@ def _scalar_curve(spec, seed, controls):
                  + p * float(spec.diffusion_coeff_du(x, u, p)))
         return fq, fq * p, float(spec.reaction(x, u, p)), rate
 
-    tau, y, dt, stall = 0.0, (0.0, *seed), controls.dt0, 0
+    tau, y, dt, stall = 0.0, seed, controls.dt0, 0
     rows, k0 = [[tau, *y]], field(*y[:3])
     for _ in range(controls.max_steps):
         dt = min(dt, controls.dt_max, controls.tau_max - tau)
+        gap = controls.x_end - y[0]
         if k0[0] > 0.0:
-            dt = min(dt, (controls.x_end + 1e-9 - y[0]) / k0[0])
+            dt = min(dt, gap / k0[0])
         ks = [k0]
         for a in _A[1:]:
             ks.append(field(*(y[c] + dt * sum(w * k[c] for w, k in zip(a, ks)) for c in range(3))))
@@ -167,16 +168,21 @@ def _scalar_curve(spec, seed, controls):
         if not err <= 1.0:
             dt *= max(0.2, 0.9 * err ** -0.25) if math.isfinite(err) else 0.2
             continue
+        gap5 = controls.x_end - y5[0]
+        if gap5 < -_LAND_TOL:
+            # Past the plane: redo with the secant step that lands on it.
+            dt = dt * gap / (gap - gap5)
+            continue
         tau, y = tau + dt, y5
         rows.append([tau, *y])
-        k0 = field(*y[:3])
         dt *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
         if max(abs(y[2]), abs(y[3])) > controls.blowup_cap:
             return rows, Termination.BLOWUP
-        if y[0] >= controls.x_end:
+        if controls.x_end - y[0] <= _LAND_TOL:
             return rows, Termination.REACHED_X_END
         if tau >= controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max)):
             return rows, Termination.MAX_STEPS
+        k0 = field(*y[:3])
         stall = stall + 1 if abs(k0[0]) < controls.stall_eps else 0
         if stall >= controls.stall_window:
             return rows, Termination.STALLED
@@ -193,7 +199,7 @@ def test_batch_equals_the_scalar_loop(descriptor):
     # These fields need no pow of a non-integer exponent, so the scalar loop
     # and the batch do the same float operations and agree bit for bit.
     spec = models.from_descriptor(descriptor)
-    seeds = [(u0, p0, 0.0) for u0 in (0.25, 1.0) for p0 in (-2.0, -0.5, 0.5, 2.0)]
+    seeds = [(0.0, u0, p0, 0.0) for u0 in (0.25, 1.0) for p0 in (-2.0, -0.5, 0.5, 2.0)]
     controls = CharControls(dt_max=0.05)
     states, curve, ends = _integrate_curves(spec, seeds, controls)
     for i, seed in enumerate(seeds):
@@ -207,7 +213,7 @@ def test_batch_terminations_match_lone_runs():
     # cap near tau = 0.2, from p0 = 0 it lives out the tau budget.
     spec = models.from_descriptor({"model": "inverse_mcf"})
     controls = CharControls(tau_max=1.0, x_end=None, blowup_cap=1e3)
-    seeds = [(0.0, 0.0, 0.0), (0.0, -5.0, 0.0), (1.0, 0.5, 0.0)]
+    seeds = [(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, -5.0, 0.0), (0.0, 1.0, 0.5, 0.0)]
     _, _, ends = _integrate_curves(spec, seeds, controls)
     assert ends == (Termination.MAX_STEPS, Termination.BLOWUP, Termination.MAX_STEPS)
     for seed, end in zip(seeds, ends):
@@ -217,7 +223,7 @@ def test_batch_terminations_match_lone_runs():
     # reaches x_end.  The scalar reaction callbacks are broadcast.
     spec = _custom_spec(lambda x, u, p: u, lambda x, u, p: 0.0, lambda x, u, p: 0.0)
     controls = CharControls(tau_max=1e6, stall_window=20, dt_max=0.5)
-    seeds = [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
+    seeds = [(0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.0)]
     states, curve, ends = _integrate_curves(spec, seeds, controls)
     assert ends == (Termination.STALLED, Termination.REACHED_X_END)
     for i, seed in enumerate(seeds):
@@ -232,7 +238,7 @@ def test_batch_failures_name_the_state_and_tau():
         lambda x, u, p: 0.0, lambda x, u, p: 0.0,
     )
     with pytest.raises(CharacteristicsError, match=r"at state \(0\.0, 1\.0, 2\.0, 0\.0\)"):
-        _integrate_curves(spec, [(0.0, 1.0, 0.0), (1.0, 2.0, 0.0)], CharControls())
+        _integrate_curves(spec, [(0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 2.0, 0.0)], CharControls())
     # A zero tolerance rejects every step until the step size underflows.
     with pytest.raises(CharacteristicsError, match=r"step size underflow at tau=0\.0"):
         integrate_characteristics(models.from_descriptor({"model": "heat"}),
@@ -240,30 +246,32 @@ def test_batch_failures_name_the_state_and_tau():
 
 
 def test_tabulated_samples_are_the_lone_states():
+    # Each answer is g0 minus the g of the last state of its query's lone
+    # curve, traced back to the plane x = 0.
     spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0})
-    grid = SeedGrid((-1.0, 0.0, 1.0), (0.5, 1.0, 1.5))
-    provider = tabulate_g(spec, grid)
-    controls = CharControls(dt_max=0.05)
-    expected = [
-        row
-        for u0 in grid.u0_values for p0 in grid.p0_values
-        for row in _lone_rows(spec, (u0, p0, 0.0), controls)[0]
-        if 0.0 <= row[1] <= 1.0 + 1e-9
-    ]
-    samples = provider.snapshot["samples"]
-    got = [list(r) for r in zip(samples["x"], samples["u"], samples["p"], samples["g"])]
-    assert got == [row[1:] for row in expected]
+    provider = tabulate_g(spec, g0=0.5)
+    xs, us, ps = (0.25, 0.75, 1.0), (-1.0, 0.0, 1.0), (-1.5, 0.5, 1.0)
+    got = provider(*np.meshgrid(xs, us, ps, indexing="ij")).ravel()
+    toward_zero = CharControls(x_end=0.0)
+    for value, (x, u, p) in zip(got, ((x, u, p) for x in xs for u in us for p in ps)):
+        rows, termination = _lone_rows(spec, (x, u, p, 0.0), toward_zero)
+        assert termination is Termination.REACHED_X_END
+        assert abs(rows[-1][1]) <= _LAND_TOL
+        assert value == 0.5 - rows[-1][4]
 
 
-@pytest.mark.parametrize("box", [
-    ((0.0, 1.0), (-1.0, 1.0)),
-    ((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0)),
-    ((0.0, 1.0, 2.0), (-1.0, 1.0), (-1.0, 1.0)),
-], ids=["two-ranges", "four-ranges", "triple"])
-def test_tabulated_rejects_a_malformed_query_box(box):
-    with pytest.raises(ValueError):
-        tabulate_g(models.from_descriptor({"model": "heat"}), SeedGrid((0.0, 1.0), (0.5, 1.0)),
-                   query_box=box)
+@pytest.mark.parametrize("x0, x_end", [(0.0, 1.0), (0.3, 1.0), (0.9, 0.0), (0.4, 0.25)],
+                         ids=["forward", "forward-mid", "backward", "backward-mid"])
+def test_curves_land_on_the_plane(x0, x_end):
+    # x runs faster as p grows, so a clamp at the starting speed overshoots;
+    # the secant redo lands within the landing tolerance either way.
+    spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0})
+    traj = integrate_characteristics(spec, {"x0": x0, "u0": 0.3, "p0": 0.7},
+                                     CharControls(x_end=x_end))
+    assert traj.termination is Termination.REACHED_X_END
+    assert abs(traj.final.x - x_end) <= _LAND_TOL
+    xs = [s.x for s in traj.states]
+    assert xs == (sorted(xs) if x_end > x0 else sorted(xs, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -353,54 +361,68 @@ def test_reduced_provider_memoizes_and_matches_analytic():
 
 
 def test_tabulated_provider_covers_and_interpolates():
+    # Heat carries g unchanged along every curve, so every reachable query
+    # is answered with exactly the value on the plane.
     spec = models.from_descriptor({"model": "heat"})
-    grid = SeedGrid(tuple(np.linspace(-1.0, 1.0, 5)), tuple(np.linspace(-1.0, 1.0, 5)))
-    provider = tabulate_g(spec, grid, query_box=((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
+    provider = tabulate_g(spec, g0=0.25)
     assert provider.variant == "tabulated"
-    assert provider.coverage is not None and provider.coverage > 0.9
-    assert not provider.low_coverage
-    # g vanishes identically on every curve of this model
-    assert abs(float(provider(0.5, 0.2, -0.4))) < 1e-9
-    # an exact sample point reproduces its stored value
-    samples = provider.snapshot["samples"]
-    x0, u0, p0, g0 = (samples[k][10] for k in ("x", "u", "p", "g"))
-    assert float(provider(x0, u0, p0)) == pytest.approx(g0, abs=1e-12)
+    assert provider.p0 is None and provider.g0 == 0.25
+    rng = np.random.default_rng(0)
+    x, u, p = rng.uniform(0.0, 1.0, 100), rng.uniform(-2.0, 2.0, 100), rng.uniform(-3.0, 3.0, 100)
+    assert np.all(provider(x, u, p) == 0.25)
+    assert provider(0.0, 1.0, 1.0) == 0.25
+    assert provider.extrapolations == 0
 
 
 def test_tabulated_far_query_counts_as_extrapolation():
-    spec = models.from_descriptor({"model": "heat"})
-    grid = SeedGrid((0.0,), (0.5,))
-    provider = tabulate_g(spec, grid, query_box=((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
-    assert provider.low_coverage
-    before = provider.extrapolations
-    provider(0.5, 0.9, 5.0)
-    assert provider.extrapolations == before + 1
+    # porous_medium m = 2 at u = 0: the curve does not move in x, so the
+    # plane is never reached and the answer is nan.
+    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
+    provider = tabulate_g(spec)
+    assert math.isnan(provider(0.5, 0.0, -0.5))
+    assert provider.extrapolations == 1
+    # Reachable queries in the same batch are answered and not counted.
+    got = provider(0.5, np.array([0.0, 1.0]), np.array([-0.5, 0.5]))
+    assert math.isnan(got[0]) and math.isfinite(got[1])
+    assert provider.extrapolations == 2
     # The public counter is the only count: a reset sticks.
     provider.extrapolations = 0
-    provider(0.5, 0.9, np.array([5.0, 6.0]))
+    provider(0.5, 0.0, np.array([-0.5, -0.25]))
     assert provider.extrapolations == 2
 
 
 def test_tabulated_tracks_a_varying_weight():
+    # rho_laplacian_poly (3, 2): x' = 2|p|, g' = 2 sign(p), so g = g0 + sign(p) x.
     spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0})
-    grid = SeedGrid(tuple(np.linspace(-1.0, 1.0, 9)), tuple(np.linspace(0.4, 1.6, 13)))
-    provider = tabulate_g(
-        spec, grid, query_box=((0.0, 1.0), (-1.0, 1.0), (0.5, 1.5))
-    )
-    exact = float(spec.closed_forms.g_of_p(0.8, 1.0, 0.0))
-    assert float(provider(0.5, 0.0, 0.8)) == pytest.approx(exact, abs=0.05)
+    provider = tabulate_g(spec, g0=0.1)
+    assert float(provider(0.5, 0.0, 0.8)) == pytest.approx(0.6, abs=1e-10)
+    rng = np.random.default_rng(1)
+    p = rng.uniform(-2.0, 2.0, 200)
+    p = p[np.abs(p) > 0.05]
+    x, u = rng.uniform(0.0, 1.0, p.size), rng.uniform(-1.0, 1.0, p.size)
+    assert np.max(np.abs(provider(x, u, p) - (0.1 + np.sign(p) * x))) <= 1e-10
+    assert provider.extrapolations == 0
 
 
-def test_snapshot_json_round_trip(tmp_path):
-    spec = models.from_descriptor({"model": "heat"})
-    grid = SeedGrid((0.0, 1.0), (0.5, 1.0))
-    provider = tabulate_g(spec, grid)
-    cli._write_json(tmp_path, "g_provider.json", provider.snapshot)
-    payload = json.loads((tmp_path / "g_provider.json").read_text())
-    assert payload == provider.snapshot
-    assert payload["variant"] == "tabulated"
-    assert payload["n_samples"] == len(payload["samples"]["g"])
-    assert set(payload["samples"]) == {"x", "u", "p", "g"}
+def test_tabulated_inverse_curvature_matches_the_plane_solution():
+    # p = tan(atan(p0) - tau) on a curve with x = tau, and g0 = 0 at x = 0
+    # gives g = 2 log|cos(atan p) / cos(atan p + x)|; the curve through a
+    # query with |atan p + x| >= pi/2 blows up before it reaches x = 0.
+    spec = models.from_descriptor({"model": "inverse_mcf"})
+    provider = tabulate_g(spec)
+    rng = np.random.default_rng(2)
+    x, u, p = rng.uniform(0.0, 1.0, 200), rng.uniform(-1.0, 1.0, 200), rng.uniform(-5.0, 5.0, 200)
+    got = provider(x, u, p)
+    angle = np.arctan(p) + x
+    reachable = np.abs(angle) < 0.5 * math.pi
+    exact = 2.0 * np.log(np.abs(np.cos(np.arctan(p[reachable])) / np.cos(angle[reachable])))
+    assert np.array_equal(np.isnan(got), ~reachable)
+    assert np.all(np.abs(got[reachable] - exact) <= 1e-6 * (1.0 + np.abs(exact)))
+    assert provider.extrapolations == np.count_nonzero(~reachable)
+    # A batch answer equals the lone call of the same query, bit for bit.
+    lone = [provider(*q) for q in zip(x[:20], u[:20], p[:20])]
+    assert np.array_equal(got[:20], lone, equal_nan=True)
+    assert np.isnan(lone).any() and not np.isnan(lone).all()
 
 
 def test_provider_call_shapes():

@@ -107,9 +107,8 @@ _REPRODUCIBLE_RUNS = {
         _CONSTRUCT_FILES),
     "construct-tabulated": (
         "construct-energy", {"model": {"model": "heat"}, "g_mode": "tabulated",
-                             "seed_grid": {"u0": [0.0, 1.0], "p0": [0.5, 1.0]},
                              "grid_dump": _SMALL_DUMP},
-        _CONSTRUCT_FILES | {"g_provider.json"}),
+        _CONSTRUCT_FILES),
     "simulate-heat": (
         "simulate", {"model": {"model": "heat"}, "grid": {"n_cells": 16},
                      "time": {"t_end": 1e-3, "output_stride": 16}},
@@ -186,42 +185,6 @@ def test_construct_energy_reduced_handles_a_rest_point_base(tmp_path):
     assert side["p_base"] == 0.0
     assert side["g_variant"] == "reduced_ode"
     assert side["closed_form_residual"] < 1e-6
-
-
-def test_construct_energy_tabulated_writes_the_snapshot(tmp_path):
-    # Curves of this model keep p frozen, so the seeds must already span
-    # the p range of the query box.
-    code, out = _run(tmp_path, "construct-energy", {
-        "model": {"model": "heat"},
-        "g_mode": "tabulated",
-        "seed_grid": {"u0": [-1.0, -0.5, 0.0, 0.5, 1.0],
-                      "p0": [-0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6]},
-        "query_box": [[0.0, 1.0], [-0.5, 0.5], [-0.5, 0.5]],
-        "grid_dump": {"x": [0.5], "u": {"min": -0.4, "max": 0.4, "n": 3},
-                      "p": {"min": 0.1, "max": 0.4, "n": 3}},
-    })
-    assert code == 0
-    snap = _read_json(out / "g_provider.json")
-    assert snap["variant"] == "tabulated"
-    assert snap["n_samples"] == len(snap["samples"]["g"])
-    assert set(snap["samples"]) == {"x", "u", "p", "g"}
-    provider = _read_json(out / "manifest.json")["results"]["provider"]
-    assert snap["extrapolations"] == provider["extrapolations"]
-
-
-def test_low_coverage_returns_a_warning_code(tmp_path, capsys):
-    code, out = _run(tmp_path, "construct-energy", {
-        "model": {"model": "heat"},
-        "g_mode": "tabulated",
-        "seed_grid": {"u0": [0.0], "p0": [0.5]},
-        "query_box": [[0.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]],
-        "grid_dump": {"x": [0.5], "u": {"min": -0.1, "max": 0.1, "n": 2},
-                      "p": {"min": 0.4, "max": 0.6, "n": 2}},
-    })
-    assert code == 2
-    assert "coverage" in capsys.readouterr().err
-    side = _read_json(out / "lagrangian_sidecar.json")
-    assert side["provider"]["low_coverage"] is True
 
 
 def test_simulate_outputs(tmp_path):
@@ -384,6 +347,11 @@ def _robin_b(b):
     {"model": "mcf_poly", "n": "inf"},
     {"model": "mcf_poly", "n": -1.0},
     {"model": "quasilinear_gradient", "a": {"kind": "power_abs", "exponent": "nan"}},
+    # A negative coefficient is a backward heat equation; a negative exponent
+    # makes the diffusion infinite at u_x = 0.
+    {"model": "quasilinear_gradient", "a": {"kind": "power_abs", "coef": -1.0}},
+    {"model": "quasilinear_gradient", "a": {"kind": "power_abs", "exponent": -1.0}},
+    {"model": "quasilinear_gradient", "a": {"kind": "constant", "value": 0.0}},
     {"model": "porous_medium", "m": "nan"},
     {"model": "porous_medium", "m": "inf"},
     {"model": "porous_medium", "m": 0.5},
@@ -391,7 +359,8 @@ def _robin_b(b):
     _robin_b(1.0),
     _robin_b("zero"),
     {"model": ["heat"]},
-], ids=["rho-nan", "rho-1.5", "n-inf", "n-negative", "power_abs-nan", "m-nan", "m-inf",
+], ids=["rho-nan", "rho-1.5", "n-inf", "n-negative", "power_abs-nan", "power_abs-coef-negative",
+        "power_abs-exponent-negative", "constant-zero", "m-nan", "m-inf",
         "m-0.5", "filtration-decreasing", "robin-b-number", "robin-b-string", "model-list"])
 def test_bad_descriptors_fail_in_the_models_stage(tmp_path, capsys, monkeypatch, descriptor):
     monkeypatch.setattr(cli, "_build_provider", _no_build)
@@ -431,21 +400,28 @@ def test_bad_simulation_values_fail_before_the_build(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err.startswith(f"error: {stage}: ")
 
 
-_TABULATED ={"g_mode": "tabulated", "seed_grid": {"u0": [0.0, 1.0], "p0": [0.5, 1.0]}}
+_TABULATED = {"g_mode": "tabulated"}
 
 
 @pytest.mark.parametrize("override, stage", [
     ({**_TABULATED, "char_controls": {"tol": None}}, "characteristics"),
-    ({**_TABULATED, "seed_grid": {"u0": None}}, "characteristics"),
-    ({**_TABULATED, "coverage_min": None}, "characteristics"),
-    ({**_TABULATED, "query_box": [[0.0, 1.0], [-1.0, 1.0]]}, "characteristics"),
-    ({**_TABULATED, "query_box": [[0.0, 1.0]] * 4}, "characteristics"),
+    # The settings of the old interpolation table, and a typo of one, are
+    # refused rather than ignored.
+    ({**_TABULATED, "seed_grid": {"u0": None}}, "cli"),
+    ({**_TABULATED, "coverage_min": None}, "cli"),
+    ({**_TABULATED, "query_box": [[0.0, 1.0], [-1.0, 1.0]]}, "cli"),
+    ({"qurey_box": [[0.0, 1.0]]}, "cli"),
+    ({"time": {**_SMALL_VERIFY["time"], "dt_max": 1e-4}}, "solver"),
+    ({"grid": {"n_cells": 16, "cells": 32}}, "solver"),
+    # The provider fixes the plane its curves run to.
+    ({**_TABULATED, "char_controls": {"x_end": 1.0}}, "characteristics"),
     ({"normalization": {"p0": None}}, "characteristics"),
     ({"normalization": None}, "characteristics"),
     ({"lagrangian": {"quad_tol": None}}, "lagrangian"),
     ({"lagrangian": {"p_star": 0.5}}, "lagrangian"),
-], ids=["tol-null", "u0-null", "coverage_min-null", "query_box-2", "query_box-4",
-        "p0-null", "normalization-null", "quad_tol-null", "p_star-unknown"])
+], ids=["tol-null", "u0-null", "coverage_min-null", "query_box-2", "qurey_box-typo",
+        "time-dt_max", "grid-cells", "x_end", "p0-null", "normalization-null", "quad_tol-null",
+        "p_star-unknown"])
 def test_bad_provider_and_lagrangian_values_name_the_stage(tmp_path, capsys, override, stage):
     code, _ = _run(tmp_path, "verify", {**_SMALL_VERIFY, **override})
     assert code == 1
@@ -479,31 +455,53 @@ def test_benchmark_launcher_runs_a_traced_verify(tmp_path):
     assert trace.exists()
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy is imported only when tabulate_g builds its kd-tree, in set-up.
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    # A blocked scipy makes any scipy import fail, so a tabulated verify that
+    # runs to its verdict shows that NumPy alone runs every g mode.
     root = Path(__file__).resolve().parents[1]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "model": {"model": "heat",
+                  "bc": [{"kind": "robin", "b": {"kind": "linear", "slope": 1.0}}, "dirichlet"]},
+        "g_mode": "tabulated",
+        "grid": {"n_cells": 16},
+        "time": {"t_end": 0.004, "output_stride": 8},
+    }))
     script = "\n".join([
-        "import json, sys",
-        "import paralyap.cli",
-        "before = sorted(m for m in sys.modules if m.startswith('scipy'))",
-        "from paralyap import models",
-        "from paralyap.characteristics import SeedGrid, tabulate_g",
-        "spec = models.from_descriptor({'model': 'heat'})",
-        "provider = tabulate_g(spec, SeedGrid((0.0, 1.0), (0.5, 1.0)))",
-        "kd_tree = 'scipy.spatial' in sys.modules",
-        "g = float(provider(0.5, 0.5, 0.75))",
-        "print(json.dumps({'before': before, 'kd_tree': kd_tree, 'g': g}))",
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from paralyap.cli import main",
+        f"raise SystemExit(main(['verify', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]))",
     ])
     proc = subprocess.run(
         [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert seen["before"] == []
-    assert seen["g"] == 0.0  # heat: g vanishes identically
-    assert seen["kd_tree"]
+    # 2: the consistency warning of a sine profile that misses the Robin condition.
+    assert proc.returncode == 2, proc.stderr
+    assert "consistency" in proc.stderr
+    provider = _read_json(tmp_path / "out" / "manifest.json")["results"]["provider"]
+    assert provider == {"variant": "tabulated", "extrapolations": 0}
+
+
+def test_tabulated_metadata_is_strict_json(tmp_path):
+    # The plane x = 0 normalizes the tabulated g, so it has no p0: the
+    # sidecar records null, never a bare NaN, and g0 is the configured one.
+    code, out = _run(tmp_path, "construct-energy", {
+        "model": {"model": "heat"}, "g_mode": "tabulated",
+        "normalization": {"g0": 0.5}, "grid_dump": _SMALL_DUMP,
+    })
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    for name in ("lagrangian_sidecar.json", "manifest.json"):
+        json.loads((out / name).read_text(), parse_constant=refuse)
+    side = _read_json(out / "lagrangian_sidecar.json")
+    assert side["normalization"] == {"p0": None, "g0": 0.5}
+    assert side["provider"] == {"variant": "tabulated", "extrapolations": 0}
 
 
 def test_compare_closed_form_scores_a_builtin(tmp_path):
