@@ -17,9 +17,11 @@ Dirichlet end, which the solver never evaluates, one-sided stencils stand in.
 
 Models whose weight carries a negative power of the gradient (porous medium,
 gradient-forced flows) have a formally divergent integrand where u_x
-vanishes.  Those nodes are masked to zero and the masked fraction is
-reported; ``verify_decay`` checks consistency only at frames whose masked
-fraction is at most ``mask_reliable``.
+vanishes.  Those nodes are masked to zero, and the masked fraction is the
+share of sum |u_t| that falls on masked nodes (a node at rest, such as one
+ahead of a free boundary, weighs nothing); ``verify_decay`` checks
+consistency only at frames whose masked fraction is at most
+``mask_reliable``.
 """
 
 from dataclasses import dataclass
@@ -97,7 +99,11 @@ def _masked_decay(spec: ProblemSpec, frame: StateFrame, grid: Grid1D,
         mask |= np.abs(p) < _GRAD_EPS_REL * p_scale
     vals = np.where(mask, 0.0, integrand)
     value = -_simpson(vals, grid.dx)
-    return DecayValue(value, float(np.mean(mask)))
+    # The share of |u_t| on masked nodes: a node at rest adds nothing to the
+    # decay integral, so masking it costs nothing either.
+    speed = np.abs(frame.ut)
+    total = float(np.sum(speed))
+    return DecayValue(value, float(np.sum(speed[mask])) / total if total > 0.0 else 0.0)
 
 
 def decay_formula(spec: ProblemSpec, g_provider: Callable, frame: StateFrame,

@@ -28,6 +28,9 @@ descriptor such as ``{"model": "porous_medium", "m": 2.0}``.  One table,
 builder reads and checks its own numbers and presets and assembles the spec
 on ``_spec`` (directly, or through the ``_quasilinear``, ``_poly_forced`` and
 ``_filtration_spec`` templates).  A new family is one builder and one row.
+The builder gets its descriptor as a ``_Reads``, which records each key
+read; a key that neither the builder nor its presets read is refused, so a
+typo is an error and never a silent default.
 
 Builtins also ship optional closed-form references (:class:`ClosedForms`)
 used by tests and comparison commands; those formulas drop the free
@@ -579,6 +582,28 @@ def _filtration_superslow():
     )
 
 
+class _Reads(dict):
+    """A descriptor that records which of its keys were read."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def refuse_unread(self, what):
+        """A key that nothing read is an error, not a silent default."""
+        extra = sorted(set(self) - self.read)
+        if extra:
+            raise ValueError(f"unknown settings {extra} in the {what} descriptor")
+
+
 def _lookup(table, key, what):
     if not isinstance(key, str) or key not in table:
         raise ValueError(f"unknown {what} {key!r}; choose from {sorted(table)}")
@@ -588,7 +613,10 @@ def _lookup(table, key, what):
 def _coefficient(presets, d, what):
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError(f"{what} descriptor must be an object with a 'kind' field")
-    return _lookup(presets, d["kind"], f"{what} kind")(d)
+    d = _Reads(d)
+    coefficient = _lookup(presets, d["kind"], f"{what} kind")(d)
+    d.refuse_unread(what)
+    return coefficient
 
 
 def _bc_from_descriptor(d):
@@ -599,9 +627,11 @@ def _bc_from_descriptor(d):
         if key == "neumann":
             return BoundaryCondition.neumann()
         raise ValueError(f"unknown boundary condition {d!r}")
+    d = _Reads(d) if isinstance(d, dict) else d
     if isinstance(d, dict) and d.get("kind") == "robin":
-        b = d.get("b", {"kind": "zero"})
-        return BoundaryCondition.robin(_coefficient(_B_PRESETS, b, "robin slope"))
+        b = _coefficient(_B_PRESETS, d.get("b", {"kind": "zero"}), "robin slope")
+        d.refuse_unread("boundary condition")
+        return BoundaryCondition.robin(b)
     raise ValueError(f"unknown boundary condition descriptor {d!r}")
 
 
@@ -611,8 +641,9 @@ def from_descriptor(descriptor: dict) -> ProblemSpec:
     This is the one constructor of a builtin.  ``descriptor["model"]`` names
     a family of ``_FAMILIES``; the other entries are that family's numbers
     and presets, and ``bc`` lists the two ends (default: Dirichlet at both).
-    Every number must be finite and in its family's range, or ``ValueError``
-    is raised before anything is built.  The one non-JSON entry accepted is
+    Every number must be finite and in its family's range, and every key
+    must be one that the family or its preset reads, or ``ValueError`` is
+    raised.  The one non-JSON entry accepted is
     a :class:`Filtration` as the ``a`` of a ``filtration`` descriptor.
 
     Example: ``{"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0,
@@ -621,11 +652,13 @@ def from_descriptor(descriptor: dict) -> ProblemSpec:
     """
     if not isinstance(descriptor, dict) or "model" not in descriptor:
         raise ValueError("model descriptor must be an object with a 'model' field")
-    build = _lookup(_FAMILIES, descriptor["model"], "model")
-    bc = descriptor.get("bc", ["dirichlet", "dirichlet"])
+    d = _Reads(descriptor)
+    build = _lookup(_FAMILIES, d["model"], "model")
+    bc = d.get("bc", ["dirichlet", "dirichlet"])
     if not isinstance(bc, (list, tuple)) or len(bc) != 2:
         raise ValueError("'bc' must list exactly two boundary conditions")
-    spec = build(descriptor, tuple(_bc_from_descriptor(b) for b in bc))
+    spec = build(d, tuple(_bc_from_descriptor(b) for b in bc))
+    d.refuse_unread("model")
     return dataclasses.replace(spec, params={**spec.params, "descriptor": descriptor})
 
 

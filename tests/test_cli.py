@@ -4,6 +4,7 @@ Each run goes through ``main`` in-process with a JSON config in a temp
 directory, exactly as a shell invocation would.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,9 +16,12 @@ import numpy as np
 import pytest
 
 from paralyap import cli, models
+from paralyap.characteristics import CharacteristicsError, CharControls
 from paralyap.cli import _write_trajectory, main
+from paralyap.lagrangian import LagrangianError
 from paralyap.models import from_descriptor
-from paralyap.solver import Grid1D, SolverControls, simulate
+from paralyap.quadrature import QuadratureError
+from paralyap.solver import Grid1D, SolverControls, SolverError, simulate
 
 
 def _run(tmp_path, command, config, name="run", extra=()):
@@ -319,9 +323,20 @@ def test_bad_grid_and_time_values_name_the_stage(tmp_path, capsys, section, over
     ("compare-closed-form", {"compare": {"x": None}}),
     ("compare-closed-form", {"model": {"model": "inverse_mcf"},
                              "compare": {"lpp_check": {"n": None}}}),
+    # Out of range: an empty axis, and a second-difference step that is not
+    # a finite positive number.
+    ("construct-energy", {"grid_dump": {"u": {"n": 0}}}),
+    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
+                             "compare": {"lpp_check": {"n": 0}}}),
+    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
+                             "compare": {"lpp_check": {"h": 0}}}),
+    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
+                             "compare": {"lpp_check": {"h": "inf"}}}),
 ], ids=["initial-null", "amplitude-null", "k-list", "center-string", "csv-missing",
         "csv-not-numbers", "dump-x-null", "dump-x-empty", "dump-u-n-string",
-        "compare-x-null", "lpp_check-n-null"])
+        "compare-x-null", "lpp_check-n-null", "dump-u-n-0", "lpp_check-n-0",
+        "lpp_check-h-0", "lpp_check-h-inf"])
+@pytest.mark.filterwarnings("error")
 def test_bad_initial_and_dump_values_name_the_stage(tmp_path, capsys, monkeypatch,
                                                     command, override):
     (tmp_path / "abc.csv").write_text("abc\n")
@@ -359,9 +374,15 @@ def _robin_b(b):
     _robin_b(1.0),
     _robin_b("zero"),
     {"model": ["heat"]},
+    # Keys that nothing reads: a typo would silently leave the default.
+    {"model": "quasilinear_gradient", "a": {"kind": "constant", "vlaue": 2.0}},
+    _robin_b({"kind": "linear", "slop": 3.0}),
+    {"model": "rho_laplacian_poly", "rho": 3, "n": 1, "m": 2},
+    {"model": "heat", "bc": [{"kind": "robin", "slope": 1.0}, "dirichlet"]},
 ], ids=["rho-nan", "rho-1.5", "n-inf", "n-negative", "power_abs-nan", "power_abs-coef-negative",
         "power_abs-exponent-negative", "constant-zero", "m-nan", "m-inf",
-        "m-0.5", "filtration-decreasing", "robin-b-number", "robin-b-string", "model-list"])
+        "m-0.5", "filtration-decreasing", "robin-b-number", "robin-b-string", "model-list",
+        "constant-vlaue", "robin-b-slop", "poly-stray-m", "robin-bc-stray-slope"])
 def test_bad_descriptors_fail_in_the_models_stage(tmp_path, capsys, monkeypatch, descriptor):
     monkeypatch.setattr(cli, "_build_provider", _no_build)
     code, _ = _run(tmp_path, "construct-energy", {"model": descriptor})
@@ -428,6 +449,81 @@ def test_bad_provider_and_lagrangian_values_name_the_stage(tmp_path, capsys, ove
     err = capsys.readouterr().err
     assert err.startswith(f"error: {stage}: ")
     assert "Traceback" not in err
+
+
+_INVERSE_MCF = {"model": {"model": "inverse_mcf"}, "compare": _SMALL_COMPARE}
+
+
+@pytest.mark.parametrize("command, override, expected", [
+    # A key of no default, in each section that took any key before.
+    ("simulate", {"initial": {"profile": "sin", "amplitute": 0.5}},
+     "error: cli: unknown settings ['initial.amplitute']"),
+    ("verify", {"normalization": {"go": 2.0}},
+     "error: characteristics: unknown settings ['normalization.go']"),
+    ("construct-energy", {"grid_dump": {**_SMALL_DUMP, "u": {**_SMALL_DUMP["u"], "num": 7}}},
+     "error: cli: unknown settings ['grid_dump.u.num']"),
+    ("compare-closed-form", {**_INVERSE_MCF, "compare": {**_SMALL_COMPARE, "lpp": {"h": 0.01}}},
+     "error: cli: unknown settings ['compare.lpp']"),
+    ("compare-closed-form", {**_INVERSE_MCF, "compare": {"lpp_check": {"hh": 0.01}}},
+     "error: cli: unknown settings ['compare.lpp_check.hh']"),
+    # A bad value names its dotted key.
+    ("verify", {"time": {"t_end": "abc", "output_stride": 8}},
+     "error: solver: time.t_end: could not convert string to float: 'abc'"),
+    ("construct-energy", {"grid_dump": {"u": {"n": "many"}}}, "error: cli: grid_dump.u.n: "),
+    ("construct-energy", {"grid_dump": {"u": {"n": 0}}},
+     "error: cli: grid_dump.u.n: must be >= 1, got 0"),
+    ("compare-closed-form", {**_INVERSE_MCF, "compare": {"lpp_check": {"h": "inf"}}},
+     "error: cli: compare.lpp_check.h: must be finite and > 0, got inf"),
+], ids=["initial-typo", "normalization-typo", "dump-u-typo", "compare-typo", "lpp_check-typo",
+        "t_end-string", "dump-u-n-string", "dump-u-n-0", "lpp_check-h-inf"])
+def test_bad_settings_name_the_stage_and_the_key(tmp_path, capsys, command, override, expected):
+    code, _ = _run(tmp_path, command, {**_SMALL_VERIFY, **override})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(expected)
+    assert "Traceback" not in err
+
+
+def _raise(error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    return fail
+
+
+@pytest.mark.parametrize("command, config, call, error, stage", [
+    ("construct-energy", {"grid_dump": _SMALL_DUMP}, "from_descriptor", ValueError, "models"),
+    ("construct-energy", {"grid_dump": _SMALL_DUMP}, "analytic_g", CharacteristicsError,
+     "characteristics"),
+    ("construct-energy", {"grid_dump": _SMALL_DUMP}, "build_lagrangian", LagrangianError,
+     "lagrangian"),
+    ("construct-energy", {"grid_dump": _SMALL_DUMP}, "eval_L", QuadratureError, "lagrangian"),
+    ("construct-energy", {"grid_dump": _SMALL_DUMP}, "compare_closed_form", LagrangianError,
+     "lagrangian"),
+    ("simulate", _SMALL_VERIFY, "simulate", SolverError, "solver"),
+    ("verify", _SMALL_VERIFY, "energy_trace", QuadratureError, "energy"),
+    ("compare-closed-form", _INVERSE_MCF, "second_difference_lpp", LagrangianError,
+     "lagrangian"),
+], ids=["from_descriptor", "analytic_g", "build_lagrangian", "eval_L", "compare_closed_form",
+        "simulate", "energy_trace", "second_difference_lpp"])
+def test_library_errors_name_their_stage(tmp_path, capsys, monkeypatch,
+                                          command, config, call, error, stage):
+    monkeypatch.setattr(cli, call, _raise(error))
+    code, _ = _run(tmp_path, command, {"model": {"model": "heat"}, **config})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {stage}: injected\n"
+
+
+def test_manifest_records_every_resolved_default(tmp_path):
+    code, out = _run(tmp_path, "simulate", {**_SMALL_VERIFY, "initial": {"profile": "bump"}})
+    assert code == 0
+    config = _read_json(out / "manifest.json")["config"]
+    assert config["char_controls"] == {
+        f.name: f.default for f in dataclasses.fields(CharControls) if f.name != "x_end"
+    }
+    assert config["initial"] == {"profile": "bump", "amplitude": 1.0, "k": 1, "offset": 0.5,
+                                 "center": 0.5, "sharpness": 8.0, "path": None}
 
 
 def test_benchmark_launcher_runs_a_traced_verify(tmp_path):

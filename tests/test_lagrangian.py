@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from paralyap import models
 from paralyap.characteristics import analytic_g, reduced_ode_g
+from paralyap.energy import energy_trace, verify_decay
 from paralyap.lagrangian import (
     LagrangianError,
     LagrangianOptions,
@@ -24,6 +25,7 @@ from paralyap.lagrangian import (
     second_difference_lpp,
 )
 from paralyap.quadrature import integrate_batch
+from paralyap.solver import Grid1D, SolverControls, simulate
 
 # The Robin end u_x = b(u) = u.
 _ROBIN = {"kind": "robin", "b": {"kind": "linear", "slope": 1.0}}
@@ -163,6 +165,27 @@ def test_porous_medium_energy_on_an_exact_free_boundary_wave():
     h = 1e-3
     dEdt = (energy(t + h) - energy(t - h)) / (2.0 * h)
     assert np.max(np.abs(dEdt / (-0.5 * c**4 * t) - 1.0)) < 1e-10
+
+
+def test_verify_checks_the_exact_free_boundary_wave():
+    # The same wave simulated from t = 0.3 to 0.8.  Every node ahead of the
+    # front is masked (p = 0 there), but it is at rest, so the masked share
+    # of |u_t| stays near 0 and the frames are checked, not skipped.
+    c = 1.0
+    robin = {"kind": "robin", "b": {"kind": "constant", "value": -0.5 * c}}
+    spec = models.from_descriptor(
+        {"model": "porous_medium", "m": 2.0, "bc": [robin, "dirichlet"]}
+    )
+    grid = Grid1D(64)
+    u0 = 0.5 * c * np.maximum(c * 0.3 - grid.nodes, 0.0)
+    result = simulate(spec, u0, 0.5, grid, SolverControls(output_stride=512))
+    trace = energy_trace(_lag(spec), result, grid)
+    report = verify_decay(trace)
+    assert len(result) == 7
+    assert np.max(trace.mask_fraction) < 1e-10
+    assert report.checked_frames == 5
+    assert report.passed_monotonicity and report.passed_consistency
+    assert report.max_consistency_error < 0.005
 
 
 def test_second_difference_agrees_with_direct_weight():

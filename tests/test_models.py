@@ -199,6 +199,25 @@ def test_descriptor_errors():
             from_descriptor({"model": "heat", "bc": [{"kind": "robin", "b": b}, "dirichlet"]})
 
 
+@pytest.mark.parametrize("descriptor, message", [
+    ({"model": "quasilinear_gradient", "a": {"kind": "constant", "vlaue": 2.0}},
+     "unknown settings ['vlaue'] in the diffusion descriptor"),
+    ({"model": "heat", "bc": [{"kind": "robin", "b": {"kind": "linear", "slop": 3.0}},
+                              "dirichlet"]},
+     "unknown settings ['slop'] in the robin slope descriptor"),
+    ({"model": "heat", "bc": [{"kind": "robin", "slope": 3.0}, "dirichlet"]},
+     "unknown settings ['slope'] in the boundary condition descriptor"),
+    ({"model": "rho_laplacian_poly", "rho": 3, "n": 1, "m": 2},
+     "unknown settings ['m'] in the model descriptor"),
+    ({"model": "filtration", "a": {"kind": "superslow", "exponent": 2.0}},
+     "unknown settings ['exponent'] in the filtration descriptor"),
+])
+def test_descriptor_keys_that_nothing_reads_are_refused(descriptor, message):
+    with pytest.raises(ValueError) as info:
+        from_descriptor(descriptor)
+    assert str(info.value) == message
+
+
 def test_descriptor_is_recorded_in_params():
     d = {"model": "mcf_poly", "n": 2.0}
     spec = from_descriptor(d)
