@@ -43,7 +43,6 @@ from .energy import (
     energy_of_frame,
     energy_trace,
     filtration_energy,
-    node_gradient,
     standard_pme_energy,
     verify_decay,
 )
@@ -64,7 +63,6 @@ from .models import (
     Filtration,
     ProblemSpec,
     SampleBox,
-    StructureFlags,
     ValidationReport,
     from_descriptor,
     validate_spec,
@@ -104,7 +102,6 @@ __all__ = [
     "SolverControls",
     "SolverError",
     "StateFrame",
-    "StructureFlags",
     "Termination",
     "ValidationReport",
     "VerifyReport",
@@ -122,7 +119,6 @@ __all__ = [
     "from_descriptor",
     "integrate_batch",
     "integrate_characteristics",
-    "node_gradient",
     "reduced_g",
     "reduced_ode_g",
     "second_difference_lpp",

@@ -275,8 +275,8 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0, method: st
     dg/dp = (-reaction_dp - diffusion_coeff_dx - p*diffusion_coeff_du) /
     reaction, which is integrated at the frozen point (x, u) = (0, 1) to a
     tolerance of 1e-12.  The result is meaningful when that ratio does not
-    depend on the frozen point, which the ``shared_factor_reducible``
-    structure flag asserts.
+    depend on the frozen point, which the spec's
+    ``shared_factor_reducible`` flag asserts.
 
     ``method="auto"`` uses the exact logarithm of the reaction ratio whenever
     the diffusion coefficient has no x or u dependence on the probed range;
@@ -289,7 +289,7 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0, method: st
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if not spec.structure_flags.shared_factor_reducible:
+    if not spec.shared_factor_reducible:
         raise ReducedGError(f"model {spec.name!r} is not flagged reducible to g(p)")
 
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
@@ -306,7 +306,8 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0, method: st
 
     f0_seed = float(spec.reaction(_X_REF, _U_REF, p0))
     f0_query = np.asarray(spec.reaction(_X_REF, _U_REF, p_arr), dtype=float)
-    rest_tol = 1e-13 * (1.0 + abs(f0_seed) + float(np.max(np.abs(f0_query), initial=0.0)))
+    # Scaled by the seed alone, so that no verdict on a query depends on its batch.
+    rest_tol = 1e-13 * (1.0 + abs(f0_seed))
     if abs(f0_seed) <= rest_tol:
         raise ReducedGError(f"the seed gradient p0={p0!r} is a rest point of the reaction")
     rest = np.abs(f0_query) <= rest_tol
@@ -324,8 +325,7 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0, method: st
     if not (np.all(np.isfinite(f0)) and np.all(np.isfinite(rate))):
         raise ReducedGError("reaction or its derivatives are not finite on the p range")
 
-    fmax = float(np.max(np.abs(f0)))
-    if float(np.min(np.abs(f0))) <= 1e-13 * (1.0 + fmax) or np.min(f0) * np.max(f0) < 0.0:
+    if float(np.min(np.abs(f0))) <= rest_tol or np.min(f0) * np.max(f0) < 0.0:
         raise ReducedGError(
             f"reaction changes sign or vanishes on [{lo!r}, {hi!r}]; "
             "p cannot flow across a rest point"

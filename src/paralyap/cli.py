@@ -13,10 +13,11 @@ depth; only the model descriptor's keys are left to the models stage, which
 knows each family's.  ``_setting`` reads and converts every value, and
 ``_stage`` turns what a stage's own code raises into that stage's error, so
 every failure prints as ``error: <stage>: ...`` and a bad setting names its
-dotted key (``_STAGES`` maps each section to its stage).  Each command reads
-all of its settings before it builds anything.  A manifest records the fully
-resolved configuration, so a rerun of the same config with the same package
-version reproduces every CSV byte for byte.
+dotted key (``_STAGES`` maps each section to its stage); an ``initial`` key
+that the chosen profile does not read must keep its default.  Each command
+reads all of its settings before it builds anything.  A manifest records the
+fully resolved configuration, so a rerun of the same config with the same
+package version reproduces every CSV byte for byte.
 This module alone fixes the byte format of the artifacts: ``_write_csv``
 writes each float as ``repr`` and ``_write_json`` sorts keys and indents by
 two; only the streamed ``trajectory.csv`` has its own writer.
@@ -235,24 +236,33 @@ def _csv_profile(path, n):
     return values
 
 
+# The ``initial`` keys that each profile reads, in reading order, and its
+# builder, called with the nodes and those values.
+_PROFILES = {
+    "zero": ((), np.zeros_like),
+    "sin": (("amplitude", "k"), lambda x, a, k: a * np.sin(np.pi * k * x)),
+    "shifted_sin": (("amplitude", "offset"), lambda x, a, offset: offset + a * np.sin(np.pi * x)),
+    "ramp_sin": (("amplitude",), lambda x, a: x + a * np.sin(np.pi * x)),
+    "bump": (("amplitude", "center", "sharpness"),
+             lambda x, a, c, s: np.maximum(0.0, a - s * (x - c) ** 2)),
+    "csv": (("path",), lambda x, values: values),
+}
+
+
 def _initial_profile(config, grid: Grid1D) -> np.ndarray:
+    """The initial state; a non-default value in a key the profile does not read is refused."""
     x = grid.nodes
-    profile = config["initial"]["profile"]
-    amp = _setting(config, "initial.amplitude")
-    if profile == "zero":
-        return np.zeros_like(x)
-    if profile == "sin":
-        return amp * np.sin(np.pi * _setting(config, "initial.k") * x)
-    if profile == "shifted_sin":
-        return _setting(config, "initial.offset") + amp * np.sin(np.pi * x)
-    if profile == "ramp_sin":
-        return x + amp * np.sin(np.pi * x)
-    if profile == "bump":
-        c, s = _setting(config, "initial.center"), _setting(config, "initial.sharpness")
-        return np.maximum(0.0, amp - s * (x - c) ** 2)
-    if profile == "csv":
-        return _setting(config, "initial.path", lambda path: _csv_profile(path, len(x)))
-    raise CliError("cli", f"initial.profile: unknown profile {profile!r}")
+    init = config["initial"]
+    profile = init["profile"]
+    if profile not in _PROFILES:
+        raise CliError("cli", f"initial.profile: unknown profile {profile!r}")
+    keys, build = _PROFILES[profile]
+    unread = sorted(f"initial.{key}" for key, default in _DEFAULTS["initial"].items()
+                    if key != "profile" and key not in keys and init[key] != default)
+    if unread:
+        raise CliError("cli", f"settings {unread} are not read by profile {profile!r}")
+    convert = {"path": lambda path: _csv_profile(path, len(x))}
+    return build(x, *(_setting(config, f"initial.{key}", convert.get(key, float)) for key in keys))
 
 
 def _write(out_dir: Path, name: str, text: str):

@@ -15,6 +15,16 @@ node stencil, so at every free node (Robin ends included) the energy monitor
 sees exactly the discrete derivatives that produced u_t.  Only at a pinned
 Dirichlet end, which the solver never evaluates, one-sided stencils stand in.
 
+A trace is one pass over its frames stacked as (frames, nodes) arrays: each
+frame's stencil is taken once, and ``eval_L`` and the g provider are called
+once per block of at most ``_BLOCK_POINTS`` points.  A block may split a
+frame, since a point's value depends only on that point (``eval_L`` refines
+each point's quadrature alone, a provider answers each query alone, and the
+model callbacks act elementwise); masks and Simpson sums then run per frame.
+So each column equals, bit for bit, the one-frame ``energy_of_frame`` and
+``decay_formula``, the same kernel on one frame.  The cap bounds peak memory;
+a whole-trace batch is no faster.
+
 Models whose weight carries a negative power of the gradient (porous medium,
 gradient-forced flows) have a formally divergent integrand where u_x
 vanishes.  Those nodes are masked to zero, and the masked fraction is the
@@ -24,6 +34,7 @@ consistency only at frames whose masked fraction is at most
 ``mask_reliable``.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,7 +48,6 @@ from .solver import Grid1D, SimulationResult, StateFrame, _node_derivatives
 __all__ = [
     "EnergyTrace",
     "DecayValue",
-    "node_gradient",
     "energy_of_frame",
     "decay_formula",
     "energy_trace",
@@ -48,17 +58,21 @@ __all__ = [
 ]
 
 _GRAD_EPS_REL = 1e-6
+# The most points that one eval_L call or one g-provider call of a trace takes.
+_BLOCK_POINTS = 2048
 
 
-def _simpson(y: np.ndarray, dx: float) -> float:
-    """Composite Simpson rule for node values ``y`` spaced ``dx`` apart.
+def _simpson(y: np.ndarray, dx: float):
+    """Composite Simpson rule over the last axis of ``y``, nodes ``dx`` apart.
 
     With an even node count, Simpson covers the first n-1 nodes and the last
     interval gets the equal-spacing correction of scipy >= 1.11 (Cartwright):
-    +5dx/12 y[-1] + 2dx/3 y[-2] - dx/12 y[-3].  The weighted sum goes through
-    ``np.sum``, not a BLAS dot, so it does not depend on the thread count.
+    +5dx/12 y[-1] + 2dx/3 y[-2] - dx/12 y[-3].  A 1-D ``y`` gives a float, a
+    stack of rows an array with one value per row.  Each row is summed alone
+    by ``np.sum``, not by a BLAS dot, so its value depends neither on the
+    other rows nor on the thread count.
     """
-    n = len(y)
+    n = np.shape(y)[-1]
     m = n if n % 2 else n - 1
     w = np.zeros(n)
     w[1:m - 1:2] = 4.0
@@ -67,22 +81,67 @@ def _simpson(y: np.ndarray, dx: float) -> float:
     w *= dx / 3.0
     if m < n:
         w[-3:] += dx / 12.0 * np.array([-1.0, 8.0, 5.0])
-    return float(np.sum(w * y))
+    terms = w * y
+    if terms.ndim == 1:
+        return float(np.sum(terms))
+    return np.array([np.sum(row) for row in terms])
 
 
-def node_gradient(spec: ProblemSpec, frame: StateFrame, grid: Grid1D):
-    """u_x at every node from the solver's stencil: b(u) exactly at a Robin end."""
-    return _node_derivatives(spec, grid, frame.u)[0]
+# Frames as (frames, nodes) arrays, with the solver's u_x (p) and u_xx (q).
+_Stack = namedtuple("_Stack", "t x u ut p q")
+
+
+def _stack(spec: ProblemSpec, frames, grid: Grid1D) -> _Stack:
+    u = np.array([f.u for f in frames], dtype=float)
+    p, q = (np.array(d) for d in zip(*(_node_derivatives(spec, grid, row) for row in u)))
+    return _Stack(np.array([f.t for f in frames], dtype=float),
+                  np.broadcast_to(grid.nodes, u.shape), u,
+                  np.array([f.ut for f in frames], dtype=float), p, q)
+
+
+def _blockwise(fn: Callable, s: _Stack) -> np.ndarray:
+    """fn(x, u, p) at every point of the stack, one call per block of points."""
+    x, u, p = (a.ravel() for a in (s.x, s.u, s.p))
+    out = np.empty(u.size)
+    for start in range(0, u.size, _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
+        out[block] = fn(x[block], u[block], p[block])
+    return out.reshape(s.u.shape)
+
+
+def _energies(lag: Lagrangian, s: _Stack, dx: float) -> np.ndarray:
+    values = _blockwise(lambda x, u, p: eval_L(lag, x, u, p), s)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise ValueError(f"energy integrand not finite at t={float(s.t[k])!r}, "
+                         f"node {int(i)} (x={float(s.x[k, i])!r})")
+    return _simpson(values, dx)
+
+
+def _masked_decays(spec: ProblemSpec, s: _Stack, integrand: np.ndarray, dx: float):
+    """-Simpson of each row's integrand with its masked nodes zeroed, and each masked fraction."""
+    mask = ~np.isfinite(integrand)
+    if spec.singular_gradient_weight:
+        mask |= np.abs(s.p) < _GRAD_EPS_REL * np.max(np.abs(s.p), axis=1, keepdims=True)
+    # The share of |u_t| on masked nodes: a node at rest adds nothing to the
+    # decay integral, so masking it costs nothing either.
+    shares = []
+    for speed, masked in zip(np.abs(s.ut), mask):
+        total = float(np.sum(speed))
+        shares.append(float(np.sum(speed[masked])) / total if total > 0.0 else 0.0)
+    return -_simpson(np.where(mask, 0.0, integrand), dx), np.array(shares)
+
+
+def _formula_decays(spec: ProblemSpec, g_provider: Callable, s: _Stack, dx: float):
+    with np.errstate(all="ignore"):
+        integrand = (np.exp(_blockwise(g_provider, s))
+                     * np.asarray(spec.f1_weight(s.x, s.u, s.p, s.q, s.ut), dtype=float) * s.ut)
+    return _masked_decays(spec, s, integrand, dx)
 
 
 def energy_of_frame(lag: Lagrangian, frame: StateFrame, grid: Grid1D) -> float:
-    x = grid.nodes
-    p = node_gradient(lag.spec, frame, grid)
-    values = eval_L(lag, x, frame.u, p)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise ValueError(f"energy integrand not finite at node {bad} (x={x[bad]!r})")
-    return _simpson(values, grid.dx)
+    return float(_energies(lag, _stack(lag.spec, [frame], grid), grid.dx)[0])
 
 
 @dataclass(frozen=True)
@@ -91,40 +150,11 @@ class DecayValue:
     mask_fraction: float
 
 
-def _masked_decay(spec: ProblemSpec, frame: StateFrame, grid: Grid1D,
-                  integrand: np.ndarray, p: np.ndarray) -> DecayValue:
-    mask = ~np.isfinite(integrand)
-    if spec.singular_gradient_weight:
-        p_scale = float(np.max(np.abs(p)))
-        mask |= np.abs(p) < _GRAD_EPS_REL * p_scale
-    vals = np.where(mask, 0.0, integrand)
-    value = -_simpson(vals, grid.dx)
-    # The share of |u_t| on masked nodes: a node at rest adds nothing to the
-    # decay integral, so masking it costs nothing either.
-    speed = np.abs(frame.ut)
-    total = float(np.sum(speed))
-    return DecayValue(value, float(np.sum(speed[mask])) / total if total > 0.0 else 0.0)
-
-
 def decay_formula(spec: ProblemSpec, g_provider: Callable, frame: StateFrame,
                   grid: Grid1D) -> DecayValue:
     """The predicted dE/dt for one frame, with its masked fraction."""
-    p, q = _node_derivatives(spec, grid, frame.u)
-    with np.errstate(all="ignore"):
-        weight = np.exp(np.asarray(g_provider(grid.nodes, frame.u, p), dtype=float))
-        f1 = np.asarray(spec.f1_weight(grid.nodes, frame.u, p, q, frame.ut), dtype=float)
-        integrand = weight * f1 * frame.ut
-    return _masked_decay(spec, frame, grid, integrand, p)
-
-
-def _model_decay(spec: ProblemSpec, frame: StateFrame, grid: Grid1D,
-                 p: np.ndarray) -> Optional[DecayValue]:
-    forms = spec.closed_forms
-    if forms is None or forms.decay_weight is None:
-        return None
-    with np.errstate(all="ignore"):
-        integrand = np.asarray(forms.decay_weight(p), dtype=float) * frame.ut * frame.ut
-    return _masked_decay(spec, frame, grid, integrand, p)
+    values, shares = _formula_decays(spec, g_provider, _stack(spec, [frame], grid), grid.dx)
+    return DecayValue(float(values[0]), float(shares[0]))
 
 
 @dataclass
@@ -141,30 +171,19 @@ class EnergyTrace:
 
 
 def energy_trace(lag: Lagrangian, result: SimulationResult, grid: Grid1D) -> EnergyTrace:
-    """E, measured dE/dt, predicted dE/dt, and the model oracle per frame."""
-    spec = lag.spec
-    times = np.array([f.t for f in result], dtype=float)
-    E = np.array([energy_of_frame(lag, f, grid) for f in result])
-    formula = []
-    masks = []
-    model_vals = []
-    have_model = spec.closed_forms is not None and spec.closed_forms.decay_weight is not None
-    for f in result:
-        d = decay_formula(spec, lag.g_provider, f, grid)
-        formula.append(d.value)
-        masks.append(d.mask_fraction)
-        if have_model:
-            p = node_gradient(spec, f, grid)
-            model_vals.append(_model_decay(spec, f, grid, p).value)
-    measured = np.gradient(E, times) if len(times) > 2 else np.zeros_like(E)
-    return EnergyTrace(
-        times=times,
-        E=E,
-        dEdt_measured=measured,
-        dEdt_formula=np.array(formula),
-        dEdt_model=np.array(model_vals) if have_model else None,
-        mask_fraction=np.array(masks),
-    )
+    """E, measured dE/dt, predicted dE/dt, and the model oracle per frame, in one pass."""
+    spec, dx = lag.spec, grid.dx
+    s = _stack(spec, result, grid)
+    E = _energies(lag, s, dx)
+    formula, shares = _formula_decays(spec, lag.g_provider, s, dx)
+    model = None
+    forms = spec.closed_forms
+    if forms is not None and forms.decay_weight is not None:
+        with np.errstate(all="ignore"):
+            integrand = np.asarray(forms.decay_weight(s.p), dtype=float) * s.ut * s.ut
+        model = _masked_decays(spec, s, integrand, dx)[0]
+    measured = np.gradient(E, s.t) if len(s.t) > 2 else np.zeros_like(E)
+    return EnergyTrace(s.t, E, measured, formula, model, shares)
 
 
 def standard_pme_energy(frame: StateFrame, m: float, grid: Grid1D) -> dict:
@@ -235,36 +254,22 @@ def verify_decay(trace: EnergyTrace, tol_mono: float = 1e-8,
     """
     if len(trace) < 3:
         raise ValueError("a trace needs at least 3 times to verify")
-    mono = []
-    for k in range(len(trace) - 1):
-        allowed = trace.E[k] + tol_mono * (1.0 + abs(trace.E[k]))
-        if trace.E[k + 1] > allowed:
-            mono.append(
-                {"index": k, "t": float(trace.times[k + 1]),
-                 "E_before": float(trace.E[k]), "E_after": float(trace.E[k + 1])}
-            )
-    cons = []
-    max_err = 0.0
-    checked = 0
-    for k in range(1, len(trace) - 1):
-        if trace.mask_fraction[k] > mask_reliable:
-            continue
-        checked += 1
-        err = abs(trace.dEdt_measured[k] - trace.dEdt_formula[k])
-        rel = err / (1.0 + abs(trace.dEdt_formula[k]))
-        max_err = max(max_err, rel)
-        if rel > tol_consistency:
-            cons.append(
-                {"index": k, "t": float(trace.times[k]),
-                 "measured": float(trace.dEdt_measured[k]),
-                 "formula": float(trace.dEdt_formula[k]), "relative_error": rel}
-            )
-    unreliable = float(np.mean(trace.mask_fraction > mask_reliable))
+    E, t, measured, formula = trace.E, trace.times, trace.dEdt_measured, trace.dEdt_formula
+    rises = np.flatnonzero(E[1:] > E[:-1] + tol_mono * (1.0 + np.abs(E[:-1])))
+    mono = [{"index": int(k), "t": float(t[k + 1]), "E_before": float(E[k]),
+             "E_after": float(E[k + 1])} for k in rises]
+    interior = np.arange(1, len(trace) - 1)
+    checked = interior[~(trace.mask_fraction[interior] > mask_reliable)]
+    rel = np.abs(measured[checked] - formula[checked]) / (1.0 + np.abs(formula[checked]))
+    cons = [{"index": int(k), "t": float(t[k]), "measured": float(measured[k]),
+             "formula": float(formula[k]), "relative_error": float(r)}
+            for k, r in zip(checked, rel) if r > tol_consistency]
     return VerifyReport(
         n_times=len(trace),
         monotonicity_violations=mono,
         consistency_violations=cons,
-        max_consistency_error=max_err if checked else 0.0,
-        unreliable_fraction=unreliable,
-        checked_frames=checked,
+        # fmax passes over a nan error, which is no violation either.
+        max_consistency_error=float(np.fmax.reduce(rel, initial=0.0)),
+        unreliable_fraction=float(np.mean(trace.mask_fraction > mask_reliable)),
+        checked_frames=len(checked),
     )

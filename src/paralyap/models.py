@@ -48,7 +48,6 @@ import numpy as np
 
 __all__ = [
     "BoundaryCondition",
-    "StructureFlags",
     "ClosedForms",
     "ProblemSpec",
     "Filtration",
@@ -151,13 +150,6 @@ class BoundaryCondition:
 
 
 @dataclass(frozen=True)
-class StructureFlags:
-    """Structural facts the downstream stages may exploit."""
-
-    shared_factor_reducible: bool = False
-
-
-@dataclass(frozen=True)
 class ClosedForms:
     """Reference formulas shipped with a builtin, normalization dropped.
 
@@ -198,10 +190,10 @@ class ProblemSpec:
     f1_weight: Callable
     bc_left: BoundaryCondition
     bc_right: BoundaryCondition
-    structure_flags: StructureFlags = StructureFlags()
     closed_forms: Optional[ClosedForms] = None
     char_system: Optional[Callable] = None
     singular_gradient_weight: bool = False
+    shared_factor_reducible: bool = False
     params: dict = field(default_factory=dict)
 
 
@@ -286,10 +278,10 @@ def _spec(name, bcs, diffusion, reaction, closed, *, diffusion_du=_zero, reactio
         reaction=b(reaction), reaction_dp=b(reaction_dp),
         rhs=b(rhs), f1_weight=b(f1_weight),
         bc_left=bcs[0], bc_right=bcs[1],
-        structure_flags=StructureFlags(shared_factor_reducible=reducible),
         closed_forms=closed,
         char_system=char_system,
         singular_gradient_weight=singular,
+        shared_factor_reducible=reducible,
         params={"model": name, **extra},
     )
 

@@ -2,10 +2,11 @@
 
 Space is a uniform node grid with second-order central differences; time is
 explicit Heun (two-stage, second order) under a diffusion CFL bound
-dt = cfl_safety * dx^2 / max|diffusion_coeff|, re-evaluated every step since
-degenerate coefficients move with the state.  Implicit stepping is
-deliberately avoided: where the diffusion coefficient vanishes the Jacobian
-is singular, and desk-scale grids make the explicit penalty affordable.
+dt = 0.4 * dx^2 / max|diffusion_coeff|, capped at t_end / 64 and re-evaluated
+every step since degenerate coefficients move with the state.  Implicit
+stepping is deliberately avoided: where the diffusion coefficient vanishes
+the Jacobian is singular, and desk-scale grids make the explicit penalty
+affordable.
 
 The CFL bound reads u_x from the stencil of np.gradient (central inside,
 first order at the ends), written out by hand because the call costs three
@@ -47,6 +48,12 @@ __all__ = [
 ]
 
 
+# The fraction of the explicit diffusion limit dx^2 / max|diffusion_coeff|
+# that one step takes, and the step below which a run stops.
+_CFL_SAFETY = 0.4
+_DT_FLOOR = 1e-12
+
+
 class SolverError(RuntimeError):
     pass
 
@@ -80,21 +87,11 @@ class StateFrame:
 
 @dataclass(frozen=True)
 class SolverControls:
-    cfl_safety: float = 0.4
-    dt_max: Optional[float] = None
-    dt_floor: float = 1e-12
     output_stride: int = 1
 
     def __post_init__(self):
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
-        # A nan bound would vanish in min(dt_cap, bound) and drop the CFL limit.
-        if not (math.isfinite(self.cfl_safety) and self.cfl_safety > 0.0):
-            raise ValueError(f"cfl_safety must be finite and > 0, got {self.cfl_safety!r}")
-        if self.dt_max is not None and not (math.isfinite(self.dt_max) and self.dt_max > 0.0):
-            raise ValueError(f"dt_max must be None or finite and > 0, got {self.dt_max!r}")
-        if not (math.isfinite(self.dt_floor) and self.dt_floor >= 0.0):
-            raise ValueError(f"dt_floor must be finite and >= 0, got {self.dt_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -194,8 +191,7 @@ def step(spec: ProblemSpec, grid: Grid1D, frame: StateFrame, dt: float,
     return StateFrame(frame.t + dt, u_new, evolution_rhs(spec, grid, u_new))
 
 
-def _cfl_dt(spec: ProblemSpec, grid: Grid1D, u: np.ndarray, controls: SolverControls,
-            dt_cap: float, t: float) -> float:
+def _cfl_dt(spec: ProblemSpec, grid: Grid1D, u: np.ndarray, dt_cap: float, t: float) -> float:
     # np.gradient(u, dx) written out at a third of its cost.  It must stay
     # bitwise equal to np.gradient, or every step size and frame moves.
     dx = grid.dx
@@ -210,8 +206,8 @@ def _cfl_dt(spec: ProblemSpec, grid: Grid1D, u: np.ndarray, controls: SolverCont
         raise SolverError(f"diffusion coefficient not finite at t={t!r}")
     dt = dt_cap
     if coef_max > 1e-30:
-        dt = min(dt, controls.cfl_safety * dx * dx / coef_max)
-    if dt < controls.dt_floor:
+        dt = min(dt, _CFL_SAFETY * dx * dx / coef_max)
+    if dt < _DT_FLOOR:
         raise SolverError(f"CFL time step {dt!r} fell below the floor at t={t!r}")
     return dt
 
@@ -232,7 +228,7 @@ def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,
     if spec.params.get("divergence_form_m") is not None and float(np.min(u)) < 0.0:
         raise SolverError("degenerate power models need u0 >= 0")
 
-    dt_cap = controls.dt_max if controls.dt_max is not None else t_end / 64.0
+    dt_cap = t_end / 64.0
     frame = StateFrame(0.0, u, evolution_rhs(spec, grid, u))
     frames = [frame]
     n_steps = 0
@@ -240,7 +236,7 @@ def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,
     dt_largest = 0.0
 
     while frame.t < t_end - 1e-14 * t_end:
-        dt = _cfl_dt(spec, grid, frame.u, controls, dt_cap, frame.t)
+        dt = _cfl_dt(spec, grid, frame.u, dt_cap, frame.t)
         dt = min(dt, t_end - frame.t)
         frame = step(spec, grid, frame, dt, k1=frame.ut)
         n_steps += 1

@@ -310,6 +310,15 @@ def test_reduced_rest_point_query_yields_nan():
     assert out[2] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_reduced_near_rest_point_query_does_not_depend_on_its_batch():
+    # A large reaction elsewhere in the batch must not turn a query near the
+    # rest point p = 0 into a rest point.
+    spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0})
+    alone = reduced_g(spec, np.array([1e-12]))
+    batch = reduced_g(spec, np.array([1e-12, 100.0]))
+    assert alone[0] == batch[0] == pytest.approx(math.log(1e12))
+
+
 def test_reduced_seed_at_rest_point_raises():
     spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0})
     with pytest.raises(ReducedGError):
@@ -324,7 +333,7 @@ def test_reduced_crossing_a_rest_point_raises():
 
 def test_reduced_requires_the_structure_flag():
     spec = models.from_descriptor({"model": "porous_medium", "m": 1.0})
-    assert not spec.structure_flags.shared_factor_reducible
+    assert not spec.shared_factor_reducible
     with pytest.raises(ReducedGError):
         reduced_g(spec, 0.5)
 

@@ -646,6 +646,32 @@ def test_initial_profile_from_csv(tmp_path):
     assert first_u == pytest.approx(0.5 * np.sin(np.pi * 0.5), abs=1e-12)
 
 
+# Per profile: non-default values for the keys it reads, and a key it does not read.
+@pytest.mark.parametrize("profile, own, stray", [
+    ("zero", {}, {"amplitude": 2.0}),
+    ("sin", {"amplitude": 0.5, "k": 2}, {"center": 0.3}),
+    ("shifted_sin", {"amplitude": 0.5, "offset": 1.0}, {"k": 2}),
+    ("ramp_sin", {"amplitude": 0.5}, {"offset": 0.1}),
+    ("bump", {"amplitude": 0.5, "center": 0.4, "sharpness": 4.0}, {"k": 2}),
+    ("csv", {"path": "profile.csv"}, {"amplitude": 2.0, "sharpness": 1.0}),
+], ids=["zero", "sin", "shifted_sin", "ramp_sin", "bump", "csv"])
+def test_initial_keys_that_the_profile_does_not_read_are_refused(tmp_path, capsys, monkeypatch,
+                                                                  profile, own, stray):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt(tmp_path / "profile.csv", np.linspace(0.0, 1.0, 17) ** 2)
+    base = {"model": {"model": "heat"}, "grid": {"n_cells": 16},
+            "time": {"t_end": 1e-4, "output_stride": 64}}
+    initial = {"profile": profile, **own}
+    code, out = _run(tmp_path, "simulate", {**base, "initial": initial})
+    assert code == 0
+    assert _read_json(out / "manifest.json")["config"]["initial"]["profile"] == profile
+    code, _ = _run(tmp_path, "simulate", {**base, "initial": {**initial, **stray}}, name="stray")
+    assert code == 1
+    keys = sorted(f"initial.{key}" for key in stray)
+    assert capsys.readouterr().err == (
+        f"error: cli: settings {keys} are not read by profile {profile!r}\n")
+
+
 def test_missing_config_is_an_error(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")])

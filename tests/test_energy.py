@@ -5,14 +5,15 @@ decay is -pi^4/2, and the conventional degenerate-diffusion energies have
 elementary integrals.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from paralyap import models
-from paralyap.characteristics import analytic_g
+from paralyap import energy, models
+from paralyap.characteristics import analytic_g, tabulate_g
 from paralyap.energy import (
     EnergyTrace,
     _simpson,
@@ -20,12 +21,19 @@ from paralyap.energy import (
     energy_of_frame,
     energy_trace,
     filtration_energy,
-    node_gradient,
     standard_pme_energy,
     verify_decay,
 )
 from paralyap.lagrangian import LagrangianError, build_lagrangian, eval_L
-from paralyap.solver import Grid1D, SolverControls, StateFrame, evolution_rhs, simulate
+from paralyap.solver import (
+    Grid1D,
+    SimulationResult,
+    SolverControls,
+    StateFrame,
+    _node_derivatives,
+    evolution_rhs,
+    simulate,
+)
 
 
 def _heat_lagrangian():
@@ -40,8 +48,7 @@ def _frame(spec, grid, u):
 def test_node_gradient_interior_and_ends():
     spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(64)
-    frame = _frame(spec, grid, grid.nodes**2)
-    p = node_gradient(spec, frame, grid)
+    p = _node_derivatives(spec, grid, grid.nodes**2)[0]
     assert np.max(np.abs(p - 2.0 * grid.nodes)) < 1e-10  # exact for quadratics
 
 
@@ -51,7 +58,7 @@ def test_node_gradient_reports_robin_slope_exactly():
     u = 0.5 + 0.1 * grid.nodes
     for end, bc in ((0, [robin, "dirichlet"]), (-1, ["dirichlet", robin])):
         spec = models.from_descriptor({"model": "heat", "bc": bc})
-        p = node_gradient(spec, _frame(spec, grid, u), grid)
+        p = _node_derivatives(spec, grid, u)[0]
         assert p[end] == pytest.approx(3.0 * u[end], abs=1e-14)
 
 
@@ -79,7 +86,7 @@ def test_energy_of_an_odd_cell_count_matches_scipy():
     grid = Grid1D(9)
     x = grid.nodes
     frame = _frame(spec, grid, np.sin(np.pi * x) + 0.3 * x * x)
-    values = eval_L(lag, x, frame.u, node_gradient(spec, frame, grid))
+    values = eval_L(lag, x, frame.u, _node_derivatives(spec, grid, frame.u)[0])
     assert energy_of_frame(lag, frame, grid) == pytest.approx(simpson(values, x=x), rel=1e-14)
 
 
@@ -196,6 +203,140 @@ def test_trace_columns_and_model_oracle():
     assert np.allclose(trace.dEdt_model, trace.dEdt_formula, rtol=1e-12)
 
 
+_ROBIN_U = {"kind": "robin", "b": {"kind": "linear", "slope": 1.0}}
+_WAVE_END = {"kind": "robin", "b": {"kind": "constant", "value": -0.5}}
+
+
+def _traced_heat():
+    spec = models.from_descriptor({"model": "heat", "bc": [_ROBIN_U, "dirichlet"]})
+    grid = Grid1D(32)
+    result = simulate(spec, np.sin(np.pi * grid.nodes), 2e-3, grid, SolverControls(8))
+    return build_lagrangian(spec, tabulate_g(spec)), result, grid
+
+
+def _rho_poly():
+    spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0})
+    grid = Grid1D(64)
+    u0 = grid.nodes + 0.2 * np.sin(np.pi * grid.nodes)
+    result = simulate(spec, u0, 2e-3, grid, SolverControls(16))
+    return build_lagrangian(spec, analytic_g(spec)), result, grid
+
+
+def _robin_porous_medium():
+    # The free-boundary wave u = (t - x)_+ / 2 from t = 0.3, held by b = -1/2:
+    # the nodes ahead of its front are masked.
+    spec = models.from_descriptor(
+        {"model": "porous_medium", "m": 2.0, "bc": [_WAVE_END, "dirichlet"]})
+    grid = Grid1D(32)
+    u0 = 0.5 * np.maximum(0.3 - grid.nodes, 0.0)
+    result = simulate(spec, u0, 0.05, grid, SolverControls(8))
+    return build_lagrangian(spec, analytic_g(spec)), result, grid
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _columns(trace):
+    return trace.E, trace.dEdt_formula, trace.dEdt_model, trace.mask_fraction
+
+
+@pytest.mark.parametrize("case", [_traced_heat, _rho_poly, _robin_porous_medium],
+                         ids=["heat-robin-traced", "rho-poly-analytic", "pme-robin"])
+def test_trace_columns_equal_the_per_frame_values_bitwise(case):
+    lag, result, grid = case()
+    spec = lag.spec
+    trace = energy_trace(lag, result, grid)
+    assert len(trace) == len(result) >= 4
+    assert trace.dEdt_model is not None
+    decays = [decay_formula(spec, lag.g_provider, f, grid) for f in result]
+    assert _bits(trace.E) == _bits([energy_of_frame(lag, f, grid) for f in result])
+    assert _bits(trace.dEdt_formula) == _bits([d.value for d in decays])
+    assert _bits(trace.mask_fraction) == _bits([d.mask_fraction for d in decays])
+    # The model oracle has no per-frame function: a trace of one frame stands in.
+    alone = [energy_trace(lag, SimulationResult((f,), 0, 0.0, 0.0), grid) for f in result]
+    assert _bits(trace.dEdt_model) == _bits([a.dEdt_model[0] for a in alone])
+    backward = SimulationResult(result.frames[::-1], result.n_steps,
+                                result.dt_smallest, result.dt_largest)
+    reversed_trace = energy_trace(lag, backward, grid)
+    for column, reversed_column in zip(_columns(trace), _columns(reversed_trace)):
+        assert _bits(reversed_column) == _bits(column[::-1])
+
+
+def _counting(monkeypatch, lag):
+    """``lag`` with a counted provider, and the counts of eval_L calls and of
+    provider calls made outside eval_L."""
+    calls = {"eval_L": 0, "provider": 0}
+    inside = []
+    eval_L_before, provider_before = energy.eval_L, lag.g_provider
+
+    def counted_eval_L(*args):
+        calls["eval_L"] += 1
+        inside.append(True)
+        try:
+            return eval_L_before(*args)
+        finally:
+            inside.pop()
+
+    def counted_provider(x, u, p):
+        if not inside:
+            calls["provider"] += 1
+        return provider_before(x, u, p)
+
+    monkeypatch.setattr(energy, "eval_L", counted_eval_L)
+    return dataclasses.replace(lag, g_provider=counted_provider), calls
+
+
+def _frames(spec, grid, n_frames, dt=1e-3):
+    """A decaying sine, one frame every ``dt``."""
+    frames = []
+    for k in range(n_frames):
+        u = np.sin(np.pi * grid.nodes) * (1.0 - 0.01 * k)
+        frames.append(StateFrame(k * dt, u, evolution_rhs(spec, grid, u)))
+    return SimulationResult(tuple(frames), 0, 0.0, 0.0)
+
+
+def test_a_trace_calls_eval_L_and_the_provider_once_per_block(monkeypatch):
+    spec, lag = _heat_lagrangian()
+    grid = Grid1D(128)
+    short = _frames(spec, grid, 4)
+    lag, calls = _counting(monkeypatch, lag)
+    energy_trace(lag, short, grid)
+    assert calls == {"eval_L": 1, "provider": 1}
+
+    long = _frames(spec, grid, 40)
+    blocks = -(-40 * 129 // energy._BLOCK_POINTS)
+    assert blocks > 1
+    calls.update(eval_L=0, provider=0)
+    energy_trace(lag, long, grid)
+    assert calls == {"eval_L": blocks, "provider": blocks}
+
+
+def test_blocks_that_split_frames_leave_every_column_unchanged(monkeypatch):
+    lag, result, grid = _rho_poly()
+    whole = energy_trace(lag, result, grid)
+    monkeypatch.setattr(energy, "_BLOCK_POINTS", 50)
+    lag, calls = _counting(monkeypatch, lag)
+    split = energy_trace(lag, result, grid)
+    assert calls["eval_L"] == -(-len(result) * 65 // 50)
+    for a, b in zip(_columns(whole), _columns(split)):
+        assert _bits(a) == _bits(b)
+
+
+def test_a_non_finite_energy_integrand_names_the_frame_and_the_node(monkeypatch):
+    spec, lag = _heat_lagrangian()
+    grid = Grid1D(16)
+
+    def poisoned(lag, x, u, p):
+        values = eval_L(lag, x, u, p)
+        values[17 + 8] = math.inf
+        return values
+
+    monkeypatch.setattr(energy, "eval_L", poisoned)
+    with pytest.raises(ValueError, match=r"not finite at t=0\.25, node 8 \(x=0\.5\)"):
+        energy_trace(lag, _frames(spec, grid, 2, dt=0.25), grid)
+
+
 def test_verify_accepts_a_clean_heat_run():
     spec, lag = _heat_lagrangian()
     grid = Grid1D(64)
@@ -255,6 +396,43 @@ def test_verify_does_not_pass_consistency_without_a_checked_frame():
     assert not report.passed_consistency
     assert report.passed_monotonicity
     assert verify_decay(_synthetic_trace([1.0, 0.8, 0.6, 0.4])).checked_frames == 2
+
+
+def _verify_by_loop(trace, tol_mono=1e-8, tol_consistency=0.05, mask_reliable=0.1):
+    """The frame-by-frame form of verify_decay, kept as its reference."""
+    mono, cons, max_err, checked = [], [], 0.0, 0
+    for k in range(len(trace) - 1):
+        if trace.E[k + 1] > trace.E[k] + tol_mono * (1.0 + abs(trace.E[k])):
+            mono.append({"index": k, "t": float(trace.times[k + 1]),
+                         "E_before": float(trace.E[k]), "E_after": float(trace.E[k + 1])})
+    for k in range(1, len(trace) - 1):
+        if trace.mask_fraction[k] > mask_reliable:
+            continue
+        checked += 1
+        measured, formula = trace.dEdt_measured[k], trace.dEdt_formula[k]
+        rel = abs(measured - formula) / (1.0 + abs(formula))
+        max_err = max(max_err, rel)
+        if rel > tol_consistency:
+            cons.append({"index": k, "t": float(trace.times[k]), "measured": float(measured),
+                         "formula": float(formula), "relative_error": float(rel)})
+    return mono, cons, float(max_err), checked
+
+
+def test_verify_equals_its_frame_by_frame_reference():
+    rng = np.random.default_rng(3)
+    for n in (3, 4, 9, 30):
+        for _ in range(20):
+            E = np.cumsum(rng.normal(-0.1, 0.1, n))
+            formula = rng.normal(-1.0, 0.2, n)
+            measured = formula * (1.0 + rng.normal(0.0, 0.05, n))
+            measured[rng.random(n) < 0.1] = math.nan
+            mask = np.where(rng.random(n) < 0.3, rng.random(n), 0.0)
+            mask[rng.random(n) < 0.1] = math.nan
+            trace = EnergyTrace(np.linspace(0.0, 1.0, n), E, measured, formula, None, mask)
+            report = verify_decay(trace)
+            got = (report.monotonicity_violations, report.consistency_violations,
+                   report.max_consistency_error, report.checked_frames)
+            assert got == _verify_by_loop(trace)
 
 
 def test_verify_needs_three_times():
