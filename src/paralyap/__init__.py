@@ -62,10 +62,7 @@ from .models import (
     ClosedForms,
     Filtration,
     ProblemSpec,
-    SampleBox,
-    ValidationReport,
     from_descriptor,
-    validate_spec,
 )
 from .quadrature import QuadratureError, adaptive_simpson, integrate_batch
 from .solver import (
@@ -97,13 +94,11 @@ __all__ = [
     "ProblemSpec",
     "QuadratureError",
     "ReducedGError",
-    "SampleBox",
     "SimulationResult",
     "SolverControls",
     "SolverError",
     "StateFrame",
     "Termination",
-    "ValidationReport",
     "VerifyReport",
     "adaptive_simpson",
     "analytic_g",
@@ -126,6 +121,5 @@ __all__ = [
     "standard_pme_energy",
     "step",
     "tabulate_g",
-    "validate_spec",
     "verify_decay",
 ]

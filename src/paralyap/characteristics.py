@@ -21,7 +21,6 @@ its weights are all nonnegative, so the x increment is a nonnegative
 combination of stage values of the directed speed.
 """
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
@@ -51,6 +50,16 @@ __all__ = [
 # the secant step that lands on it; a curve this close to the plane has
 # reached it.
 _LAND_TOL = 1e-12
+# A curve's first attempted step: the length of the unit interval, so with
+# the landing clamp it is the step that reaches the plane at the starting
+# speed.
+_DT0 = 1.0
+# dx/dtau below this counts toward a stall.
+_STALL_EPS = 1e-12
+# Attempts, accepted or not, before a curve ends as MAX_STEPS.
+_MAX_STEPS = 200000
+# A step below this raises.
+_DT_MIN = 1e-14
 
 
 class CharacteristicsError(RuntimeError):
@@ -95,19 +104,18 @@ class CharTrajectory:
 
 @dataclass(frozen=True)
 class CharControls:
-    """Step-size and termination controls for the curve integrator."""
+    """Tolerance, plane and termination controls for the curve integrator.
 
-    # The length of the unit interval: with the landing clamp, a curve's
-    # first attempt is the step that reaches the plane at its starting speed.
-    dt0: float = 1.0
+    The first step, the stall threshold, the attempt budget and the smallest
+    step are the module constants ``_DT0``, ``_STALL_EPS``, ``_MAX_STEPS``
+    and ``_DT_MIN``.
+    """
+
     tol: float = 1e-8
     tau_max: float = 50.0
     x_end: Optional[float] = 1.0
-    stall_eps: float = 1e-12
     stall_window: int = 50
     blowup_cap: float = 1e8
-    max_steps: int = 200000
-    dt_min: float = 1e-14
     # Upper bound on the accepted step, for a caller that wants dense states.
     dt_max: Optional[float] = None
 
@@ -177,13 +185,13 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
     ends[live] = Termination.MAX_STEPS
     idx, y, sign = np.flatnonzero(live), starts[live], sign[live]
     m = len(idx)
-    tau, dt, stall = np.zeros(m), np.full(m, float(controls.dt0)), np.zeros(m, dtype=int)
+    tau, dt, stall = np.zeros(m), np.full(m, _DT0), np.zeros(m, dtype=int)
     k0 = field(y, sign)
     live, step = np.ones(m, dtype=bool), 0
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Each live curve makes one attempt per pass: ``step`` counts them all.
-        while step < controls.max_steps and live.any():
+        while step < _MAX_STEPS and live.any():
             step += 1
             idx, y, sign, tau, dt, k0, stall = (a[live] for a in (idx, y, sign, tau, dt, k0, stall))
             # Hard clamps: land exactly on tau_max, and stop where the plane
@@ -191,7 +199,7 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
             gap = sign * (x_end - y[:, 0])
             to_end = np.where(k0[:, 0] > 0.0, gap / k0[:, 0], math.inf)
             dt = np.minimum(np.minimum(np.minimum(dt, dt_max), controls.tau_max - tau), to_end)
-            under = dt < controls.dt_min
+            under = dt < _DT_MIN
             if under.any():
                 raise CharacteristicsError(f"step size underflow at tau={float(tau[under][0])!r}")
             # Each weighted sum runs in stage order, as for a lone curve.
@@ -220,7 +228,7 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
             moving = ok & ~(blowup | reached | (tau >= tau_end))
             if moving.any():
                 k0[moving] = field(y[moving], sign[moving])
-            slow = np.abs(k0[:, 0]) < controls.stall_eps
+            slow = np.abs(k0[:, 0]) < _STALL_EPS
             stall = np.where(moving, np.where(slow, stall + 1, 0), stall)
             stalled = moving & (stall >= controls.stall_window)
             ends[idx[blowup]] = Termination.BLOWUP
@@ -243,10 +251,10 @@ def integrate_characteristics(spec: ProblemSpec, init: dict,
     5(4) pair under a mixed absolute/relative error target ``controls.tol``;
     a step that would pass the plane is redone with the secant step that
     lands on it.  Termination is an observation, not a failure: reaching
-    ``x_end``, stalling (dx/dtau below ``stall_eps`` for ``stall_window``
+    ``x_end``, stalling (dx/dtau below ``_STALL_EPS`` for ``stall_window``
     accepted steps), a component passing ``blowup_cap``, or exhausting
-    ``max_steps`` or ``tau_max``.  Only a step-size underflow or a non-finite
-    field value raises.
+    ``_MAX_STEPS`` attempts or ``tau_max``.  The first attempt is ``_DT0``.
+    Only a step below ``_DT_MIN`` or a non-finite field value raises.
 
     Models may supply ``char_system`` to integrate a rescaled field with the
     same curve geometry; the porous-medium builtin does this to remove the
@@ -401,8 +409,7 @@ def reduced_ode_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0) -> GProvi
     return GProvider("reduced_ode", p0, g0, evaluate)
 
 
-def tabulate_g(spec: ProblemSpec, g0: float = 0.0,
-               controls: CharControls = CharControls()) -> GProvider:
+def tabulate_g(spec: ProblemSpec, g0: float = 0.0) -> GProvider:
     """g with g = g0 on the plane x = 0, by tracing each query's curve back to it.
 
     For each query (x, u, p) the characteristic curve through that point is
@@ -412,13 +419,13 @@ def tabulate_g(spec: ProblemSpec, g0: float = 0.0,
     batch, and each answer depends only on its own query.  The plane is
     reachable wherever the diffusion coefficient is positive.  A curve that
     stalls, blows up or runs out of tau is answered with nan, and counted in
-    ``extrapolations``.  ``controls.x_end`` is ignored: the plane is x = 0.
+    ``extrapolations``.
 
     The function name, the "tabulated" variant and the ``extrapolations``
     field are kept from an earlier interpolation table, because the
     benchmark's tracer binds them by name and its configs name the mode.
     """
-    controls = dataclasses.replace(controls, x_end=0.0)
+    controls = CharControls(x_end=0.0)
 
     def evaluate(x, u, p):
         x, u, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, u, p)))

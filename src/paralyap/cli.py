@@ -13,11 +13,13 @@ depth; only the model descriptor's keys are left to the models stage, which
 knows each family's.  ``_setting`` reads and converts every value, and
 ``_stage`` turns what a stage's own code raises into that stage's error, so
 every failure prints as ``error: <stage>: ...`` and a bad setting names its
-dotted key (``_STAGES`` maps each section to its stage); an ``initial`` key
-that the chosen profile does not read must keep its default.  Each command
-reads all of its settings before it builds anything.  A manifest records the
-fully resolved configuration, so a rerun of the same config with the same
-package version reproduces every CSV byte for byte.
+dotted key (``_STAGES`` maps each section to its stage).  A setting that
+the run does not read must keep its default: ``_READS`` lists the sections
+each command reads, ``_PROFILES`` the ``initial`` keys each profile reads,
+and ``_refuse_unread`` names every other key that differs from its default.
+Each command reads all of its settings before it builds anything.  A
+manifest records the fully resolved configuration, so a rerun of the same
+config with the same package version reproduces every CSV byte for byte.
 This module alone fixes the byte format of the artifacts: ``_write_csv``
 writes each float as ``repr`` and ``_write_json`` sorts keys and indents by
 two; only the streamed ``trajectory.csv`` has its own writer.
@@ -40,14 +42,13 @@ import numpy as np
 from . import __version__
 from .characteristics import (
     CharacteristicsError,
-    CharControls,
     GProvider,
     ReducedGError,
     analytic_g,
     reduced_ode_g,
     tabulate_g,
 )
-from .energy import energy_trace, standard_pme_energy, verify_decay
+from .energy import _rises, energy_trace, standard_pme_energy, verify_decay
 from .lagrangian import (
     Lagrangian,
     LagrangianError,
@@ -72,9 +73,6 @@ _DEFAULTS = {
     "time": {"t_end": 0.01, "output_stride": 8},
     "initial": {"profile": "sin", "amplitude": 1.0, "k": 1, "offset": 0.5,
                 "center": 0.5, "sharpness": 8.0, "path": None},
-    # x_end is no setting: the tabulated provider traces every curve to x = 0.
-    "char_controls": {f.name: f.default for f in dataclasses.fields(CharControls)
-                      if f.name != "x_end"},
     "grid_dump": {
         "x": [0.5],
         "u": {"min": 0.25, "max": 1.0, "n": 9},
@@ -89,9 +87,16 @@ _DEFAULTS = {
 }
 
 # The stage that reports a bad setting of each section; any other section is the CLI's.
-_STAGES = {"model": "models", "normalization": "characteristics",
-           "char_controls": "characteristics", "lagrangian": "lagrangian",
+_STAGES = {"model": "models", "normalization": "characteristics", "lagrangian": "lagrangian",
            "grid": "solver", "time": "solver"}
+
+# The sections that each command reads.
+_READS = {
+    "construct-energy": ("model", "g_mode", "normalization", "lagrangian", "grid_dump"),
+    "simulate": ("model", "grid", "time", "initial"),
+    "verify": ("model", "g_mode", "normalization", "lagrangian", "grid", "time", "initial"),
+    "compare-closed-form": ("model", "g_mode", "normalization", "lagrangian", "compare"),
+}
 
 
 class CliError(RuntimeError):
@@ -142,6 +147,24 @@ def _resolve_config(path):
     return _merge(_DEFAULTS, user)
 
 
+def _changed(settings, defaults, prefix=""):
+    """The dotted keys, at any depth, whose value in ``settings`` differs from ``defaults``."""
+    for key, value in settings.items():
+        default = defaults.get(key)
+        if isinstance(value, dict) and isinstance(default, dict):
+            yield from _changed(value, default, f"{prefix}{key}.")
+        elif value != default:
+            yield prefix + key
+
+
+def _refuse_unread(settings, defaults, read, reader, prefix=""):
+    """Refuse a non-default value in any key of ``settings`` outside ``read``."""
+    others = {key: value for key, value in settings.items() if key not in read}
+    unread = sorted(_changed(others, defaults, prefix))
+    if unread:
+        raise CliError("cli", f"settings {unread} are not read by {reader}")
+
+
 def _setting(config, key, convert=float):
     """The setting at the dotted ``key``, through ``convert``; a failure names the key."""
     section, *path = key.split(".")
@@ -186,23 +209,12 @@ def _build_spec(config) -> ProblemSpec:
         return from_descriptor(config["model"])
 
 
-def _char_controls(config) -> CharControls:
-    kinds = {f.name: f.type for f in dataclasses.fields(CharControls)}
-    # Only the Optional control dt_max takes null.
-    return CharControls(**{
-        key: _setting(config, f"char_controls.{key}",
-                      {int: int, float: float}.get(kinds[key], _optional))
-        for key in config["char_controls"]
-    })
-
-
 def _build_provider(spec, config) -> GProvider:
     norm = config["normalization"]
     if norm["p0"] == "canonical":
         forms = spec.closed_forms
         norm["p0"] = forms.canonical_p0 if forms is not None else 1.0
     p0, g0 = _setting(config, "normalization.p0"), _setting(config, "normalization.g0")
-    controls = _char_controls(config)
     mode = config["g_mode"]
     with _stage("characteristics"):
         if mode == "analytic":
@@ -210,7 +222,7 @@ def _build_provider(spec, config) -> GProvider:
         if mode == "reduced":
             return reduced_ode_g(spec, p0, g0)
         if mode == "tabulated":
-            return tabulate_g(spec, g0, controls)
+            return tabulate_g(spec, g0)
     raise CliError("cli", f"g_mode: unknown mode {mode!r}")
 
 
@@ -257,10 +269,8 @@ def _initial_profile(config, grid: Grid1D) -> np.ndarray:
     if profile not in _PROFILES:
         raise CliError("cli", f"initial.profile: unknown profile {profile!r}")
     keys, build = _PROFILES[profile]
-    unread = sorted(f"initial.{key}" for key, default in _DEFAULTS["initial"].items()
-                    if key != "profile" and key not in keys and init[key] != default)
-    if unread:
-        raise CliError("cli", f"settings {unread} are not read by profile {profile!r}")
+    _refuse_unread(init, _DEFAULTS["initial"], ("profile", *keys), f"profile {profile!r}",
+                   "initial.")
     convert = {"path": lambda path: _csv_profile(path, len(x))}
     return build(x, *(_setting(config, f"initial.{key}", convert.get(key, float)) for key in keys))
 
@@ -373,13 +383,11 @@ def cmd_verify(config, out_dir: Path) -> int:
     m = spec.params.get("divergence_form_m")
     if m is not None:
         dual = [standard_pme_energy(f, float(m), grid) for f in result]
+        E = [d["E"] for d in dual]
         payload["standard_energy"] = {
-            "E": [d["E"] for d in dual],
+            "E": E,
             "dEdt": [d["dEdt"] for d in dual],
-            "monotone": all(
-                dual[i + 1]["E"] <= dual[i]["E"] + 1e-8 * (1.0 + abs(dual[i]["E"]))
-                for i in range(len(dual) - 1)
-            ),
+            "monotone": not _rises(E).size,
         }
     _write_csv(out_dir, "energy_trace.csv",
                ("t", "E", "dEdt_measured", "dEdt_formula", "dEdt_model", "mask_fraction"),
@@ -471,6 +479,7 @@ def main(argv=None) -> int:
 
     try:
         config = _resolve_config(args.config)
+        _refuse_unread(config, _DEFAULTS, _READS[args.command], args.command)
         return _COMMANDS[args.command](config, Path(args.out))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

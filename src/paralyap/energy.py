@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 _GRAD_EPS_REL = 1e-6
+# How far, relative to 1 + |E|, one step of an energy series may rise.
+_TOL_MONO = 1e-8
 # The most points that one eval_L call or one g-provider call of a trace takes.
 _BLOCK_POINTS = 2048
 
@@ -210,6 +212,12 @@ def filtration_energy(frame: StateFrame, a: Callable, grid: Grid1D,
     return {"E": E, "dEdt": -_simpson(flux * flux, grid.dx)}
 
 
+def _rises(E, tol_mono: float = _TOL_MONO) -> np.ndarray:
+    """The steps k at which E[k + 1] exceeds E[k] by more than tol_mono * (1 + |E[k]|)."""
+    E = np.asarray(E, dtype=float)
+    return np.flatnonzero(E[1:] > E[:-1] + tol_mono * (1.0 + np.abs(E[:-1])))
+
+
 @dataclass
 class VerifyReport:
     n_times: int
@@ -241,12 +249,12 @@ class VerifyReport:
         }
 
 
-def verify_decay(trace: EnergyTrace, tol_mono: float = 1e-8,
+def verify_decay(trace: EnergyTrace, tol_mono: float = _TOL_MONO,
                  tol_consistency: float = 0.05,
                  mask_reliable: float = 0.1) -> VerifyReport:
     """Check the decay contract on a trace.
 
-    Monotonicity: each E step may rise at most tol_mono * (1 + |E|).
+    Monotonicity: each E step may rise at most tol_mono * (1 + |E|) (``_rises``).
     Consistency: at interior times whose masked fraction is below
     ``mask_reliable``, measured and predicted dE/dt must agree to
     tol_consistency * (1 + |predicted|).  A trace in which no interior time
@@ -255,9 +263,8 @@ def verify_decay(trace: EnergyTrace, tol_mono: float = 1e-8,
     if len(trace) < 3:
         raise ValueError("a trace needs at least 3 times to verify")
     E, t, measured, formula = trace.E, trace.times, trace.dEdt_measured, trace.dEdt_formula
-    rises = np.flatnonzero(E[1:] > E[:-1] + tol_mono * (1.0 + np.abs(E[:-1])))
     mono = [{"index": int(k), "t": float(t[k + 1]), "E_before": float(E[k]),
-             "E_after": float(E[k + 1])} for k in rises]
+             "E_after": float(E[k + 1])} for k in _rises(E, tol_mono)]
     interior = np.arange(1, len(trace) - 1)
     checked = interior[~(trace.mask_fraction[interior] > mask_reliable)]
     rel = np.abs(measured[checked] - formula[checked]) / (1.0 + np.abs(formula[checked]))

@@ -52,10 +52,6 @@ __all__ = [
     "ProblemSpec",
     "Filtration",
     "from_descriptor",
-    "SampleBox",
-    "Violation",
-    "ValidationReport",
-    "validate_spec",
 ]
 
 _FD_STEP = 1e-6  # relative central-difference step for derivative fallbacks
@@ -652,124 +648,3 @@ def from_descriptor(descriptor: dict) -> ProblemSpec:
     spec = build(d, tuple(_bc_from_descriptor(b) for b in bc))
     d.refuse_unread("model")
     return dataclasses.replace(spec, params={**spec.params, "descriptor": descriptor})
-
-
-# ---------------------------------------------------------------------------
-# Sampled validation
-
-
-@dataclass(frozen=True)
-class SampleBox:
-    """Bounded sampling region for the pointwise validator."""
-
-    x: tuple = (0.0, 1.0)
-    u: tuple = (-1.0, 1.0)
-    p: tuple = (-1.0, 1.0)
-    q: tuple = (-0.5, 0.5)
-
-
-@dataclass(frozen=True)
-class Violation:
-    invariant: str
-    point: dict
-    detail: str
-
-
-@dataclass
-class ValidationReport:
-    n_samples: int
-    violations: list
-    counts: dict
-    max_consistency_residual: float
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def to_dict(self):
-        return {
-            "n_samples": self.n_samples,
-            "passed": self.passed,
-            "counts": self.counts,
-            "max_consistency_residual": self.max_consistency_residual,
-            "violations": [
-                {"invariant": v.invariant, "point": v.point, "detail": v.detail}
-                for v in self.violations[:25]
-            ],
-        }
-
-
-_MAX_REPORTED = 100
-
-
-def validate_spec(spec: ProblemSpec, box: SampleBox = SampleBox(), n_samples: int = 1000,
-                  seed: int = 0) -> ValidationReport:
-    """Monte-Carlo check of the sign and consistency contracts.
-
-    Samples (x, u, p, q) uniformly from ``box`` and takes the time derivative
-    from the resolved evolution, so the sign check runs on states the
-    equation can actually produce.  The report lists violating points and
-    never raises, including when an evaluator returns non-finite values.
-    """
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(*box.x, n_samples)
-    us = rng.uniform(*box.u, n_samples)
-    ps = rng.uniform(*box.p, n_samples)
-    qs = rng.uniform(*box.q, n_samples)
-
-    violations = []
-    counts = {}
-
-    def record(name, i, detail):
-        counts[name] = counts.get(name, 0) + 1
-        if len(violations) < _MAX_REPORTED:
-            violations.append(
-                Violation(
-                    name,
-                    {"x": float(xs[i]), "u": float(us[i]), "p": float(ps[i]), "q": float(qs[i])},
-                    detail,
-                )
-            )
-
-    with np.errstate(all="ignore"):
-        try:
-            diff = np.asarray(spec.diffusion_coeff(xs, us, ps), dtype=float)
-            react = np.asarray(spec.reaction(xs, us, ps), dtype=float)
-            ut = np.asarray(spec.rhs(xs, us, ps, qs), dtype=float)
-            weight = np.asarray(spec.f1_weight(xs, us, ps, qs, ut), dtype=float)
-        except Exception as exc:  # noqa: BLE001 - reported, never raised
-            return ValidationReport(
-                n_samples,
-                [Violation("evaluation_error", {}, repr(exc))],
-                {"evaluation_error": 1},
-                math.inf,
-            )
-
-    finite = np.isfinite(diff) & np.isfinite(react) & np.isfinite(ut) & np.isfinite(weight)
-    for i in np.flatnonzero(~finite):
-        record("non_finite_evaluation", i, "an evaluator returned nan or inf")
-
-    neg = finite & (diff < -1e-12)
-    for i in np.flatnonzero(neg):
-        record("diffusion_nonnegative", i, f"diffusion_coeff = {diff[i]!r}")
-    if finite.any() and np.max(np.abs(diff[finite])) <= 1e-14:
-        record("diffusion_not_identically_zero", int(np.flatnonzero(finite)[0]),
-               "diffusion_coeff vanished at every sample of the box")
-
-    product = weight * ut
-    bad_sign = finite & (product < -1e-10 * (1.0 + ut * ut))
-    for i in np.flatnonzero(bad_sign):
-        record("f1_weight_sign", i, f"f1_weight * ut = {product[i]!r}")
-    zero_off_eq = finite & (np.abs(weight) <= 1e-12 * (1.0 + np.abs(ut))) & (np.abs(ut) > 1e-6)
-    for i in np.flatnonzero(zero_off_eq):
-        record("f1_weight_strict", i, f"f1_weight vanished while ut = {ut[i]!r}")
-
-    target = diff * qs - react
-    residual = np.abs(weight - target)
-    tolerance = 1e-10 * (1.0 + np.abs(target))
-    bad_consistency = finite & (residual > tolerance)
-    for i in np.flatnonzero(bad_consistency):
-        record("evolution_consistency", i, f"residual = {residual[i]!r}")
-    max_res = float(np.max(residual[finite])) if finite.any() else math.inf
-
-    return ValidationReport(n_samples, violations, counts, max_res)

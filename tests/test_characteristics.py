@@ -26,7 +26,10 @@ from paralyap.characteristics import (
     _A,
     _B4,
     _B5,
+    _DT0,
     _LAND_TOL,
+    _MAX_STEPS,
+    _STALL_EPS,
     _integrate_curves,
 )
 from paralyap.models import BoundaryCondition, ProblemSpec
@@ -152,9 +155,9 @@ def _scalar_curve(spec, seed, controls):
                  + p * float(spec.diffusion_coeff_du(x, u, p)))
         return fq, fq * p, float(spec.reaction(x, u, p)), rate
 
-    tau, y, dt, stall = 0.0, seed, controls.dt0, 0
+    tau, y, dt, stall = 0.0, seed, _DT0, 0
     rows, k0 = [[tau, *y]], field(*y[:3])
-    for _ in range(controls.max_steps):
+    for _ in range(_MAX_STEPS):
         dt = min(dt, controls.dt_max, controls.tau_max - tau)
         gap = controls.x_end - y[0]
         if k0[0] > 0.0:
@@ -183,7 +186,7 @@ def _scalar_curve(spec, seed, controls):
         if tau >= controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max)):
             return rows, Termination.MAX_STEPS
         k0 = field(*y[:3])
-        stall = stall + 1 if abs(k0[0]) < controls.stall_eps else 0
+        stall = stall + 1 if abs(k0[0]) < _STALL_EPS else 0
         if stall >= controls.stall_window:
             return rows, Termination.STALLED
     return rows, Termination.MAX_STEPS

@@ -4,7 +4,6 @@ Each run goes through ``main`` in-process with a JSON config in a temp
 directory, exactly as a shell invocation would.
 """
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 
 from paralyap import cli, models
-from paralyap.characteristics import CharacteristicsError, CharControls
+from paralyap.characteristics import CharacteristicsError
 from paralyap.cli import _write_trajectory, main
 from paralyap.lagrangian import LagrangianError
 from paralyap.models import from_descriptor
@@ -93,6 +92,19 @@ def test_catalog_smoke_test_and_readme_list_every_family():
     rows = [line for line in table.splitlines() if line.startswith("| `")]
     assert {row.split("`")[1] for row in rows} == families
     assert len(rows) == len(families)
+
+
+def test_readme_configs_pass_the_settings_rules(tmp_path):
+    # README pairs its first JSON config with construct-energy and its second
+    # with verify; a documented key that the CLI refuses fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```json\n")[1:]]
+    assert len(blocks) == 2
+    for command, block in zip(("construct-energy", "verify"), blocks):
+        path = tmp_path / f"{command}.json"
+        path.write_text(block)
+        config = cli._resolve_config(path)
+        cli._refuse_unread(config, cli._DEFAULTS, cli._READS[command], command)
 
 
 _SMALL_DUMP = {"x": [0.0], "u": {"min": 0.25, "max": 1.0, "n": 3},
@@ -285,6 +297,11 @@ _SMALL_VERIFY = {"model": {"model": "heat"}, "grid": {"n_cells": 16},
                  "time": {"t_end": 1e-3, "output_stride": 8}}
 
 
+def _small(command):
+    """The sections of ``_SMALL_VERIFY`` that ``command`` reads."""
+    return {section: v for section, v in _SMALL_VERIFY.items() if section in cli._READS[command]}
+
+
 @pytest.mark.parametrize("section, override, stage", [
     ("time", {"t_end": 0}, "solver"),
     ("grid", {"n_cells": 4}, "solver"),
@@ -341,7 +358,7 @@ def test_bad_initial_and_dump_values_name_the_stage(tmp_path, capsys, monkeypatc
                                                     command, override):
     (tmp_path / "abc.csv").write_text("abc\n")
     monkeypatch.chdir(tmp_path)
-    code, _ = _run(tmp_path, command, {**_SMALL_VERIFY, **override})
+    code, _ = _run(tmp_path, command, {**_small(command), **override})
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cli: ")
@@ -400,7 +417,7 @@ def test_bad_descriptors_fail_in_the_models_stage(tmp_path, capsys, monkeypatch,
 ], ids=["dump-x-null", "compare-x-null", "lpp_check-n-null"])
 def test_bad_dump_values_fail_before_the_build(tmp_path, capsys, monkeypatch, command, override):
     monkeypatch.setattr(cli, "_build_provider", _no_build)
-    code, _ = _run(tmp_path, command, {**_SMALL_VERIFY, **override})
+    code, _ = _run(tmp_path, command, {**_small(command), **override})
     assert code == 1
     assert capsys.readouterr().err.startswith("error: cli: ")
 
@@ -425,17 +442,16 @@ _TABULATED = {"g_mode": "tabulated"}
 
 
 @pytest.mark.parametrize("override, stage", [
-    ({**_TABULATED, "char_controls": {"tol": None}}, "characteristics"),
-    # The settings of the old interpolation table, and a typo of one, are
-    # refused rather than ignored.
+    # The settings of the old curve controls and interpolation table, and a
+    # typo of one, are refused rather than ignored.
+    ({**_TABULATED, "char_controls": {"tol": None}}, "cli"),
     ({**_TABULATED, "seed_grid": {"u0": None}}, "cli"),
     ({**_TABULATED, "coverage_min": None}, "cli"),
     ({**_TABULATED, "query_box": [[0.0, 1.0], [-1.0, 1.0]]}, "cli"),
     ({"qurey_box": [[0.0, 1.0]]}, "cli"),
     ({"time": {**_SMALL_VERIFY["time"], "dt_max": 1e-4}}, "solver"),
     ({"grid": {"n_cells": 16, "cells": 32}}, "solver"),
-    # The provider fixes the plane its curves run to.
-    ({**_TABULATED, "char_controls": {"x_end": 1.0}}, "characteristics"),
+    ({**_TABULATED, "char_controls": {"x_end": 1.0}}, "cli"),
     ({"normalization": {"p0": None}}, "characteristics"),
     ({"normalization": None}, "characteristics"),
     ({"lagrangian": {"quad_tol": None}}, "lagrangian"),
@@ -477,11 +493,31 @@ _INVERSE_MCF = {"model": {"model": "inverse_mcf"}, "compare": _SMALL_COMPARE}
 ], ids=["initial-typo", "normalization-typo", "dump-u-typo", "compare-typo", "lpp_check-typo",
         "t_end-string", "dump-u-n-string", "dump-u-n-0", "lpp_check-h-inf"])
 def test_bad_settings_name_the_stage_and_the_key(tmp_path, capsys, command, override, expected):
-    code, _ = _run(tmp_path, command, {**_SMALL_VERIFY, **override})
+    code, _ = _run(tmp_path, command, {**_small(command), **override})
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(expected)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, override, unread", [
+    ("construct-energy", {"time": {"t_end": "abc"}}, ["time.t_end"]),
+    ("simulate", {"g_mode": "bogus"}, ["g_mode"]),
+    ("simulate", {"normalization": {"g0": 1.0}, "compare": {"lpp_check": {"h": 0.01}}},
+     ["compare.lpp_check.h", "normalization.g0"]),
+    ("verify", {"grid_dump": {"x": "abc"}}, ["grid_dump.x"]),
+    ("compare-closed-form", {"time": {"t_end": "abc"}}, ["time.t_end"]),
+], ids=["construct-time", "simulate-g_mode", "simulate-nested", "verify-grid_dump",
+        "compare-time"])
+def test_settings_that_the_command_does_not_read_are_refused(tmp_path, capsys,
+                                                              command, override, unread):
+    code, _ = _run(tmp_path, command, {**_small(command), **override})
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cli: settings {unread} are not read by {command}\n"
+    # The same sections at their default values are no error.
+    defaults = {section: cli._DEFAULTS[section] for section in override}
+    code, _ = _run(tmp_path, command, {**_small(command), **defaults}, name="defaults")
+    assert code == 0
 
 
 def _raise(error):
@@ -519,9 +555,6 @@ def test_manifest_records_every_resolved_default(tmp_path):
     code, out = _run(tmp_path, "simulate", {**_SMALL_VERIFY, "initial": {"profile": "bump"}})
     assert code == 0
     config = _read_json(out / "manifest.json")["config"]
-    assert config["char_controls"] == {
-        f.name: f.default for f in dataclasses.fields(CharControls) if f.name != "x_end"
-    }
     assert config["initial"] == {"profile": "bump", "amplitude": 1.0, "k": 1, "offset": 0.5,
                                  "center": 0.5, "sharpness": 8.0, "path": None}
 

@@ -5,62 +5,84 @@ the catalogue code cannot agree with this file by accident.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from paralyap import models
-from paralyap.models import BoundaryCondition, SampleBox, from_descriptor, validate_spec
+from paralyap.models import BoundaryCondition, from_descriptor
+
+# A sampling box: the range of each of x, u, p and q.
+_Box = namedtuple("_Box", "x u p q", defaults=((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)))
 
 
 def _builtin_roster():
     """Every builtin with a sampling box where its evaluators are regular."""
     return [
-        (from_descriptor({"model": "heat"}), SampleBox()),
-        (from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0}), SampleBox()),
-        (from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0}), SampleBox()),
-        (from_descriptor({"model": "mcf_poly", "n": 1.0}), SampleBox()),
-        (from_descriptor({"model": "mcf_poly", "n": 2.0}), SampleBox()),
-        (from_descriptor({"model": "inverse_mcf"}), SampleBox()),
-        (from_descriptor({"model": "porous_medium", "m": 2.0}), SampleBox(u=(0.2, 1.0))),
-        (from_descriptor({"model": "rho_laplacian_pure", "rho": 3.0}), SampleBox()),
-        (from_descriptor({"model": "mcf_pure"}), SampleBox()),
+        (from_descriptor({"model": "heat"}), _Box()),
+        (from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0}), _Box()),
+        (from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0}), _Box()),
+        (from_descriptor({"model": "mcf_poly", "n": 1.0}), _Box()),
+        (from_descriptor({"model": "mcf_poly", "n": 2.0}), _Box()),
+        (from_descriptor({"model": "inverse_mcf"}), _Box()),
+        (from_descriptor({"model": "porous_medium", "m": 2.0}), _Box(u=(0.2, 1.0))),
+        (from_descriptor({"model": "rho_laplacian_pure", "rho": 3.0}), _Box()),
+        (from_descriptor({"model": "mcf_pure"}), _Box()),
         (
             from_descriptor({"model": "quasilinear_gradient",
                              "a": {"kind": "mcf"}, "h": {"kind": "linear", "slope": -1.0}}),
-            SampleBox(),
+            _Box(),
         ),
         (
             from_descriptor({"model": "filtration", "a": {"kind": "power", "exponent": 3.0}}),
-            SampleBox(u=(0.2, 1.0)),
+            _Box(u=(0.2, 1.0)),
         ),
         # Branches whose callbacks return constants or depend on fewer
         # arguments than the evaluator takes.
-        (from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 0.0}), SampleBox()),
-        (from_descriptor({"model": "mcf_poly", "n": 0.0}), SampleBox()),
-        (from_descriptor({"model": "porous_medium", "m": 1.0}), SampleBox(u=(0.2, 1.0))),
+        (from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 0.0}), _Box()),
+        (from_descriptor({"model": "mcf_poly", "n": 0.0}), _Box()),
+        (from_descriptor({"model": "porous_medium", "m": 1.0}), _Box(u=(0.2, 1.0))),
         (
             from_descriptor({"model": "filtration", "a": {"kind": "power", "exponent": 1.0}}),
-            SampleBox(),
+            _Box(),
         ),
         (
             from_descriptor({"model": "quasilinear_gradient", "a": {"kind": "constant", "value": 2.0},
                              "h": {"kind": "constant", "value": 0.5}}),
-            SampleBox(),
+            _Box(),
         ),
         (
             from_descriptor({"model": "heat", "bc": [
                 {"kind": "robin", "b": {"kind": "constant", "value": 0.5}}, "dirichlet"]}),
-            SampleBox(),
+            _Box(),
         ),
     ]
 
 
+def _contract_failures(spec, box, n=500, seed=3):
+    """The pointwise contracts that fail at n uniform samples of ``box``, by name."""
+    rng = np.random.default_rng(seed)
+    x, u, p, q = (rng.uniform(*r, n) for r in box)
+    with np.errstate(all="ignore"):
+        D, R = spec.diffusion_coeff(x, u, p), spec.reaction(x, u, p)
+        ut = spec.rhs(x, u, p, q)
+        f1 = spec.f1_weight(x, u, p, q, ut)
+    target = D * q - R
+    checks = {
+        "finite": np.all(np.isfinite([D, R, ut, f1])),
+        "diffusion_nonnegative": np.all(D >= -1e-12) and np.max(np.abs(D)) > 1e-14,
+        "f1_weight_sign": np.all(f1 * ut >= -1e-10 * (1.0 + ut * ut)),
+        "f1_weight_strict": not np.any((np.abs(f1) <= 1e-12 * (1.0 + np.abs(ut)))
+                                       & (np.abs(ut) > 1e-6)),
+        "evolution_consistency": np.all(np.abs(f1 - target) <= 1e-10 * (1.0 + np.abs(target))),
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
 def test_every_builtin_satisfies_the_pointwise_contracts():
     for spec, box in _builtin_roster():
-        report = validate_spec(spec, box=box, n_samples=500, seed=3)
-        assert report.passed, f"{spec.name}: {report.counts} {report.violations[:2]}"
-        assert report.max_consistency_residual <= 1e-10
+        assert _contract_failures(spec, box) == [], spec.name
 
 
 def test_rho_poly_evaluators():
@@ -225,16 +247,12 @@ def test_descriptor_is_recorded_in_params():
     assert spec.name == "mcf_poly"
 
 
-def test_validator_reports_a_broken_model_instead_of_raising():
+def test_the_contract_checks_reject_a_broken_model():
     good = from_descriptor({"model": "heat"})
     # Corrupt the time-carrying weight so the sign contract fails.
     import dataclasses
     bad = dataclasses.replace(good, f1_weight=lambda x, u, p, q, ut: -ut)
-    report = validate_spec(bad, n_samples=200, seed=1)
-    assert not report.passed
-    assert "f1_weight_sign" in report.counts or "evolution_consistency" in report.counts
-    payload = report.to_dict()
-    assert payload["passed"] is False and payload["n_samples"] == 200
+    assert _contract_failures(bad, _Box()) == ["f1_weight_sign", "evolution_consistency"]
 
 
 def test_filtration_derivative_fallback():
