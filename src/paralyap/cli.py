@@ -17,6 +17,11 @@ dotted key (``_STAGES`` maps each section to its stage).  A setting that
 the run does not read must keep its default: ``_READS`` lists the sections
 each command reads, ``_PROFILES`` the ``initial`` keys each profile reads,
 and ``_refuse_unread`` names every other key that differs from its default.
+The same rule refuses ``normalization.p0`` under ``g_mode`` ``"tabulated"``,
+whose g has no p0, and ``compare.lpp_check`` for a model that documents no
+variant.  Every number is checked where it is read: both ``quad_tol``
+settings and ``compare.lpp_check.h`` must be finite and positive, and the
+normalization values, ``compare.x`` and each ``grid_dump.x`` finite.
 Each command reads all of its settings before it builds anything.  A
 manifest records the fully resolved configuration, so a rerun of the same
 config with the same package version reproduces every CSV byte for byte.
@@ -194,7 +199,8 @@ def _checked(kind, ok, what):
 _FINITE = _checked(float, math.isfinite, "finite")
 _STEP = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
 _COUNT = _checked(int, lambda n: n >= 1, ">= 1")
-_POINTS = _checked(lambda v: [float(e) for e in v], bool, "a nonempty list")
+_POINTS = _checked(lambda v: [float(e) for e in v], lambda v: v and all(map(math.isfinite, v)),
+                   "a nonempty list of finite numbers")
 
 
 def _axis(config, key, lo="min", hi="max"):
@@ -210,12 +216,16 @@ def _build_spec(config) -> ProblemSpec:
 
 
 def _build_provider(spec, config) -> GProvider:
-    norm = config["normalization"]
+    norm, mode = config["normalization"], config["g_mode"]
+    if mode == "tabulated":
+        # The plane x = 0 normalizes the traced g, so it has no p0.
+        _refuse_unread(norm, _DEFAULTS["normalization"], ("g0",), f"g_mode {mode!r}",
+                       "normalization.")
     if norm["p0"] == "canonical":
         forms = spec.closed_forms
         norm["p0"] = forms.canonical_p0 if forms is not None else 1.0
-    p0, g0 = _setting(config, "normalization.p0"), _setting(config, "normalization.g0")
-    mode = config["g_mode"]
+    p0 = _setting(config, "normalization.p0", _FINITE)
+    g0 = _setting(config, "normalization.g0", _FINITE)
     with _stage("characteristics"):
         if mode == "analytic":
             return analytic_g(spec, p0, g0)
@@ -234,7 +244,7 @@ def _build_lagrangian(spec, provider, options) -> Lagrangian:
 def _build_energy(spec, config):
     """The g provider and the Lagrangian; every setting of both is read before either is built."""
     options = LagrangianOptions(p_base=_setting(config, "lagrangian.p_base", _optional),
-                                quad_tol=_setting(config, "lagrangian.quad_tol"))
+                                quad_tol=_setting(config, "lagrangian.quad_tol", _STEP))
     provider = _build_provider(spec, config)
     return provider, _build_lagrangian(spec, provider, options)
 
@@ -362,7 +372,6 @@ def cmd_simulate(config, out_dir: Path) -> int:
     result = _run_simulation(spec, grid, u0, t_end, controls)
     _write_trajectory(out_dir, grid, result)
     _manifest(out_dir, "simulate", config, {
-        "termination": result.termination,
         "n_steps": result.n_steps,
         "dt_smallest": result.dt_smallest,
         "dt_largest": result.dt_largest,
@@ -380,7 +389,7 @@ def cmd_verify(config, out_dir: Path) -> int:
         trace = energy_trace(lag, result, grid)
         report = verify_decay(trace)
     payload = report.to_dict()
-    m = spec.params.get("divergence_form_m")
+    m = spec.divergence_form_m
     if m is not None:
         dual = [standard_pme_energy(f, float(m), grid) for f in result]
         E = [d["E"] for d in dual]
@@ -413,15 +422,23 @@ def cmd_verify(config, out_dir: Path) -> int:
 
 def cmd_compare_closed_form(config, out_dir: Path) -> int:
     spec = _build_spec(config)
-    x = _setting(config, "compare.x")
+    x = _setting(config, "compare.x", _FINITE)
     us, ps = _axis(config, "compare.u"), _axis(config, "compare.p")
-    h = _setting(config, "compare.lpp_check.h", _STEP)
-    quad_tol = _setting(config, "compare.lpp_check.quad_tol")
-    p_grid = _axis(config, "compare.lpp_check", "p_min", "p_max")
+    # The L_pp check runs only beside a documented variant, as compare_closed_form reports one.
+    forms = spec.closed_forms
+    documented = (forms is not None and forms.lagrangian is not None
+                  and forms.documented_lagrangian is not None)
+    if documented:
+        h = _setting(config, "compare.lpp_check.h", _STEP)
+        quad_tol = _setting(config, "compare.lpp_check.quad_tol", _STEP)
+        p_grid = _axis(config, "compare.lpp_check", "p_min", "p_max")
+    else:
+        _refuse_unread(config["compare"], _DEFAULTS["compare"], ("x", "u", "p"),
+                       f"model {spec.name!r}, which documents no variant", "compare.")
     provider, lag = _build_energy(spec, config)
     with _stage("lagrangian"):
         comparison = compare_closed_form(lag, us, ps, x=x)
-        if "documented" in comparison:
+        if documented:
             check_lag = dataclasses.replace(lag, quad_tol=quad_tol)
             u_ref = float(us[len(us) // 2])
             second = np.atleast_1d(second_difference_lpp(check_lag, x, u_ref, p_grid, h=h))
@@ -437,7 +454,7 @@ def cmd_compare_closed_form(config, out_dir: Path) -> int:
                    (np.repeat(us, len(ps)), np.tile(ps, len(us)),
                     *(comparison[k].ravel() for k in ("L_numeric", "L_closed", "residual"))))
         report["max_residual"] = comparison["max_residual"]
-    if "documented" in comparison:
+    if documented:
         doc = comparison["documented"]
         report["documented_variant"] = {
             "max_residual": doc["max_residual"],

@@ -41,8 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lagrangian import Lagrangian, eval_L
-from .models import ProblemSpec, _numeric_du
-from .quadrature import integrate_batch
+from .models import ProblemSpec
 from .solver import Grid1D, SimulationResult, StateFrame, _node_derivatives
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "decay_formula",
     "energy_trace",
     "standard_pme_energy",
-    "filtration_energy",
     "verify_decay",
     "VerifyReport",
 ]
@@ -195,21 +193,6 @@ def standard_pme_energy(frame: StateFrame, m: float, grid: Grid1D) -> dict:
     w = u_abs ** m
     wx = np.gradient(w, grid.dx, edge_order=2)
     return {"E": E, "dEdt": -_simpson(wx * wx, grid.dx)}
-
-
-def filtration_energy(frame: StateFrame, a: Callable, grid: Grid1D,
-                      a_du: Optional[Callable] = None, quad_tol: float = 1e-9) -> dict:
-    """Standard energy for u_t = (a(u))_xx: E = int of (int_0^u a), decay -int (a_u u_x)^2.
-
-    ``a`` and ``a_du`` are called on arrays of u values; without ``a_du`` a
-    central difference of ``a`` stands in for it.
-    """
-    if a_du is None:
-        a_du = _numeric_du(a)
-    E = _simpson(integrate_batch(lambda idx, s: a(s), 0.0, frame.u, quad_tol), grid.dx)
-    p = np.gradient(frame.u, grid.dx, edge_order=2)
-    flux = np.asarray(a_du(frame.u), dtype=float) * p
-    return {"E": E, "dEdt": -_simpson(flux * flux, grid.dx)}
 
 
 def _rises(E, tol_mono: float = _TOL_MONO) -> np.ndarray:

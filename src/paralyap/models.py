@@ -38,10 +38,9 @@ multiplicative normalization constant, which is the same as fixing the seed
 values ``p0 = 1`` and ``g0 = 0``.
 """
 
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -190,7 +189,9 @@ class ProblemSpec:
     char_system: Optional[Callable] = None
     singular_gradient_weight: bool = False
     shared_factor_reducible: bool = False
-    params: dict = field(default_factory=dict)
+    # The m of a model written as (u**m)_xx: the solver advances that form and
+    # verify adds the conventional porous-medium energy.  None for the others.
+    divergence_form_m: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +254,8 @@ def _poly_g_of_p(n):
 
 def _spec(name, bcs, diffusion, reaction, closed, *, diffusion_du=_zero, reaction_dp=_zero,
           rhs=None, f1_weight=_passthrough_ut, reducible=True, singular=False,
-          char_system=None, **extra):
-    """Assemble one builtin; ``extra`` goes into ``params`` after the name.
+          char_system=None, divergence_form_m=None):
+    """Assemble one builtin.
 
     No builtin coefficient depends on x, so ``diffusion_coeff_dx`` is zero.
     Unless ``rhs`` is given the evolution is quasilinear,
@@ -278,7 +279,7 @@ def _spec(name, bcs, diffusion, reaction, closed, *, diffusion_du=_zero, reactio
         char_system=char_system,
         singular_gradient_weight=singular,
         shared_factor_reducible=reducible,
-        params={"model": name, **extra},
+        divergence_form_m=divergence_form_m,
     )
 
 
@@ -288,7 +289,7 @@ def _quasilinear(name, bcs, a, h, lagrangian):
     return _spec(name, bcs, lambda x, u, p: a(p), lambda x, u, p: -h(u), closed)
 
 
-def _poly_forced(name, bcs, a, n, lagrangian, lagrangian_note, **extra):
+def _poly_forced(name, bcs, a, n, lagrangian, lagrangian_note):
     """ut = a(u_x) u_xx + u_x**n: its reaction is -p**n and its weight |p0/p|**n."""
     if n == 0.0:
         reaction = lambda x, u, p: -1.0
@@ -304,11 +305,12 @@ def _poly_forced(name, bcs, a, n, lagrangian, lagrangian_note, **extra):
     )
     return _spec(
         name, bcs, lambda x, u, p: a(p), reaction, closed,
-        reaction_dp=reaction_dp, reducible=n > 0, singular=n > 0, **extra, n=n,
+        reaction_dp=reaction_dp, reducible=n > 0, singular=n > 0,
     )
 
 
-def _filtration_spec(name, bcs, a_du, a_du2, lagrangian=None, char_system=None, **extra):
+def _filtration_spec(name, bcs, a_du, a_du2, lagrangian=None, char_system=None,
+                     divergence_form_m=None):
     """ut = (a(u))_xx = a'(u) u_xx + a''(u) u_x**2, with the weight |p0/p|."""
     closed = ClosedForms(
         g_of_p=_log_ratio_g(1.0), lagrangian=lagrangian, decay_weight=lambda p: 1.0 / np.abs(p)
@@ -322,7 +324,7 @@ def _filtration_spec(name, bcs, a_du, a_du2, lagrangian=None, char_system=None, 
         reaction_dp=lambda x, u, p: -2.0 * a_du2(u) * p,
         singular=True,
         char_system=char_system,
-        **extra,
+        divergence_form_m=divergence_form_m,
     )
 
 
@@ -360,7 +362,7 @@ def _rho_laplacian_poly(d, bcs):
         )
     return _poly_forced(
         "rho_laplacian_poly", bcs, lambda p: coef * np.abs(p) ** (rho - 2.0), n,
-        lag_cf, lag_note, rho=rho,
+        lag_cf, lag_note,
     )
 
 
@@ -445,7 +447,7 @@ def _porous_medium(d, bcs):
         )
         return _spec(
             "porous_medium", bcs, lambda x, u, p: a_du(u), _zero,
-            closed, reducible=False, m=m, divergence_form_m=m,
+            closed, reducible=False, divergence_form_m=m,
         )
 
     # Characteristics in the original time stall where u**(m-1) vanishes;
@@ -457,7 +459,7 @@ def _porous_medium(d, bcs):
     return _filtration_spec(
         "porous_medium", bcs, a_du, lambda u: m * (m - 1.0) * _real_pow(u, m - 2.0),
         lagrangian=lambda u, p: a_du(u) * np.abs(p) * (np.log(np.abs(p)) - 1.0),
-        char_system=char_system, m=m, divergence_form_m=m,
+        char_system=char_system, divergence_form_m=m,
     )
 
 
@@ -636,7 +638,6 @@ def from_descriptor(descriptor: dict) -> ProblemSpec:
 
     Example: ``{"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0,
     "bc": ["dirichlet", {"kind": "robin", "b": {"kind": "linear", "slope": 1.0}}]}``.
-    The descriptor is recorded as ``params["descriptor"]``.
     """
     if not isinstance(descriptor, dict) or "model" not in descriptor:
         raise ValueError("model descriptor must be an object with a 'model' field")
@@ -647,4 +648,4 @@ def from_descriptor(descriptor: dict) -> ProblemSpec:
         raise ValueError("'bc' must list exactly two boundary conditions")
     spec = build(d, tuple(_bc_from_descriptor(b) for b in bc))
     d.refuse_unread("model")
-    return dataclasses.replace(spec, params={**spec.params, "descriptor": descriptor})
+    return spec

@@ -24,7 +24,7 @@ which makes the central gradient at the end equal b(u) exactly.
 The porous-medium family advances the divergence form (u^m)_xx with a
 conservative stencil on u^m instead of the expanded product rule; the stencil
 keeps nonnegative states nonnegative at desk scale, which the expanded form
-does not.  Models opt in through params["divergence_form_m"].
+does not.  Models opt in through ``ProblemSpec.divergence_form_m``.
 """
 
 import functools
@@ -100,7 +100,6 @@ class SimulationResult:
     n_steps: int
     dt_smallest: float
     dt_largest: float
-    termination: str = "t_end_reached"
 
     def __len__(self):
         return len(self.frames)
@@ -162,7 +161,7 @@ def evolution_rhs(spec: ProblemSpec, grid: Grid1D, u: np.ndarray) -> np.ndarray:
     dx = grid.dx
     lo = int(spec.bc_left.kind == "dirichlet")
     hi = len(u) - int(spec.bc_right.kind == "dirichlet")
-    m = spec.params.get("divergence_form_m")
+    m = spec.divergence_form_m
     if m is None:
         p, q = _node_derivatives(spec, grid, u)
         ut = np.zeros_like(u)
@@ -225,7 +224,7 @@ def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,
         raise ValueError(f"u0 has {len(u)} nodes, grid wants {grid.n_cells + 1}")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
-    if spec.params.get("divergence_form_m") is not None and float(np.min(u)) < 0.0:
+    if spec.divergence_form_m is not None and float(np.min(u)) < 0.0:
         raise SolverError("degenerate power models need u0 >= 0")
 
     dt_cap = t_end / 64.0

@@ -215,7 +215,6 @@ def test_simulate_outputs(tmp_path):
     assert rows[0] == "t,x,u,ut"
     manifest = _read_json(out / "manifest.json")
     results = manifest["results"]
-    assert results["termination"] == "t_end_reached"
     # one long-format row per node per frame
     assert len(rows) == 1 + results["n_frames"] * 33
 
@@ -349,10 +348,20 @@ def test_bad_grid_and_time_values_name_the_stage(tmp_path, capsys, section, over
                              "compare": {"lpp_check": {"h": 0}}}),
     ("compare-closed-form", {"model": {"model": "inverse_mcf"},
                              "compare": {"lpp_check": {"h": "inf"}}}),
+    # Not finite, or a tolerance that is not positive: each would reach the
+    # artifacts as a nan row or a bare NaN.
+    ("construct-energy", {"grid_dump": {"x": ["nan"]}}),
+    ("construct-energy", {"grid_dump": {"x": [0.5, "inf"]}}),
+    ("compare-closed-form", {"compare": {"x": "nan"}}),
+    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
+                             "compare": {"lpp_check": {"quad_tol": "nan"}}}),
+    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
+                             "compare": {"lpp_check": {"quad_tol": 0}}}),
 ], ids=["initial-null", "amplitude-null", "k-list", "center-string", "csv-missing",
         "csv-not-numbers", "dump-x-null", "dump-x-empty", "dump-u-n-string",
         "compare-x-null", "lpp_check-n-null", "dump-u-n-0", "lpp_check-n-0",
-        "lpp_check-h-0", "lpp_check-h-inf"])
+        "lpp_check-h-0", "lpp_check-h-inf", "dump-x-nan", "dump-x-inf", "compare-x-nan",
+        "lpp_check-quad_tol-nan", "lpp_check-quad_tol-0"])
 @pytest.mark.filterwarnings("error")
 def test_bad_initial_and_dump_values_name_the_stage(tmp_path, capsys, monkeypatch,
                                                     command, override):
@@ -456,9 +465,16 @@ _TABULATED = {"g_mode": "tabulated"}
     ({"normalization": None}, "characteristics"),
     ({"lagrangian": {"quad_tol": None}}, "lagrangian"),
     ({"lagrangian": {"p_star": 0.5}}, "lagrangian"),
+    # Not finite, or a tolerance that is not positive.
+    ({"lagrangian": {"quad_tol": "nan"}}, "lagrangian"),
+    ({"lagrangian": {"quad_tol": 0}}, "lagrangian"),
+    ({"lagrangian": {"quad_tol": -1}}, "lagrangian"),
+    ({"normalization": {"g0": "-inf"}}, "characteristics"),
+    ({"normalization": {"p0": "nan"}}, "characteristics"),
 ], ids=["tol-null", "u0-null", "coverage_min-null", "query_box-2", "qurey_box-typo",
         "time-dt_max", "grid-cells", "x_end", "p0-null", "normalization-null", "quad_tol-null",
-        "p_star-unknown"])
+        "p_star-unknown", "quad_tol-nan", "quad_tol-0", "quad_tol-negative", "g0-minus-inf",
+        "p0-nan"])
 def test_bad_provider_and_lagrangian_values_name_the_stage(tmp_path, capsys, override, stage):
     code, _ = _run(tmp_path, "verify", {**_SMALL_VERIFY, **override})
     assert code == 1
@@ -518,6 +534,34 @@ def test_settings_that_the_command_does_not_read_are_refused(tmp_path, capsys,
     defaults = {section: cli._DEFAULTS[section] for section in override}
     code, _ = _run(tmp_path, command, {**_small(command), **defaults}, name="defaults")
     assert code == 0
+
+
+_ROBIN_HEAT = {"model": "heat",
+               "bc": [{"kind": "robin", "b": {"kind": "linear", "slope": 1.0}}, "dirichlet"]}
+
+
+@pytest.mark.parametrize("command, override, unread, expected", [
+    # The plane x = 0 normalizes the traced g, so it reads no p0.
+    ("construct-energy", {"model": _ROBIN_HEAT, "g_mode": "tabulated"},
+     {"normalization": {"p0": 2.0}},
+     "error: cli: settings ['normalization.p0'] are not read by g_mode 'tabulated'\n"),
+    # The L_pp check runs only beside a documented variant, which heat lacks.
+    ("compare-closed-form", {}, {"compare": {"lpp_check": {"h": 0.01, "n": 3}}},
+     "error: cli: settings ['compare.lpp_check.h', 'compare.lpp_check.n'] are not read by "
+     "model 'heat', which documents no variant\n"),
+], ids=["tabulated-p0", "heat-lpp_check"])
+def test_settings_that_the_model_or_mode_does_not_read_are_refused(
+        tmp_path, capsys, command, override, unread, expected):
+    code, _ = _run(tmp_path, command, {**_small(command), **override, **unread})
+    assert code == 1
+    assert capsys.readouterr().err == expected
+    # The same section at its defaults is no error, and a tabulated manifest
+    # still records the resolved canonical p0.
+    defaults = {name: cli._DEFAULTS[name] for name in unread}
+    code, out = _run(tmp_path, command, {**_small(command), **override, **defaults},
+                     name="defaults")
+    assert code == 0
+    assert _read_json(out / "manifest.json")["config"]["normalization"]["p0"] == 1.0
 
 
 def _raise(error):
@@ -612,6 +656,24 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert "consistency" in proc.stderr
     provider = _read_json(tmp_path / "out" / "manifest.json")["results"]["provider"]
     assert provider == {"variant": "tabulated", "extrapolations": 0}
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    # The package holds only __version__: every name comes from a submodule.
+    root = Path(__file__).resolve().parents[1]
+    script = "\n".join([
+        "import sys",
+        "import paralyap",
+        "loaded = sorted(m for m in sys.modules if m.startswith('paralyap.') or m == 'numpy')",
+        "print(loaded, sorted(n for n in vars(paralyap) if not n.startswith('__')))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] []\n"
 
 
 def test_tabulated_metadata_is_strict_json(tmp_path):

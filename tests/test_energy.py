@@ -20,7 +20,6 @@ from paralyap.energy import (
     decay_formula,
     energy_of_frame,
     energy_trace,
-    filtration_energy,
     standard_pme_energy,
     verify_decay,
 )
@@ -167,25 +166,6 @@ def test_standard_degenerate_energies():
     out2 = standard_pme_energy(frame2, 2.0, grid)
     assert out2["E"] == pytest.approx(1.0 / 12.0, abs=1e-8)
     assert out2["dEdt"] == pytest.approx(-4.0 / 3.0, rel=1e-3)
-
-
-@pytest.mark.parametrize(
-    "a, a_du, E, dEdt",
-    [
-        # a = v is the Dirichlet pair: E = int sin^2 / 2, decay -int (pi cos)^2.
-        (lambda v: v, lambda v: 1.0, 0.25, -math.pi**2 / 2.0),
-        # a = v**2: E = int sin^3 / 3 = 4 / (9 pi), decay -int (pi sin(2 pi x))^2;
-        # a_du comes from the central-difference fallback.
-        (lambda v: v**2, None, 4.0 / (9.0 * math.pi), -math.pi**2 / 2.0),
-    ],
-    ids=["a=v", "a=v^2"],
-)
-def test_filtration_energy_on_a_sine(a, a_du, E, dEdt):
-    grid = Grid1D(256)
-    frame = _frame(models.from_descriptor({"model": "heat"}), grid, np.sin(np.pi * grid.nodes))
-    out = filtration_energy(frame, a=a, a_du=a_du, grid=grid)
-    assert out["E"] == pytest.approx(E, abs=1e-6)
-    assert out["dEdt"] == pytest.approx(dEdt, rel=1e-3)
 
 
 def test_trace_columns_and_model_oracle():

@@ -111,7 +111,19 @@ def test_porous_medium_evaluators():
     assert spec.diffusion_coeff(0.0, 0.5, 0.0) == pytest.approx(1.0)
     assert spec.reaction(0.0, 0.5, 3.0) == pytest.approx(-2.0 * 9.0)
     assert spec.rhs(0.0, 0.5, 3.0, 0.25) == pytest.approx(1.0 * 0.25 + 18.0)
-    assert spec.params["divergence_form_m"] == 2.0
+    assert spec.divergence_form_m == 2.0
+
+
+@pytest.mark.parametrize("descriptor, m", [
+    ({"model": "porous_medium", "m": 1.0}, 1.0),
+    ({"model": "porous_medium", "m": 2.0}, 2.0),
+    ({"model": "filtration"}, None),
+    ({"model": "heat"}, None),
+], ids=["porous_medium-m1", "porous_medium-m2", "filtration", "heat"])
+def test_only_the_porous_medium_is_advanced_in_divergence_form(descriptor, m):
+    spec = from_descriptor(descriptor)
+    assert spec.name == descriptor["model"]
+    assert spec.divergence_form_m == m
 
 
 def test_shipped_gradient_weights():
@@ -238,13 +250,6 @@ def test_descriptor_keys_that_nothing_reads_are_refused(descriptor, message):
     with pytest.raises(ValueError) as info:
         from_descriptor(descriptor)
     assert str(info.value) == message
-
-
-def test_descriptor_is_recorded_in_params():
-    d = {"model": "mcf_poly", "n": 2.0}
-    spec = from_descriptor(d)
-    assert spec.params["descriptor"] == d
-    assert spec.name == "mcf_poly"
 
 
 def test_the_contract_checks_reject_a_broken_model():

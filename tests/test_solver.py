@@ -233,7 +233,6 @@ def test_output_stride_thins_frames_but_keeps_ends():
     assert len(thin) < len(dense)
     assert thin[0].t == 0.0
     assert thin[-1].t == pytest.approx(2e-3, abs=1e-16)
-    assert thin.termination == "t_end_reached"
 
 
 def test_cfl_scales_with_the_diffusion_coefficient():
