@@ -136,11 +136,8 @@ _B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0, 277.0 / 1433
 
 def _g_rate(spec: ProblemSpec, x, u, p):
     """dg/dtau on a curve; ``reduced_g`` divides it by the reaction."""
-    return -(
-        np.asarray(spec.reaction_dp(x, u, p), dtype=float)
-        + np.asarray(spec.diffusion_coeff_dx(x, u, p), dtype=float)
-        + p * np.asarray(spec.diffusion_coeff_du(x, u, p), dtype=float)
-    )
+    return -(spec.reaction_dp(x, u, p) + spec.diffusion_coeff_dx(x, u, p)
+             + p * spec.diffusion_coeff_du(x, u, p))
 
 
 def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
@@ -161,7 +158,7 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
         if spec.char_system is not None:
             out = spec.char_system(x, u, p)
         else:
-            fq = np.asarray(spec.diffusion_coeff(x, u, p), dtype=float)
+            fq = spec.diffusion_coeff(x, u, p)
             out = (fq, fq * p, spec.reaction(x, u, p), _g_rate(spec, x, u, p))
         if len(out) != 4:
             raise CharacteristicsError(f"curve field returned {len(out)} components, not 4")
@@ -313,7 +310,7 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0, method: st
         return float(out[0]) if scalar else out
 
     f0_seed = float(spec.reaction(_X_REF, _U_REF, p0))
-    f0_query = np.asarray(spec.reaction(_X_REF, _U_REF, p_arr), dtype=float)
+    f0_query = spec.reaction(_X_REF, _U_REF, p_arr)
     # Scaled by the seed alone, so that no verdict on a query depends on its batch.
     rest_tol = 1e-13 * (1.0 + abs(f0_seed))
     if abs(f0_seed) <= rest_tol:
@@ -328,7 +325,7 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0, method: st
     lo = min(float(np.min(active)), p0)
     hi = max(float(np.max(active)), p0)
     probes = np.linspace(lo, hi, _PROBE_N)
-    f0 = np.asarray(spec.reaction(_X_REF, _U_REF, probes), dtype=float)
+    f0 = spec.reaction(_X_REF, _U_REF, probes)
     rate = _g_rate(spec, _X_REF, _U_REF, probes)
     if not (np.all(np.isfinite(f0)) and np.all(np.isfinite(rate))):
         raise ReducedGError("reaction or its derivatives are not finite on the p range")
@@ -339,8 +336,8 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0, method: st
             "p cannot flow across a rest point"
         )
 
-    coef_dx = np.asarray(spec.diffusion_coeff_dx(_X_REF, _U_REF, probes), dtype=float)
-    coef_du = np.asarray(spec.diffusion_coeff_du(_X_REF, _U_REF, probes), dtype=float)
+    coef_dx = spec.diffusion_coeff_dx(_X_REF, _U_REF, probes)
+    coef_du = spec.diffusion_coeff_du(_X_REF, _U_REF, probes)
     pure_p = float(np.max(np.abs(coef_dx))) == 0.0 and float(np.max(np.abs(coef_du))) == 0.0
     if method == "auto" and pure_p:
         with np.errstate(divide="ignore"):
@@ -349,7 +346,7 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0, method: st
 
     def ratio(idx, s):
         rate = _g_rate(spec, _X_REF, _U_REF, s)
-        return rate / np.asarray(spec.reaction(_X_REF, _U_REF, s), dtype=float)
+        return rate / spec.reaction(_X_REF, _U_REF, s)
 
     out[~rest] = g0 + integrate_batch(ratio, p0, active, _REDUCED_TOL)
     return float(out[0]) if scalar else out

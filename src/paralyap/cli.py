@@ -20,8 +20,10 @@ and ``_refuse_unread`` names every other key that differs from its default.
 The same rule refuses ``normalization.p0`` under ``g_mode`` ``"tabulated"``,
 whose g has no p0, and ``compare.lpp_check`` for a model that documents no
 variant.  Every number is checked where it is read: both ``quad_tol``
-settings and ``compare.lpp_check.h`` must be finite and positive, and the
-normalization values, ``compare.x`` and each ``grid_dump.x`` finite.
+settings and ``compare.lpp_check.h`` must be finite and positive, the
+normalization values, ``compare.x``, each ``grid_dump.x`` and a non-null
+``lagrangian.p_base`` finite, and every count an integer.  No setting takes
+a boolean.
 Each command reads all of its settings before it builds anything.  A
 manifest records the fully resolved configuration, so a rerun of the same
 config with the same package version reproduces every CSV byte for byte.
@@ -177,13 +179,16 @@ def _setting(config, key, convert=float):
     for part in path:
         value = value[part]
     try:
-        return convert(value)
+        return convert(_no_bool(value))
     except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise CliError(_STAGES.get(section, "cli"), f"{key}: {exc}") from None
 
 
-def _optional(value):
-    return None if value is None else float(value)
+def _no_bool(value):
+    """``value``, unless it is a boolean: JSON ``true`` is not the number 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"takes no boolean, got {value!r}")
+    return value
 
 
 def _checked(kind, ok, what):
@@ -198,9 +203,11 @@ def _checked(kind, ok, what):
 
 _FINITE = _checked(float, math.isfinite, "finite")
 _STEP = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
-_COUNT = _checked(int, lambda n: n >= 1, ">= 1")
-_POINTS = _checked(lambda v: [float(e) for e in v], lambda v: v and all(map(math.isfinite, v)),
-                   "a nonempty list of finite numbers")
+# A whole number may be written 16, 16.0 or "16"; 16.7 is refused, not truncated.
+_WHOLE = _checked(float, float.is_integer, "an integer")
+_COUNT = _checked(lambda v: int(_WHOLE(v)), lambda n: n >= 1, ">= 1")
+_POINTS = _checked(lambda v: [float(_no_bool(e)) for e in v],
+                   lambda v: v and all(map(math.isfinite, v)), "a nonempty list of finite numbers")
 
 
 def _axis(config, key, lo="min", hi="max"):
@@ -243,7 +250,8 @@ def _build_lagrangian(spec, provider, options) -> Lagrangian:
 
 def _build_energy(spec, config):
     """The g provider and the Lagrangian; every setting of both is read before either is built."""
-    options = LagrangianOptions(p_base=_setting(config, "lagrangian.p_base", _optional),
+    p_base = _setting(config, "lagrangian.p_base", lambda v: None if v is None else _FINITE(v))
+    options = LagrangianOptions(p_base=p_base,
                                 quad_tol=_setting(config, "lagrangian.quad_tol", _STEP))
     provider = _build_provider(spec, config)
     return provider, _build_lagrangian(spec, provider, options)
@@ -276,7 +284,7 @@ def _initial_profile(config, grid: Grid1D) -> np.ndarray:
     x = grid.nodes
     init = config["initial"]
     profile = init["profile"]
-    if profile not in _PROFILES:
+    if not isinstance(profile, str) or profile not in _PROFILES:
         raise CliError("cli", f"initial.profile: unknown profile {profile!r}")
     keys, build = _PROFILES[profile]
     _refuse_unread(init, _DEFAULTS["initial"], ("profile", *keys), f"profile {profile!r}",
@@ -342,9 +350,9 @@ def cmd_construct_energy(config, out_dir: Path) -> int:
 
 def _simulation_inputs(config):
     """The grid, initial profile, end time and solver controls of a run."""
-    grid = _setting(config, "grid.n_cells", lambda v: Grid1D(int(v)))
+    grid = _setting(config, "grid.n_cells", lambda v: Grid1D(int(_WHOLE(v))))
     controls = _setting(config, "time.output_stride",
-                        lambda v: SolverControls(output_stride=int(v)))
+                        lambda v: SolverControls(output_stride=int(_WHOLE(v))))
     t_end = _setting(config, "time.t_end")
     return grid, _initial_profile(config, grid), t_end, controls
 

@@ -135,8 +135,8 @@ def _masked_decays(spec: ProblemSpec, s: _Stack, integrand: np.ndarray, dx: floa
 
 def _formula_decays(spec: ProblemSpec, g_provider: Callable, s: _Stack, dx: float):
     with np.errstate(all="ignore"):
-        integrand = (np.exp(_blockwise(g_provider, s))
-                     * np.asarray(spec.f1_weight(s.x, s.u, s.p, s.q, s.ut), dtype=float) * s.ut)
+        weight = spec.f1_weight(s.x, s.u, s.p, s.q, s.ut)
+        integrand = np.exp(_blockwise(g_provider, s)) * weight * s.ut
     return _masked_decays(spec, s, integrand, dx)
 
 

@@ -205,13 +205,12 @@ def _exp_g_reaction(lag: Lagrangian, x, u):
 
     def at(xs, us, p):
         with np.errstate(over="ignore", invalid="ignore"):
-            f0 = np.asarray(spec.reaction(xs, us, p), dtype=float)
+            f0 = spec.reaction(xs, us, p)
             gv = np.asarray(lag.g_provider(xs, us, p), dtype=float)
             # A non-finite g covers the genuine 0*inf form: defer to the probe.
-            val = np.where(np.isfinite(gv), np.exp(gv) * f0, np.nan)
-        return np.broadcast_to(val, xs.shape)
+            return np.where(np.isfinite(gv), np.exp(gv) * f0, np.nan)
 
-    out = at(x, u, p_base).copy()
+    out = at(x, u, p_base)
     bad = ~np.isfinite(out)
     if not bad.any():
         return out
@@ -283,8 +282,7 @@ def eval_Lp(lag: Lagrangian, x, u, p):
 def eval_Lpp(lag: Lagrangian, x, u, p):
     """d2L/dp2: the weight itself, no quadrature."""
     x, u, p, shape = _points(x, u, p)
-    weight = np.array(np.broadcast_to(np.asarray(lag.weight(x, u, p), dtype=float), x.shape))
-    return _shaped(weight, shape)
+    return _shaped(lag.weight(x, u, p), shape)
 
 
 def second_difference_lpp(lag: Lagrangian, x, u, p, h: float = 5e-3):

@@ -15,18 +15,18 @@ Every equation handled by this package is carried around as a
   nonlinear models contribute extra curvature terms.
 
 Evaluators are pure, broadcast over numpy arrays, and can be shared freely
-across threads.  A builtin's evaluators return the broadcast shape of their
-arguments, and that happens in one place: ``_spec`` wraps each callback in
-``_broadcasting``.  So a builtin callback may return any value that
-broadcasts against its arguments, a constant included.  A hand-built
-:class:`ProblemSpec` may still return scalars, which is why consumers
-convert with ``np.asarray``.
+across threads.  Every spec's evaluators, builtin or hand-built, return the
+broadcast shape of their arguments, and that happens in one place:
+``ProblemSpec.__post_init__`` stores each callback through ``_broadcasting``,
+so a callback may return any value that broadcasts against its arguments, a
+constant included.  Left out, a derivative hook is identically zero,
+``f1_weight`` is ``ut`` and ``rhs`` is ``diffusion_coeff * q - reaction``.
 
 Builtins are built only by :func:`from_descriptor`, from a JSON-compatible
 descriptor such as ``{"model": "porous_medium", "m": 2.0}``.  One table,
 ``_FAMILIES``, maps each descriptor name to the builder of its family; a
-builder reads and checks its own numbers and presets and assembles the spec
-on ``_spec`` (directly, or through the ``_quasilinear``, ``_poly_forced`` and
+builder reads and checks its own numbers and presets and builds the spec
+(directly, or through the ``_quasilinear``, ``_poly_forced`` and
 ``_filtration_spec`` templates).  A new family is one builder and one row.
 The builder gets its descriptor as a ``_Reads``, which records each key
 read; a key that neither the builder nor its presets read is refused, so a
@@ -171,18 +171,28 @@ class ClosedForms:
     canonical_p0: float = 1.0
 
 
-@dataclass(frozen=True)
+def _passthrough_ut(x, u, p, q, ut):
+    # A copy, so the result never aliases the caller's ut (a StateFrame's);
+    # [()] turns a 0-d copy into a scalar.
+    return np.array(ut, dtype=float)[()]
+
+
+_EVALUATORS = ("diffusion_coeff", "diffusion_coeff_dx", "diffusion_coeff_du",
+               "reaction", "reaction_dp", "rhs", "f1_weight")
+
+
+@dataclass(frozen=True, kw_only=True)
 class ProblemSpec:
     """A fully resolved model: evaluators, boundary conditions, metadata."""
 
     name: str
     diffusion_coeff: Callable
-    diffusion_coeff_dx: Callable
-    diffusion_coeff_du: Callable
+    diffusion_coeff_dx: Callable = _zero
+    diffusion_coeff_du: Callable = _zero
     reaction: Callable
-    reaction_dp: Callable
-    rhs: Callable
-    f1_weight: Callable
+    reaction_dp: Callable = _zero
+    rhs: Optional[Callable] = None  # None: the quasilinear diffusion_coeff * q - reaction
+    f1_weight: Callable = _passthrough_ut
     bc_left: BoundaryCondition
     bc_right: BoundaryCondition
     closed_forms: Optional[ClosedForms] = None
@@ -192,6 +202,13 @@ class ProblemSpec:
     # The m of a model written as (u**m)_xx: the solver advances that form and
     # verify adds the conventional porous-medium energy.  None for the others.
     divergence_form_m: Optional[float] = None
+
+    def __post_init__(self):
+        if self.rhs is None:
+            D, R = self.diffusion_coeff, self.reaction
+            object.__setattr__(self, "rhs", lambda x, u, p, q: D(x, u, p) * q - R(x, u, p))
+        for name in _EVALUATORS:
+            object.__setattr__(self, name, _broadcasting(getattr(self, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +230,6 @@ class Filtration:
     a: Callable
     a_du: Optional[Callable] = None
     a_du2: Optional[Callable] = None
-
-
-def _passthrough_ut(x, u, p, q, ut):
-    # A copy, so the result never aliases the caller's ut (a StateFrame's);
-    # [()] turns a 0-d copy into a scalar.
-    return np.array(ut, dtype=float)[()]
 
 
 def _flat_g(p, p0=1.0, g0=0.0):
@@ -252,41 +263,12 @@ def _poly_g_of_p(n):
     return g
 
 
-def _spec(name, bcs, diffusion, reaction, closed, *, diffusion_du=_zero, reaction_dp=_zero,
-          rhs=None, f1_weight=_passthrough_ut, reducible=True, singular=False,
-          char_system=None, divergence_form_m=None):
-    """Assemble one builtin.
-
-    No builtin coefficient depends on x, so ``diffusion_coeff_dx`` is zero.
-    Unless ``rhs`` is given the evolution is quasilinear,
-    ``ut = diffusion * q - reaction``.  Every stored evaluator goes through
-    ``_broadcasting``.
-    """
-    if rhs is None:
-
-        def rhs(x, u, p, q):
-            return diffusion(x, u, p) * q - reaction(x, u, p)
-
-    b = _broadcasting
-    return ProblemSpec(
-        name=name,
-        diffusion_coeff=b(diffusion), diffusion_coeff_dx=b(_zero),
-        diffusion_coeff_du=b(diffusion_du),
-        reaction=b(reaction), reaction_dp=b(reaction_dp),
-        rhs=b(rhs), f1_weight=b(f1_weight),
-        bc_left=bcs[0], bc_right=bcs[1],
-        closed_forms=closed,
-        char_system=char_system,
-        singular_gradient_weight=singular,
-        shared_factor_reducible=reducible,
-        divergence_form_m=divergence_form_m,
-    )
-
-
 def _quasilinear(name, bcs, a, h, lagrangian):
     """ut = a(u_x) u_xx + h(u) with a >= 0: its weight is flat, g = g0."""
     closed = ClosedForms(g_of_p=_flat_g, lagrangian=lagrangian, decay_weight=_unit_weight)
-    return _spec(name, bcs, lambda x, u, p: a(p), lambda x, u, p: -h(u), closed)
+    return ProblemSpec(name=name, diffusion_coeff=lambda x, u, p: a(p),
+                       reaction=lambda x, u, p: -h(u), **bcs, closed_forms=closed,
+                       shared_factor_reducible=True)
 
 
 def _poly_forced(name, bcs, a, n, lagrangian, lagrangian_note):
@@ -303,9 +285,10 @@ def _poly_forced(name, bcs, a, n, lagrangian, lagrangian_note):
         lagrangian_note=lagrangian_note,
         decay_weight=(lambda p: _real_pow(np.abs(p), -n)) if n else _unit_weight,
     )
-    return _spec(
-        name, bcs, lambda x, u, p: a(p), reaction, closed,
-        reaction_dp=reaction_dp, reducible=n > 0, singular=n > 0,
+    return ProblemSpec(
+        name=name, diffusion_coeff=lambda x, u, p: a(p), reaction=reaction,
+        reaction_dp=reaction_dp, **bcs, closed_forms=closed,
+        singular_gradient_weight=n > 0, shared_factor_reducible=n > 0,
     )
 
 
@@ -315,21 +298,17 @@ def _filtration_spec(name, bcs, a_du, a_du2, lagrangian=None, char_system=None,
     closed = ClosedForms(
         g_of_p=_log_ratio_g(1.0), lagrangian=lagrangian, decay_weight=lambda p: 1.0 / np.abs(p)
     )
-    return _spec(
-        name, bcs,
-        lambda x, u, p: a_du(u),
-        lambda x, u, p: -a_du2(u) * p * p,
-        closed,
-        diffusion_du=lambda x, u, p: a_du2(u),
-        reaction_dp=lambda x, u, p: -2.0 * a_du2(u) * p,
-        singular=True,
-        char_system=char_system,
+    return ProblemSpec(
+        name=name, diffusion_coeff=lambda x, u, p: a_du(u),
+        diffusion_coeff_du=lambda x, u, p: a_du2(u), reaction=lambda x, u, p: -a_du2(u) * p * p,
+        reaction_dp=lambda x, u, p: -2.0 * a_du2(u) * p, **bcs, closed_forms=closed,
+        char_system=char_system, singular_gradient_weight=True, shared_factor_reducible=True,
         divergence_form_m=divergence_form_m,
     )
 
 
 # One builder per family: it reads and checks the descriptor ``d`` and
-# builds the spec with the boundary conditions ``bcs``.
+# builds the spec with ``bcs``, the ``bc_left`` and ``bc_right`` keywords.
 
 
 def _heat(d, bcs):
@@ -425,14 +404,10 @@ def _inverse_mcf(d, bcs):
         decay_weight=lambda p: (2.0 + p * p) * p * p / (1.0 + p * p) ** 3,
         canonical_p0=0.0,
     )
-    return _spec(
-        "inverse_mcf", bcs,
-        lambda x, u, p: 1.0,
-        lambda x, u, p: -(1.0 + p * p),
-        closed,
-        reaction_dp=lambda x, u, p: -2.0 * p,
-        rhs=rhs,
-        f1_weight=f1_weight,
+    return ProblemSpec(
+        name="inverse_mcf", diffusion_coeff=lambda x, u, p: 1.0,
+        reaction=lambda x, u, p: -(1.0 + p * p), reaction_dp=lambda x, u, p: -2.0 * p,
+        rhs=rhs, f1_weight=f1_weight, **bcs, closed_forms=closed, shared_factor_reducible=True,
     )
 
 
@@ -445,9 +420,9 @@ def _porous_medium(d, bcs):
             g_of_p=_flat_g, lagrangian=lambda u, p: 0.5 * p * p + 0.0 * u,
             decay_weight=_unit_weight,
         )
-        return _spec(
-            "porous_medium", bcs, lambda x, u, p: a_du(u), _zero,
-            closed, reducible=False, divergence_form_m=m,
+        return ProblemSpec(
+            name="porous_medium", diffusion_coeff=lambda x, u, p: a_du(u), reaction=_zero,
+            **bcs, closed_forms=closed, divergence_form_m=m,
         )
 
     # Characteristics in the original time stall where u**(m-1) vanishes;
@@ -500,7 +475,7 @@ def _number(d, key, default=None, *, at_least=-math.inf, above=-math.inf):
     """
     value = d.get(key, default)
     try:
-        v = float(value)
+        v = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         v = math.nan
     if not math.isfinite(v):
@@ -646,6 +621,7 @@ def from_descriptor(descriptor: dict) -> ProblemSpec:
     bc = d.get("bc", ["dirichlet", "dirichlet"])
     if not isinstance(bc, (list, tuple)) or len(bc) != 2:
         raise ValueError("'bc' must list exactly two boundary conditions")
-    spec = build(d, tuple(_bc_from_descriptor(b) for b in bc))
+    left, right = (_bc_from_descriptor(b) for b in bc)
+    spec = build(d, {"bc_left": left, "bc_right": right})
     d.refuse_unread("model")
     return spec

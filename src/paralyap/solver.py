@@ -199,7 +199,7 @@ def _cfl_dt(spec: ProblemSpec, grid: Grid1D, u: np.ndarray, dt_cap: float, t: fl
     p[0] = (u[1] - u[0]) / dx
     p[-1] = (u[-1] - u[-2]) / dx
     with np.errstate(all="ignore"):
-        coef = np.abs(np.asarray(spec.diffusion_coeff(grid.nodes, u, p), dtype=float))
+        coef = np.abs(spec.diffusion_coeff(grid.nodes, u, p))
     coef_max = float(coef.max()) if coef.size else 0.0
     if not math.isfinite(coef_max):
         raise SolverError(f"diffusion coefficient not finite at t={t!r}")

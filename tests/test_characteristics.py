@@ -36,18 +36,10 @@ from paralyap.models import BoundaryCondition, ProblemSpec
 
 
 def _custom_spec(diffusion, reaction, reaction_dp):
-    zero3 = lambda x, u, p: 0.0
+    # The x and u hooks default to zero, rhs to diffusion * q - reaction.
     return ProblemSpec(
-        name="custom",
-        diffusion_coeff=diffusion,
-        diffusion_coeff_dx=zero3,
-        diffusion_coeff_du=zero3,
-        reaction=reaction,
-        reaction_dp=reaction_dp,
-        rhs=lambda x, u, p, q: diffusion(x, u, p) * q - reaction(x, u, p),
-        f1_weight=lambda x, u, p, q, ut: ut,
-        bc_left=BoundaryCondition.dirichlet(),
-        bc_right=BoundaryCondition.dirichlet(),
+        name="custom", diffusion_coeff=diffusion, reaction=reaction, reaction_dp=reaction_dp,
+        bc_left=BoundaryCondition.dirichlet(), bc_right=BoundaryCondition.dirichlet(),
     )
 
 

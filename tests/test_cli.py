@@ -107,6 +107,17 @@ def test_readme_configs_pass_the_settings_rules(tmp_path):
         cli._refuse_unread(config, cli._DEFAULTS, cli._READS[command], command)
 
 
+def test_readme_python_blocks_run_in_order():
+    # The quick start, the provider swap, the hand-built spec and the
+    # Filtration example, run as one session in the order a reader meets them.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 4
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
 _SMALL_DUMP = {"x": [0.0], "u": {"min": 0.25, "max": 1.0, "n": 3},
                "p": {"min": 0.25, "max": 2.0, "n": 5}}
 _SMALL_COMPARE = {"x": 0.0, "u": {"min": 0.25, "max": 1.0, "n": 2},
@@ -326,6 +337,16 @@ def test_bad_grid_and_time_values_name_the_stage(tmp_path, capsys, section, over
     assert "Traceback" not in err
 
 
+def test_a_count_may_be_written_as_a_whole_float_or_a_string(tmp_path):
+    # 16.0 and "8" are the counts 16 and 8; only a fraction is refused.
+    runs = {name: _run(tmp_path, "simulate", {**_small("simulate"), **override}, name=name)
+            for name, override in (("int", {}), ("spelled", {
+                "grid": {"n_cells": 16.0}, "time": {"t_end": 1e-3, "output_stride": "8"}}))}
+    assert [code for code, _ in runs.values()] == [0, 0]
+    trajectories = [(out / "trajectory.csv").read_bytes() for _, out in runs.values()]
+    assert trajectories[0] == trajectories[1]
+
+
 @pytest.mark.parametrize("command, override", [
     ("simulate", {"initial": None}),
     ("simulate", {"initial": {"amplitude": None}}),
@@ -357,11 +378,18 @@ def test_bad_grid_and_time_values_name_the_stage(tmp_path, capsys, section, over
                              "compare": {"lpp_check": {"quad_tol": "nan"}}}),
     ("compare-closed-form", {"model": {"model": "inverse_mcf"},
                              "compare": {"lpp_check": {"quad_tol": 0}}}),
+    # A JSON boolean is not the number 1, a count is not truncated, and a
+    # profile name that is not a string is unknown.
+    ("construct-energy", {"grid_dump": {"u": {"n": True}}}),
+    ("construct-energy", {"grid_dump": {"x": [True]}}),
+    ("construct-energy", {"grid_dump": {"u": {"n": 3.5}}}),
+    ("simulate", {"initial": {"profile": ["sin"]}}),
 ], ids=["initial-null", "amplitude-null", "k-list", "center-string", "csv-missing",
         "csv-not-numbers", "dump-x-null", "dump-x-empty", "dump-u-n-string",
         "compare-x-null", "lpp_check-n-null", "dump-u-n-0", "lpp_check-n-0",
         "lpp_check-h-0", "lpp_check-h-inf", "dump-x-nan", "dump-x-inf", "compare-x-nan",
-        "lpp_check-quad_tol-nan", "lpp_check-quad_tol-0"])
+        "lpp_check-quad_tol-nan", "lpp_check-quad_tol-0", "dump-u-n-true", "dump-x-true",
+        "dump-u-n-fraction", "profile-list"])
 @pytest.mark.filterwarnings("error")
 def test_bad_initial_and_dump_values_name_the_stage(tmp_path, capsys, monkeypatch,
                                                     command, override):
@@ -471,10 +499,12 @@ _TABULATED = {"g_mode": "tabulated"}
     ({"lagrangian": {"quad_tol": -1}}, "lagrangian"),
     ({"normalization": {"g0": "-inf"}}, "characteristics"),
     ({"normalization": {"p0": "nan"}}, "characteristics"),
+    ({"lagrangian": {"p_base": "nan"}}, "lagrangian"),
+    ({"lagrangian": {"p_base": "inf"}}, "lagrangian"),
 ], ids=["tol-null", "u0-null", "coverage_min-null", "query_box-2", "qurey_box-typo",
         "time-dt_max", "grid-cells", "x_end", "p0-null", "normalization-null", "quad_tol-null",
         "p_star-unknown", "quad_tol-nan", "quad_tol-0", "quad_tol-negative", "g0-minus-inf",
-        "p0-nan"])
+        "p0-nan", "p_base-nan", "p_base-inf"])
 def test_bad_provider_and_lagrangian_values_name_the_stage(tmp_path, capsys, override, stage):
     code, _ = _run(tmp_path, "verify", {**_SMALL_VERIFY, **override})
     assert code == 1
@@ -506,8 +536,30 @@ _INVERSE_MCF = {"model": {"model": "inverse_mcf"}, "compare": _SMALL_COMPARE}
      "error: cli: grid_dump.u.n: must be >= 1, got 0"),
     ("compare-closed-form", {**_INVERSE_MCF, "compare": {"lpp_check": {"h": "inf"}}},
      "error: cli: compare.lpp_check.h: must be finite and > 0, got inf"),
+    ("verify", {"lagrangian": {"p_base": "nan"}},
+     "error: lagrangian: lagrangian.p_base: must be finite, got nan\n"),
+    # No setting takes a boolean, and a count is refused, not truncated.
+    ("simulate", {"time": {"t_end": True}},
+     "error: solver: time.t_end: takes no boolean, got True\n"),
+    ("verify", {"lagrangian": {"p_base": True}},
+     "error: lagrangian: lagrangian.p_base: takes no boolean, got True\n"),
+    ("construct-energy", {"grid_dump": {"u": {"n": True}}},
+     "error: cli: grid_dump.u.n: takes no boolean, got True\n"),
+    ("construct-energy", {"grid_dump": {"x": [True]}},
+     "error: cli: grid_dump.x: takes no boolean, got True\n"),
+    ("simulate", {"grid": {"n_cells": 16.7}},
+     "error: solver: grid.n_cells: must be an integer, got 16.7\n"),
+    ("simulate", {"time": {"output_stride": 2.9}},
+     "error: solver: time.output_stride: must be an integer, got 2.9\n"),
+    ("construct-energy", {"model": {"model": "porous_medium", "m": True}},
+     "error: models: m must be a finite number, got True\n"),
+    ("construct-energy", {"model": {"model": "heat", "bc": [
+        {"kind": "robin", "b": {"kind": "linear", "slope": True}}, "dirichlet"]}},
+     "error: models: slope must be a finite number, got True\n"),
 ], ids=["initial-typo", "normalization-typo", "dump-u-typo", "compare-typo", "lpp_check-typo",
-        "t_end-string", "dump-u-n-string", "dump-u-n-0", "lpp_check-h-inf"])
+        "t_end-string", "dump-u-n-string", "dump-u-n-0", "lpp_check-h-inf", "p_base-nan",
+        "t_end-true", "p_base-true", "dump-u-n-true", "dump-x-true", "n_cells-fraction",
+        "stride-fraction", "m-true", "robin-slope-true"])
 def test_bad_settings_name_the_stage_and_the_key(tmp_path, capsys, command, override, expected):
     code, _ = _run(tmp_path, command, {**_small(command), **override})
     assert code == 1

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from paralyap import models
-from paralyap.models import BoundaryCondition, from_descriptor
+from paralyap.models import BoundaryCondition, ProblemSpec, from_descriptor
 
 # A sampling box: the range of each of x, u, p and q.
 _Box = namedtuple("_Box", "x u p q", defaults=((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)))
 
 
-def _builtin_roster():
-    """Every builtin with a sampling box where its evaluators are regular."""
+def _roster():
+    """Every builtin, and one hand-built spec, with a box where its evaluators are regular."""
     return [
         (from_descriptor({"model": "heat"}), _Box()),
         (from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0}), _Box()),
@@ -57,6 +57,14 @@ def _builtin_roster():
                 {"kind": "robin", "b": {"kind": "constant", "value": 0.5}}, "dirichlet"]}),
             _Box(),
         ),
+        # Built by hand from the required fields alone: the derivative hooks,
+        # f1_weight and rhs are the spec's defaults, and D and R are constants.
+        (
+            ProblemSpec(name="hand_built", diffusion_coeff=lambda x, u, p: 1.0,
+                        reaction=lambda x, u, p: -0.5, bc_left=BoundaryCondition.dirichlet(),
+                        bc_right=BoundaryCondition.dirichlet()),
+            _Box(),
+        ),
     ]
 
 
@@ -81,7 +89,7 @@ def _contract_failures(spec, box, n=500, seed=3):
 
 
 def test_every_builtin_satisfies_the_pointwise_contracts():
-    for spec, box in _builtin_roster():
+    for spec, box in _roster():
         assert _contract_failures(spec, box) == [], spec.name
 
 
@@ -231,6 +239,12 @@ def test_descriptor_errors():
     for b in (1.0, "zero", {"value": 1.0}, {"kind": ["zero"]}):
         with pytest.raises(ValueError, match="robin slope"):
             from_descriptor({"model": "heat", "bc": [{"kind": "robin", "b": b}, "dirichlet"]})
+    # A JSON boolean is not the number 1.
+    with pytest.raises(ValueError, match="m must be a finite number, got True"):
+        from_descriptor({"model": "porous_medium", "m": True})
+    with pytest.raises(ValueError, match="slope must be a finite number, got True"):
+        from_descriptor({"model": "heat", "bc": [
+            {"kind": "robin", "b": {"kind": "linear", "slope": True}}, "dirichlet"]})
 
 
 @pytest.mark.parametrize("descriptor, message", [
@@ -294,9 +308,9 @@ def _central(f, args, k, h=1e-5):
     return (f(*hi) - f(*lo)) / (2.0 * step)
 
 
-@pytest.mark.parametrize("index", range(len(_builtin_roster())))
+@pytest.mark.parametrize("index", range(len(_roster())))
 def test_derivative_hooks_match_central_differences(index):
-    spec, box = _builtin_roster()[index]
+    spec, box = _roster()[index]
     rng = np.random.default_rng(index)
     xs = rng.uniform(*box.x, 200)
     us = rng.uniform(*box.u, 200)
@@ -315,9 +329,9 @@ def test_derivative_hooks_match_central_differences(index):
         )
 
 
-@pytest.mark.parametrize("index", range(len(_builtin_roster())))
+@pytest.mark.parametrize("index", range(len(_roster())))
 def test_evaluators_return_the_broadcast_shape(index):
-    spec, box = _builtin_roster()[index]
+    spec, box = _roster()[index]
     mid = [0.5 * (lo + hi) for lo, hi in (box.x, box.u, box.p, box.q)]
     mid.append(0.25)  # ut
     column = lambda k: np.linspace(*(box.x, box.u, box.p, box.q, (0.0, 0.5))[k], 3)
@@ -336,9 +350,9 @@ def test_evaluators_return_the_broadcast_shape(index):
             assert np.shape(out) == shape, f"{spec.name}.{name} on {sorted(arrays)}"
 
 
-@pytest.mark.parametrize("index", range(len(_builtin_roster())))
+@pytest.mark.parametrize("index", range(len(_roster())))
 def test_evaluators_return_fresh_arrays(index):
-    spec, box = _builtin_roster()[index]
+    spec, box = _roster()[index]
     rng = np.random.default_rng(index)
     args = [rng.uniform(*r, 4) for r in (box.x, box.u, box.p, box.q, (0.0, 0.5))]
     kept = [a.copy() for a in args]
@@ -351,3 +365,16 @@ def test_evaluators_return_fresh_arrays(index):
         out[...] = 7.0
         for a, k in zip(args, kept):
             np.testing.assert_array_equal(a, k, err_msg=f"{spec.name}.{name}")
+
+
+@pytest.mark.parametrize("index", range(len(_roster())))
+def test_each_evaluator_is_one_broadcasting_layer_over_its_callback(index):
+    # The solver calls rhs and diffusion_coeff every step, so an untraced
+    # spec keeps exactly one wrapper between a caller and the callback.
+    spec, _ = _roster()[index]
+    layer = models._broadcasting(models._zero).__code__
+    for name in ("diffusion_coeff", "diffusion_coeff_dx", "diffusion_coeff_du",
+                 "reaction", "reaction_dp", "rhs", "f1_weight"):
+        evaluator = getattr(spec, name)
+        assert evaluator.__code__ is layer, f"{spec.name}.{name}"
+        assert evaluator.__wrapped__.__code__ is not layer, f"{spec.name}.{name}"
