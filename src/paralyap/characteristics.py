@@ -9,11 +9,14 @@ weights the diffusion coefficient.  Along the auxiliary curves
                                               - p * diffusion_coeff_du,
 
 g satisfies an ODE.  One integrator advances a batch of curves as one
-array, each toward the plane x = ``x_end``; a lone curve is a batch of one.
-Three queryable representations are provided: closed-form (``analytic_g``),
-integration of dg/dp at a frozen base point (``reduced_ode_g``), and the
-exact solution normalized on the plane x = 0, found by tracing each query's
-curve back to that plane (``tabulate_g``).
+component-major (4, n) array, one contiguous row per component, each curve
+toward the plane x = ``x_end``, forward or backward in x; a lone curve is a
+batch of one.  The landing clamp divides the gap to the plane by the speed
+toward it, so in either direction the first attempt lands at the starting
+speed.  Three queryable representations are provided: closed-form
+(``analytic_g``), integration of dg/dp at a frozen base point
+(``reduced_ode_g``), and the exact solution normalized on the plane x = 0,
+found by tracing each query's curve back to that plane (``tabulate_g``).
 
 Since diffusion_coeff >= 0, x moves monotonically toward the plane along a
 curve, and the fifth-order update used here keeps that guarantee exactly:
@@ -141,20 +144,24 @@ def _g_rate(spec: ProblemSpec, x, u, p):
 
 
 def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
-    """Advance one curve per start row (x0, u0, p0, g0), all as one (n, 4) array.
+    """Advance one curve per start row (x0, u0, p0, g0), all as one batch.
 
-    Each curve moves toward the plane x = ``controls.x_end``: the field is
-    multiplied by the sign of ``x_end - x0`` (+1.0 when there is no plane, or
-    it lies ahead), so tau grows either way.  A curve that starts on the
-    plane has reached it.  Each curve has its own step size, attempts, stall
-    count and termination; every operation is elementwise, so a curve does
-    not depend on its batch.  Returns the accepted (tau, x, u, p, g) rows
-    grouped by curve in start order, the curve of each row, and each curve's
-    termination.
+    The batch is stored component-major, as a (4, n) array with one
+    contiguous row per component, so every field callback and stage sum runs
+    on contiguous rows.  Each curve moves toward the plane x =
+    ``controls.x_end``: its step is multiplied by the sign of ``x_end - x0``
+    (+1.0 when there is no plane, or it lies ahead), so tau grows either way,
+    and the landing clamp divides the gap to the plane by the speed toward
+    it, so the first attempt lands at the starting speed in both directions.
+    A curve that starts on the plane has reached it.  Each curve has its own
+    step size, attempts, stall count and termination; every operation is
+    elementwise, so a curve does not depend on its batch.  Returns the
+    accepted (tau, x, u, p, g) rows grouped by curve in start order, the
+    curve of each row, and each curve's termination as an object array.
     """
 
-    def field(y, sign):
-        x, u, p = y[:, 0], y[:, 1], y[:, 2]
+    def field(y):
+        x, u, p = y[0], y[1], y[2]
         if spec.char_system is not None:
             out = spec.char_system(x, u, p)
         else:
@@ -163,69 +170,74 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
         if len(out) != 4:
             raise CharacteristicsError(f"curve field returned {len(out)} components, not 4")
         # Broadcast against x, so a scalar output gives every curve that value.
-        k = np.column_stack(np.broadcast_arrays(x, *out)[1:])
-        bad = ~np.all(np.isfinite(k), axis=1)
+        k = np.array(np.broadcast_arrays(x, *out)[1:], dtype=float)
+        bad = ~np.all(np.isfinite(k), axis=0)
         if bad.any():
             raise CharacteristicsError(
-                f"curve field returned a bad value at state {tuple(y[bad][0].tolist())}"
+                f"curve field returned a bad value at state {tuple(y[:, bad.argmax()].tolist())}"
             )
-        return k * sign[:, None]
+        return k
 
     starts = np.asarray(starts, dtype=float).reshape(-1, 4)
     n = len(starts)
     x_end, dt_max = (math.inf if v is None else v for v in (controls.x_end, controls.dt_max))
     tau_end = controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max))
-    rows, row_curve = [np.column_stack([np.zeros(n), starts])], [np.arange(n)]
+    rows, row_curve = [np.vstack([np.zeros(n), starts.T])], [np.arange(n)]
     sign = np.where(starts[:, 0] > x_end, -1.0, 1.0)
     live = sign * (x_end - starts[:, 0]) > _LAND_TOL
     ends = np.full(n, Termination.REACHED_X_END, dtype=object)
     ends[live] = Termination.MAX_STEPS
-    idx, y, sign = np.flatnonzero(live), starts[live], sign[live]
+    idx, y, sign = np.flatnonzero(live), np.compress(live, starts.T, axis=1), sign[live]
     m = len(idx)
     tau, dt, stall = np.zeros(m), np.full(m, _DT0), np.zeros(m, dtype=int)
-    k0 = field(y, sign)
+    k0 = field(y)
     live, step = np.ones(m, dtype=bool), 0
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Each live curve makes one attempt per pass: ``step`` counts them all.
         while step < _MAX_STEPS and live.any():
             step += 1
-            idx, y, sign, tau, dt, k0, stall = (a[live] for a in (idx, y, sign, tau, dt, k0, stall))
+            idx, sign, tau, dt, stall = (a[live] for a in (idx, sign, tau, dt, stall))
+            y, k0 = (np.compress(live, a, axis=1) for a in (y, k0))
             # Hard clamps: land exactly on tau_max, and stop where the plane
-            # lies at the current speed.
-            gap = sign * (x_end - y[:, 0])
-            to_end = np.where(k0[:, 0] > 0.0, gap / k0[:, 0], math.inf)
+            # lies at the current speed toward it.  The field is not directed,
+            # so k0[0] is that speed in either direction.
+            gap = sign * (x_end - y[0])
+            to_end = np.where(k0[0] > 0.0, gap / k0[0], math.inf)
             dt = np.minimum(np.minimum(np.minimum(dt, dt_max), controls.tau_max - tau), to_end)
             under = dt < _DT_MIN
             if under.any():
                 raise CharacteristicsError(f"step size underflow at tau={float(tau[under][0])!r}")
-            # Each weighted sum runs in stage order, as for a lone curve.
+            # The directed step: multiplying by the sign is exact, so this is
+            # the same as directing every field value.  Each weighted sum runs
+            # in stage order, as for a lone curve.
+            h = dt * sign
             ks = [k0]
             for a in _A[1:]:
-                ks.append(field(y + dt[:, None] * sum(w * k for w, k in zip(a, ks)), sign))
-            y5, y4 = (y + dt[:, None] * sum(w * k for w, k in zip(b, ks)) for b in (_B5, _B4))
-            err = np.max(np.abs(y5 - y4) / (controls.tol * (1.0 + np.abs(y5))), axis=1)
+                ks.append(field(y + h * sum(w * k for w, k in zip(a, ks))))
+            y5, y4 = (y + h * sum(w * k for w, k in zip(b, ks)) for b in (_B5, _B4))
+            err = np.max(np.abs(y5 - y4) / (controls.tol * (1.0 + np.abs(y5))), axis=0)
             # A step that passes the plane is redone with the secant step to it.
-            gap5 = sign * (x_end - y5[:, 0])
+            gap5 = sign * (x_end - y5[0])
             over = (err <= 1.0) & (gap5 < -_LAND_TOL)
             ok = (err <= 1.0) & ~over
             tau = np.where(ok, tau + dt, tau)
-            y = np.where(ok[:, None], y5, y)
+            y = np.where(ok, y5, y)
             # float_power rounds as libm's pow; an array ``**`` may take a SIMD path.
             dt = np.where(over, dt * gap / (gap - gap5), dt * np.where(
                 ok, np.minimum(5.0, np.maximum(0.2, 0.9 * np.float_power(err + 1e-300, -0.2))),
                 np.where(np.isfinite(err), np.maximum(0.2, 0.9 * np.float_power(err, -0.25)), 0.2),
             ))
             if ok.any():
-                rows.append(np.column_stack([tau[ok], y[ok]]))
+                rows.append(np.vstack([tau[ok], np.compress(ok, y, axis=1)]))
                 row_curve.append(idx[ok])
             # Accepted states are finite: a non-finite y5 makes err nan.
-            blowup = ok & (np.max(np.abs(y[:, 2:]), axis=1) > controls.blowup_cap)
-            reached = ok & ~blowup & (sign * (x_end - y[:, 0]) <= _LAND_TOL)
+            blowup = ok & (np.max(np.abs(y[2:]), axis=0) > controls.blowup_cap)
+            reached = ok & ~blowup & (sign * (x_end - y[0]) <= _LAND_TOL)
             moving = ok & ~(blowup | reached | (tau >= tau_end))
             if moving.any():
-                k0[moving] = field(y[moving], sign[moving])
-            slow = np.abs(k0[:, 0]) < _STALL_EPS
+                k0[:, moving] = field(np.compress(moving, y, axis=1))
+            slow = np.abs(k0[0]) < _STALL_EPS
             stall = np.where(moving, np.where(slow, stall + 1, 0), stall)
             stalled = moving & (stall >= controls.stall_window)
             ends[idx[blowup]] = Termination.BLOWUP
@@ -235,7 +247,7 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
 
     curve = np.concatenate(row_curve)
     order = np.argsort(curve, kind="stable")
-    return np.concatenate(rows)[order], curve[order], tuple(ends)
+    return np.concatenate(rows, axis=1).take(order, axis=1).T, curve[order], ends
 
 
 def integrate_characteristics(spec: ProblemSpec, init: dict,
@@ -429,7 +441,7 @@ def tabulate_g(spec: ProblemSpec, g0: float = 0.0) -> GProvider:
         starts = np.column_stack([x.ravel(), u.ravel(), p.ravel(), np.zeros(x.size)])
         states, curve, ends = _integrate_curves(spec, starts, controls)
         last = states[np.searchsorted(curve, np.arange(len(ends)), side="right") - 1, 4]
-        reached = np.array([end is Termination.REACHED_X_END for end in ends], dtype=bool)
+        reached = ends == Termination.REACHED_X_END
         provider.extrapolations += int(np.count_nonzero(~reached))
         out = np.where(reached, g0 - last, np.nan)
         return out.reshape(x.shape) if x.ndim else float(out[0])

@@ -155,12 +155,16 @@ def _resolve_config(path):
 
 
 def _changed(settings, defaults, prefix=""):
-    """The dotted keys, at any depth, whose value in ``settings`` differs from ``defaults``."""
+    """The dotted keys, at any depth, whose value in ``settings`` differs from ``defaults``.
+
+    A boolean always differs: no default is one, and ``True == 1`` would
+    otherwise pass it as a default of 1.
+    """
     for key, value in settings.items():
         default = defaults.get(key)
         if isinstance(value, dict) and isinstance(default, dict):
             yield from _changed(value, default, f"{prefix}{key}.")
-        elif value != default:
+        elif isinstance(value, bool) or value != default:
             yield prefix + key
 
 

@@ -3,13 +3,13 @@
 ``integrate_batch`` is the one integrator.  It integrates one integrand over
 the ranges of many query points at once with Gauss-Kronrod 7/15 panels,
 calling the integrand once per sweep over all panels that are still open.
-The energy density in :mod:`paralyap.lagrangian`, the reduced ``dg/dp``
-quadrature and the filtration reference energy all run on it.
+The energy density in :mod:`paralyap.lagrangian` and the reduced ``dg/dp``
+quadrature in :mod:`paralyap.characteristics` run on it.
 
 ``adaptive_simpson`` is kept as a front for scalar callbacks, because the
-package exports it and the ``perfbench`` tracer wraps it by name.  It calls
-the callback once per abscissa and hands the values to ``integrate_batch``;
-despite its name it applies no Simpson rule.
+``perfbench`` tracer wraps it by name; no module of the package calls it.
+It calls the callback once per abscissa and hands the values to
+``integrate_batch``; despite its name it applies no Simpson rule.
 
 The gradient integrands assembled by the action-density construction are
 smooth except possibly at p = 0, where degenerate weights like |p|**k with

@@ -137,23 +137,29 @@ def test_batch_curves_equal_their_lone_runs(descriptor):
 
 
 def _scalar_curve(spec, seed, controls):
-    """One curve in Python floats: the per-curve loop the batch replaces."""
+    """One curve in Python floats: the per-curve loop the batch replaces.
+
+    The curve runs toward the plane x = ``x_end``, forward or backward: the
+    field is directed by the sign of ``x_end - x0``, and the landing clamp
+    divides the gap by the speed toward the plane.
+    """
+    sign = -1.0 if seed[0] > controls.x_end else 1.0
 
     def field(x, u, p):
         if spec.char_system is not None:
-            return tuple(float(v) for v in spec.char_system(x, u, p))
+            return tuple(sign * float(v) for v in spec.char_system(x, u, p))
         fq = float(spec.diffusion_coeff(x, u, p))
         rate = -(float(spec.reaction_dp(x, u, p)) + float(spec.diffusion_coeff_dx(x, u, p))
                  + p * float(spec.diffusion_coeff_du(x, u, p)))
-        return fq, fq * p, float(spec.reaction(x, u, p)), rate
+        return sign * fq, sign * (fq * p), sign * float(spec.reaction(x, u, p)), sign * rate
 
     tau, y, dt, stall = 0.0, seed, _DT0, 0
     rows, k0 = [[tau, *y]], field(*y[:3])
     for _ in range(_MAX_STEPS):
         dt = min(dt, controls.dt_max, controls.tau_max - tau)
-        gap = controls.x_end - y[0]
-        if k0[0] > 0.0:
-            dt = min(dt, gap / k0[0])
+        gap = sign * (controls.x_end - y[0])
+        if sign * k0[0] > 0.0:
+            dt = min(dt, gap / (sign * k0[0]))
         ks = [k0]
         for a in _A[1:]:
             ks.append(field(*(y[c] + dt * sum(w * k[c] for w, k in zip(a, ks)) for c in range(3))))
@@ -163,7 +169,7 @@ def _scalar_curve(spec, seed, controls):
         if not err <= 1.0:
             dt *= max(0.2, 0.9 * err ** -0.25) if math.isfinite(err) else 0.2
             continue
-        gap5 = controls.x_end - y5[0]
+        gap5 = sign * (controls.x_end - y5[0])
         if gap5 < -_LAND_TOL:
             # Past the plane: redo with the secant step that lands on it.
             dt = dt * gap / (gap - gap5)
@@ -173,7 +179,7 @@ def _scalar_curve(spec, seed, controls):
         dt *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
         if max(abs(y[2]), abs(y[3])) > controls.blowup_cap:
             return rows, Termination.BLOWUP
-        if controls.x_end - y[0] <= _LAND_TOL:
+        if sign * (controls.x_end - y[0]) <= _LAND_TOL:
             return rows, Termination.REACHED_X_END
         if tau >= controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max)):
             return rows, Termination.MAX_STEPS
@@ -201,6 +207,35 @@ def test_batch_equals_the_scalar_loop(descriptor):
         rows, termination = _scalar_curve(spec, seed, controls)
         assert states[curve == i].tolist() == rows
         assert ends[i] is termination
+    # Backward curves, from x0 = 0.9 to the plane x = 0: the landing clamp
+    # uses the speed toward the plane, so a last step lands without a redo.
+    seeds = [(0.9, u0, p0, 0.0) for u0 in (0.25, 1.0) for p0 in (-2.0, -0.5, 0.5, 2.0)]
+    controls = CharControls(dt_max=0.05, x_end=0.0)
+    states, curve, ends = _integrate_curves(spec, seeds, controls)
+    for i, seed in enumerate(seeds):
+        rows, termination = _scalar_curve(spec, seed, controls)
+        assert states[curve == i].tolist() == rows
+        assert ends[i] is termination
+
+
+def test_a_backward_curve_costs_what_its_mirror_costs():
+    # D = 1: a straight curve whose first attempt, clamped to the gap at the
+    # starting speed, lands on the plane.  That is one evaluation at the
+    # start and five more stages, in either direction.
+    calls = []
+
+    def diffusion(x, u, p):
+        calls.append(1)
+        return 1.0
+
+    spec = _custom_spec(diffusion, lambda x, u, p: 0.0, lambda x, u, p: 0.0)
+    for x0, x_end in ((0.1, 1.0), (0.9, 0.0)):
+        calls.clear()
+        traj = integrate_characteristics(spec, {"x0": x0, "u0": 0.5, "p0": 1.0},
+                                         CharControls(x_end=x_end))
+        assert traj.termination is Termination.REACHED_X_END
+        assert len(traj) == 2
+        assert len(calls) == 6
 
 
 def test_batch_terminations_match_lone_runs():
@@ -210,6 +245,7 @@ def test_batch_terminations_match_lone_runs():
     controls = CharControls(tau_max=1.0, x_end=None, blowup_cap=1e3)
     seeds = [(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, -5.0, 0.0), (0.0, 1.0, 0.5, 0.0)]
     _, _, ends = _integrate_curves(spec, seeds, controls)
+    ends = tuple(ends)
     assert ends == (Termination.MAX_STEPS, Termination.BLOWUP, Termination.MAX_STEPS)
     for seed, end in zip(seeds, ends):
         assert _lone_rows(spec, seed, controls)[1] is end
@@ -220,6 +256,7 @@ def test_batch_terminations_match_lone_runs():
     controls = CharControls(tau_max=1e6, stall_window=20, dt_max=0.5)
     seeds = [(0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.0)]
     states, curve, ends = _integrate_curves(spec, seeds, controls)
+    ends = tuple(ends)
     assert ends == (Termination.STALLED, Termination.REACHED_X_END)
     for i, seed in enumerate(seeds):
         rows, termination = _lone_rows(spec, seed, controls)

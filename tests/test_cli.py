@@ -800,8 +800,10 @@ def test_initial_profile_from_csv(tmp_path):
     ("shifted_sin", {"amplitude": 0.5, "offset": 1.0}, {"k": 2}),
     ("ramp_sin", {"amplitude": 0.5}, {"offset": 0.1}),
     ("bump", {"amplitude": 0.5, "center": 0.4, "sharpness": 4.0}, {"k": 2}),
+    # True == 1, the default of k, yet a boolean is never a default.
+    ("bump", {}, {"k": True}),
     ("csv", {"path": "profile.csv"}, {"amplitude": 2.0, "sharpness": 1.0}),
-], ids=["zero", "sin", "shifted_sin", "ramp_sin", "bump", "csv"])
+], ids=["zero", "sin", "shifted_sin", "ramp_sin", "bump", "bump-boolean", "csv"])
 def test_initial_keys_that_the_profile_does_not_read_are_refused(tmp_path, capsys, monkeypatch,
                                                                   profile, own, stray):
     monkeypatch.chdir(tmp_path)
