@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import integrate_batch
+from .quadrature import QuadratureError, integrate_batch
 from .models import ProblemSpec
 
 __all__ = [
@@ -160,7 +160,12 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
     curve of each row, and each curve's termination as an object array.
     """
 
-    def field(y):
+    def field(y, stage=False):
+        """The field at the columns of ``y``; a start or accepted state must give finite values.
+
+        A trial ``stage`` may give any value: a non-finite one makes the
+        step's error estimate nan, so the step is rejected and shrunk.
+        """
         x, u, p = y[0], y[1], y[2]
         if spec.char_system is not None:
             out = spec.char_system(x, u, p)
@@ -172,7 +177,7 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
         # Broadcast against x, so a scalar output gives every curve that value.
         k = np.array(np.broadcast_arrays(x, *out)[1:], dtype=float)
         bad = ~np.all(np.isfinite(k), axis=0)
-        if bad.any():
+        if not stage and bad.any():
             raise CharacteristicsError(
                 f"curve field returned a bad value at state {tuple(y[:, bad.argmax()].tolist())}"
             )
@@ -214,7 +219,7 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
             h = dt * sign
             ks = [k0]
             for a in _A[1:]:
-                ks.append(field(y + h * sum(w * k for w, k in zip(a, ks))))
+                ks.append(field(y + h * sum(w * k for w, k in zip(a, ks)), stage=True))
             y5, y4 = (y + h * sum(w * k for w, k in zip(b, ks)) for b in (_B5, _B4))
             err = np.max(np.abs(y5 - y4) / (controls.tol * (1.0 + np.abs(y5))), axis=0)
             # A step that passes the plane is redone with the secant step to it.
@@ -263,7 +268,9 @@ def integrate_characteristics(spec: ProblemSpec, init: dict,
     ``x_end``, stalling (dx/dtau below ``_STALL_EPS`` for ``stall_window``
     accepted steps), a component passing ``blowup_cap``, or exhausting
     ``_MAX_STEPS`` attempts or ``tau_max``.  The first attempt is ``_DT0``.
-    Only a step below ``_DT_MIN`` or a non-finite field value raises.
+    Only a step below ``_DT_MIN`` or a non-finite field value at the start or
+    at an accepted state raises; a non-finite value at a trial stage
+    rejects that step.
 
     Models may supply ``char_system`` to integrate a rescaled field with the
     same curve geometry; the porous-medium builtin does this to remove the
@@ -278,7 +285,6 @@ def integrate_characteristics(spec: ProblemSpec, init: dict,
 # ---------------------------------------------------------------------------
 # Reduced computation of g as a function of p alone
 
-_PROBE_N = 65
 # The frozen point (x, u) at which the reduced rate is integrated, and the
 # quadrature tolerance of that integral.
 _X_REF, _U_REF = 0.0, 1.0
@@ -295,73 +301,74 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0, method: st
     depend on the frozen point, which the spec's
     ``shared_factor_reducible`` flag asserts.
 
-    ``method="auto"`` uses the exact logarithm of the reaction ratio whenever
-    the diffusion coefficient has no x or u dependence on the probed range;
-    ``"quadrature"`` always integrates numerically.  The reaction must keep
-    one sign strictly between p0 and every requested p; a zero crossing
-    raises ``ReducedGError`` because p cannot flow across a rest point.  A
-    query sitting exactly at a rest point is answered with nan (the limit is
-    a logarithmic divergence), matching how analytic providers report values
-    outside the reachable branch.
+    Each query is decided from the two ends of its own path, p0 and its p,
+    never from the other queries of its batch:
+
+    * a rate that vanishes at both ends is taken to vanish on the path, and
+      g is the constant g0 (rest points of the reaction are immaterial then);
+    * a query at a rest point of the reaction is answered with nan (the
+      limit is a logarithmic divergence), matching how analytic providers
+      report values outside the reachable branch; a reaction whose sign at
+      p differs from its sign at p0 raises ``ReducedGError``, because p
+      cannot flow across a rest point, and so does a seed p0 at rest;
+    * ``method="auto"`` uses the exact logarithm of the reaction ratio when
+      the diffusion coefficient has no x or u derivative at either end;
+      ``"quadrature"`` always integrates numerically, and an integral that
+      does not converge (a rest point touched without a sign change)
+      raises ``ReducedGError``.
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     if not spec.shared_factor_reducible:
         raise ReducedGError(f"model {spec.name!r} is not flagged reducible to g(p)")
 
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    scalar = np.isscalar(p) or np.asarray(p).ndim == 0
+    shape = np.shape(p)
+    q = np.asarray(p, dtype=float).ravel()
+    out = np.full(q.shape, np.nan)
 
-    # A rate that vanishes on the whole span means g is the constant g0;
-    # rest points of the reaction are immaterial in that case.
-    span = np.linspace(min(float(np.min(p_arr)), p0), max(float(np.max(p_arr)), p0), _PROBE_N)
+    def result():
+        return out.reshape(shape) if shape else float(out[0])
+
+    # Each query's own p, then the seed: the two ends of every path.
+    ends = np.append(q, p0)
     with np.errstate(all="ignore"):
-        rate_span = _g_rate(spec, _X_REF, _U_REF, span)
-    if np.all(np.isfinite(rate_span)) and float(np.max(np.abs(rate_span))) == 0.0:
-        out = np.full(p_arr.shape, g0)
-        return float(out[0]) if scalar else out
+        coef_dx = spec.diffusion_coeff_dx(_X_REF, _U_REF, ends)
+        coef_du = spec.diffusion_coeff_du(_X_REF, _U_REF, ends)
+        rate = _g_rate(spec, _X_REF, _U_REF, ends)
+    still = (rate[:-1] == 0.0) & (rate[-1] == 0.0)
+    out[still] = g0
+    if still.all():
+        return result()
 
     f0_seed = float(spec.reaction(_X_REF, _U_REF, p0))
-    f0_query = spec.reaction(_X_REF, _U_REF, p_arr)
     # Scaled by the seed alone, so that no verdict on a query depends on its batch.
     rest_tol = 1e-13 * (1.0 + abs(f0_seed))
     if abs(f0_seed) <= rest_tol:
         raise ReducedGError(f"the seed gradient p0={p0!r} is a rest point of the reaction")
-    rest = np.abs(f0_query) <= rest_tol
-    active = p_arr[~rest]
+    f0 = spec.reaction(_X_REF, _U_REF, q)
+    active = ~still & ~(np.abs(f0) <= rest_tol)
+    finite = np.isfinite(f0) & np.isfinite(rate[:-1]) & np.isfinite(rate[-1])
+    crossing = np.sign(f0) != np.sign(f0_seed)
+    for bad, why in ((~finite, "reaction or its derivatives are not finite"),
+                     (crossing, "p cannot flow across a rest point: the reaction changes sign")):
+        if (active & bad).any():
+            raise ReducedGError(f"{why} between p0={p0!r} and p={float(q[active & bad][0])!r}")
 
-    out = np.full(p_arr.shape, np.nan)
-    if active.size == 0:
-        return float(out[0]) if scalar else out
+    pure_p = (coef_dx == 0.0) & (coef_du == 0.0)
+    log = active & pure_p[:-1] & pure_p[-1] & (method == "auto")
+    out[log] = g0 + np.log(np.abs(f0_seed / f0[log]))
+    quad = active & ~log
+    if quad.any():
+        def ratio(idx, s):
+            return _g_rate(spec, _X_REF, _U_REF, s) / spec.reaction(_X_REF, _U_REF, s)
 
-    lo = min(float(np.min(active)), p0)
-    hi = max(float(np.max(active)), p0)
-    probes = np.linspace(lo, hi, _PROBE_N)
-    f0 = spec.reaction(_X_REF, _U_REF, probes)
-    rate = _g_rate(spec, _X_REF, _U_REF, probes)
-    if not (np.all(np.isfinite(f0)) and np.all(np.isfinite(rate))):
-        raise ReducedGError("reaction or its derivatives are not finite on the p range")
-
-    if float(np.min(np.abs(f0))) <= rest_tol or np.min(f0) * np.max(f0) < 0.0:
-        raise ReducedGError(
-            f"reaction changes sign or vanishes on [{lo!r}, {hi!r}]; "
-            "p cannot flow across a rest point"
-        )
-
-    coef_dx = spec.diffusion_coeff_dx(_X_REF, _U_REF, probes)
-    coef_du = spec.diffusion_coeff_du(_X_REF, _U_REF, probes)
-    pure_p = float(np.max(np.abs(coef_dx))) == 0.0 and float(np.max(np.abs(coef_du))) == 0.0
-    if method == "auto" and pure_p:
-        with np.errstate(divide="ignore"):
-            out[~rest] = g0 + np.log(np.abs(f0_seed / f0_query[~rest]))
-        return float(out[0]) if scalar else out
-
-    def ratio(idx, s):
-        rate = _g_rate(spec, _X_REF, _U_REF, s)
-        return rate / spec.reaction(_X_REF, _U_REF, s)
-
-    out[~rest] = g0 + integrate_batch(ratio, p0, active, _REDUCED_TOL)
-    return float(out[0]) if scalar else out
+        try:
+            out[quad] = g0 + integrate_batch(ratio, p0, q[quad], _REDUCED_TOL)
+        except QuadratureError as exc:
+            # Where the reaction touches zero without changing sign.
+            raise ReducedGError(f"dg/dp is not integrable between p0={p0!r} and "
+                                f"p={float(q[quad][exc.index])!r}: {exc}") from None
+    return result()
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ from .energy import _rises, energy_trace, standard_pme_energy, verify_decay
 from .lagrangian import (
     Lagrangian,
     LagrangianError,
-    LagrangianOptions,
     build_lagrangian,
     compare_closed_form,
     eval_L,
@@ -247,18 +246,17 @@ def _build_provider(spec, config) -> GProvider:
     raise CliError("cli", f"g_mode: unknown mode {mode!r}")
 
 
-def _build_lagrangian(spec, provider, options) -> Lagrangian:
+def _build_lagrangian(spec, provider, p_base, quad_tol) -> Lagrangian:
     with _stage("lagrangian"):
-        return build_lagrangian(spec, provider, options)
+        return build_lagrangian(spec, provider, p_base=p_base, quad_tol=quad_tol)
 
 
 def _build_energy(spec, config):
     """The g provider and the Lagrangian; every setting of both is read before either is built."""
     p_base = _setting(config, "lagrangian.p_base", lambda v: None if v is None else _FINITE(v))
-    options = LagrangianOptions(p_base=p_base,
-                                quad_tol=_setting(config, "lagrangian.quad_tol", _STEP))
+    quad_tol = _setting(config, "lagrangian.quad_tol", _STEP)
     provider = _build_provider(spec, config)
-    return provider, _build_lagrangian(spec, provider, options)
+    return provider, _build_lagrangian(spec, provider, p_base, quad_tol)
 
 
 def _csv_profile(path, n):

@@ -25,11 +25,13 @@ So each column equals, bit for bit, the one-frame ``energy_of_frame`` and
 ``decay_formula``, the same kernel on one frame.  The cap bounds peak memory;
 a whole-trace batch is no faster.
 
-Models whose weight carries a negative power of the gradient (porous medium,
-gradient-forced flows) have a formally divergent integrand where u_x
-vanishes.  Those nodes are masked to zero, and the masked fraction is the
-share of sum |u_t| that falls on masked nodes (a node at rest, such as one
-ahead of a free boundary, weighs nothing); ``verify_decay`` checks
+Nodes whose decay integrand is not finite are masked to zero.  Where e^g
+blows up as u_x vanishes, the integrand formally diverges near flat spots,
+so nodes whose |u_x| is below 1e-6 of the frame's largest are masked too.
+The Lagrangian's probe of g near p = 0 makes that call (its
+``singular_weight``); the spec declares nothing.  The masked fraction is
+the share of sum |u_t| that falls on masked nodes (a node at rest, such as
+one ahead of a free boundary, weighs nothing); ``verify_decay`` checks
 consistency only at frames whose masked fraction is at most
 ``mask_reliable``.
 """
@@ -119,10 +121,10 @@ def _energies(lag: Lagrangian, s: _Stack, dx: float) -> np.ndarray:
     return _simpson(values, dx)
 
 
-def _masked_decays(spec: ProblemSpec, s: _Stack, integrand: np.ndarray, dx: float):
+def _masked_decays(lag: Lagrangian, s: _Stack, integrand: np.ndarray, dx: float):
     """-Simpson of each row's integrand with its masked nodes zeroed, and each masked fraction."""
     mask = ~np.isfinite(integrand)
-    if spec.singular_gradient_weight:
+    if lag.singular_weight:
         mask |= np.abs(s.p) < _GRAD_EPS_REL * np.max(np.abs(s.p), axis=1, keepdims=True)
     # The share of |u_t| on masked nodes: a node at rest adds nothing to the
     # decay integral, so masking it costs nothing either.
@@ -133,11 +135,11 @@ def _masked_decays(spec: ProblemSpec, s: _Stack, integrand: np.ndarray, dx: floa
     return -_simpson(np.where(mask, 0.0, integrand), dx), np.array(shares)
 
 
-def _formula_decays(spec: ProblemSpec, g_provider: Callable, s: _Stack, dx: float):
+def _formula_decays(lag: Lagrangian, s: _Stack, dx: float):
     with np.errstate(all="ignore"):
-        weight = spec.f1_weight(s.x, s.u, s.p, s.q, s.ut)
-        integrand = np.exp(_blockwise(g_provider, s)) * weight * s.ut
-    return _masked_decays(spec, s, integrand, dx)
+        weight = lag.spec.f1_weight(s.x, s.u, s.p, s.q, s.ut)
+        integrand = np.exp(_blockwise(lag.g_provider, s)) * weight * s.ut
+    return _masked_decays(lag, s, integrand, dx)
 
 
 def energy_of_frame(lag: Lagrangian, frame: StateFrame, grid: Grid1D) -> float:
@@ -150,10 +152,9 @@ class DecayValue:
     mask_fraction: float
 
 
-def decay_formula(spec: ProblemSpec, g_provider: Callable, frame: StateFrame,
-                  grid: Grid1D) -> DecayValue:
+def decay_formula(lag: Lagrangian, frame: StateFrame, grid: Grid1D) -> DecayValue:
     """The predicted dE/dt for one frame, with its masked fraction."""
-    values, shares = _formula_decays(spec, g_provider, _stack(spec, [frame], grid), grid.dx)
+    values, shares = _formula_decays(lag, _stack(lag.spec, [frame], grid), grid.dx)
     return DecayValue(float(values[0]), float(shares[0]))
 
 
@@ -175,13 +176,13 @@ def energy_trace(lag: Lagrangian, result: SimulationResult, grid: Grid1D) -> Ene
     spec, dx = lag.spec, grid.dx
     s = _stack(spec, result, grid)
     E = _energies(lag, s, dx)
-    formula, shares = _formula_decays(spec, lag.g_provider, s, dx)
+    formula, shares = _formula_decays(lag, s, dx)
     model = None
     forms = spec.closed_forms
     if forms is not None and forms.decay_weight is not None:
         with np.errstate(all="ignore"):
             integrand = np.asarray(forms.decay_weight(s.p), dtype=float) * s.ut * s.ut
-        model = _masked_decays(spec, s, integrand, dx)[0]
+        model = _masked_decays(lag, s, integrand, dx)[0]
     measured = np.gradient(E, s.t) if len(s.t) > 2 else np.zeros_like(E)
     return EnergyTrace(s.t, E, measured, formula, model, shares)
 

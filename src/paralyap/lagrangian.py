@@ -33,12 +33,18 @@ inside the l0 integrand is itself one inner batch per outer sweep.  A
 point's value depends only on that point, never on the others that share
 its batch.
 
-Base-point selection: integrating from 0 is the default, but weights with a
-non-integrable 1/|p| blowup at 0 (porous medium, curvature flows with
-gradient forcing) get base 1 instead, detected by a power-law probe of the
-weight near 0.  For those weights the two half-lines p > 0 and p < 0 are
-separate construction branches, so the base point follows the sign of the
-query: base_eff(p) = sign(p) * p_base.
+One probe decides both things that depend on how the weight behaves at
+p = 0.  ``build_lagrangian`` reads g from the provider and D from the spec at
+p = 1e-4, 1e-3, 1e-2 with (x, u) = (0.5, 0.75):
+
+* Base point: integrating from 0 is the default, but a weight that is not
+  finite there or falls like 1/|p| (log-log slope <= -0.999) gets base 1
+  instead.  For those weights the two half-lines p > 0 and p < 0 are
+  separate construction branches, so the base point follows the sign of the
+  query: base_eff(p) = sign(p) * p_base.
+* ``singular_weight``: e^g blows up at p = 0 when a probed g is not finite
+  or both log-log slopes of e^g (the slopes of g against log p) are at most
+  -1e-3.  The energy monitor then masks the nodes where u_x nearly vanishes.
 """
 
 import math
@@ -47,13 +53,12 @@ from typing import Optional
 
 import numpy as np
 
-from .characteristics import GProvider
+from .characteristics import CharacteristicsError, GProvider, ReducedGError
 from .models import ProblemSpec
 from .quadrature import QuadratureError, integrate_batch
 
 __all__ = [
     "LagrangianError",
-    "LagrangianOptions",
     "Lagrangian",
     "build_lagrangian",
     "eval_L",
@@ -65,16 +70,13 @@ __all__ = [
 
 _PROBE_POINTS = (1e-4, 1e-3, 1e-2)
 _PROBE_ANCHOR = (0.5, 0.75)
+# Log-log slopes of e^g at or below this, on both probe intervals, make the
+# weight singular at p = 0.
+_SINGULAR_G_SLOPE = -1e-3
 
 
 class LagrangianError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class LagrangianOptions:
-    p_base: Optional[float] = None
-    quad_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,12 @@ class Lagrangian:
     g_provider: GProvider
     p_base: float
     quad_tol: float
+    # e^g blows up at p = 0, so a gradient that nearly vanishes is masked.
+    singular_weight: bool
     metadata: dict = field(default_factory=dict)
 
     def weight(self, x, u, p):
-        return _weight(self.spec, self.g_provider, x, u, p)
+        return _weight(self.spec, x, u, p, self.g_provider(x, u, p))
 
     def base_eff(self, p):
         return np.where(np.asarray(p) >= 0.0, self.p_base, -self.p_base)[()]
@@ -118,36 +122,51 @@ def _robin_ends(spec: ProblemSpec):
     return tuple(x for x, bc in ((0.0, spec.bc_left), (1.0, spec.bc_right)) if bc.kind == "robin")
 
 
-def _weight(spec: ProblemSpec, g_provider: GProvider, x, u, p):
+def _weight(spec: ProblemSpec, x, u, p, g):
     """L_pp = diffusion_coeff * exp(g), elementwise over broadcast inputs."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return spec.diffusion_coeff(x, u, p) * np.exp(g_provider(x, u, p))
+        return spec.diffusion_coeff(x, u, p) * np.exp(g)
 
 
-def _probe_p_base(weight, override):
-    if override is not None:
-        return float(override), {"p_base_probe": "overridden"}
+def _slopes(ys):
+    """Slopes of ``ys`` against log p between successive probe points."""
+    return [
+        (ys[i + 1] - ys[i]) / (math.log(_PROBE_POINTS[i + 1]) - math.log(_PROBE_POINTS[i]))
+        for i in range(len(ys) - 1)
+    ]
+
+
+def _probe(spec: ProblemSpec, g_provider: GProvider, override):
+    """p_base and the probe's record, which says whether e^g is singular at p = 0.
+
+    A provider that cannot answer a probe point counts as a non-finite g.
+    """
     x_a, u_a = _PROBE_ANCHOR
-    vals = []
+    gs, weights = [], []
     for s in _PROBE_POINTS:
         try:
-            v = float(weight(x_a, u_a, s))
-        except Exception:
-            v = math.nan
-        vals.append(v)
-    if not all(math.isfinite(v) and v > 0.0 for v in vals):
-        return 1.0, {"p_base_probe": "non-finite weight near 0", "probe_values": vals}
-    slopes = [
-        (math.log(vals[i + 1]) - math.log(vals[i]))
-        / (math.log(_PROBE_POINTS[i + 1]) - math.log(_PROBE_POINTS[i]))
-        for i in range(len(vals) - 1)
-    ]
-    singular = max(slopes) <= -0.999
-    return (1.0 if singular else 0.0), {
-        "p_base_probe": "power-law",
-        "probe_slopes": slopes,
-        "probe_values": vals,
-    }
+            g = g_provider(x_a, u_a, s)
+        except (ReducedGError, CharacteristicsError):
+            g = math.nan
+        gs.append(float(g))
+        weights.append(float(_weight(spec, x_a, u_a, s, g)))
+    info = {"probe_values": weights}
+    if all(math.isfinite(v) and v > 0.0 for v in weights):
+        info.update(p_base_probe="power-law", probe_slopes=_slopes(list(map(math.log, weights))))
+        p_base = 1.0 if max(info["probe_slopes"]) <= -0.999 else 0.0
+    else:
+        info["p_base_probe"] = "non-finite weight near 0"
+        p_base = 1.0
+    if all(map(math.isfinite, gs)):
+        # The log-log slope of e^g is the slope of g against log p.
+        info["probe_g_slopes"] = _slopes(gs)
+        info["singular_weight"] = max(info["probe_g_slopes"]) <= _SINGULAR_G_SLOPE
+    else:
+        info["singular_weight"] = True
+    if override is not None:
+        info["p_base_probe"] = "overridden"
+        p_base = float(override)
+    return p_base, info
 
 
 def _integrate(f, a, b, tol, stage, **point):
@@ -167,22 +186,24 @@ def _weight_integral(lag: Lagrangian, x, u, top, stage, **point):
     )
 
 
-def build_lagrangian(spec: ProblemSpec, g_provider: GProvider,
-                     options: LagrangianOptions = LagrangianOptions()) -> Lagrangian:
-    """Assemble the energy integrand for one model and one g representation."""
+def build_lagrangian(spec: ProblemSpec, g_provider: GProvider, *,
+                     p_base: Optional[float] = None, quad_tol: float = 1e-9) -> Lagrangian:
+    """Assemble the energy integrand for one model and one g representation.
 
-    p_base, probe_info = _probe_p_base(
-        lambda x, u, p: _weight(spec, g_provider, x, u, p), options.p_base
-    )
+    ``p_base`` overrides the probed base point; ``quad_tol`` is the
+    tolerance of every quadrature of the density.
+    """
+    p_base, probe_info = _probe(spec, g_provider, p_base)
     return Lagrangian(
         spec=spec,
         g_provider=g_provider,
         p_base=p_base,
-        quad_tol=options.quad_tol,
+        quad_tol=quad_tol,
+        singular_weight=probe_info["singular_weight"],
         metadata={
             **probe_info,
             "p_base": p_base,
-            "quad_tol": options.quad_tol,
+            "quad_tol": quad_tol,
             "l1_kind": {(): "zero", (0.0,): "left", (1.0,): "right"}.get(
                 _robin_ends(spec), "interp"),
             "g_variant": g_provider.variant,

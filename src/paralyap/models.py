@@ -197,7 +197,6 @@ class ProblemSpec:
     bc_right: BoundaryCondition
     closed_forms: Optional[ClosedForms] = None
     char_system: Optional[Callable] = None
-    singular_gradient_weight: bool = False
     shared_factor_reducible: bool = False
     # The m of a model written as (u**m)_xx: the solver advances that form and
     # verify adds the conventional porous-medium energy.  None for the others.
@@ -287,8 +286,7 @@ def _poly_forced(name, bcs, a, n, lagrangian, lagrangian_note):
     )
     return ProblemSpec(
         name=name, diffusion_coeff=lambda x, u, p: a(p), reaction=reaction,
-        reaction_dp=reaction_dp, **bcs, closed_forms=closed,
-        singular_gradient_weight=n > 0, shared_factor_reducible=n > 0,
+        reaction_dp=reaction_dp, **bcs, closed_forms=closed, shared_factor_reducible=True,
     )
 
 
@@ -302,7 +300,7 @@ def _filtration_spec(name, bcs, a_du, a_du2, lagrangian=None, char_system=None,
         name=name, diffusion_coeff=lambda x, u, p: a_du(u),
         diffusion_coeff_du=lambda x, u, p: a_du2(u), reaction=lambda x, u, p: -a_du2(u) * p * p,
         reaction_dp=lambda x, u, p: -2.0 * a_du2(u) * p, **bcs, closed_forms=closed,
-        char_system=char_system, singular_gradient_weight=True, shared_factor_reducible=True,
+        char_system=char_system, shared_factor_reducible=True,
         divergence_form_m=divergence_form_m,
     )
 
@@ -422,7 +420,7 @@ def _porous_medium(d, bcs):
         )
         return ProblemSpec(
             name="porous_medium", diffusion_coeff=lambda x, u, p: a_du(u), reaction=_zero,
-            **bcs, closed_forms=closed, divergence_form_m=m,
+            **bcs, closed_forms=closed, shared_factor_reducible=True, divergence_form_m=m,
         )
 
     # Characteristics in the original time stall where u**(m-1) vanishes;

@@ -27,7 +27,6 @@ from paralyap.energy import (
     verify_decay,
 )
 from paralyap.lagrangian import (
-    LagrangianOptions,
     build_lagrangian,
     compare_closed_form,
     eval_L,
@@ -143,7 +142,7 @@ def test_variational_identity():
         spec = models.from_descriptor(desc)
         p0 = spec.closed_forms.canonical_p0
         lag = build_lagrangian(
-            spec, analytic_g(spec, p0=p0), LagrangianOptions(quad_tol=1e-10)
+            spec, analytic_g(spec, p0=p0), quad_tol=1e-10
         )
         residual = 0.0
         for _ in range(200):

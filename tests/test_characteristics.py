@@ -264,6 +264,32 @@ def test_batch_terminations_match_lone_runs():
         assert ends[i] is termination
 
 
+def test_a_non_finite_trial_stage_rejects_the_step():
+    # D = exp(1/4 - x/2 - u)(1 + p^2), R = 0.6 p^2 + 0.8 x + 0.2 u: the first
+    # attempt back from (0.9, 0.2, 1.95) probes a stage where D overflows.
+    # That stage rejects the step, and the shorter steps reach x = 0.
+    def diffusion(x, u, p):
+        return np.exp(0.25 - 0.5 * x - u) * (1.0 + p * p)
+
+    spec = ProblemSpec(
+        name="custom", diffusion_coeff=diffusion,
+        diffusion_coeff_dx=lambda x, u, p: -0.5 * diffusion(x, u, p),
+        diffusion_coeff_du=lambda x, u, p: -diffusion(x, u, p),
+        reaction=lambda x, u, p: 0.6 * p * p + 0.8 * x + 0.2 * u,
+        reaction_dp=lambda x, u, p: 1.2 * p,
+        bc_left=BoundaryCondition.dirichlet(), bc_right=BoundaryCondition.dirichlet(),
+    )
+    queries = [(0.9, 0.2, 1.95), (0.9, 0.2, 2.0), (0.8, -0.6, 1.8)]
+    provider = tabulate_g(spec)
+    got = provider(*np.transpose(queries))
+    assert provider.extrapolations == 0
+    assert np.array_equal(got, [provider(*q) for q in queries])
+    for value, q in zip(got, queries):
+        states, _, ends = _integrate_curves(spec, [(*q, 0.0)], CharControls(tol=1e-12, x_end=0.0))
+        assert ends[0] is Termination.REACHED_X_END
+        assert value == pytest.approx(-states[-1, 4], rel=1e-7)
+
+
 def test_batch_failures_name_the_state_and_tau():
     spec = _custom_spec(
         lambda x, u, p: np.where(u > 0.5, math.nan, 1.0),
@@ -364,10 +390,63 @@ def test_reduced_crossing_a_rest_point_raises():
 
 
 def test_reduced_requires_the_structure_flag():
-    spec = models.from_descriptor({"model": "porous_medium", "m": 1.0})
+    # D = 1 + x: the ratio dg/dp depends on the frozen point, so the spec
+    # leaves the flag at its default.
+    spec = ProblemSpec(
+        name="custom", diffusion_coeff=lambda x, u, p: 1.0 + x,
+        diffusion_coeff_dx=lambda x, u, p: 1.0, reaction=lambda x, u, p: -p,
+        reaction_dp=lambda x, u, p: -1.0,
+        bc_left=BoundaryCondition.dirichlet(), bc_right=BoundaryCondition.dirichlet(),
+    )
     assert not spec.shared_factor_reducible
     with pytest.raises(ReducedGError):
         reduced_g(spec, 0.5)
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"model": "rho_laplacian_poly", "rho": 3.0, "n": 0.0},
+    {"model": "mcf_poly", "n": 0.0},
+    {"model": "porous_medium", "m": 1.0},
+], ids=["rho_laplacian_poly-0", "mcf_poly-0", "porous_medium-1"])
+def test_reduced_equals_analytic_where_the_rate_vanishes(descriptor):
+    # dg/dp is zero, so the reduced g is the flat g0 of the shipped form.
+    spec = models.from_descriptor(descriptor)
+    p = np.array([-2.0, -0.5, 0.0, 1e-6, 0.5, 3.0])
+    assert np.array_equal(reduced_ode_g(spec, 1.0, 0.25)(0.5, 0.75, p),
+                          analytic_g(spec, 1.0, 0.25)(0.5, 0.75, p))
+
+
+def _reduced_answer(spec, p, method, **norm):
+    """reduced_g at each p of a batch, or the error that the batch raises."""
+    try:
+        return reduced_g(spec, np.array(p), method=method, **norm).tolist()
+    except ReducedGError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("descriptor, p0, queries, valid", [
+    # The reaction -p**2 rests at p = 0, which a batch from -1 to 1 samples.
+    ({"model": "mcf_poly", "n": 2.0}, 1.0, [-1.0, 1.0, 1.5, 0.25], [1.0, 1.5, 0.25, 3.0]),
+    ({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0}, 1.0,
+     [-0.5, 0.0, 1e-12, 2.0], [0.5, 100.0, 1e-3]),
+    ({"model": "porous_medium", "m": 2.0}, 1.0, [0.7, 0.0, -1.0, 3.0], [0.05, 0.7, 2.5]),
+    ({"model": "inverse_mcf"}, 0.0, [0.0, 1.0, -3.0], [0.5, -0.5, 2.0]),
+], ids=["mcf_poly-2", "rho_laplacian_poly-1", "porous_medium-2", "inverse_mcf"])
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_reduced_query_answers_alone_as_in_any_batch(descriptor, p0, queries, valid, method):
+    # Each query gives the same bits, or the same error, alone and beside
+    # any valid queries, before or after them.
+    spec = models.from_descriptor(descriptor)
+    for q in queries:
+        alone = _reduced_answer(spec, [q], method, p0=p0)
+        for k in range(len(valid) + 1):
+            others = valid[:k]
+            for batch, at in (([q, *others], 0), ([*others, q], k)):
+                got = _reduced_answer(spec, batch, method, p0=p0)
+                if isinstance(alone, str):
+                    assert got == alone, (q, batch)
+                else:
+                    assert np.array_equal(got[at], alone[0], equal_nan=True), (q, batch)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from paralyap import cli, models
-from paralyap.characteristics import CharacteristicsError
+from paralyap.characteristics import CharacteristicsError, analytic_g, reduced_ode_g
 from paralyap.cli import _write_trajectory, main
-from paralyap.lagrangian import LagrangianError
+from paralyap.lagrangian import LagrangianError, build_lagrangian
 from paralyap.models import from_descriptor
 from paralyap.quadrature import QuadratureError
 from paralyap.solver import Grid1D, SolverControls, SolverError, simulate
@@ -80,6 +80,38 @@ def test_construct_energy_runs_on_every_catalog_entry(tmp_path, descriptor):
     code, out = _run(tmp_path, "construct-energy", {"model": descriptor})
     assert code == 0
     assert (out / "lagrangian_grid.csv").exists()
+
+
+# The catalog, the forcing exponents 0, 1/2 and 2, and the builtins whose
+# reduced g became available with a zero rate, with whether e^g blows up at
+# p = 0 under the analytic and the reduced g.
+_PROBED = [*_CATALOG,
+           {"model": "rho_laplacian_poly", "rho": 3.0, "n": 0.0},
+           {"model": "rho_laplacian_poly", "rho": 3.0, "n": 0.5},
+           {"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0},
+           {"model": "mcf_poly", "n": 0.0},
+           {"model": "porous_medium", "m": 1.0}]
+_SINGULAR_AT_ZERO = [
+    {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},
+    {"model": "mcf_poly", "n": 1.0},
+    {"model": "porous_medium", "m": 2.0},
+    {"model": "filtration", "a": {"kind": "power"}},
+    {"model": "filtration", "a": {"kind": "superslow"}},
+    {"model": "rho_laplacian_poly", "rho": 3.0, "n": 0.5},
+    {"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0},
+]
+
+
+@pytest.mark.parametrize("g_mode", ["analytic", "reduced"])
+@pytest.mark.parametrize("descriptor", _PROBED, ids=lambda d: json.dumps(d, sort_keys=True))
+def test_the_probe_finds_each_builtin_singular_weight(descriptor, g_mode):
+    # No spec declares how e^g behaves at p = 0: the Lagrangian's probe of g
+    # near 0 decides it, and it records the decision in the sidecar.
+    spec = from_descriptor(descriptor)
+    provider = {"analytic": analytic_g, "reduced": reduced_ode_g}[g_mode]
+    lag = build_lagrangian(spec, provider(spec, spec.closed_forms.canonical_p0))
+    assert lag.singular_weight is (descriptor in _SINGULAR_AT_ZERO)
+    assert lag.metadata["singular_weight"] is lag.singular_weight
 
 
 def test_catalog_smoke_test_and_readme_list_every_family():
@@ -287,6 +319,22 @@ def test_verify_adds_the_conventional_pair_for_divergence_models(tmp_path, capsy
     std = report["standard_energy"]
     assert len(std["E"]) == len(std["dEdt"])
     assert std["monotone"] is True
+
+
+def test_verify_exits_1_when_the_energy_rises(tmp_path, capsys):
+    # The constructed energy of porous_medium m = 2 rises on the default sin
+    # profile: monotonicity fails, and that outranks a consistency warning.
+    code, out = _run(tmp_path, "verify", {
+        "model": {"model": "porous_medium", "m": 2.0},
+        "grid": {"n_cells": 32},
+        "time": {"t_end": 0.01, "output_stride": 8},
+    })
+    assert code == 1
+    assert capsys.readouterr().err == "monotonicity violations: 3\n"
+    report = _read_json(out / "verify_report.json")
+    assert report["passed_monotonicity"] is False
+    assert len(report["monotonicity_violations"]) == 3
+    assert _read_json(out / "manifest.json")["results"]["passed_monotonicity"] is False
 
 
 def test_workers_flag_is_accepted_and_ignored(tmp_path, capsys):
@@ -819,6 +867,23 @@ def test_initial_keys_that_the_profile_does_not_read_are_refused(tmp_path, capsy
     keys = sorted(f"initial.{key}" for key in stray)
     assert capsys.readouterr().err == (
         f"error: cli: settings {keys} are not read by profile {profile!r}\n")
+
+
+def test_a_csv_profile_of_the_wrong_length_is_refused(tmp_path, capsys):
+    np.savetxt(tmp_path / "short.csv", np.zeros(10))
+    code, _ = _run(tmp_path, "simulate", {
+        "grid": {"n_cells": 16},
+        "initial": {"profile": "csv", "path": str(tmp_path / "short.csv")},
+    })
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: cli: initial.path: CSV has 10 values, grid wants 17\n")
+
+
+def test_unknown_g_mode_is_an_error(tmp_path, capsys):
+    code, _ = _run(tmp_path, "construct-energy", {"g_mode": "spline"})
+    assert code == 1
+    assert capsys.readouterr().err == "error: cli: g_mode: unknown mode 'spline'\n"
 
 
 def test_missing_config_is_an_error(tmp_path, capsys):

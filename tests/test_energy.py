@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import simpson
 
 from paralyap import energy, models
-from paralyap.characteristics import analytic_g, tabulate_g
+from paralyap.characteristics import analytic_g, reduced_ode_g, tabulate_g
 from paralyap.energy import (
     EnergyTrace,
     _simpson,
@@ -103,7 +103,7 @@ def test_heat_decay_formula_value():
     spec, lag = _heat_lagrangian()
     grid = Grid1D(128)
     frame = _frame(spec, grid, np.sin(np.pi * grid.nodes))
-    d = decay_formula(spec, lag.g_provider, frame, grid)
+    d = decay_formula(lag, frame, grid)
     assert d.mask_fraction == 0.0
     assert d.value == pytest.approx(-math.pi**4 / 2.0, rel=2e-3)
 
@@ -126,7 +126,8 @@ def test_decay_formula_uses_the_solver_curvature_at_a_robin_end():
     q[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dx**2
     integrand = np.exp(provider(x, u, p)) * spec.f1_weight(x, u, p, q, frame.ut) * frame.ut
     expected = -simpson(integrand, x=x)
-    assert decay_formula(spec, provider, frame, grid).value == pytest.approx(expected, rel=1e-12)
+    lag = build_lagrangian(spec, provider)
+    assert decay_formula(lag, frame, grid).value == pytest.approx(expected, rel=1e-12)
 
 
 def test_singular_weight_masks_flat_gradients():
@@ -135,9 +136,30 @@ def test_singular_weight_masks_flat_gradients():
     # one-signed gradient with a very flat spot at x = 1/2, where 1/|p|
     # blows up relative to the gradient scale
     frame = _frame(spec, grid, (grid.nodes - 0.5) ** 7)
-    d = decay_formula(spec, analytic_g(spec), frame, grid)
+    d = decay_formula(build_lagrangian(spec, analytic_g(spec)), frame, grid)
     assert 0.0 < d.mask_fraction <= 0.1
     assert math.isfinite(d.value)
+
+
+def test_a_hand_built_singular_weight_is_masked_with_nothing_declared():
+    # D = 1, R = -p: the reduced g is log|p0/p|, so e^g ~ 1/|p| at p = 0.
+    # The spec states the equation and its reducibility, nothing about masks.
+    spec = models.ProblemSpec(
+        name="custom", diffusion_coeff=lambda x, u, p: 1.0, reaction=lambda x, u, p: -p,
+        reaction_dp=lambda x, u, p: -1.0, shared_factor_reducible=True,
+        bc_left=models.BoundaryCondition.dirichlet(), bc_right=models.BoundaryCondition.dirichlet(),
+    )
+    lag = build_lagrangian(spec, reduced_ode_g(spec))
+    assert lag.singular_weight
+    grid = Grid1D(64)
+    frame = _frame(spec, grid, (grid.nodes - 0.5) ** 7)
+    d = decay_formula(lag, frame, grid)
+    assert 0.0 < d.mask_fraction <= 0.1
+    assert math.isfinite(d.value)
+    # Beyond the node where u_x = 0 and g is nan, the mask takes the nodes
+    # where u_x is tiny but e^g is huge.
+    unmasked = decay_formula(dataclasses.replace(lag, singular_weight=False), frame, grid)
+    assert unmasked.mask_fraction < d.mask_fraction
 
 
 def test_off_branch_gradients_are_masked_too():
@@ -146,7 +168,7 @@ def test_off_branch_gradients_are_masked_too():
     # the shipped g(p) lives on the positive branch; sin(pi x) spends half
     # the domain at negative slope, and those nodes must not poison the sum
     frame = _frame(spec, grid, np.sin(np.pi * grid.nodes))
-    d = decay_formula(spec, analytic_g(spec), frame, grid)
+    d = decay_formula(build_lagrangian(spec, analytic_g(spec)), frame, grid)
     assert d.mask_fraction >= 0.5
     assert math.isfinite(d.value)
 
@@ -229,7 +251,7 @@ def test_trace_columns_equal_the_per_frame_values_bitwise(case):
     trace = energy_trace(lag, result, grid)
     assert len(trace) == len(result) >= 4
     assert trace.dEdt_model is not None
-    decays = [decay_formula(spec, lag.g_provider, f, grid) for f in result]
+    decays = [decay_formula(lag, f, grid) for f in result]
     assert _bits(trace.E) == _bits([energy_of_frame(lag, f, grid) for f in result])
     assert _bits(trace.dEdt_formula) == _bits([d.value for d in decays])
     assert _bits(trace.mask_fraction) == _bits([d.mask_fraction for d in decays])

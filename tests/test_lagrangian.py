@@ -12,11 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paralyap import models
-from paralyap.characteristics import analytic_g, reduced_ode_g
+from paralyap.characteristics import (
+    CharacteristicsError,
+    GProvider,
+    ReducedGError,
+    analytic_g,
+    reduced_ode_g,
+)
 from paralyap.energy import energy_trace, verify_decay
 from paralyap.lagrangian import (
     LagrangianError,
-    LagrangianOptions,
     build_lagrangian,
     compare_closed_form,
     eval_L,
@@ -32,7 +37,7 @@ _ROBIN = {"kind": "robin", "b": {"kind": "linear", "slope": 1.0}}
 
 
 def _lag(spec, p0=1.0, **opts):
-    return build_lagrangian(spec, analytic_g(spec, p0=p0), LagrangianOptions(**opts))
+    return build_lagrangian(spec, analytic_g(spec, p0=p0), **opts)
 
 
 def test_curvature_weight_double_integral():
@@ -90,6 +95,67 @@ def test_base_point_override_is_recorded():
     lag = _lag(spec, p_base=2.0)
     assert lag.p_base == 2.0
     assert lag.metadata["p_base_probe"] == "overridden"
+    # The probe still runs, and still decides the mask.
+    assert lag.singular_weight
+    assert lag.metadata["probe_g_slopes"] == pytest.approx([-1.0, -1.0])
+
+
+def test_a_slowly_varying_weight_is_regular_at_zero():
+    # inverse_mcf: g = log((1 + p0^2)/(1 + p^2)) is flat at p = 0, though it falls.
+    lag = _lag(models.from_descriptor({"model": "inverse_mcf"}), p0=0.0)
+    assert not lag.singular_weight
+    assert lag.metadata["probe_g_slopes"] == pytest.approx([-4.3e-7, -4.3e-5], rel=1e-2)
+    assert lag.p_base == 0.0
+
+
+def test_an_off_branch_probe_is_singular():
+    # With p0 = -1 the odd exponent's g, log(p0 / p), is nan at every probe point.
+    lag = _lag(models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0}),
+               p0=-1.0)
+    assert lag.p_base == 1.0
+    assert lag.singular_weight
+    assert lag.metadata["p_base_probe"] == "non-finite weight near 0"
+    assert all(math.isnan(v) for v in lag.metadata["probe_values"])
+    assert "probe_slopes" not in lag.metadata and "probe_g_slopes" not in lag.metadata
+
+
+def _unit_spec():
+    """D = 1 and R = -1: a weight e^g, whatever the provider says."""
+    return models.ProblemSpec(
+        name="custom", diffusion_coeff=lambda x, u, p: 1.0, reaction=lambda x, u, p: -1.0,
+        bc_left=models.BoundaryCondition.dirichlet(), bc_right=models.BoundaryCondition.dirichlet(),
+    )
+
+
+def test_the_probe_counts_a_refused_g_as_not_finite_and_passes_other_errors():
+    spec = _unit_spec()
+
+    def refusing(error):
+        def g(x, u, p):
+            raise error("no g here")
+        return GProvider("analytic", 1.0, 0.0, g)
+
+    for error in (ReducedGError, CharacteristicsError):
+        lag = build_lagrangian(spec, refusing(error))
+        assert lag.singular_weight and lag.p_base == 1.0
+    with pytest.raises(ValueError, match="no g here"):
+        build_lagrangian(spec, refusing(ValueError))
+
+
+@pytest.mark.parametrize("g, what", [
+    # nan at every p: the compatibility product has no limit at p_base.
+    (lambda x, u, p: np.where(np.asarray(u) > 0.5, np.nan, 0.0), "undefined near"),
+    # e^g = 1/|p - 1/2| grows without bound as p approaches p_base = 1/2.
+    (lambda x, u, p: -np.log(np.abs(np.asarray(p) - 0.5)), "diverges at"),
+], ids=["undefined", "diverges"])
+def test_the_compatibility_integrand_names_a_bad_base_point(g, what):
+    # At p = p_base the repeated integral is empty, so only l0 integrates.
+    spec = _unit_spec()
+    with np.errstate(divide="ignore"):
+        lag = build_lagrangian(spec, GProvider("analytic", 1.0, 0.0, g), p_base=0.5)
+        with pytest.raises(LagrangianError, match=f"compatibility integrand {what} "
+                                                  r"p_base=0\.5 at \(x=0\.5, u="):
+            eval_L(lag, 0.5, 0.75, 0.5)
 
 
 def test_robin_end_cancels_the_gradient_slope():
@@ -191,7 +257,7 @@ def test_verify_checks_the_exact_free_boundary_wave():
 def test_second_difference_agrees_with_direct_weight():
     spec = models.from_descriptor({"model": "inverse_mcf"})
     lag = build_lagrangian(
-        spec, analytic_g(spec, p0=0.0), LagrangianOptions(quad_tol=1e-12)
+        spec, analytic_g(spec, p0=0.0), quad_tol=1e-12
     )
     ps = np.linspace(0.3, 2.0, 5)
     second = second_difference_lpp(lag, 0.0, 0.5, ps)
@@ -203,7 +269,7 @@ def test_second_difference_agrees_with_direct_weight():
 
 def test_comparison_passes_for_shipped_oracle():
     spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0})
-    lag = build_lagrangian(spec, reduced_ode_g(spec), LagrangianOptions(quad_tol=1e-10))
+    lag = build_lagrangian(spec, reduced_ode_g(spec), quad_tol=1e-10)
     out = compare_closed_form(lag, np.linspace(0.25, 1.0, 4), np.linspace(0.2, 2.0, 6))
     assert out["oracle"] == "closed_form"
     assert out["max_residual"] < 1e-6
@@ -219,7 +285,7 @@ def test_comparison_reports_a_disabled_oracle():
 
 def test_comparison_surfaces_the_documented_variant():
     spec = models.from_descriptor({"model": "inverse_mcf"})
-    lag = build_lagrangian(spec, analytic_g(spec, p0=0.0), LagrangianOptions())
+    lag = build_lagrangian(spec, analytic_g(spec, p0=0.0))
     out = compare_closed_form(
         lag, np.linspace(0.25, 1.0, 3), np.linspace(0.25, 2.0, 8)
     )
@@ -310,7 +376,7 @@ def test_second_difference_matches_the_weight(desc, p_range, data):
     spec = models.from_descriptor(desc)
     lag = build_lagrangian(
         spec, analytic_g(spec, p0=spec.closed_forms.canonical_p0),
-        LagrangianOptions(quad_tol=1e-12),
+        quad_tol=1e-12,
     )
     x = data.draw(st.floats(0.0, 1.0))
     u = data.draw(st.floats(0.25, 1.0))
