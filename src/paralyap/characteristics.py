@@ -44,6 +44,7 @@ __all__ = [
     "integrate_characteristics",
     "reduced_g",
     "GProvider",
+    "canonical_p0",
     "analytic_g",
     "reduced_ode_g",
     "tabulate_g",
@@ -210,7 +211,9 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
             gap = sign * (x_end - y[0])
             to_end = np.where(k0[0] > 0.0, gap / k0[0], math.inf)
             dt = np.minimum(np.minimum(np.minimum(dt, dt_max), controls.tau_max - tau), to_end)
-            under = dt < _DT_MIN
+            # A landing step may be as short as the gap makes it; only the
+            # controller's step underflows.
+            under = (dt < _DT_MIN) & (dt != to_end)
             if under.any():
                 raise CharacteristicsError(f"step size underflow at tau={float(tau[under][0])!r}")
             # The directed step: multiplying by the sign is exact, so this is
@@ -268,9 +271,9 @@ def integrate_characteristics(spec: ProblemSpec, init: dict,
     ``x_end``, stalling (dx/dtau below ``_STALL_EPS`` for ``stall_window``
     accepted steps), a component passing ``blowup_cap``, or exhausting
     ``_MAX_STEPS`` attempts or ``tau_max``.  The first attempt is ``_DT0``.
-    Only a step below ``_DT_MIN`` or a non-finite field value at the start or
-    at an accepted state raises; a non-finite value at a trial stage
-    rejects that step.
+    Only a controlled step below ``_DT_MIN`` (a landing step may be shorter)
+    or a non-finite field value at the start or at an accepted state raises;
+    a non-finite value at a trial stage rejects that step.
 
     Models may supply ``char_system`` to integrate a rescaled field with the
     same curve geometry; the porous-medium builtin does this to remove the
@@ -397,11 +400,21 @@ class GProvider:
         return self._eval(x, u, p)
 
 
-def analytic_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0) -> GProvider:
-    """Closed-form provider from the builtin's shipped g(p)."""
+def canonical_p0(spec: ProblemSpec) -> float:
+    """The seed gradient of the spec's closed forms, or 1.0 when it ships none.
+
+    A provider built with ``p0=None`` is normalized here, so its g lines up
+    with the shipped closed forms without rescaling.
+    """
+    return spec.closed_forms.canonical_p0 if spec.closed_forms is not None else 1.0
+
+
+def analytic_g(spec: ProblemSpec, p0: Optional[float] = None, g0: float = 0.0) -> GProvider:
+    """Closed-form provider from the builtin's shipped g(p); ``p0=None`` is the canonical p0."""
     if spec.closed_forms is None or spec.closed_forms.g_of_p is None:
         raise ValueError(f"model {spec.name!r} ships no closed-form g")
     g_of_p = spec.closed_forms.g_of_p
+    p0 = canonical_p0(spec) if p0 is None else p0
 
     def evaluate(x, u, p):
         # Degenerate gradients may map to +-inf or nan; downstream consumers
@@ -412,12 +425,13 @@ def analytic_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0) -> GProvider
     return GProvider("analytic", p0, g0, evaluate)
 
 
-def reduced_ode_g(spec: ProblemSpec, p0: float = 1.0, g0: float = 0.0) -> GProvider:
-    """Provider that integrates dg/dp on demand.
+def reduced_ode_g(spec: ProblemSpec, p0: Optional[float] = None, g0: float = 0.0) -> GProvider:
+    """Provider that integrates dg/dp on demand; ``p0=None`` is the canonical p0.
 
     Each query integrates from p0 afresh, so a value depends only on its own
     p, never on the batch it arrives in or on earlier queries.
     """
+    p0 = canonical_p0(spec) if p0 is None else p0
 
     def evaluate(x, u, p):
         return reduced_g(spec, p, p0, g0)

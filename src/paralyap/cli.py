@@ -52,6 +52,7 @@ from .characteristics import (
     GProvider,
     ReducedGError,
     analytic_g,
+    canonical_p0,
     reduced_ode_g,
     tabulate_g,
 )
@@ -232,8 +233,7 @@ def _build_provider(spec, config) -> GProvider:
         _refuse_unread(norm, _DEFAULTS["normalization"], ("g0",), f"g_mode {mode!r}",
                        "normalization.")
     if norm["p0"] == "canonical":
-        forms = spec.closed_forms
-        norm["p0"] = forms.canonical_p0 if forms is not None else 1.0
+        norm["p0"] = canonical_p0(spec)
     p0 = _setting(config, "normalization.p0", _FINITE)
     g0 = _setting(config, "normalization.g0", _FINITE)
     with _stage("characteristics"):

@@ -4,10 +4,15 @@ For a simulated trajectory this module evaluates the energy
 E(t) = integral of L(x, u, u_x) over the interval, its measured time
 derivative (centered differences of the E series), and the predicted decay
 
-    dE/dt = -integral of exp(g(x, u, u_x)) * f1_weight(...) * u_t,
+    dE/dt = -integral of exp(g(x, u, u_x)) * (D u_xx - R) * u_t,
 
-whose integrand is nonnegative up to the sign, so E must fall except at
-equilibria.  All x-integrals use one composite Simpson rule on the solver's
+with D = diffusion_coeff and R = reaction.  The construction alone gives
+this weight, for any evolution: with L_pp = D e^g, the Euler-Lagrange
+expression L_u - (L_p)_x of L is -e^g (D u_xx - R), so no model states it.
+A model's ``rhs`` has the sign of D u_xx - R, so the integrand is
+nonnegative and E must fall except at equilibria.
+
+All x-integrals use one composite Simpson rule on the solver's
 own node grid, with no re-interpolation; an even node count (odd n_cells)
 closes the last interval with the end correction scipy's ``simpson`` applies
 for equal spacing.  u_x and u_xx come from the solver's own padded
@@ -137,7 +142,8 @@ def _masked_decays(lag: Lagrangian, s: _Stack, integrand: np.ndarray, dx: float)
 
 def _formula_decays(lag: Lagrangian, s: _Stack, dx: float):
     with np.errstate(all="ignore"):
-        weight = lag.spec.f1_weight(s.x, s.u, s.p, s.q, s.ut)
+        spec = lag.spec
+        weight = spec.diffusion_coeff(s.x, s.u, s.p) * s.q - spec.reaction(s.x, s.u, s.p)
         integrand = np.exp(_blockwise(lag.g_provider, s)) * weight * s.ut
     return _masked_decays(lag, s, integrand, dx)
 

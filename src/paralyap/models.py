@@ -6,21 +6,20 @@ Every equation handled by this package is carried around as a
 * ``diffusion_coeff(x, u, p)``: coefficient of the second space derivative,
   measured at zero curvature and zero time derivative.  It must be
   nonnegative and may vanish (that is the degenerate case).
-* ``reaction(x, u, p)``: the forcing measured at zero curvature, with the sign
-  convention that along solutions
-  ``f1_weight(x, u, p, q, ut) == diffusion_coeff * q - reaction``.
+* ``reaction(x, u, p)``: the forcing measured at zero curvature.
 * ``rhs(x, u, p, q)``: the resolved time evolution ``ut = G(x, u, p, q)``.
-* ``f1_weight(x, u, p, q, ut)``: the part of the equation that carries the
-  time derivative.  For quasilinear models it is ``ut`` itself; fully
-  nonlinear models contribute extra curvature terms.
+  It must have the sign of ``diffusion_coeff * q - reaction``, the weight
+  that the decay formula multiplies by ``ut``; the quasilinear ``rhs`` is
+  that weight itself, and a fully nonlinear one such as ``inverse_mcf``'s
+  only shares its sign.
 
 Evaluators are pure, broadcast over numpy arrays, and can be shared freely
 across threads.  Every spec's evaluators, builtin or hand-built, return the
 broadcast shape of their arguments, and that happens in one place:
 ``ProblemSpec.__post_init__`` stores each callback through ``_broadcasting``,
 so a callback may return any value that broadcasts against its arguments, a
-constant included.  Left out, a derivative hook is identically zero,
-``f1_weight`` is ``ut`` and ``rhs`` is ``diffusion_coeff * q - reaction``.
+constant included.  Left out, a derivative hook is identically zero and
+``rhs`` is ``diffusion_coeff * q - reaction``.
 
 Builtins are built only by :func:`from_descriptor`, from a JSON-compatible
 descriptor such as ``{"model": "porous_medium", "m": 2.0}``.  One table,
@@ -34,8 +33,8 @@ typo is an error and never a silent default.
 
 Builtins also ship optional closed-form references (:class:`ClosedForms`)
 used by tests and comparison commands; those formulas drop the free
-multiplicative normalization constant, which is the same as fixing the seed
-values ``p0 = 1`` and ``g0 = 0``.
+multiplicative normalization constant, which is the same as fixing ``g0 = 0``
+and the seed gradient at ``ClosedForms.canonical_p0`` (1 for most builtins).
 """
 
 import functools
@@ -171,14 +170,8 @@ class ClosedForms:
     canonical_p0: float = 1.0
 
 
-def _passthrough_ut(x, u, p, q, ut):
-    # A copy, so the result never aliases the caller's ut (a StateFrame's);
-    # [()] turns a 0-d copy into a scalar.
-    return np.array(ut, dtype=float)[()]
-
-
 _EVALUATORS = ("diffusion_coeff", "diffusion_coeff_dx", "diffusion_coeff_du",
-               "reaction", "reaction_dp", "rhs", "f1_weight")
+               "reaction", "reaction_dp", "rhs")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -192,7 +185,6 @@ class ProblemSpec:
     reaction: Callable
     reaction_dp: Callable = _zero
     rhs: Optional[Callable] = None  # None: the quasilinear diffusion_coeff * q - reaction
-    f1_weight: Callable = _passthrough_ut
     bc_left: BoundaryCondition
     bc_right: BoundaryCondition
     closed_forms: Optional[ClosedForms] = None
@@ -384,12 +376,6 @@ def _inverse_mcf(d, bcs):
         a = 1.0 + p * p
         return a * a / (a - q)
 
-    def f1_weight(x, u, p, q, ut):
-        # Exact curvature-carrying part: ut plus the defect of the
-        # evolution against its own linearization at zero curvature.
-        a = 1.0 + p * p
-        return ut + q * q / (q - a)
-
     closed = ClosedForms(
         g_of_p=lambda p, p0=1.0, g0=0.0: g0 + np.log((1.0 + p0 * p0) / (1.0 + np.asarray(p, dtype=float) ** 2)),
         lagrangian=lambda u, p: p * np.arctan(p) - 0.5 * np.log1p(p * p) - u,
@@ -405,7 +391,7 @@ def _inverse_mcf(d, bcs):
     return ProblemSpec(
         name="inverse_mcf", diffusion_coeff=lambda x, u, p: 1.0,
         reaction=lambda x, u, p: -(1.0 + p * p), reaction_dp=lambda x, u, p: -2.0 * p,
-        rhs=rhs, f1_weight=f1_weight, **bcs, closed_forms=closed, shared_factor_reducible=True,
+        rhs=rhs, **bcs, closed_forms=closed, shared_factor_reducible=True,
     )
 
 

@@ -303,6 +303,18 @@ def test_batch_failures_name_the_state_and_tau():
                                   {"u0": 0.0, "p0": 1.0}, CharControls(tol=0.0))
 
 
+def test_a_landing_step_below_the_smallest_step_lands():
+    # At speed 1e3 a gap of 2e-12 is crossed in tau = 2e-15, below _DT_MIN:
+    # the landing clamp, not the step controller, made that step short.
+    spec = _custom_spec(lambda x, u, p: 1e3, lambda x, u, p: 0.0, lambda x, u, p: 0.0)
+    traj = integrate_characteristics(spec, {"x0": 2e-12, "u0": 0.5, "p0": 1.0},
+                                     CharControls(x_end=0.0))
+    assert traj.termination is Termination.REACHED_X_END
+    assert len(traj) == 2
+    assert abs(traj.final.x) <= _LAND_TOL
+    assert traj.final.tau == pytest.approx(2e-15, rel=1e-12)
+
+
 def test_tabulated_samples_are_the_lone_states():
     # Each answer is g0 minus the g of the last state of its query's lone
     # curve, traced back to the plane x = 0.

@@ -109,11 +109,11 @@ def test_heat_decay_formula_value():
 
 
 def test_decay_formula_uses_the_solver_curvature_at_a_robin_end():
-    # inverse_mcf carries u_xx in f1_weight, so the energy monitor must read
-    # the ghost-node curvature the solver used, q_0 = 2 (u_1 - u_0) / dx^2 at
-    # a Neumann end, not a one-sided stencil.
+    # The decay weight D u_xx - R carries u_xx, so the energy monitor must
+    # read the ghost-node curvature the solver used, q_0 = 2 (u_1 - u_0) / dx^2
+    # at a Neumann end, not a one-sided stencil.
     spec = models.from_descriptor({"model": "inverse_mcf", "bc": ["neumann", "dirichlet"]})
-    provider = analytic_g(spec, p0=spec.closed_forms.canonical_p0)
+    provider = analytic_g(spec)
     grid = Grid1D(16)
     x, dx = grid.nodes, grid.dx
     u = 0.3 * np.cos(0.5 * np.pi * x)
@@ -124,10 +124,35 @@ def test_decay_formula_uses_the_solver_curvature_at_a_robin_end():
     q[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
     q[0] = 2.0 * (u[1] - u[0]) / dx**2
     q[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dx**2
-    integrand = np.exp(provider(x, u, p)) * spec.f1_weight(x, u, p, q, frame.ut) * frame.ut
-    expected = -simpson(integrand, x=x)
+    weight = spec.diffusion_coeff(x, u, p) * q - spec.reaction(x, u, p)
+    expected = -simpson(np.exp(provider(x, u, p)) * weight * frame.ut, x=x)
     lag = build_lagrangian(spec, provider)
     assert decay_formula(lag, frame, grid).value == pytest.approx(expected, rel=1e-12)
+
+
+def test_a_fully_nonlinear_rhs_decays_with_the_weight_of_the_construction():
+    # ut = (u_xx + 1 + u_x^2)^3 for D = 1, R = -(1 + u_x^2): the decay weight
+    # is D u_xx - R, which ut only shares the sign of.  log cos(x - 1/2) is a
+    # rest state; the sine moves it off.
+    spec = models.ProblemSpec(
+        name="cubic", diffusion_coeff=lambda x, u, p: 1.0,
+        reaction=lambda x, u, p: -(1.0 + p * p), reaction_dp=lambda x, u, p: -2.0 * p,
+        rhs=lambda x, u, p, q: (q + 1.0 + p * p) ** 3,
+        bc_left=models.BoundaryCondition.dirichlet(), bc_right=models.BoundaryCondition.dirichlet(),
+    )
+    provider = tabulate_g(spec)
+    grid = Grid1D(32)
+    x, dx = grid.nodes, grid.dx
+    u = np.log(np.cos(x - 0.5)) + 0.05 * np.sin(np.pi * x)
+    frame = _frame(spec, grid, u)
+    # At the Dirichlet ends ut = 0, so only the interior stencils matter.
+    p = np.gradient(u, dx, edge_order=2)
+    q = np.zeros_like(u)
+    q[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
+    expected = -simpson(np.exp(provider(x, u, p)) * (q + 1.0 + p * p) * frame.ut, x=x)
+    d = decay_formula(build_lagrangian(spec, provider), frame, grid)
+    assert d.mask_fraction == 0.0
+    assert d.value == pytest.approx(expected, rel=1e-12)
 
 
 def test_singular_weight_masks_flat_gradients():

@@ -4,6 +4,7 @@ Hand oracles: with weight w(s) = (1+s^2)^(-3/2) the double integral from 0
 to 1 is sqrt(2)-1; with w = 2|s| it is 1/3; linear diffusion gives p^2/2.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,7 +37,7 @@ from paralyap.solver import Grid1D, SolverControls, simulate
 _ROBIN = {"kind": "robin", "b": {"kind": "linear", "slope": 1.0}}
 
 
-def _lag(spec, p0=1.0, **opts):
+def _lag(spec, p0=None, **opts):
     return build_lagrangian(spec, analytic_g(spec, p0=p0), **opts)
 
 
@@ -213,7 +214,7 @@ def test_porous_medium_energy_on_an_exact_free_boundary_wave():
     # For m = 2, u = (c/2)(ct - x)_+ solves u_t = (u^2)_xx: a ramp of slope
     # -c/2 whose front moves at speed c.  A left Robin end b = -c/2 holds it
     # exactly, and the energy must fall at the predicted rate
-    # dE/dt = -int exp(g) f1 u_t dx = -(c^4 / 2) t.
+    # dE/dt = -int exp(g) (D u_xx - R) u_t dx = -(c^4 / 2) t.
     c = 1.0
     robin = {"kind": "robin", "b": {"kind": "constant", "value": -0.5 * c}}
     spec = models.from_descriptor(
@@ -296,6 +297,19 @@ def test_comparison_surfaces_the_documented_variant():
     assert "coefficient" in doc["note"]
 
 
+def test_providers_default_to_the_canonical_p0():
+    # inverse_mcf's weight (1 + p0^2) / (1 + p^2) carries unit constant at
+    # p0 = 0, so a provider built without p0 lines up with the closed form.
+    spec = models.from_descriptor({"model": "inverse_mcf"})
+    assert analytic_g(spec).p0 == reduced_ode_g(spec).p0 == 0.0
+    lag = build_lagrangian(spec, analytic_g(spec))
+    out = compare_closed_form(lag, np.linspace(0.25, 1.0, 12), np.linspace(0.25, 2.0, 24))
+    assert out["max_residual"] <= 1e-12
+    # A spec that ships no closed forms is normalized at p0 = 1.
+    bare = dataclasses.replace(spec, closed_forms=None)
+    assert reduced_ode_g(bare).p0 == 1.0
+
+
 def test_eval_broadcasting():
     lag = _lag(models.from_descriptor({"model": "heat"}))
     grid = eval_L(lag, 0.0, np.zeros((2, 3)), np.ones((2, 3)))
@@ -374,10 +388,7 @@ def test_batched_density_equals_pointwise(case, data):
 @given(data=st.data())
 def test_second_difference_matches_the_weight(desc, p_range, data):
     spec = models.from_descriptor(desc)
-    lag = build_lagrangian(
-        spec, analytic_g(spec, p0=spec.closed_forms.canonical_p0),
-        quad_tol=1e-12,
-    )
+    lag = build_lagrangian(spec, analytic_g(spec), quad_tol=1e-12)
     x = data.draw(st.floats(0.0, 1.0))
     u = data.draw(st.floats(0.25, 1.0))
     p = data.draw(st.floats(*p_range))
@@ -431,7 +442,7 @@ def test_euler_lagrange_identity_with_robin_ends(family, ends, slope):
     robin = {"kind": "robin", "b": _SLOPES[slope]}
     bc = [robin if ends in (side, "both") else "dirichlet" for side in ("left", "right")]
     spec = models.from_descriptor({**desc, "bc": bc})
-    lag = _lag(spec, p0=spec.closed_forms.canonical_p0)
+    lag = _lag(spec)
     rng = np.random.default_rng(0)
     x = rng.uniform(0.1, 0.9, 50)
     u = rng.uniform(*u_box, 50)

@@ -57,8 +57,8 @@ def _roster():
                 {"kind": "robin", "b": {"kind": "constant", "value": 0.5}}, "dirichlet"]}),
             _Box(),
         ),
-        # Built by hand from the required fields alone: the derivative hooks,
-        # f1_weight and rhs are the spec's defaults, and D and R are constants.
+        # Built by hand from the required fields alone: the derivative hooks
+        # and rhs are the spec's defaults, and D and R are constants.
         (
             ProblemSpec(name="hand_built", diffusion_coeff=lambda x, u, p: 1.0,
                         reaction=lambda x, u, p: -0.5, bc_left=BoundaryCondition.dirichlet(),
@@ -69,21 +69,23 @@ def _roster():
 
 
 def _contract_failures(spec, box, n=500, seed=3):
-    """The pointwise contracts that fail at n uniform samples of ``box``, by name."""
+    """The pointwise contracts that fail at n uniform samples of ``box``, by name.
+
+    f1 = D q - R is the weight that the decay formula multiplies by u_t, so
+    ``rhs`` must have its sign, and vanish only where it does.
+    """
     rng = np.random.default_rng(seed)
     x, u, p, q = (rng.uniform(*r, n) for r in box)
     with np.errstate(all="ignore"):
         D, R = spec.diffusion_coeff(x, u, p), spec.reaction(x, u, p)
         ut = spec.rhs(x, u, p, q)
-        f1 = spec.f1_weight(x, u, p, q, ut)
-    target = D * q - R
+    f1 = D * q - R
     checks = {
-        "finite": np.all(np.isfinite([D, R, ut, f1])),
+        "finite": np.all(np.isfinite([D, R, ut])),
         "diffusion_nonnegative": np.all(D >= -1e-12) and np.max(np.abs(D)) > 1e-14,
-        "f1_weight_sign": np.all(f1 * ut >= -1e-10 * (1.0 + ut * ut)),
-        "f1_weight_strict": not np.any((np.abs(f1) <= 1e-12 * (1.0 + np.abs(ut)))
+        "f1_sign": np.all(f1 * ut >= -1e-10 * (1.0 + ut * ut)),
+        "f1_strict": not np.any((np.abs(f1) <= 1e-12 * (1.0 + np.abs(ut)))
                                        & (np.abs(ut) > 1e-6)),
-        "evolution_consistency": np.all(np.abs(f1 - target) <= 1e-10 * (1.0 + np.abs(target))),
     }
     return [name for name, ok in checks.items() if not ok]
 
@@ -108,9 +110,11 @@ def test_inverse_curvature_evaluators():
     assert spec.rhs(0.0, 0.0, 1.0, 0.5) == pytest.approx(4.0 / 1.5)
     assert spec.diffusion_coeff(0.0, 0.0, 1.0) == pytest.approx(1.0)
     assert spec.reaction(0.0, 0.0, 1.0) == pytest.approx(-2.0)
-    # the time-carrying part reproduces diffusion*q - reaction exactly
-    ut = spec.rhs(0.0, 0.0, 1.0, 0.5)
-    assert spec.f1_weight(0.0, 0.0, 1.0, 0.5, ut) == pytest.approx(1.0 * 0.5 + 2.0)
+    # the decay weight is D q - R = q + (1 + p^2) = 2.5, and ut exceeds it by
+    # q^2 / (1 + p^2 - q): the two share their sign, not their value
+    D, R = spec.diffusion_coeff(0.0, 0.0, 1.0), spec.reaction(0.0, 0.0, 1.0)
+    assert D * 0.5 - R == pytest.approx(2.5)
+    assert spec.rhs(0.0, 0.0, 1.0, 0.5) - (D * 0.5 - R) == pytest.approx(0.25 / 1.5)
 
 
 def test_porous_medium_evaluators():
@@ -268,10 +272,11 @@ def test_descriptor_keys_that_nothing_reads_are_refused(descriptor, message):
 
 def test_the_contract_checks_reject_a_broken_model():
     good = from_descriptor({"model": "heat"})
-    # Corrupt the time-carrying weight so the sign contract fails.
+    # Reverse the evolution so that it runs against the decay weight.
     import dataclasses
-    bad = dataclasses.replace(good, f1_weight=lambda x, u, p, q, ut: -ut)
-    assert _contract_failures(bad, _Box()) == ["f1_weight_sign", "evolution_consistency"]
+    bad = dataclasses.replace(good, rhs=lambda x, u, p, q: -(good.diffusion_coeff(x, u, p) * q
+                                                             - good.reaction(x, u, p)))
+    assert _contract_failures(bad, _Box()) == ["f1_sign"]
 
 
 def test_filtration_derivative_fallback():
@@ -332,17 +337,16 @@ def test_derivative_hooks_match_central_differences(index):
 @pytest.mark.parametrize("index", range(len(_roster())))
 def test_evaluators_return_the_broadcast_shape(index):
     spec, box = _roster()[index]
-    mid = [0.5 * (lo + hi) for lo, hi in (box.x, box.u, box.p, box.q)]
-    mid.append(0.25)  # ut
-    column = lambda k: np.linspace(*(box.x, box.u, box.p, box.q, (0.0, 0.5))[k], 3)
+    mid = [0.5 * (lo + hi) for lo, hi in box]
+    column = lambda k: np.linspace(*box[k], 3)
     cases = [((), {})]  # all scalars
-    cases += [((3,), {k: column(k)}) for k in range(5)]  # one array
+    cases += [((3,), {k: column(k)}) for k in range(4)]  # one array
     cases.append(((3, 4), {0: column(0)[:, None], 2: np.linspace(*box.p, 4)}))  # mixed
     for shape, arrays in cases:
-        args = [arrays.get(k, mid[k]) for k in range(5)]
+        args = [arrays.get(k, mid[k]) for k in range(4)]
         for name, n_args in (
             ("diffusion_coeff", 3), ("diffusion_coeff_dx", 3), ("diffusion_coeff_du", 3),
-            ("reaction", 3), ("reaction_dp", 3), ("rhs", 4), ("f1_weight", 5),
+            ("reaction", 3), ("reaction_dp", 3), ("rhs", 4),
         ):
             if max(arrays, default=-1) >= n_args:
                 continue
@@ -354,11 +358,11 @@ def test_evaluators_return_the_broadcast_shape(index):
 def test_evaluators_return_fresh_arrays(index):
     spec, box = _roster()[index]
     rng = np.random.default_rng(index)
-    args = [rng.uniform(*r, 4) for r in (box.x, box.u, box.p, box.q, (0.0, 0.5))]
+    args = [rng.uniform(*r, 4) for r in box]
     kept = [a.copy() for a in args]
     for name, n_args in (
         ("diffusion_coeff", 3), ("diffusion_coeff_dx", 3), ("diffusion_coeff_du", 3),
-        ("reaction", 3), ("reaction_dp", 3), ("rhs", 4), ("f1_weight", 5),
+        ("reaction", 3), ("reaction_dp", 3), ("rhs", 4),
     ):
         out = getattr(spec, name)(*args[:n_args])
         assert not any(np.shares_memory(out, a) for a in args), f"{spec.name}.{name}"
@@ -374,7 +378,7 @@ def test_each_evaluator_is_one_broadcasting_layer_over_its_callback(index):
     spec, _ = _roster()[index]
     layer = models._broadcasting(models._zero).__code__
     for name in ("diffusion_coeff", "diffusion_coeff_dx", "diffusion_coeff_du",
-                 "reaction", "reaction_dp", "rhs", "f1_weight"):
+                 "reaction", "reaction_dp", "rhs"):
         evaluator = getattr(spec, name)
         assert evaluator.__code__ is layer, f"{spec.name}.{name}"
         assert evaluator.__wrapped__.__code__ is not layer, f"{spec.name}.{name}"
