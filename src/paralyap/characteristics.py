@@ -215,7 +215,13 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
             # controller's step underflows.
             under = (dt < _DT_MIN) & (dt != to_end)
             if under.any():
-                raise CharacteristicsError(f"step size underflow at tau={float(tau[under][0])!r}")
+                # Name the first such curve by its start row and state (x, u, p, g).
+                j = under.argmax()
+                message = (f"step size underflow at tau={float(tau[j])!r} on the curve from "
+                           f"{tuple(starts[idx[j]].tolist())}, now at {tuple(y[:, j].tolist())}")
+                if k0[0, j] < 0.0 and controls.x_end is not None:
+                    message += f": the field moves it away from the plane x = {controls.x_end!r}"
+                raise CharacteristicsError(message)
             # The directed step: multiplying by the sign is exact, so this is
             # the same as directing every field value.  Each weighted sum runs
             # in stage order, as for a lone curve.

@@ -31,14 +31,16 @@ This module alone fixes the byte format of the artifacts: ``_write_csv``
 writes each float as ``repr`` and ``_write_json`` sorts keys and indents by
 two; only the streamed ``trajectory.csv`` has its own writer.
 ``--workers N`` is accepted for compatibility and ignored: every stage runs
-in one thread.  Exit codes: 0 success, 1 error, 2 success with consistency
-warnings.
+in one thread.  ``main`` is the process entry point: it freezes the heap
+that the imports built, so the collections at shutdown skip it.  Exit
+codes: 0 success, 1 error, 2 success with consistency warnings.
 """
 
 import argparse
 import contextlib
 import copy
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -493,6 +495,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; this is the process entry point.
+
+    Once the arguments parse, it freezes everything alive (``gc.freeze``):
+    in a fresh process that is what the imports built, which lives until the
+    process ends, so no later collection walks it, those at shutdown
+    included.  Only what the command builds is left to the collector.  An
+    in-process caller's heap is frozen too: reference counting still frees
+    it, but a cycle in it is never collected.
+    """
     parser = argparse.ArgumentParser(
         prog="paralyap",
         description="Construct and verify decay energies for 1-D degenerate parabolic models",
@@ -503,6 +514,7 @@ def main(argv=None) -> int:
     # Accepted for compatibility and ignored: nothing runs in parallel.
     parser.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    gc.freeze()
 
     try:
         config = _resolve_config(args.config)

@@ -80,12 +80,16 @@ def _broadcasting(f):
     A value that already has that shape comes back unchanged; any other
     value that broadcasts is copied into a new, writable float array.  When
     every argument is a scalar the shape is ``()``, so a scalar value stays
-    a scalar.
+    a scalar.  An array value beside array arguments of its own shape, as in
+    every solver call, is returned before the broadcast shape is computed.
     """
 
     @functools.wraps(f)
     def evaluator(*args):
         out = f(*args)
+        if isinstance(out, np.ndarray) and all(
+                isinstance(a, np.ndarray) and a.shape == out.shape for a in args):
+            return out
         shape = np.broadcast(*args).shape
         if np.shape(out) == shape:
             return out

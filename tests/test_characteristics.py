@@ -303,6 +303,17 @@ def test_batch_failures_name_the_state_and_tau():
                                   {"u0": 0.0, "p0": 1.0}, CharControls(tol=0.0))
 
 
+def test_an_underflow_names_its_curve_and_a_field_that_moves_it_away():
+    # With D = -1 the curve from x = 0.5 moves away from the plane x = 0,
+    # and dp/dtau = p**3 blows up at tau = 1/2, where the step underflows.
+    spec = _custom_spec(lambda x, u, p: -1.0, lambda x, u, p: -p ** 3,
+                        lambda x, u, p: -3.0 * p ** 2)
+    with pytest.raises(CharacteristicsError, match=(
+            r"^step size underflow at tau=0\.5\d* on the curve from \(0\.5, 0\.25, 1\.0, 0\.0\), "
+            r"now at \(1\.0\d*, .*\): the field moves it away from the plane x = 0\.0$")):
+        tabulate_g(spec)(np.array([0.25, 0.5]), np.array([0.0, 0.25]), np.array([0.5, 1.0]))
+
+
 def test_a_landing_step_below_the_smallest_step_lands():
     # At speed 1e3 a gap of 2e-12 is crossed in tau = 2e-15, below _DT_MIN:
     # the landing clamp, not the step controller, made that step short.

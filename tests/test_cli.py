@@ -758,6 +758,29 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert provider == {"variant": "tabulated", "extrapolations": 0}
 
 
+def test_a_run_leaves_its_import_time_heap_frozen(tmp_path):
+    # main freezes what the imports built, so the collections at shutdown
+    # skip it: after a run the collector tracks only a small remainder.
+    root = Path(__file__).resolve().parents[1]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model": {"model": "heat"}, "grid_dump": _SMALL_DUMP}))
+    script = "\n".join([
+        "import gc",
+        "from paralyap.cli import main",
+        f"code = main(['construct-energy', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])",
+        "print(code, len(gc.get_objects()), gc.get_freeze_count())",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, tracked, frozen = map(int, proc.stdout.split())
+    assert code == 0
+    assert tracked < frozen / 10, (tracked, frozen)
+
+
 def test_importing_the_package_loads_no_submodule_and_no_numpy():
     # The package holds only __version__: every name comes from a submodule.
     root = Path(__file__).resolve().parents[1]

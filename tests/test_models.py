@@ -371,6 +371,25 @@ def test_evaluators_return_fresh_arrays(index):
             np.testing.assert_array_equal(a, k, err_msg=f"{spec.name}.{name}")
 
 
+def test_an_array_of_the_arguments_shape_comes_back_as_the_same_object(monkeypatch):
+    # Array arguments of the value's shape: the value is already the
+    # broadcast shape, so the layer returns it without a copy.
+    value = np.full(5, 2.0)
+    spec = ProblemSpec(name="hand_built", diffusion_coeff=lambda x, u, p: value,
+                       reaction=lambda x, u, p: 0.0, bc_left=BoundaryCondition.dirichlet(),
+                       bc_right=BoundaryCondition.dirichlet())
+    x, u, p = (np.linspace(0.0, 1.0, 5) for _ in range(3))
+    # A scalar argument takes the broadcast path, which also keeps a value of the right shape.
+    assert spec.diffusion_coeff(x, 0.5, p) is value
+
+    # The solver's case returns before the broadcast shape is computed.
+    def no_broadcast(*args):
+        raise AssertionError("computed the broadcast shape")
+
+    monkeypatch.setattr(np, "broadcast", no_broadcast)
+    assert spec.diffusion_coeff(x, u, p) is value
+
+
 @pytest.mark.parametrize("index", range(len(_roster())))
 def test_each_evaluator_is_one_broadcasting_layer_over_its_callback(index):
     # The solver calls rhs and diffusion_coeff every step, so an untraced
