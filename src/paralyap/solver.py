@@ -8,10 +8,18 @@ stepping is deliberately avoided: where the diffusion coefficient vanishes
 the Jacobian is singular, and desk-scale grids make the explicit penalty
 affordable.
 
+The stencils live on ``_Kernel``, which ``simulate`` builds once per run:
+it resolves the ends and the free (non-Dirichlet) nodes once, and reuses
+its padded-state, u_x, u_xx and CFL-gradient buffers in every step, while
+every stored u and u_t is a fresh array.  ``evolution_rhs``, ``step``,
+``_cfl_dt`` and the energy monitor's ``_node_derivatives`` build a kernel
+per call and run the same code.
+
 The CFL bound reads u_x from the stencil of np.gradient (central inside,
-first order at the ends), written out by hand because the call costs three
-times as much.  The hand-written form must stay bitwise equal to
-np.gradient, or every step size and stored frame would move.
+first order at the ends), written out by hand in ``_Kernel.cfl_dt`` because
+the call costs three times as much.  Its inside is the central u_x of the
+rhs; the hand-written form must stay bitwise equal to np.gradient, or every
+step size and stored frame would move.
 
 Dirichlet ends hold the initial profile's end values: ``evolution_rhs``
 returns 0 at a Dirichlet node, so no stage moves it (a -0.0 end value
@@ -19,7 +27,9 @@ becomes +0.0 after the first step).  One node stencil gives u_x and u_xx
 to the solver and to the energy monitor.  It pads the state with a ghost
 node per end; a Robin end u_x = b(u) gets the mirror node
 u_{-1} = u_1 - 2 dx b(u_0) (on the right, u_{n+1} = u_{n-1} + 2 dx b(u_n)),
-which makes the central gradient at the end equal b(u) exactly.
+which makes the central gradient at the end equal b(u) exactly.  The
+solver reads the stencil at the free nodes only; the energy monitor adds
+one-sided stencils at the Dirichlet nodes.
 
 The porous-medium family advances the divergence form (u^m)_xx with a
 conservative stencil on u^m instead of the expanded product rule; the stencil
@@ -119,59 +129,142 @@ def _degenerate_power(u: np.ndarray, m: float) -> np.ndarray:
     return np.maximum(u, 0.0) ** m
 
 
-def _padded(spec: ProblemSpec, dx: float, u: np.ndarray):
-    """``u`` with one ghost node per end, and (node, inward step, b(u) or None) per end.
+class _Kernel:
+    """The solver's stencils for one spec and grid, with the ends resolved once.
 
-    A Robin end's ghost is the mirror node u_{i+d} - 2 d dx b(u_i), so the
-    central difference there is b(u_i).  A Dirichlet end is padded with its
-    own value; every stencil result at that node is replaced or zeroed.
+    ``simulate`` builds one per run; ``evolution_rhs``, ``step``, ``_cfl_dt``
+    and ``_node_derivatives`` build one per call.  The padded state and the
+    u_x, u_xx and CFL-gradient arrays are scratch buffers that every call
+    overwrites, so each state and u_t that a call returns is a fresh array.
+
+    The free nodes are the nodes that are not Dirichlet ends.  Only their
+    stencils are evaluated: the rhs is 0 at a Dirichlet node, and the energy
+    monitor gives that node its own one-sided stencil.
     """
-    up = np.empty(len(u) + 2)
-    up[1:-1] = u
-    ends = []
-    for bc, i, d in ((spec.bc_left, 0, 1), (spec.bc_right, -1, -1)):
-        b = float(bc.robin_b(u[i])) if bc.kind == "robin" else None
-        up[i] = u[i] if b is None else u[i + d] - d * (2.0 * dx * b)
-        ends.append((i, d, b))
-    return up, ends
+
+    def __init__(self, spec: ProblemSpec, grid: Grid1D):
+        n = grid.n_cells + 1
+        self.spec = spec
+        self.n = n
+        self.dx = grid.dx
+        self.two_dx = 2.0 * grid.dx
+        self.dx2 = grid.dx * grid.dx
+        self.x = grid.nodes
+        ends = ((spec.bc_left, 0, 1), (spec.bc_right, -1, -1))
+        # (node, inward step, b) per Robin end; (node, inward step) per Dirichlet end.
+        self.robin = tuple((i, d, bc.robin_b) for bc, i, d in ends if bc.kind == "robin")
+        self.dirichlet = tuple((i, d) for bc, i, d in ends if bc.kind == "dirichlet")
+        self.m = None if spec.divergence_form_m is None else float(spec.divergence_form_m)
+        lo = int(spec.bc_left.kind == "dirichlet")
+        hi = n - int(spec.bc_right.kind == "dirichlet")
+        self.free = slice(lo, hi)
+        self.x_free = self.x[lo:hi]
+        # The state with one ghost node per end; the free nodes' stencils read
+        # ``used``, which leaves out the ghost of a Dirichlet end.
+        self.up = np.zeros(n + 2)
+        self.inner = self.up[1:-1]
+        self.used = self.up[lo:hi + 2]
+        self.p = np.zeros(n)
+        self.q = np.zeros(n)
+        self.p_free = self.p[lo:hi]
+        self.q_free = self.q[lo:hi]
+        self.grad = np.empty(n)
+
+    def _pad(self, u: np.ndarray):
+        """Copy ``u`` into the padded state, and set u_x = b(u) at each Robin end.
+
+        A Robin end's ghost is the mirror node u_{i+d} - 2 d dx b(u_i), so the
+        central difference there is b(u_i).
+        """
+        self.inner[...] = u
+        for i, d, robin_b in self.robin:
+            b = float(robin_b(u[i]))
+            self.up[i] = u[i + d] - d * (self.two_dx * b)
+            self.p[i] = b
+
+    def _slope(self, u: np.ndarray, out: np.ndarray):
+        """The central u_x at the interior nodes, into ``out[1:-1]``."""
+        inner = out[1:-1]
+        np.subtract(u[2:], u[:-2], out=inner)
+        inner /= self.two_dx
+
+    def _second_difference(self, w: np.ndarray, out: np.ndarray):
+        """(w_{i+1} - 2 w_i + w_{i-1}) / dx^2 at the free nodes, into ``out``.
+
+        ``w`` is laid out as ``used``: one more node on each side of the free ones.
+        """
+        np.multiply(w[1:-1], 2.0, out=out)
+        np.subtract(w[2:], out, out=out)
+        out += w[:-2]
+        out /= self.dx2
+
+    def central(self, u: np.ndarray):
+        """The p and q buffers, holding u_x and u_xx at every free node."""
+        self._pad(u)
+        self._slope(u, self.p)
+        self._second_difference(self.used, self.q_free)
+        return self.p, self.q
+
+    def rhs(self, u: np.ndarray) -> np.ndarray:
+        """du/dt at every node in a fresh array; 0 at a Dirichlet node."""
+        ut = np.zeros(self.n)
+        free = self.free
+        if self.m is None:
+            self.central(u)
+            ut[free] = self.spec.rhs(self.x_free, u[free], self.p_free, self.q_free)
+        else:
+            self._pad(u)
+            self._second_difference(_degenerate_power(self.used, self.m), ut[free])
+        return ut
+
+    def step(self, frame: StateFrame, dt: float, k1: Optional[np.ndarray] = None) -> StateFrame:
+        if k1 is None:
+            k1 = self.rhs(frame.u)
+        k2 = self.rhs(frame.u + dt * k1)
+        u_new = frame.u + 0.5 * dt * (k1 + k2)
+        if not np.isfinite(u_new).all():
+            raise SolverError(f"non-finite state after step to t={frame.t + dt!r}")
+        return StateFrame(frame.t + dt, u_new, self.rhs(u_new))
+
+    def cfl_dt(self, u: np.ndarray, dt_cap: float, t: float) -> float:
+        # u_x as np.gradient(u, dx) gives it, at a third of its cost: central
+        # inside, first order at the ends.  It must stay bitwise equal to
+        # np.gradient, or every step size and frame moves.
+        g = self.grad
+        self._slope(u, g)
+        g[0] = (u[1] - u[0]) / self.dx
+        g[-1] = (u[-1] - u[-2]) / self.dx
+        with np.errstate(all="ignore"):
+            coef = np.abs(self.spec.diffusion_coeff(self.x, u, g))
+        coef_max = float(coef.max()) if coef.size else 0.0
+        if not math.isfinite(coef_max):
+            raise SolverError(f"diffusion coefficient not finite at t={t!r}")
+        dt = dt_cap
+        if coef_max > 1e-30:
+            dt = min(dt, _CFL_SAFETY * self.dx * self.dx / coef_max)
+        if dt < _DT_FLOOR:
+            raise SolverError(f"CFL time step {dt!r} fell below the floor at t={t!r}")
+        return dt
 
 
 def _node_derivatives(spec: ProblemSpec, grid: Grid1D, u: np.ndarray):
-    """u_x and u_xx at every node: the one stencil of the solver and the energy monitor.
+    """u_x and u_xx at every node: the solver's stencil, for the energy monitor.
 
-    Central differences over the padded state, with u_x = b(u) exactly at a
-    Robin end.  A Dirichlet end is pinned, so only the energy monitor reads it:
-    the second-order one-sided u_x and the four-point one-sided u_xx.
+    A Dirichlet end is pinned, so only the energy monitor reads it: the
+    second-order one-sided u_x and the four-point one-sided u_xx.
     """
+    kernel = _Kernel(spec, grid)
+    p, q = (a.copy() for a in kernel.central(u))
     dx = grid.dx
-    up, ends = _padded(spec, dx, u)
-    p = (up[2:] - up[:-2]) / (2.0 * dx)
-    q = (up[2:] - 2.0 * up[1:-1] + up[:-2]) / (dx * dx)
-    for i, d, b in ends:
-        if b is not None:
-            p[i] = b
-        else:
-            p[i] = d * (-3.0 * u[i] + 4.0 * u[i + d] - u[i + 2 * d]) / (2.0 * dx)
-            q[i] = (2.0 * u[i] - 5.0 * u[i + d] + 4.0 * u[i + 2 * d] - u[i + 3 * d]) / (dx * dx)
+    for i, d in kernel.dirichlet:
+        p[i] = d * (-3.0 * u[i] + 4.0 * u[i + d] - u[i + 2 * d]) / (2.0 * dx)
+        q[i] = (2.0 * u[i] - 5.0 * u[i + d] + 4.0 * u[i + 2 * d] - u[i + 3 * d]) / (dx * dx)
     return p, q
 
 
 def evolution_rhs(spec: ProblemSpec, grid: Grid1D, u: np.ndarray) -> np.ndarray:
     """du/dt at every node; 0 at a Dirichlet node, which holds its end value."""
-    dx = grid.dx
-    lo = int(spec.bc_left.kind == "dirichlet")
-    hi = len(u) - int(spec.bc_right.kind == "dirichlet")
-    m = spec.divergence_form_m
-    if m is None:
-        p, q = _node_derivatives(spec, grid, u)
-        ut = np.zeros_like(u)
-        ut[lo:hi] = spec.rhs(grid.nodes[lo:hi], u[lo:hi], p[lo:hi], q[lo:hi])
-        return ut
-    v = _degenerate_power(_padded(spec, dx, u)[0], float(m))
-    ut = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-    ut[:lo] = 0.0
-    ut[hi:] = 0.0
-    return ut
+    return _Kernel(spec, grid).rhs(u)
 
 
 def step(spec: ProblemSpec, grid: Grid1D, frame: StateFrame, dt: float,
@@ -180,35 +273,11 @@ def step(spec: ProblemSpec, grid: Grid1D, frame: StateFrame, dt: float,
 
     The rhs is 0 at a Dirichlet node, so each stage leaves that end value as it is.
     """
-    if k1 is None:
-        k1 = evolution_rhs(spec, grid, frame.u)
-    mid = frame.u + dt * k1
-    k2 = evolution_rhs(spec, grid, mid)
-    u_new = frame.u + 0.5 * dt * (k1 + k2)
-    if not np.isfinite(u_new).all():
-        raise SolverError(f"non-finite state after step to t={frame.t + dt!r}")
-    return StateFrame(frame.t + dt, u_new, evolution_rhs(spec, grid, u_new))
+    return _Kernel(spec, grid).step(frame, dt, k1)
 
 
 def _cfl_dt(spec: ProblemSpec, grid: Grid1D, u: np.ndarray, dt_cap: float, t: float) -> float:
-    # np.gradient(u, dx) written out at a third of its cost.  It must stay
-    # bitwise equal to np.gradient, or every step size and frame moves.
-    dx = grid.dx
-    p = np.empty_like(u)
-    p[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    p[0] = (u[1] - u[0]) / dx
-    p[-1] = (u[-1] - u[-2]) / dx
-    with np.errstate(all="ignore"):
-        coef = np.abs(spec.diffusion_coeff(grid.nodes, u, p))
-    coef_max = float(coef.max()) if coef.size else 0.0
-    if not math.isfinite(coef_max):
-        raise SolverError(f"diffusion coefficient not finite at t={t!r}")
-    dt = dt_cap
-    if coef_max > 1e-30:
-        dt = min(dt, _CFL_SAFETY * dx * dx / coef_max)
-    if dt < _DT_FLOOR:
-        raise SolverError(f"CFL time step {dt!r} fell below the floor at t={t!r}")
-    return dt
+    return _Kernel(spec, grid).cfl_dt(u, dt_cap, t)
 
 
 def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,
@@ -227,17 +296,18 @@ def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,
     if spec.divergence_form_m is not None and float(np.min(u)) < 0.0:
         raise SolverError("degenerate power models need u0 >= 0")
 
+    kernel = _Kernel(spec, grid)
     dt_cap = t_end / 64.0
-    frame = StateFrame(0.0, u, evolution_rhs(spec, grid, u))
+    frame = StateFrame(0.0, u, kernel.rhs(u))
     frames = [frame]
     n_steps = 0
     dt_smallest = math.inf
     dt_largest = 0.0
 
     while frame.t < t_end - 1e-14 * t_end:
-        dt = _cfl_dt(spec, grid, frame.u, dt_cap, frame.t)
+        dt = kernel.cfl_dt(frame.u, dt_cap, frame.t)
         dt = min(dt, t_end - frame.t)
-        frame = step(spec, grid, frame, dt, k1=frame.ut)
+        frame = kernel.step(frame, dt, k1=frame.ut)
         n_steps += 1
         dt_smallest = min(dt_smallest, dt)
         dt_largest = max(dt_largest, dt)

@@ -235,6 +235,71 @@ def test_output_stride_thins_frames_but_keeps_ends():
     assert thin[-1].t == pytest.approx(2e-3, abs=1e-16)
 
 
+def _stepped_by_hand(spec, grid, u0, t_end, stride):
+    """simulate's loop, written over the public _cfl_dt and step."""
+    frame = StateFrame(0.0, u0, evolution_rhs(spec, grid, u0))
+    frames, dts = [frame], []
+    while frame.t < t_end - 1e-14 * t_end:
+        dt = min(_cfl_dt(spec, grid, frame.u, t_end / 64.0, frame.t), t_end - frame.t)
+        frame = step(spec, grid, frame, dt, k1=frame.ut)
+        dts.append(dt)
+        if len(dts) % stride == 0:
+            frames.append(frame)
+    if frames[-1] is not frame:
+        frames.append(frame)
+    return frames, dts
+
+
+def _bump(x):
+    return np.maximum(0.0, 1.0 - 16.0 * (x - 0.5) ** 2)
+
+
+@pytest.mark.parametrize("desc, profile", [
+    ({"model": "heat", "bc": [_robin(1.0), "dirichlet"]}, lambda x: np.sin(np.pi * x)),
+    ({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0}, lambda x: x + 0.2 * np.sin(np.pi * x)),
+    ({"model": "porous_medium", "m": 2.0}, _bump),
+    ({"model": "porous_medium", "m": 2.0, "bc": ["neumann", "neumann"]}, _bump),
+    ({"model": "inverse_mcf"}, lambda x: 0.3 * np.sin(np.pi * x)),
+], ids=["heat-robin", "rho-dirichlet", "pme-dirichlet", "pme-neumann", "inverse_mcf"])
+def test_simulate_is_the_public_step_loop_bit_for_bit(desc, profile):
+    spec = models.from_descriptor(desc)
+    grid = Grid1D(32)
+    u0 = profile(grid.nodes)
+    t_end = 4e-3
+    result = simulate(spec, u0, t_end=t_end, grid=grid, controls=SolverControls(output_stride=3))
+    frames, dts = _stepped_by_hand(spec, grid, u0, t_end, 3)
+    assert result.n_steps == len(dts) > 3
+    assert result.dt_smallest == min(dts) and result.dt_largest == max(dts)
+    assert len(result) == len(frames)
+    for got, want in zip(result, frames):
+        assert got.t == want.t
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.ut.tobytes() == want.ut.tobytes()
+
+
+@pytest.mark.parametrize("desc", [
+    {"model": "heat", "bc": [_robin(1.0), "dirichlet"]},
+    {"model": "porous_medium", "m": 2.0, "bc": ["neumann", "neumann"]},
+], ids=lambda d: d["model"])
+def test_stored_frames_own_their_arrays(desc):
+    spec = models.from_descriptor(desc)
+    grid = Grid1D(16)
+    u0 = 0.2 + np.sin(np.pi * grid.nodes)
+    kept = u0.copy()
+    result = simulate(spec, u0, t_end=1e-3, grid=grid)
+    assert len(result) > 3
+    want = [(f.u.copy(), f.ut.copy()) for f in result]
+    # A mark per array: an array shared with any other would show its mark.
+    for k, frame in enumerate(result):
+        frame.u[:] = 2 * k
+        frame.ut[:] = 2 * k + 1
+    for k, frame in enumerate(result):
+        assert np.all(frame.u == 2 * k) and np.all(frame.ut == 2 * k + 1)
+    assert np.array_equal(u0, kept)
+    for frame, (u, ut) in zip(simulate(spec, u0, t_end=1e-3, grid=grid), want):
+        assert np.array_equal(frame.u, u) and np.array_equal(frame.ut, ut)
+
+
 def test_cfl_scales_with_the_diffusion_coefficient():
     spec = models.from_descriptor({"model": "heat"})
     grid = Grid1D(32)
@@ -321,12 +386,44 @@ def _step_below_floor():
     _cfl_dt(spec, Grid1D(8), np.full(9, 6.25e9), 1.0, 0.25)
 
 
+def _simulated_negative_ghost():
+    # u_x = 8u at x = 0 on u = 0.5 mirrors the ghost to 0.5 - 2 * 0.125 * 4 = -0.5.
+    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0, "bc": [_robin(8.0), "dirichlet"]})
+    simulate(spec, np.full(9, 0.5), t_end=1e-3, grid=Grid1D(8))
+
+
+def _simulated_nan_state():
+    # Heat's coefficient is 1 whatever the state, so the CFL step passes and
+    # the first Heun step is the one that meets the nan.
+    u0 = np.full(9, 0.5)
+    u0[4] = np.nan
+    simulate(models.from_descriptor({"model": "heat"}), u0, t_end=1e-3, grid=Grid1D(8))
+
+
+def _simulated_nan_coefficient():
+    u0 = np.full(9, 0.5)
+    u0[4] = np.nan
+    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
+    simulate(spec, u0, t_end=1e-3, grid=Grid1D(8))
+
+
+def _simulated_step_below_floor():
+    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0, "bc": ["neumann", "neumann"]})
+    simulate(spec, np.full(9, 6.25e9), t_end=1.0, grid=Grid1D(8))
+
+
 @pytest.mark.parametrize("trigger, message", [
     (_negative_state, "negative state -0.1 fed to the degenerate power u^2.0"),
     (_overflowing_step, "non-finite state after step to t=1e+300"),
     (_nan_coefficient, "diffusion coefficient not finite at t=0.25"),
     (_step_below_floor, "CFL time step 5e-13 fell below the floor at t=0.25"),
-], ids=["negative", "non-finite-state", "non-finite-coefficient", "below-floor"])
+    (_simulated_negative_ghost, "negative state -0.5 fed to the degenerate power u^2.0"),
+    (_simulated_nan_state, "non-finite state after step to t=1.5625e-05"),
+    (_simulated_nan_coefficient, "diffusion coefficient not finite at t=0.0"),
+    (_simulated_step_below_floor, "CFL time step 5e-13 fell below the floor at t=0.0"),
+], ids=["negative", "non-finite-state", "non-finite-coefficient", "below-floor",
+        "simulate-negative", "simulate-non-finite-state", "simulate-non-finite-coefficient",
+        "simulate-below-floor"])
 def test_solver_checks_keep_their_messages(trigger, message):
     with pytest.raises(SolverError) as info:
         trigger()
