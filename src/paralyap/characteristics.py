@@ -11,9 +11,11 @@ weights the diffusion coefficient.  Along the auxiliary curves
 g satisfies an ODE.  One integrator advances a batch of curves as one
 component-major (4, n) array, one contiguous row per component, each curve
 toward the plane x = ``x_end``, forward or backward in x; a lone curve is a
-batch of one.  The landing clamp divides the gap to the plane by the speed
-toward it, so in either direction the first attempt lands at the starting
-speed.  Three queryable representations are provided: closed-form
+batch of one.  It returns where each curve ended, how many steps it
+accepted and why it stopped, and keeps no other state.  The landing clamp
+divides the gap to the plane by the speed toward it, so in either direction
+the first attempt lands at the starting speed.  Three queryable
+representations are provided: closed-form
 (``analytic_g``), integration of dg/dp at a frozen base point
 (``reduced_ode_g``), and the exact solution normalized on the plane x = 0,
 found by tracing each query's curve back to that plane (``tabulate_g``).
@@ -58,8 +60,12 @@ _LAND_TOL = 1e-12
 # the landing clamp it is the step that reaches the plane at the starting
 # speed.
 _DT0 = 1.0
-# dx/dtau below this counts toward a stall.
+# dx/dtau below this counts toward a stall, and this many accepted steps
+# in a row below it end a curve as STALLED.
 _STALL_EPS = 1e-12
+_STALL_WINDOW = 50
+# A curve whose |p| or |g| passes this ends as BLOWUP.
+_BLOWUP_CAP = 1e8
 # Attempts, accepted or not, before a curve ends as MAX_STEPS.
 _MAX_STEPS = 200000
 # A step below this raises.
@@ -92,36 +98,30 @@ class CharState:
 
 @dataclass(frozen=True)
 class CharTrajectory:
-    states: tuple
+    """Where a curve ended, after how many accepted steps, and why it stopped."""
+
+    final: CharState
+    n_steps: int
     termination: Termination
 
     def __len__(self):
-        return len(self.states)
-
-    def __getitem__(self, i):
-        return self.states[i]
-
-    @property
-    def final(self) -> CharState:
-        return self.states[-1]
+        """The states the curve passed through: its start and each accepted step."""
+        return self.n_steps + 1
 
 
 @dataclass(frozen=True)
 class CharControls:
-    """Tolerance, plane and termination controls for the curve integrator.
+    """Tolerance, tau budget and plane of the curve integrator.
 
-    The first step, the stall threshold, the attempt budget and the smallest
-    step are the module constants ``_DT0``, ``_STALL_EPS``, ``_MAX_STEPS``
-    and ``_DT_MIN``.
+    The first step, the stall threshold and window, the blow-up cap, the
+    attempt budget and the smallest step are the module constants ``_DT0``,
+    ``_STALL_EPS``, ``_STALL_WINDOW``, ``_BLOWUP_CAP``, ``_MAX_STEPS`` and
+    ``_DT_MIN``.
     """
 
     tol: float = 1e-8
     tau_max: float = 50.0
     x_end: Optional[float] = 1.0
-    stall_window: int = 50
-    blowup_cap: float = 1e8
-    # Upper bound on the accepted step, for a caller that wants dense states.
-    dt_max: Optional[float] = None
 
 
 # Cash-Karp 5(4) tableau.  The fifth-order weights _B5 are all nonnegative,
@@ -156,9 +156,10 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
     it, so the first attempt lands at the starting speed in both directions.
     A curve that starts on the plane has reached it.  Each curve has its own
     step size, attempts, stall count and termination; every operation is
-    elementwise, so a curve does not depend on its batch.  Returns the
-    accepted (tau, x, u, p, g) rows grouped by curve in start order, the
-    curve of each row, and each curve's termination as an object array.
+    elementwise, so a curve does not depend on its batch.  Returns, in start
+    order, each curve's last accepted (tau, x, u, p, g) row as an (n, 5)
+    array, its number of accepted steps, and its termination as an object
+    array.
     """
 
     def field(y, stage=False):
@@ -186,9 +187,11 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
 
     starts = np.asarray(starts, dtype=float).reshape(-1, 4)
     n = len(starts)
-    x_end, dt_max = (math.inf if v is None else v for v in (controls.x_end, controls.dt_max))
+    x_end = math.inf if controls.x_end is None else controls.x_end
     tau_end = controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max))
-    rows, row_curve = [np.vstack([np.zeros(n), starts.T])], [np.arange(n)]
+    # Each curve's last accepted row and accepted-step count.
+    last = np.vstack([np.zeros(n), starts.T])
+    n_steps = np.zeros(n, dtype=int)
     sign = np.where(starts[:, 0] > x_end, -1.0, 1.0)
     live = sign * (x_end - starts[:, 0]) > _LAND_TOL
     ends = np.full(n, Termination.REACHED_X_END, dtype=object)
@@ -210,7 +213,7 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
             # so k0[0] is that speed in either direction.
             gap = sign * (x_end - y[0])
             to_end = np.where(k0[0] > 0.0, gap / k0[0], math.inf)
-            dt = np.minimum(np.minimum(np.minimum(dt, dt_max), controls.tau_max - tau), to_end)
+            dt = np.minimum(np.minimum(dt, controls.tau_max - tau), to_end)
             # A landing step may be as short as the gap makes it; only the
             # controller's step underflows.
             under = (dt < _DT_MIN) & (dt != to_end)
@@ -224,11 +227,12 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
                 raise CharacteristicsError(message)
             # The directed step: multiplying by the sign is exact, so this is
             # the same as directing every field value.  Each weighted sum runs
-            # in stage order, as for a lone curve.
+            # in stage order, as for a lone curve.  A stage reads x, u and p
+            # only, so its input leaves out the g row.
             h = dt * sign
             ks = [k0]
             for a in _A[1:]:
-                ks.append(field(y + h * sum(w * k for w, k in zip(a, ks)), stage=True))
+                ks.append(field(y[:3] + h * sum(w * k[:3] for w, k in zip(a, ks)), stage=True))
             y5, y4 = (y + h * sum(w * k for w, k in zip(b, ks)) for b in (_B5, _B4))
             err = np.max(np.abs(y5 - y4) / (controls.tol * (1.0 + np.abs(y5))), axis=0)
             # A step that passes the plane is redone with the secant step to it.
@@ -243,25 +247,23 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
                 np.where(np.isfinite(err), np.maximum(0.2, 0.9 * np.float_power(err, -0.25)), 0.2),
             ))
             if ok.any():
-                rows.append(np.vstack([tau[ok], np.compress(ok, y, axis=1)]))
-                row_curve.append(idx[ok])
+                last[:, idx[ok]] = np.vstack([tau[ok], np.compress(ok, y, axis=1)])
+                n_steps[idx[ok]] += 1
             # Accepted states are finite: a non-finite y5 makes err nan.
-            blowup = ok & (np.max(np.abs(y[2:]), axis=0) > controls.blowup_cap)
+            blowup = ok & (np.max(np.abs(y[2:]), axis=0) > _BLOWUP_CAP)
             reached = ok & ~blowup & (sign * (x_end - y[0]) <= _LAND_TOL)
             moving = ok & ~(blowup | reached | (tau >= tau_end))
             if moving.any():
                 k0[:, moving] = field(np.compress(moving, y, axis=1))
             slow = np.abs(k0[0]) < _STALL_EPS
             stall = np.where(moving, np.where(slow, stall + 1, 0), stall)
-            stalled = moving & (stall >= controls.stall_window)
+            stalled = moving & (stall >= _STALL_WINDOW)
             ends[idx[blowup]] = Termination.BLOWUP
             ends[idx[reached]] = Termination.REACHED_X_END
             ends[idx[stalled]] = Termination.STALLED
             live = ~ok | (moving & ~stalled)
 
-    curve = np.concatenate(row_curve)
-    order = np.argsort(curve, kind="stable")
-    return np.concatenate(rows, axis=1).take(order, axis=1).T, curve[order], ends
+    return last.T, n_steps, ends
 
 
 def integrate_characteristics(spec: ProblemSpec, init: dict,
@@ -274,9 +276,11 @@ def integrate_characteristics(spec: ProblemSpec, init: dict,
     5(4) pair under a mixed absolute/relative error target ``controls.tol``;
     a step that would pass the plane is redone with the secant step that
     lands on it.  Termination is an observation, not a failure: reaching
-    ``x_end``, stalling (dx/dtau below ``_STALL_EPS`` for ``stall_window``
-    accepted steps), a component passing ``blowup_cap``, or exhausting
+    ``x_end``, stalling (dx/dtau below ``_STALL_EPS`` for ``_STALL_WINDOW``
+    accepted steps), p or g passing ``_BLOWUP_CAP``, or exhausting
     ``_MAX_STEPS`` attempts or ``tau_max``.  The first attempt is ``_DT0``.
+    The trajectory holds the curve's last state, its accepted-step count
+    and its termination; ``len`` counts the start and each accepted step.
     Only a controlled step below ``_DT_MIN`` (a landing step may be shorter)
     or a non-finite field value at the start or at an accepted state raises;
     a non-finite value at a trial stage rejects that step.
@@ -287,8 +291,8 @@ def integrate_characteristics(spec: ProblemSpec, init: dict,
     one for the integrator that ``tabulate_g`` uses.
     """
     start = (init.get("x0", 0.0), init["u0"], init["p0"], init.get("g0", 0.0))
-    states, _, ends = _integrate_curves(spec, [start], controls)
-    return CharTrajectory(tuple(CharState(*row) for row in states.tolist()), ends[0])
+    last, n_steps, ends = _integrate_curves(spec, [start], controls)
+    return CharTrajectory(CharState(*last[0].tolist()), int(n_steps[0]), ends[0])
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +470,10 @@ def tabulate_g(spec: ProblemSpec, g0: float = 0.0) -> GProvider:
     def evaluate(x, u, p):
         x, u, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, u, p)))
         starts = np.column_stack([x.ravel(), u.ravel(), p.ravel(), np.zeros(x.size)])
-        states, curve, ends = _integrate_curves(spec, starts, controls)
-        last = states[np.searchsorted(curve, np.arange(len(ends)), side="right") - 1, 4]
+        last, _, ends = _integrate_curves(spec, starts, controls)
         reached = ends == Termination.REACHED_X_END
         provider.extrapolations += int(np.count_nonzero(~reached))
-        out = np.where(reached, g0 - last, np.nan)
+        out = np.where(reached, g0 - last[:, 4], np.nan)
         return out.reshape(x.shape) if x.ndim else float(out[0])
 
     provider = GProvider("tabulated", None, g0, evaluate)

@@ -11,9 +11,9 @@ affordable.
 The stencils live on ``_Kernel``, which ``simulate`` builds once per run:
 it resolves the ends and the free (non-Dirichlet) nodes once, and reuses
 its padded-state, u_x, u_xx and CFL-gradient buffers in every step, while
-every stored u and u_t is a fresh array.  ``evolution_rhs``, ``step``,
-``_cfl_dt`` and the energy monitor's ``_node_derivatives`` build a kernel
-per call and run the same code.
+every stored u and u_t is a fresh array.  ``evolution_rhs`` and the energy
+monitor's ``_node_derivatives`` build a kernel per call and run the same
+code.
 
 The CFL bound reads u_x from the stencil of np.gradient (central inside,
 first order at the ends), written out by hand in ``_Kernel.cfl_dt`` because
@@ -53,7 +53,6 @@ __all__ = [
     "SolverControls",
     "SimulationResult",
     "evolution_rhs",
-    "step",
     "simulate",
 ]
 
@@ -132,8 +131,8 @@ def _degenerate_power(u: np.ndarray, m: float) -> np.ndarray:
 class _Kernel:
     """The solver's stencils for one spec and grid, with the ends resolved once.
 
-    ``simulate`` builds one per run; ``evolution_rhs``, ``step``, ``_cfl_dt``
-    and ``_node_derivatives`` build one per call.  The padded state and the
+    ``simulate`` builds one per run; ``evolution_rhs`` and
+    ``_node_derivatives`` build one per call.  The padded state and the
     u_x, u_xx and CFL-gradient arrays are scratch buffers that every call
     overwrites, so each state and u_t that a call returns is a fresh array.
 
@@ -218,6 +217,10 @@ class _Kernel:
         return ut
 
     def step(self, frame: StateFrame, dt: float, k1: Optional[np.ndarray] = None) -> StateFrame:
+        """One Heun update.  ``k1`` may reuse the rhs already stored in the frame.
+
+        The rhs is 0 at a Dirichlet node, so each stage leaves that end value as it is.
+        """
         if k1 is None:
             k1 = self.rhs(frame.u)
         k2 = self.rhs(frame.u + dt * k1)
@@ -236,7 +239,7 @@ class _Kernel:
         g[-1] = (u[-1] - u[-2]) / self.dx
         with np.errstate(all="ignore"):
             coef = np.abs(self.spec.diffusion_coeff(self.x, u, g))
-        coef_max = float(coef.max()) if coef.size else 0.0
+        coef_max = float(coef.max())
         if not math.isfinite(coef_max):
             raise SolverError(f"diffusion coefficient not finite at t={t!r}")
         dt = dt_cap
@@ -265,19 +268,6 @@ def _node_derivatives(spec: ProblemSpec, grid: Grid1D, u: np.ndarray):
 def evolution_rhs(spec: ProblemSpec, grid: Grid1D, u: np.ndarray) -> np.ndarray:
     """du/dt at every node; 0 at a Dirichlet node, which holds its end value."""
     return _Kernel(spec, grid).rhs(u)
-
-
-def step(spec: ProblemSpec, grid: Grid1D, frame: StateFrame, dt: float,
-         k1: Optional[np.ndarray] = None) -> StateFrame:
-    """One Heun update.  ``k1`` may reuse the rhs already stored in the frame.
-
-    The rhs is 0 at a Dirichlet node, so each stage leaves that end value as it is.
-    """
-    return _Kernel(spec, grid).step(frame, dt, k1)
-
-
-def _cfl_dt(spec: ProblemSpec, grid: Grid1D, u: np.ndarray, dt_cap: float, t: float) -> float:
-    return _Kernel(spec, grid).cfl_dt(u, dt_cap, t)
 
 
 def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,

@@ -26,10 +26,12 @@ from paralyap.characteristics import (
     _A,
     _B4,
     _B5,
+    _BLOWUP_CAP,
     _DT0,
     _LAND_TOL,
     _MAX_STEPS,
     _STALL_EPS,
+    _STALL_WINDOW,
     _integrate_curves,
 )
 from paralyap.models import BoundaryCondition, ProblemSpec
@@ -47,7 +49,7 @@ def test_linear_diffusion_curves_are_straight_lines():
     spec = models.from_descriptor({"model": "heat"})
     traj = integrate_characteristics(spec, {"u0": 0.25, "p0": -0.5})
     assert traj.termination is Termination.REACHED_X_END
-    last = traj.states[-1]
+    last = traj.final
     assert last.x == pytest.approx(1.0, abs=2e-9)
     assert last.u == pytest.approx(0.25 - 0.5 * last.x, abs=1e-10)
     assert last.p == pytest.approx(-0.5, abs=1e-12)
@@ -60,7 +62,7 @@ def test_inverse_curvature_curve_matches_tangent_solution():
     spec = models.from_descriptor({"model": "inverse_mcf"})
     controls = CharControls(tol=1e-12, tau_max=0.5, x_end=None)
     traj = integrate_characteristics(spec, {"u0": 0.0, "p0": 0.0}, controls)
-    last = traj.states[-1]
+    last = traj.final
     assert last.tau == pytest.approx(0.5, abs=1e-12)
     assert last.p == pytest.approx(-math.tan(0.5), abs=1e-9)
     assert last.g == pytest.approx(2.0 * math.log(math.cos(0.5)), abs=1e-9)
@@ -72,25 +74,31 @@ def test_tau_budget_termination():
     controls = CharControls(tau_max=0.7, x_end=None)
     traj = integrate_characteristics(spec, {"u0": 0.0, "p0": 1.0}, controls)
     assert traj.termination is Termination.MAX_STEPS
-    assert traj.states[-1].tau == pytest.approx(0.7, abs=1e-9)
+    assert traj.final.tau == pytest.approx(0.7, abs=1e-9)
 
 
 def test_blowup_termination():
+    # p = -tan(tau) passes the cap just before tau = pi/2.
     spec = models.from_descriptor({"model": "inverse_mcf"})
-    controls = CharControls(tau_max=3.0, x_end=None, blowup_cap=1e3)
+    controls = CharControls(tau_max=3.0, x_end=None)
     traj = integrate_characteristics(spec, {"u0": 0.0, "p0": 0.0}, controls)
     assert traj.termination is Termination.BLOWUP
-    assert abs(traj.states[-1].p) > 1e3
+    assert abs(traj.final.p) > _BLOWUP_CAP
+    assert traj.final.tau == pytest.approx(0.5 * math.pi, abs=1e-7)
 
 
 def test_stall_termination():
-    spec = _custom_spec(lambda x, u, p: 0.0, lambda x, u, p: -1.0, lambda x, u, p: 0.0)
-    # dt_max keeps the controller from eating the tau budget before the
-    # stall window fills.
-    controls = CharControls(tau_max=1e6, stall_window=20, dt_max=0.5)
-    traj = integrate_characteristics(spec, {"u0": 0.0, "p0": 1.0}, controls)
+    # Backward mcf_poly n = 1 from p0 = -1.6: p = p0 e^tau grows, and the
+    # speed (1 + p^2)^-1.5 stays below _STALL_EPS for _STALL_WINDOW accepted
+    # steps while p is still under the blow-up cap, short of the plane.
+    spec = models.from_descriptor({"model": "mcf_poly", "n": 1.0})
+    start = {"x0": 0.2697867137638703, "u0": 0.23936944299295215, "p0": -1.605762482164177}
+    traj = integrate_characteristics(spec, start, CharControls(x_end=0.0))
     assert traj.termination is Termination.STALLED
-    assert traj.states[-1].x == pytest.approx(0.0, abs=1e-12)
+    end = traj.final
+    assert float(spec.diffusion_coeff(end.x, end.u, end.p)) < _STALL_EPS
+    assert len(traj) > _STALL_WINDOW
+    assert abs(end.p) < _BLOWUP_CAP and end.x > _LAND_TOL
 
 
 def test_bad_field_value_raises():
@@ -101,19 +109,20 @@ def test_bad_field_value_raises():
         integrate_characteristics(spec, {"u0": 0.0, "p0": 1.0})
 
 
-def test_dt_cap_limits_accepted_steps():
-    spec = models.from_descriptor({"model": "heat"})
-    controls = CharControls(x_end=None, tau_max=0.5, dt_max=0.01)
-    traj = integrate_characteristics(spec, {"u0": 0.0, "p0": 1.0}, controls)
-    taus = [s.tau for s in traj.states]
-    steps = np.diff(taus)
-    assert float(np.max(steps)) <= 0.01 + 1e-12
-    assert len(taus) >= 50
-
-
-def _lone_rows(spec, start, controls):
+def _lone_run(spec, start, controls):
+    """The end row, accepted steps and termination of one curve, run alone."""
     traj = integrate_characteristics(spec, dict(zip(("x0", "u0", "p0", "g0"), start)), controls)
-    return [[s.tau, s.x, s.u, s.p, s.g] for s in traj.states], traj.termination
+    f = traj.final
+    return [f.tau, f.x, f.u, f.p, f.g], len(traj) - 1, traj.termination
+
+
+def _assert_batch_is_lone(spec, seeds, controls):
+    """Each curve of one batch ends as its lone run does, bit for bit."""
+    last, n_steps, ends = _integrate_curves(spec, seeds, controls)
+    assert last.shape == (len(seeds), 5) and len(n_steps) == len(ends) == len(seeds)
+    for i, seed in enumerate(seeds):
+        assert (last[i].tolist(), n_steps[i], ends[i]) == _lone_run(spec, seed, controls)
+    return last, n_steps, ends
 
 
 @pytest.mark.parametrize("descriptor", [
@@ -126,14 +135,7 @@ def _lone_rows(spec, start, controls):
 def test_batch_curves_equal_their_lone_runs(descriptor):
     spec = models.from_descriptor(descriptor)
     seeds = [(0.0, u0, p0, 0.0) for u0 in (0.25, 0.5, 1.0) for p0 in (-1.0, 0.3, 1.5)]
-    controls = CharControls(dt_max=0.05)
-    states, curve, ends = _integrate_curves(spec, seeds, controls)
-    assert len(ends) == len(seeds)
-    assert np.array_equal(curve, np.sort(curve))
-    for i, seed in enumerate(seeds):
-        rows, termination = _lone_rows(spec, seed, controls)
-        assert states[curve == i].tolist() == rows
-        assert ends[i] is termination
+    _assert_batch_is_lone(spec, seeds, CharControls())
 
 
 def _scalar_curve(spec, seed, controls):
@@ -141,7 +143,8 @@ def _scalar_curve(spec, seed, controls):
 
     The curve runs toward the plane x = ``x_end``, forward or backward: the
     field is directed by the sign of ``x_end - x0``, and the landing clamp
-    divides the gap by the speed toward the plane.
+    divides the gap by the speed toward the plane.  Returns every row, the
+    start and each accepted state, and the termination.
     """
     sign = -1.0 if seed[0] > controls.x_end else 1.0
 
@@ -156,7 +159,7 @@ def _scalar_curve(spec, seed, controls):
     tau, y, dt, stall = 0.0, seed, _DT0, 0
     rows, k0 = [[tau, *y]], field(*y[:3])
     for _ in range(_MAX_STEPS):
-        dt = min(dt, controls.dt_max, controls.tau_max - tau)
+        dt = min(dt, controls.tau_max - tau)
         gap = sign * (controls.x_end - y[0])
         if sign * k0[0] > 0.0:
             dt = min(dt, gap / (sign * k0[0]))
@@ -177,7 +180,7 @@ def _scalar_curve(spec, seed, controls):
         tau, y = tau + dt, y5
         rows.append([tau, *y])
         dt *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
-        if max(abs(y[2]), abs(y[3])) > controls.blowup_cap:
+        if max(abs(y[2]), abs(y[3])) > _BLOWUP_CAP:
             return rows, Termination.BLOWUP
         if sign * (controls.x_end - y[0]) <= _LAND_TOL:
             return rows, Termination.REACHED_X_END
@@ -185,7 +188,7 @@ def _scalar_curve(spec, seed, controls):
             return rows, Termination.MAX_STEPS
         k0 = field(*y[:3])
         stall = stall + 1 if abs(k0[0]) < _STALL_EPS else 0
-        if stall >= controls.stall_window:
+        if stall >= _STALL_WINDOW:
             return rows, Termination.STALLED
     return rows, Termination.MAX_STEPS
 
@@ -198,24 +201,20 @@ def _scalar_curve(spec, seed, controls):
 ], ids=["heat", "inverse_mcf", "rho_laplacian_poly-3-2", "porous_medium-2"])
 def test_batch_equals_the_scalar_loop(descriptor):
     # These fields need no pow of a non-integer exponent, so the scalar loop
-    # and the batch do the same float operations and agree bit for bit.
+    # and the batch do the same float operations and agree bit for bit: each
+    # batch end row is the loop's last row, after as many accepted steps.
     spec = models.from_descriptor(descriptor)
-    seeds = [(0.0, u0, p0, 0.0) for u0 in (0.25, 1.0) for p0 in (-2.0, -0.5, 0.5, 2.0)]
-    controls = CharControls(dt_max=0.05)
-    states, curve, ends = _integrate_curves(spec, seeds, controls)
-    for i, seed in enumerate(seeds):
-        rows, termination = _scalar_curve(spec, seed, controls)
-        assert states[curve == i].tolist() == rows
-        assert ends[i] is termination
-    # Backward curves, from x0 = 0.9 to the plane x = 0: the landing clamp
-    # uses the speed toward the plane, so a last step lands without a redo.
-    seeds = [(0.9, u0, p0, 0.0) for u0 in (0.25, 1.0) for p0 in (-2.0, -0.5, 0.5, 2.0)]
-    controls = CharControls(dt_max=0.05, x_end=0.0)
-    states, curve, ends = _integrate_curves(spec, seeds, controls)
-    for i, seed in enumerate(seeds):
-        rows, termination = _scalar_curve(spec, seed, controls)
-        assert states[curve == i].tolist() == rows
-        assert ends[i] is termination
+    # Forward curves to the plane x = 1, then backward ones from x0 = 0.9 to
+    # the plane x = 0: the landing clamp uses the speed toward the plane, so
+    # a last step lands without a redo.
+    for x0, controls in ((0.0, CharControls()), (0.9, CharControls(x_end=0.0))):
+        seeds = [(x0, u0, p0, 0.0) for u0 in (0.25, 1.0) for p0 in (-2.0, -0.5, 0.5, 2.0)]
+        last, n_steps, ends = _integrate_curves(spec, seeds, controls)
+        for i, seed in enumerate(seeds):
+            rows, termination = _scalar_curve(spec, seed, controls)
+            assert last[i].tolist() == rows[-1]
+            assert n_steps[i] == len(rows) - 1
+            assert ends[i] is termination
 
 
 def test_a_backward_curve_costs_what_its_mirror_costs():
@@ -239,29 +238,37 @@ def test_a_backward_curve_costs_what_its_mirror_costs():
 
 
 def test_batch_terminations_match_lone_runs():
+    # One batch of mcf_poly n = 1 curves traced back to x = 0 under the
+    # default constants.  Backward, p = p0 e^tau and dx/dtau = -(1 + p^2)^-1.5:
+    # * p0 = 0 keeps the unit speed and reaches the plane;
+    # * p0 = -1.6 slows below _STALL_EPS for _STALL_WINDOW steps and stalls;
+    # * p0 = 1e7 passes the blow-up cap within a few tau;
+    # * from x0 = 100 at unit speed the plane lies beyond the tau budget: on
+    #   a constant field the step grows 1, 5, 25, then lands on tau_max = 50;
+    # * a curve that starts on the plane has reached it after no step.
+    spec = models.from_descriptor({"model": "mcf_poly", "n": 1.0})
+    x0, u0 = 0.2697867137638703, 0.23936944299295215
+    seeds = [(x0, u0, 0.0, 0.0), (x0, u0, -1.605762482164177, 0.0), (x0, u0, 1e7, 0.0),
+             (100.0, 0.0, 0.0, 0.0), (0.0, 0.5, 1.0, 0.0)]
+    last, n_steps, ends = _assert_batch_is_lone(spec, seeds, CharControls(x_end=0.0))
+    assert tuple(ends) == (Termination.REACHED_X_END, Termination.STALLED, Termination.BLOWUP,
+                           Termination.MAX_STEPS, Termination.REACHED_X_END)
+    assert n_steps[3] == 4 and last[3].tolist() == pytest.approx([50.0, 50.0, 0.0, 0.0, -50.0])
+    assert n_steps[4] == 0 and last[4].tolist() == [0.0, *seeds[4]]
+
     # inverse_mcf has p = tan(atan(p0) - tau): from p0 = -5 it passes the
     # cap near tau = 0.2, from p0 = 0 it lives out the tau budget.
     spec = models.from_descriptor({"model": "inverse_mcf"})
-    controls = CharControls(tau_max=1.0, x_end=None, blowup_cap=1e3)
     seeds = [(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, -5.0, 0.0), (0.0, 1.0, 0.5, 0.0)]
-    _, _, ends = _integrate_curves(spec, seeds, controls)
-    ends = tuple(ends)
-    assert ends == (Termination.MAX_STEPS, Termination.BLOWUP, Termination.MAX_STEPS)
-    for seed, end in zip(seeds, ends):
-        assert _lone_rows(spec, seed, controls)[1] is end
+    _, _, ends = _assert_batch_is_lone(spec, seeds, CharControls(tau_max=1.0, x_end=None))
+    assert tuple(ends) == (Termination.MAX_STEPS, Termination.BLOWUP, Termination.MAX_STEPS)
 
-    # Diffusion u: a curve from u0 = 0 never moves in x, one from u0 = 1
-    # reaches x_end.  The scalar reaction callbacks are broadcast.
+    # Diffusion u: a curve from u0 = 0 never moves in x and runs out of tau,
+    # one from u0 = 1 reaches x_end.  The scalar reaction callbacks are broadcast.
     spec = _custom_spec(lambda x, u, p: u, lambda x, u, p: 0.0, lambda x, u, p: 0.0)
-    controls = CharControls(tau_max=1e6, stall_window=20, dt_max=0.5)
     seeds = [(0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.0)]
-    states, curve, ends = _integrate_curves(spec, seeds, controls)
-    ends = tuple(ends)
-    assert ends == (Termination.STALLED, Termination.REACHED_X_END)
-    for i, seed in enumerate(seeds):
-        rows, termination = _lone_rows(spec, seed, controls)
-        assert states[curve == i].tolist() == rows
-        assert ends[i] is termination
+    _, _, ends = _assert_batch_is_lone(spec, seeds, CharControls())
+    assert tuple(ends) == (Termination.MAX_STEPS, Termination.REACHED_X_END)
 
 
 def test_a_non_finite_trial_stage_rejects_the_step():
@@ -285,9 +292,9 @@ def test_a_non_finite_trial_stage_rejects_the_step():
     assert provider.extrapolations == 0
     assert np.array_equal(got, [provider(*q) for q in queries])
     for value, q in zip(got, queries):
-        states, _, ends = _integrate_curves(spec, [(*q, 0.0)], CharControls(tol=1e-12, x_end=0.0))
+        last, _, ends = _integrate_curves(spec, [(*q, 0.0)], CharControls(tol=1e-12, x_end=0.0))
         assert ends[0] is Termination.REACHED_X_END
-        assert value == pytest.approx(-states[-1, 4], rel=1e-7)
+        assert value == pytest.approx(-last[0, 4], rel=1e-7)
 
 
 def test_batch_failures_name_the_state_and_tau():
@@ -327,7 +334,7 @@ def test_a_landing_step_below_the_smallest_step_lands():
 
 
 def test_tabulated_samples_are_the_lone_states():
-    # Each answer is g0 minus the g of the last state of its query's lone
+    # Each answer is g0 minus the g of the end state of its query's lone
     # curve, traced back to the plane x = 0.
     spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0})
     provider = tabulate_g(spec, g0=0.5)
@@ -335,23 +342,26 @@ def test_tabulated_samples_are_the_lone_states():
     got = provider(*np.meshgrid(xs, us, ps, indexing="ij")).ravel()
     toward_zero = CharControls(x_end=0.0)
     for value, (x, u, p) in zip(got, ((x, u, p) for x in xs for u in us for p in ps)):
-        rows, termination = _lone_rows(spec, (x, u, p, 0.0), toward_zero)
+        end, _, termination = _lone_run(spec, (x, u, p, 0.0), toward_zero)
         assert termination is Termination.REACHED_X_END
-        assert abs(rows[-1][1]) <= _LAND_TOL
-        assert value == 0.5 - rows[-1][4]
+        assert abs(end[1]) <= _LAND_TOL
+        assert value == 0.5 - end[4]
 
 
 @pytest.mark.parametrize("x0, x_end", [(0.0, 1.0), (0.3, 1.0), (0.9, 0.0), (0.4, 0.25)],
                          ids=["forward", "forward-mid", "backward", "backward-mid"])
 def test_curves_land_on_the_plane(x0, x_end):
     # x runs faster as p grows, so a clamp at the starting speed overshoots;
-    # the secant redo lands within the landing tolerance either way.
+    # the secant redo lands within the landing tolerance either way.  The
+    # scalar loop, which keeps every state, shows x moving monotonically.
     spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0})
-    traj = integrate_characteristics(spec, {"x0": x0, "u0": 0.3, "p0": 0.7},
-                                     CharControls(x_end=x_end))
-    assert traj.termination is Termination.REACHED_X_END
-    assert abs(traj.final.x - x_end) <= _LAND_TOL
-    xs = [s.x for s in traj.states]
+    start, controls = (x0, 0.3, 0.7, 0.0), CharControls(x_end=x_end)
+    end, n_steps, termination = _lone_run(spec, start, controls)
+    assert termination is Termination.REACHED_X_END
+    assert abs(end[1] - x_end) <= _LAND_TOL
+    rows, _ = _scalar_curve(spec, start, controls)
+    assert (rows[-1], len(rows) - 1) == (end, n_steps)
+    xs = [row[1] for row in rows]
     assert xs == (sorted(xs) if x_end > x0 else sorted(xs, reverse=True))
 
 

@@ -818,6 +818,19 @@ def test_tabulated_metadata_is_strict_json(tmp_path):
     assert side["provider"] == {"variant": "tabulated", "extrapolations": 0}
 
 
+def test_traced_curves_that_run_out_of_tau_are_counted(tmp_path):
+    # rho_laplacian_poly (3, 2) moves x at speed 2|p|.  The probe of g near
+    # p = 0 queries p = 1e-4 and 1e-3 at x = 0.5, whose curves run out of
+    # tau before they reach x = 0: both count as extrapolations, and the
+    # density is still built.
+    code, out = _run(tmp_path, "construct-energy", {
+        "model": {"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0}, "g_mode": "tabulated",
+    })
+    assert code == 0
+    provider = _read_json(out / "manifest.json")["results"]["provider"]
+    assert provider == {"variant": "tabulated", "extrapolations": 2}
+
+
 def test_compare_closed_form_scores_a_builtin(tmp_path):
     code, out = _run(tmp_path, "compare-closed-form", {
         "model": {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},

@@ -17,11 +17,10 @@ from paralyap.solver import (
     SolverError,
     StateFrame,
     _CFL_SAFETY,
-    _cfl_dt,
+    _Kernel,
     _node_derivatives,
     evolution_rhs,
     simulate,
-    step,
 )
 
 
@@ -165,7 +164,7 @@ def test_heun_step_matches_reference_update():
     expected = u0 + 0.5 * dt * (k1 + k2)
     expected[0] = u0[0]
     expected[-1] = u0[-1]
-    after = step(spec, grid, frame, dt)
+    after = _Kernel(spec, grid).step(frame, dt)
     assert after.t == pytest.approx(dt)
     assert np.max(np.abs(after.u - expected)) < 1e-14
 
@@ -236,12 +235,12 @@ def test_output_stride_thins_frames_but_keeps_ends():
 
 
 def _stepped_by_hand(spec, grid, u0, t_end, stride):
-    """simulate's loop, written over the public _cfl_dt and step."""
+    """simulate's loop, with a fresh kernel for each CFL bound and each step."""
     frame = StateFrame(0.0, u0, evolution_rhs(spec, grid, u0))
     frames, dts = [frame], []
     while frame.t < t_end - 1e-14 * t_end:
-        dt = min(_cfl_dt(spec, grid, frame.u, t_end / 64.0, frame.t), t_end - frame.t)
-        frame = step(spec, grid, frame, dt, k1=frame.ut)
+        dt = min(_Kernel(spec, grid).cfl_dt(frame.u, t_end / 64.0, frame.t), t_end - frame.t)
+        frame = _Kernel(spec, grid).step(frame, dt, k1=frame.ut)
         dts.append(dt)
         if len(dts) % stride == 0:
             frames.append(frame)
@@ -355,7 +354,7 @@ def test_cfl_step_keeps_the_np_gradient_stencil(desc, bc):
         p = np.gradient(u, grid.dx)
         coef = np.abs(np.asarray(spec.diffusion_coeff(grid.nodes, u, p), dtype=float))
         expected = min(1.0, _CFL_SAFETY * grid.dx * grid.dx / float(np.max(coef)))
-        assert _cfl_dt(spec, grid, u, 1.0, 0.0) == expected
+        assert _Kernel(spec, grid).cfl_dt(u, 1.0, 0.0) == expected
 
 
 def _negative_state():
@@ -370,20 +369,20 @@ def _overflowing_step():
     grid = Grid1D(8)
     u = np.sin(np.pi * grid.nodes)
     with np.errstate(all="ignore"):
-        step(spec, grid, StateFrame(0.0, u, evolution_rhs(spec, grid, u)), 1e300)
+        _Kernel(spec, grid).step(StateFrame(0.0, u, evolution_rhs(spec, grid, u)), 1e300)
 
 
 def _nan_coefficient():
     spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
     u = np.full(9, 0.5)
     u[4] = np.nan
-    _cfl_dt(spec, Grid1D(8), u, 1.0, 0.25)
+    _Kernel(spec, Grid1D(8)).cfl_dt(u, 1.0, 0.25)
 
 
 def _step_below_floor():
     # (u^2)_xx at u = 6.25e9 diffuses at 2u = 1.25e10: the CFL step is 5e-13.
     spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
-    _cfl_dt(spec, Grid1D(8), np.full(9, 6.25e9), 1.0, 0.25)
+    _Kernel(spec, Grid1D(8)).cfl_dt(np.full(9, 6.25e9), 1.0, 0.25)
 
 
 def _simulated_negative_ghost():
