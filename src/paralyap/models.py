@@ -60,14 +60,18 @@ def _real_pow(base, expo):
     """base**expo that applies integer exponents exactly.
 
     Integer exponents keep the sign of a negative base; fractional exponents
-    of a negative base come out as nan, which downstream samplers report
-    instead of crashing.
+    of a negative base come out as nan, and a negative exponent of a zero
+    base as inf, which downstream samplers report instead of crashing.  Only
+    those two exponents can raise the divide or invalid warning, so only
+    they enter ``np.errstate``: a nonnegative integer exponent is
+    ``base ** int(expo)`` as it stands.
     """
     e = float(expo)
+    base = np.asarray(base, dtype=float)
+    if e.is_integer() and e >= 0.0:
+        return base ** int(e)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if e.is_integer():
-            return np.asarray(base, dtype=float) ** int(e)
-        return np.asarray(base, dtype=float) ** e
+        return base ** (int(e) if e.is_integer() else e)
 
 
 def _zero(*args):
@@ -81,7 +85,8 @@ def _broadcasting(f):
     value that broadcasts is copied into a new, writable float array.  When
     every argument is a scalar the shape is ``()``, so a scalar value stays
     a scalar.  An array value beside array arguments of its own shape, as in
-    every solver call, is returned before the broadcast shape is computed.
+    the energy monitor's calls, is returned before the broadcast shape is
+    computed.  The solver skips this layer: its kernel calls ``__wrapped__``.
     """
 
     @functools.wraps(f)

@@ -10,10 +10,13 @@ affordable.
 
 The stencils live on ``_Kernel``, which ``simulate`` builds once per run:
 it resolves the ends and the free (non-Dirichlet) nodes once, and reuses
-its padded-state, u_x, u_xx and CFL-gradient buffers in every step, while
-every stored u and u_t is a fresh array.  ``evolution_rhs`` and the energy
-monitor's ``_node_derivatives`` build a kernel per call and run the same
-code.
+its padded-state, u_x, u_xx, u^m, Heun-stage, CFL-gradient and CFL-coefficient
+buffers in every step, while every stored u and u_t is a fresh array.  The
+kernel calls the spec's raw callbacks, not their broadcasting wrappers, and
+writes each value into an array of its own, which broadcasts a constant.
+``simulate`` builds a ``StateFrame`` only for the frames it keeps.
+``evolution_rhs`` and the energy monitor's ``_node_derivatives`` build a
+kernel per call and run the same code.
 
 The CFL bound reads u_x from the stencil of np.gradient (central inside,
 first order at the ends), written out by hand in ``_Kernel.cfl_dt`` because
@@ -120,21 +123,30 @@ class SimulationResult:
         return iter(self.frames)
 
 
-def _degenerate_power(u: np.ndarray, m: float) -> np.ndarray:
+def _degenerate_power(u: np.ndarray, m: float, out: np.ndarray) -> np.ndarray:
+    """max(u, 0)**m into ``out``, bitwise equal to ``np.maximum(u, 0.0) ** m``."""
     u_min = float(u.min())
     if u_min < -1e-12:
         raise SolverError(f"negative state {u_min!r} fed to the degenerate power u^{m}")
     # Roundoff-level negatives are clipped so fractional powers stay real.
-    return np.maximum(u, 0.0) ** m
+    np.maximum(u, 0.0, out=out)
+    return np.power(out, m, out=out)
 
 
 class _Kernel:
     """The solver's stencils for one spec and grid, with the ends resolved once.
 
     ``simulate`` builds one per run; ``evolution_rhs`` and
-    ``_node_derivatives`` build one per call.  The padded state and the
-    u_x, u_xx and CFL-gradient arrays are scratch buffers that every call
-    overwrites, so each state and u_t that a call returns is a fresh array.
+    ``_node_derivatives`` build one per call.  The padded state, the u_x and
+    u_xx arrays, the u^m of the divergence form, the Heun stage and the CFL
+    gradient and coefficient are scratch buffers that every call overwrites.
+    ``rhs`` returns a fresh u_t, and ``step`` a fresh state (the second
+    stage's u_t, updated in place) and a fresh u_t, so nothing a caller keeps
+    shares memory with the kernel or with another returned array.
+
+    The kernel calls the raw callbacks that ``ProblemSpec`` wrapped in
+    ``_broadcasting`` (each wrapper's ``__wrapped__``) and writes each value
+    into its own array; that assignment broadcasts a constant value.
 
     The free nodes are the nodes that are not Dirichlet ends.  Only their
     stencils are evaluated: the rhs is 0 at a Dirichlet node, and the energy
@@ -143,7 +155,6 @@ class _Kernel:
 
     def __init__(self, spec: ProblemSpec, grid: Grid1D):
         n = grid.n_cells + 1
-        self.spec = spec
         self.n = n
         self.dx = grid.dx
         self.two_dx = 2.0 * grid.dx
@@ -154,6 +165,8 @@ class _Kernel:
         self.robin = tuple((i, d, bc.robin_b) for bc, i, d in ends if bc.kind == "robin")
         self.dirichlet = tuple((i, d) for bc, i, d in ends if bc.kind == "dirichlet")
         self.m = None if spec.divergence_form_m is None else float(spec.divergence_form_m)
+        self.model_rhs = spec.rhs.__wrapped__
+        self.diffusion_coeff = spec.diffusion_coeff.__wrapped__
         lo = int(spec.bc_left.kind == "dirichlet")
         hi = n - int(spec.bc_right.kind == "dirichlet")
         self.free = slice(lo, hi)
@@ -167,7 +180,10 @@ class _Kernel:
         self.q = np.zeros(n)
         self.p_free = self.p[lo:hi]
         self.q_free = self.q[lo:hi]
+        self.power = np.empty_like(self.used)
+        self.stage = np.empty(n)
         self.grad = np.empty(n)
+        self.coef = np.empty(n)
 
     def _pad(self, u: np.ndarray):
         """Copy ``u`` into the padded state, and set u_x = b(u) at each Robin end.
@@ -210,24 +226,35 @@ class _Kernel:
         free = self.free
         if self.m is None:
             self.central(u)
-            ut[free] = self.spec.rhs(self.x_free, u[free], self.p_free, self.q_free)
+            ut[free] = self.model_rhs(self.x_free, u[free], self.p_free, self.q_free)
         else:
             self._pad(u)
-            self._second_difference(_degenerate_power(self.used, self.m), ut[free])
+            self._second_difference(_degenerate_power(self.used, self.m, self.power), ut[free])
         return ut
 
-    def step(self, frame: StateFrame, dt: float, k1: Optional[np.ndarray] = None) -> StateFrame:
-        """One Heun update.  ``k1`` may reuse the rhs already stored in the frame.
+    def step(self, t: float, u: np.ndarray, dt: float,
+             k1: Optional[np.ndarray] = None) -> tuple:
+        """One Heun update from (t, u): the new (t, u, u_t), a ``StateFrame``'s fields.
 
-        The rhs is 0 at a Dirichlet node, so each stage leaves that end value as it is.
+        ``k1`` may reuse the rhs already stored at u; neither u nor k1 is
+        written.  The stage u + dt k1 goes into the stage buffer, and the
+        update u + dt/2 (k1 + k2) is made in place on the fresh k2, so the new
+        state owns its array.  IEEE addition and multiplication commute, so
+        both give the bits of the plain expressions.  The rhs is 0 at a
+        Dirichlet node, so each stage leaves that end value as it is.
         """
         if k1 is None:
-            k1 = self.rhs(frame.u)
-        k2 = self.rhs(frame.u + dt * k1)
-        u_new = frame.u + 0.5 * dt * (k1 + k2)
+            k1 = self.rhs(u)
+        stage = np.multiply(k1, dt, out=self.stage)
+        stage += u
+        u_new = self.rhs(stage)
+        u_new += k1
+        u_new *= 0.5 * dt
+        u_new += u
+        t_new = t + dt
         if not np.isfinite(u_new).all():
-            raise SolverError(f"non-finite state after step to t={frame.t + dt!r}")
-        return StateFrame(frame.t + dt, u_new, self.rhs(u_new))
+            raise SolverError(f"non-finite state after step to t={t_new!r}")
+        return t_new, u_new, self.rhs(u_new)
 
     def cfl_dt(self, u: np.ndarray, dt_cap: float, t: float) -> float:
         # u_x as np.gradient(u, dx) gives it, at a third of its cost: central
@@ -237,8 +264,10 @@ class _Kernel:
         self._slope(u, g)
         g[0] = (u[1] - u[0]) / self.dx
         g[-1] = (u[-1] - u[-2]) / self.dx
+        coef = self.coef
         with np.errstate(all="ignore"):
-            coef = np.abs(self.spec.diffusion_coeff(self.x, u, g))
+            coef[...] = self.diffusion_coeff(self.x, u, g)
+        np.abs(coef, out=coef)
         coef_max = float(coef.max())
         if not math.isfinite(coef_max):
             raise SolverError(f"diffusion coefficient not finite at t={t!r}")
@@ -288,22 +317,23 @@ def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,
 
     kernel = _Kernel(spec, grid)
     dt_cap = t_end / 64.0
-    frame = StateFrame(0.0, u, kernel.rhs(u))
-    frames = [frame]
+    stride = controls.output_stride
+    t, ut = 0.0, kernel.rhs(u)
+    frames = [StateFrame(t, u, ut)]
     n_steps = 0
     dt_smallest = math.inf
     dt_largest = 0.0
 
-    while frame.t < t_end - 1e-14 * t_end:
-        dt = kernel.cfl_dt(frame.u, dt_cap, frame.t)
-        dt = min(dt, t_end - frame.t)
-        frame = kernel.step(frame, dt, k1=frame.ut)
+    while t < t_end - 1e-14 * t_end:
+        dt = kernel.cfl_dt(u, dt_cap, t)
+        dt = min(dt, t_end - t)
+        t, u, ut = kernel.step(t, u, dt, k1=ut)
         n_steps += 1
         dt_smallest = min(dt_smallest, dt)
         dt_largest = max(dt_largest, dt)
-        if n_steps % controls.output_stride == 0:
-            frames.append(frame)
+        if n_steps % stride == 0:
+            frames.append(StateFrame(t, u, ut))
 
-    if frames[-1] is not frame:
-        frames.append(frame)
+    if n_steps % stride:
+        frames.append(StateFrame(t, u, ut))
     return SimulationResult(tuple(frames), n_steps, dt_smallest, dt_largest)

@@ -5,6 +5,7 @@ the catalogue code cannot agree with this file by accident.
 """
 
 import math
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -382,7 +383,8 @@ def test_an_array_of_the_arguments_shape_comes_back_as_the_same_object(monkeypat
     # A scalar argument takes the broadcast path, which also keeps a value of the right shape.
     assert spec.diffusion_coeff(x, 0.5, p) is value
 
-    # The solver's case returns before the broadcast shape is computed.
+    # All arguments arrays of the value's shape, as the energy monitor passes
+    # them: the value returns before the broadcast shape is computed.
     def no_broadcast(*args):
         raise AssertionError("computed the broadcast shape")
 
@@ -392,8 +394,9 @@ def test_an_array_of_the_arguments_shape_comes_back_as_the_same_object(monkeypat
 
 @pytest.mark.parametrize("index", range(len(_roster())))
 def test_each_evaluator_is_one_broadcasting_layer_over_its_callback(index):
-    # The solver calls rhs and diffusion_coeff every step, so an untraced
-    # spec keeps exactly one wrapper between a caller and the callback.
+    # An untraced spec keeps exactly one wrapper between a caller and the
+    # callback, so the solver's kernel, which calls each ``__wrapped__``,
+    # reaches the callback itself.
     spec, _ = _roster()[index]
     layer = models._broadcasting(models._zero).__code__
     for name in ("diffusion_coeff", "diffusion_coeff_dx", "diffusion_coeff_du",
@@ -401,3 +404,24 @@ def test_each_evaluator_is_one_broadcasting_layer_over_its_callback(index):
         evaluator = getattr(spec, name)
         assert evaluator.__code__ is layer, f"{spec.name}.{name}"
         assert evaluator.__wrapped__.__code__ is not layer, f"{spec.name}.{name}"
+
+
+@pytest.mark.parametrize("expo", [0, 1, 2, 3.0, 4, 7.0])
+def test_real_pow_of_a_nonnegative_integer_is_the_plain_power(expo):
+    # No np.errstate is entered here, so the result must also raise no warning.
+    base = np.random.default_rng(int(expo)).uniform(-3.0, 3.0, 64)
+    base[:4] = [0.0, -0.0, np.inf, np.nan]
+    with warnings.catch_warnings(), np.errstate(divide="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        got = models._real_pow(base, expo)
+        assert models._real_pow(-2.0, expo) == (-2.0) ** int(expo)
+    assert got.tobytes() == (base ** int(expo)).tobytes()
+
+
+def test_real_pow_keeps_inf_and_nan_without_a_warning():
+    with warnings.catch_warnings(), np.errstate(divide="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        assert models._real_pow(0.0, -1) == np.inf
+        assert models._real_pow(0.0, -1.0) == np.inf
+        assert np.isnan(models._real_pow(-1.0, 0.5))
+        assert np.isnan(models._real_pow(np.array([-1.0, 4.0]), 0.5)[0])

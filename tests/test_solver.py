@@ -4,6 +4,7 @@ The reference updates are re-derived here with the plain 3-point stencils,
 so a solver regression cannot hide behind its own arithmetic.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -164,7 +165,7 @@ def test_heun_step_matches_reference_update():
     expected = u0 + 0.5 * dt * (k1 + k2)
     expected[0] = u0[0]
     expected[-1] = u0[-1]
-    after = _Kernel(spec, grid).step(frame, dt)
+    after = StateFrame(*_Kernel(spec, grid).step(frame.t, frame.u, dt))
     assert after.t == pytest.approx(dt)
     assert np.max(np.abs(after.u - expected)) < 1e-14
 
@@ -240,7 +241,7 @@ def _stepped_by_hand(spec, grid, u0, t_end, stride):
     frames, dts = [frame], []
     while frame.t < t_end - 1e-14 * t_end:
         dt = min(_Kernel(spec, grid).cfl_dt(frame.u, t_end / 64.0, frame.t), t_end - frame.t)
-        frame = _Kernel(spec, grid).step(frame, dt, k1=frame.ut)
+        frame = StateFrame(*_Kernel(spec, grid).step(frame.t, frame.u, dt, k1=frame.ut))
         dts.append(dt)
         if len(dts) % stride == 0:
             frames.append(frame)
@@ -276,10 +277,111 @@ def test_simulate_is_the_public_step_loop_bit_for_bit(desc, profile):
         assert got.ut.tobytes() == want.ut.tobytes()
 
 
+def _reference_rhs(spec, grid, u):
+    """du/dt by plain expressions: ghost nodes, 3-point stencils, the wrapped spec.rhs."""
+    dx, x, n = grid.dx, grid.nodes, len(u)
+    up = np.concatenate(([0.0], u, [0.0]))
+    p = np.zeros(n)
+    p[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
+    ends = (spec.bc_left, spec.bc_right)
+    if ends[0].kind == "robin":
+        p[0] = float(ends[0].robin_b(u[0]))
+        up[0] = u[1] - 2.0 * dx * p[0]
+    if ends[1].kind == "robin":
+        p[-1] = float(ends[1].robin_b(u[-1]))
+        up[-1] = u[-2] + 2.0 * dx * p[-1]
+    w = up if spec.divergence_form_m is None else np.maximum(up, 0.0) ** float(spec.divergence_form_m)
+    q = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (dx * dx)
+    free = np.array([ends[0].kind != "dirichlet"] + [True] * (n - 2) + [ends[1].kind != "dirichlet"])
+    ut = np.zeros(n)
+    if spec.divergence_form_m is None:
+        ut[free] = spec.rhs(x[free], u[free], p[free], q[free])
+    else:
+        ut[free] = q[free]
+    return ut
+
+
+def _reference_heun(spec, grid, u0, t_end, stride):
+    """simulate's contract by plain expressions: np.gradient CFL steps and Heun updates."""
+    dx = grid.dx
+    frames = [StateFrame(0.0, u0, _reference_rhs(spec, grid, u0))]
+    frame, dts = frames[0], []
+    while frame.t < t_end - 1e-14 * t_end:
+        coef = np.abs(spec.diffusion_coeff(grid.nodes, frame.u, np.gradient(frame.u, dx)))
+        coef_max = float(np.max(coef))
+        dt = t_end / 64.0
+        if coef_max > 1e-30:
+            dt = min(dt, _CFL_SAFETY * dx * dx / coef_max)
+        dt = min(dt, t_end - frame.t)
+        k1 = frame.ut
+        k2 = _reference_rhs(spec, grid, frame.u + dt * k1)
+        u = frame.u + 0.5 * dt * (k1 + k2)
+        frame = StateFrame(frame.t + dt, u, _reference_rhs(spec, grid, u))
+        dts.append(dt)
+        if len(dts) % stride == 0:
+            frames.append(frame)
+    if frames[-1] is not frame:
+        frames.append(frame)
+    return frames, dts
+
+
+def _constant_coefficient_spec():
+    # Raw callbacks that return Python floats: the kernel must broadcast them.
+    neumann, dirichlet = models.BoundaryCondition.neumann(), models.BoundaryCondition.dirichlet()
+    return models.ProblemSpec(name="constant", diffusion_coeff=lambda x, u, p: 1.0,
+                              reaction=lambda x, u, p: 0.0, bc_left=neumann, bc_right=dirichlet)
+
+
+def _replaced_spec():
+    # dataclasses.replace reruns __post_init__, so each callback is wrapped twice.
+    spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0,
+                                   "bc": [_robin(1.0), "dirichlet"]})
+    copy = dataclasses.replace(spec, name="copy")
+    assert copy.rhs.__wrapped__ is spec.rhs
+    return copy
+
+
+_PME_ENDS = {"dirichlet": "dirichlet", "neumann": "neumann"}
+_REFERENCE_CASES = {
+    **{f"pme-{m}-{end}": ({"model": "porous_medium", "m": m, "bc": [bc, bc]}, _bump)
+       for m in (1.0, 1.5, 2.0, 3.0) for end, bc in _PME_ENDS.items()},
+    "heat-robin": ({"model": "heat", "bc": [_robin(1.0), "dirichlet"]}, lambda x: np.sin(np.pi * x)),
+    "rho": ({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0}, lambda x: x + 0.2 * np.sin(np.pi * x)),
+    "inverse_mcf": ({"model": "inverse_mcf"}, lambda x: 0.3 * np.sin(np.pi * x)),
+    "superslow": ({"model": "filtration", "a": {"kind": "superslow"}},
+                  lambda x: 0.4 + 0.4 * np.sin(np.pi * x)),
+    "constant-float": (_constant_coefficient_spec, lambda x: np.cos(0.5 * np.pi * x)),
+    "replaced": (_replaced_spec, lambda x: np.sin(np.pi * x) + 0.5 * x),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_simulate_matches_the_plain_reference_loop_bit_for_bit(case):
+    # The reference shares no code with the kernel: it builds each stage and
+    # power with plain expressions and calls the wrapped callbacks, so a
+    # kernel that reuses buffers or calls raw callbacks must keep every bit.
+    desc, profile = _REFERENCE_CASES[case]
+    spec = desc() if callable(desc) else models.from_descriptor(desc)
+    grid = Grid1D(32)
+    u0 = profile(grid.nodes)
+    t_end = 4e-3
+    result = simulate(spec, u0, t_end=t_end, grid=grid, controls=SolverControls(output_stride=3))
+    frames, dts = _reference_heun(spec, grid, u0, t_end, 3)
+    assert result.n_steps == len(dts) > 3
+    assert result.dt_smallest == min(dts) and result.dt_largest == max(dts)
+    assert len(result) == len(frames)
+    for got, want in zip(result, frames):
+        assert got.t == want.t
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.ut.tobytes() == want.ut.tobytes()
+
+
 @pytest.mark.parametrize("desc", [
     {"model": "heat", "bc": [_robin(1.0), "dirichlet"]},
     {"model": "porous_medium", "m": 2.0, "bc": ["neumann", "neumann"]},
-], ids=lambda d: d["model"])
+    {"model": "porous_medium", "m": 2.0},
+    {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},
+], ids=["heat", "porous_medium", "porous_medium-dirichlet", "rho_laplacian_poly"])
 def test_stored_frames_own_their_arrays(desc):
     spec = models.from_descriptor(desc)
     grid = Grid1D(16)
@@ -369,7 +471,7 @@ def _overflowing_step():
     grid = Grid1D(8)
     u = np.sin(np.pi * grid.nodes)
     with np.errstate(all="ignore"):
-        _Kernel(spec, grid).step(StateFrame(0.0, u, evolution_rhs(spec, grid, u)), 1e300)
+        _Kernel(spec, grid).step(0.0, u, 1e300)
 
 
 def _nan_coefficient():
