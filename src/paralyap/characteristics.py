@@ -14,11 +14,16 @@ toward the plane x = ``x_end``, forward or backward in x; a lone curve is a
 batch of one.  It returns where each curve ended, how many steps it
 accepted and why it stopped, and keeps no other state.  The landing clamp
 divides the gap to the plane by the speed toward it, so in either direction
-the first attempt lands at the starting speed.  Three queryable
-representations are provided: closed-form
-(``analytic_g``), integration of dg/dp at a frozen base point
-(``reduced_ode_g``), and the exact solution normalized on the plane x = 0,
-found by tracing each query's curve back to that plane (``tabulate_g``).
+the first attempt lands at the starting speed.  The field calls the spec's
+raw callbacks, under their broadcasting layer, and writes their values into
+the rows of an array it owns; a pass sums the stages into reused buffers in
+the order Python's ``sum`` adds them, and filters its batch only after a
+curve stops, so every bit is what the plain expressions give.
+
+Three queryable representations are provided: closed-form (``analytic_g``),
+integration of dg/dp at a frozen base point (``reduced_ode_g``), and the
+exact solution normalized on the plane x = 0, found by tracing each query's
+curve back to that plane (``tabulate_g``).
 
 Since diffusion_coeff >= 0, x moves monotonically toward the plane along a
 curve, and the fifth-order update used here keeps that guarantee exactly:
@@ -139,9 +144,37 @@ _B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0, 277.0 / 1433
 
 
 def _g_rate(spec: ProblemSpec, x, u, p):
-    """dg/dtau on a curve; ``reduced_g`` divides it by the reaction."""
+    """dg/dtau on a curve; ``reduced_g`` divides it by the reaction.
+
+    The curve field forms the same sum, in the same order, from the raw
+    callbacks.
+    """
     return -(spec.reaction_dp(x, u, p) + spec.diffusion_coeff_dx(x, u, p)
              + p * spec.diffusion_coeff_du(x, u, p))
+
+
+def _weighted_step(y, h, weights, ks, out, term):
+    """``y + h * sum(w * k for w, k in zip(weights, ks))`` into ``out``, bit for bit.
+
+    ``out`` and ``term`` have the rows of ``y``, and each ``k`` gives its first
+    rows.  The sum adds the terms in stage order to +0.0, as Python's ``sum``
+    does, so a -0.0 first term still becomes +0.0, and a zero weight still
+    turns an infinite stage value into nan.
+    """
+    rows = len(out)
+    np.multiply(ks[0][:rows], weights[0], out=out)
+    out += 0.0
+    for w, k in zip(weights[1:], ks[1:]):
+        out += np.multiply(k[:rows], w, out=term)
+    out *= h
+    out += y
+    return out
+
+
+# The curve engine's termination codes index this array.
+_TERMINATIONS = np.array([Termination.REACHED_X_END, Termination.STALLED,
+                          Termination.BLOWUP, Termination.MAX_STEPS], dtype=object)
+_REACHED, _STALLED, _BLOWUP, _OUT_OF_STEPS = range(4)
 
 
 def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
@@ -160,26 +193,43 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
     order, each curve's last accepted (tau, x, u, p, g) row as an (n, 5)
     array, its number of accepted steps, and its termination as an object
     array.
+
+    The field calls the spec's raw callbacks (each ``_broadcasting``
+    wrapper's ``__wrapped__``, as the solver's kernel does) and writes their
+    values into the rows of a (4, n) array of its own; that assignment
+    broadcasts a constant.  A live curve's state is its last accepted row,
+    so a row is written out only when its curve stops.  Until a curve stops
+    nothing is filtered, and in a pass that accepts every step the
+    controller takes only its accept branch.
     """
+    system = spec.char_system
+    if system is None:
+        D, R, R_p, D_x, D_u = (getattr(spec, name).__wrapped__ for name in (
+            "diffusion_coeff", "reaction", "reaction_dp", "diffusion_coeff_dx",
+            "diffusion_coeff_du"))
 
     def field(y, stage=False):
         """The field at the columns of ``y``; a start or accepted state must give finite values.
 
-        A trial ``stage`` may give any value: a non-finite one makes the
+        A trial ``stage`` is not checked: a non-finite value there makes the
         step's error estimate nan, so the step is rejected and shrunk.
         """
         x, u, p = y[0], y[1], y[2]
-        if spec.char_system is not None:
-            out = spec.char_system(x, u, p)
+        k = np.empty((4, len(x)))
+        if system is not None:
+            out = system(x, u, p)
+            if len(out) != 4:
+                raise CharacteristicsError(f"curve field returned {len(out)} components, not 4")
+            for row, value in zip(k, out):
+                row[...] = value
         else:
-            fq = spec.diffusion_coeff(x, u, p)
-            out = (fq, fq * p, spec.reaction(x, u, p), _g_rate(spec, x, u, p))
-        if len(out) != 4:
-            raise CharacteristicsError(f"curve field returned {len(out)} components, not 4")
-        # Broadcast against x, so a scalar output gives every curve that value.
-        k = np.array(np.broadcast_arrays(x, *out)[1:], dtype=float)
-        bad = ~np.all(np.isfinite(k), axis=0)
-        if not stage and bad.any():
+            k[0] = D(x, u, p)
+            np.multiply(k[0], p, out=k[1])
+            k[2] = R(x, u, p)
+            # _g_rate, on the raw callbacks.
+            np.negative(R_p(x, u, p) + D_x(x, u, p) + p * D_u(x, u, p), out=k[3])
+        if not stage and not np.isfinite(k).all():
+            bad = ~np.all(np.isfinite(k), axis=0)
             raise CharacteristicsError(
                 f"curve field returned a bad value at state {tuple(y[:, bad.argmax()].tolist())}"
             )
@@ -189,29 +239,38 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
     n = len(starts)
     x_end = math.inf if controls.x_end is None else controls.x_end
     tau_end = controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max))
-    # Each curve's last accepted row and accepted-step count.
-    last = np.vstack([np.zeros(n), starts.T])
+    # Each curve's last accepted row, accepted-step count and termination code.
+    last = np.empty((5, n))
+    last[0], last[1:] = 0.0, starts.T
     n_steps = np.zeros(n, dtype=int)
     sign = np.where(starts[:, 0] > x_end, -1.0, 1.0)
-    live = sign * (x_end - starts[:, 0]) > _LAND_TOL
-    ends = np.full(n, Termination.REACHED_X_END, dtype=object)
-    ends[live] = Termination.MAX_STEPS
-    idx, y, sign = np.flatnonzero(live), np.compress(live, starts.T, axis=1), sign[live]
+    gap = sign * (x_end - starts[:, 0])
+    live = gap > _LAND_TOL
+    codes = np.where(live, _OUT_OF_STEPS, _REACHED)
+    # The live curves: start index, state, directed gap to the plane, tau,
+    # next step, stall run, accepted steps and field.
+    idx, y = np.flatnonzero(live), np.compress(live, last[1:], axis=1)
+    sign, gap = sign[live], gap[live]
     m = len(idx)
-    tau, dt, stall = np.zeros(m), np.full(m, _DT0), np.zeros(m, dtype=int)
+    tau, dt = np.zeros(m), np.full(m, _DT0)
+    stall, count = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
     k0 = field(y)
-    live, step = np.ones(m, dtype=bool), 0
+    step = 0
+
+    def stop(gone):
+        """Write out the last rows and step counts of the live curves ``gone`` selects."""
+        j = idx[gone]
+        last[0, j] = tau[gone]
+        last[1:, j] = y[:, gone]
+        n_steps[j] = count[gone]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Each live curve makes one attempt per pass: ``step`` counts them all.
-        while step < _MAX_STEPS and live.any():
+        while step < _MAX_STEPS and m:
             step += 1
-            idx, sign, tau, dt, stall = (a[live] for a in (idx, sign, tau, dt, stall))
-            y, k0 = (np.compress(live, a, axis=1) for a in (y, k0))
             # Hard clamps: land exactly on tau_max, and stop where the plane
             # lies at the current speed toward it.  The field is not directed,
             # so k0[0] is that speed in either direction.
-            gap = sign * (x_end - y[0])
             to_end = np.where(k0[0] > 0.0, gap / k0[0], math.inf)
             dt = np.minimum(np.minimum(dt, controls.tau_max - tau), to_end)
             # A landing step may be as short as the gap makes it; only the
@@ -226,44 +285,76 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
                     message += f": the field moves it away from the plane x = {controls.x_end!r}"
                 raise CharacteristicsError(message)
             # The directed step: multiplying by the sign is exact, so this is
-            # the same as directing every field value.  Each weighted sum runs
-            # in stage order, as for a lone curve.  A stage reads x, u and p
-            # only, so its input leaves out the g row.
+            # the same as directing every field value.  A stage reads x, u and
+            # p only, so its input leaves out the g row.
             h = dt * sign
+            stage_in, term, y4, y5 = (np.empty((rows, m)) for rows in (3, 4, 4, 4))
             ks = [k0]
             for a in _A[1:]:
-                ks.append(field(y[:3] + h * sum(w * k[:3] for w, k in zip(a, ks)), stage=True))
-            y5, y4 = (y + h * sum(w * k for w, k in zip(b, ks)) for b in (_B5, _B4))
-            err = np.max(np.abs(y5 - y4) / (controls.tol * (1.0 + np.abs(y5))), axis=0)
+                ks.append(field(_weighted_step(y[:3], h, a, ks, stage_in, term[:3]), stage=True))
+            _weighted_step(y, h, _B5, ks, y5, term)
+            _weighted_step(y, h, _B4, ks, y4, term)
+            # err = max over the rows of |y5 - y4| / (tol * (1 + |y5|)).
+            np.subtract(y5, y4, out=y4)
+            np.abs(y4, out=y4)
+            np.abs(y5, out=term)
+            term += 1.0
+            term *= controls.tol
+            y4 /= term
+            err = y4.max(axis=0)
             # A step that passes the plane is redone with the secant step to it.
             gap5 = sign * (x_end - y5[0])
             over = (err <= 1.0) & (gap5 < -_LAND_TOL)
             ok = (err <= 1.0) & ~over
-            tau = np.where(ok, tau + dt, tau)
-            y = np.where(ok, y5, y)
             # float_power rounds as libm's pow; an array ``**`` may take a SIMD path.
-            dt = np.where(over, dt * gap / (gap - gap5), dt * np.where(
-                ok, np.minimum(5.0, np.maximum(0.2, 0.9 * np.float_power(err + 1e-300, -0.2))),
-                np.where(np.isfinite(err), np.maximum(0.2, 0.9 * np.float_power(err, -0.25)), 0.2),
-            ))
-            if ok.any():
-                last[:, idx[ok]] = np.vstack([tau[ok], np.compress(ok, y, axis=1)])
-                n_steps[idx[ok]] += 1
+            grow = np.float_power(err + 1e-300, -0.2)
+            grow *= 0.9
+            np.minimum(5.0, np.maximum(0.2, grow, out=grow), out=grow)
+            if ok.all():
+                tau += dt
+                y, gap = y5, gap5
+                dt *= grow
+                count += 1
+            else:
+                tau = np.where(ok, tau + dt, tau)
+                y = np.where(ok, y5, y)
+                dt = np.where(over, dt * gap / (gap - gap5), dt * np.where(
+                    ok, grow,
+                    np.where(np.isfinite(err),
+                             np.maximum(0.2, 0.9 * np.float_power(err, -0.25)), 0.2),
+                ))
+                gap = np.where(ok, gap5, gap)
+                count += ok
             # Accepted states are finite: a non-finite y5 makes err nan.
             blowup = ok & (np.max(np.abs(y[2:]), axis=0) > _BLOWUP_CAP)
-            reached = ok & ~blowup & (sign * (x_end - y[0]) <= _LAND_TOL)
+            reached = ok & ~blowup & (gap <= _LAND_TOL)
             moving = ok & ~(blowup | reached | (tau >= tau_end))
-            if moving.any():
+            if moving.all():
+                k0 = field(y)
+            elif moving.any():
                 k0[:, moving] = field(np.compress(moving, y, axis=1))
             slow = np.abs(k0[0]) < _STALL_EPS
             stall = np.where(moving, np.where(slow, stall + 1, 0), stall)
             stalled = moving & (stall >= _STALL_WINDOW)
-            ends[idx[blowup]] = Termination.BLOWUP
-            ends[idx[reached]] = Termination.REACHED_X_END
-            ends[idx[stalled]] = Termination.STALLED
-            live = ~ok | (moving & ~stalled)
+            keep = ~ok | (moving & ~stalled)
+            if keep.all():
+                continue
+            for stopped, code in ((blowup, _BLOWUP), (reached, _REACHED), (stalled, _STALLED)):
+                codes[idx[stopped]] = code
+            if not keep.any():
+                # Every curve stopped, as a batch that lands in one pass does.
+                stop(slice(None))
+                break
+            stop(~keep)
+            idx, sign, gap, tau, dt, stall, count = (
+                a[keep] for a in (idx, sign, gap, tau, dt, stall, count))
+            y, k0 = (np.compress(keep, a, axis=1) for a in (y, k0))
+            m = len(idx)
+        else:
+            # The attempt budget ran out: the live curves end as MAX_STEPS.
+            stop(slice(None))
 
-    return last.T, n_steps, ends
+    return last.T, n_steps, _TERMINATIONS[codes]
 
 
 def integrate_characteristics(spec: ProblemSpec, init: dict,

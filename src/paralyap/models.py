@@ -86,7 +86,10 @@ def _broadcasting(f):
     every argument is a scalar the shape is ``()``, so a scalar value stays
     a scalar.  An array value beside array arguments of its own shape, as in
     the energy monitor's calls, is returned before the broadcast shape is
-    computed.  The solver skips this layer: its kernel calls ``__wrapped__``.
+    computed.  The solver and the curve engine skip this layer: they call
+    ``__wrapped__``.  An ``f`` that is already such a layer, as
+    ``dataclasses.replace`` passes back to ``ProblemSpec.__post_init__``, is
+    returned as it is, so a copied spec shares the original's evaluators.
     """
 
     @functools.wraps(f)
@@ -100,7 +103,7 @@ def _broadcasting(f):
             return out
         return np.array(np.broadcast_to(out, shape), dtype=float)
 
-    return evaluator
+    return f if getattr(f, "__code__", None) is evaluator.__code__ else evaluator
 
 
 def _numeric_du(f):

@@ -32,6 +32,8 @@ from paralyap.characteristics import (
     _MAX_STEPS,
     _STALL_EPS,
     _STALL_WINDOW,
+    _DT_MIN,
+    _g_rate,
     _integrate_curves,
 )
 from paralyap.models import BoundaryCondition, ProblemSpec
@@ -271,14 +273,13 @@ def test_batch_terminations_match_lone_runs():
     assert tuple(ends) == (Termination.MAX_STEPS, Termination.REACHED_X_END)
 
 
-def test_a_non_finite_trial_stage_rejects_the_step():
+def _overflowing_stage_spec():
     # D = exp(1/4 - x/2 - u)(1 + p^2), R = 0.6 p^2 + 0.8 x + 0.2 u: the first
     # attempt back from (0.9, 0.2, 1.95) probes a stage where D overflows.
-    # That stage rejects the step, and the shorter steps reach x = 0.
     def diffusion(x, u, p):
         return np.exp(0.25 - 0.5 * x - u) * (1.0 + p * p)
 
-    spec = ProblemSpec(
+    return ProblemSpec(
         name="custom", diffusion_coeff=diffusion,
         diffusion_coeff_dx=lambda x, u, p: -0.5 * diffusion(x, u, p),
         diffusion_coeff_du=lambda x, u, p: -diffusion(x, u, p),
@@ -286,7 +287,16 @@ def test_a_non_finite_trial_stage_rejects_the_step():
         reaction_dp=lambda x, u, p: 1.2 * p,
         bc_left=BoundaryCondition.dirichlet(), bc_right=BoundaryCondition.dirichlet(),
     )
-    queries = [(0.9, 0.2, 1.95), (0.9, 0.2, 2.0), (0.8, -0.6, 1.8)]
+
+
+_OVERFLOW_QUERIES = [(0.9, 0.2, 1.95), (0.9, 0.2, 2.0), (0.8, -0.6, 1.8)]
+
+
+def test_a_non_finite_trial_stage_rejects_the_step():
+    # The stage where D overflows rejects the step, and the shorter steps
+    # reach x = 0.
+    spec = _overflowing_stage_spec()
+    queries = _OVERFLOW_QUERIES
     provider = tabulate_g(spec)
     got = provider(*np.transpose(queries))
     assert provider.extrapolations == 0
@@ -295,6 +305,167 @@ def test_a_non_finite_trial_stage_rejects_the_step():
         last, _, ends = _integrate_curves(spec, [(*q, 0.0)], CharControls(tol=1e-12, x_end=0.0))
         assert ends[0] is Termination.REACHED_X_END
         assert value == pytest.approx(-last[0, 4], rel=1e-7)
+
+
+def _reference_curves(spec, starts, controls):
+    """The batch pass as it was before the field wrote raw callbacks into owned rows.
+
+    Every pass filters the live curves, broadcasts the wrapped callbacks'
+    values, scans every stage for finiteness, sums the stages with Python's
+    ``sum``, computes both controller branches and writes each accepted row.
+    ``_integrate_curves`` must give its end rows, step counts and
+    terminations bit for bit.
+    """
+
+    def field(y, stage=False):
+        x, u, p = y[0], y[1], y[2]
+        if spec.char_system is not None:
+            out = spec.char_system(x, u, p)
+        else:
+            fq = spec.diffusion_coeff(x, u, p)
+            out = (fq, fq * p, spec.reaction(x, u, p), _g_rate(spec, x, u, p))
+        k = np.array(np.broadcast_arrays(x, *out)[1:], dtype=float)
+        bad = ~np.all(np.isfinite(k), axis=0)
+        if not stage and bad.any():
+            raise CharacteristicsError("curve field returned a bad value")
+        return k
+
+    starts = np.asarray(starts, dtype=float).reshape(-1, 4)
+    n = len(starts)
+    x_end = math.inf if controls.x_end is None else controls.x_end
+    tau_end = controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max))
+    last = np.vstack([np.zeros(n), starts.T])
+    n_steps = np.zeros(n, dtype=int)
+    sign = np.where(starts[:, 0] > x_end, -1.0, 1.0)
+    live = sign * (x_end - starts[:, 0]) > _LAND_TOL
+    ends = np.full(n, Termination.REACHED_X_END, dtype=object)
+    ends[live] = Termination.MAX_STEPS
+    idx, y, sign = np.flatnonzero(live), np.compress(live, starts.T, axis=1), sign[live]
+    m = len(idx)
+    tau, dt, stall = np.zeros(m), np.full(m, _DT0), np.zeros(m, dtype=int)
+    k0 = field(y)
+    live, step = np.ones(m, dtype=bool), 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while step < _MAX_STEPS and live.any():
+            step += 1
+            idx, sign, tau, dt, stall = (a[live] for a in (idx, sign, tau, dt, stall))
+            y, k0 = (np.compress(live, a, axis=1) for a in (y, k0))
+            gap = sign * (x_end - y[0])
+            to_end = np.where(k0[0] > 0.0, gap / k0[0], math.inf)
+            dt = np.minimum(np.minimum(dt, controls.tau_max - tau), to_end)
+            if ((dt < _DT_MIN) & (dt != to_end)).any():
+                raise CharacteristicsError("step size underflow")
+            h = dt * sign
+            ks = [k0]
+            for a in _A[1:]:
+                ks.append(field(y[:3] + h * sum(w * k[:3] for w, k in zip(a, ks)), stage=True))
+            y5, y4 = (y + h * sum(w * k for w, k in zip(b, ks)) for b in (_B5, _B4))
+            err = np.max(np.abs(y5 - y4) / (controls.tol * (1.0 + np.abs(y5))), axis=0)
+            gap5 = sign * (x_end - y5[0])
+            over = (err <= 1.0) & (gap5 < -_LAND_TOL)
+            ok = (err <= 1.0) & ~over
+            tau = np.where(ok, tau + dt, tau)
+            y = np.where(ok, y5, y)
+            dt = np.where(over, dt * gap / (gap - gap5), dt * np.where(
+                ok, np.minimum(5.0, np.maximum(0.2, 0.9 * np.float_power(err + 1e-300, -0.2))),
+                np.where(np.isfinite(err), np.maximum(0.2, 0.9 * np.float_power(err, -0.25)), 0.2),
+            ))
+            if ok.any():
+                last[:, idx[ok]] = np.vstack([tau[ok], np.compress(ok, y, axis=1)])
+                n_steps[idx[ok]] += 1
+            blowup = ok & (np.max(np.abs(y[2:]), axis=0) > _BLOWUP_CAP)
+            reached = ok & ~blowup & (sign * (x_end - y[0]) <= _LAND_TOL)
+            moving = ok & ~(blowup | reached | (tau >= tau_end))
+            if moving.any():
+                k0[:, moving] = field(np.compress(moving, y, axis=1))
+            slow = np.abs(k0[0]) < _STALL_EPS
+            stall = np.where(moving, np.where(slow, stall + 1, 0), stall)
+            stalled = moving & (stall >= _STALL_WINDOW)
+            ends[idx[blowup]] = Termination.BLOWUP
+            ends[idx[reached]] = Termination.REACHED_X_END
+            ends[idx[stalled]] = Termination.STALLED
+            live = ~ok | (moving & ~stalled)
+    return last.T, n_steps, ends
+
+
+def _float_spec():
+    # Every callback returns a Python float whatever its arguments, so the
+    # field broadcasts each constant into its row.
+    return ProblemSpec(
+        name="floats", diffusion_coeff=lambda x, u, p: 0.75,
+        diffusion_coeff_dx=lambda x, u, p: -0.25, diffusion_coeff_du=lambda x, u, p: 0.5,
+        reaction=lambda x, u, p: -0.0, reaction_dp=lambda x, u, p: 0.0,
+        bc_left=BoundaryCondition.dirichlet(), bc_right=BoundaryCondition.dirichlet(),
+    )
+
+
+def _first_stage_overflow_spec():
+    # A char_system whose reaction is infinite only near x = 0.72, where the
+    # first trial stage back from x0 = 0.9 lands: the landing step moves x by
+    # 0.9, and that stage by a fifth of it.  Both updates weight that stage
+    # by zero, so only its nan product rejects the step; the shorter step
+    # then accepts x = 0.728 and lands in six steps under a tolerance of 1e-3.
+    def char_system(x, u, p):
+        return 1.0 + x, 0.5, np.where(np.abs(x - 0.72) < 0.005, np.inf, 0.0), 0.25
+
+    return ProblemSpec(
+        name="first-stage", diffusion_coeff=lambda x, u, p: 1.0, reaction=lambda x, u, p: 0.0,
+        bc_left=BoundaryCondition.dirichlet(), bc_right=BoundaryCondition.dirichlet(),
+        char_system=char_system,
+    )
+
+
+def _random_starts(rng, n, x=(0.0, 1.0), u=(0.05, 1.5), p=(-2.0, 2.0)):
+    return np.column_stack([rng.uniform(*x, n), rng.uniform(*u, n), rng.uniform(*p, n),
+                            np.zeros(n)])
+
+
+_RHO = {"model": "rho_laplacian_poly", "rho": 3.0}
+_ROBIN_HEAT = {"model": "heat", "bc": [{"kind": "robin", "b": {"kind": "linear", "slope": 1.0}},
+                                       "dirichlet"]}
+# (spec builder, start builder, controls).  Each start set gains a curve
+# from -0.0 in u, p and g, and one on its plane where there is a plane.
+# The cases cover one-step landings, multi-step backward curves, a spent tau
+# budget, a char_system, non-finite trial stages, blow-ups, a forward curve
+# with no plane, and Python-float callbacks.
+_REFERENCE_CASES = {
+    "robin-heat": (lambda: models.from_descriptor(_ROBIN_HEAT),
+                   lambda rng: _random_starts(rng, 200), CharControls(x_end=0.0)),
+    "rho-3-1-backward": (lambda: models.from_descriptor(_RHO | {"n": 1.0}),
+                         lambda rng: _random_starts(rng, 200), CharControls(x_end=0.0)),
+    "rho-3-2-out-of-tau": (lambda: models.from_descriptor(_RHO | {"n": 2.0}),
+                           lambda rng: _random_starts(rng, 40, p=(-1e-3, 1e-3)),
+                           CharControls(x_end=0.0)),
+    "pme-3-char-system": (lambda: models.from_descriptor({"model": "porous_medium", "m": 3.0}),
+                          lambda rng: _random_starts(rng, 200), CharControls(x_end=0.0)),
+    "non-finite-stage": (_overflowing_stage_spec,
+                         lambda rng: np.array([(*q, 0.0) for q in _OVERFLOW_QUERIES]),
+                         CharControls(tol=1e-12, x_end=0.0)),
+    "forward-no-plane": (lambda: models.from_descriptor({"model": "inverse_mcf"}),
+                         lambda rng: _random_starts(rng, 200, p=(-8.0, 8.0)),
+                         CharControls(tau_max=1.0, x_end=None)),
+    "python-floats": (_float_spec, lambda rng: _random_starts(rng, 200), CharControls(x_end=0.5)),
+    "non-finite-first-stage": (_first_stage_overflow_spec,
+                               lambda rng: np.array([(0.9, 0.5, 1.0, 0.0)]),
+                               CharControls(tol=1e-3, x_end=0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_the_curve_engine_matches_the_reference_pass_bit_for_bit(case):
+    build, draw, controls = _REFERENCE_CASES[case]
+    spec = build()
+    starts = draw(np.random.default_rng(7))
+    starts = np.vstack([starts, [0.25, -0.0, -0.0, -0.0]])
+    if controls.x_end is not None:
+        starts = np.vstack([starts, [controls.x_end, 0.5, 1.0, 0.0]])
+    last, n_steps, ends = _integrate_curves(spec, starts, controls)
+    want_last, want_steps, want_ends = _reference_curves(spec, starts, controls)
+    assert np.array_equal(last, want_last, equal_nan=True)
+    assert np.array_equal(np.signbit(last), np.signbit(want_last))
+    assert n_steps.tolist() == want_steps.tolist()
+    assert ends.tolist() == want_ends.tolist()
+    assert max(want_steps) > 0
 
 
 def test_batch_failures_name_the_state_and_tau():

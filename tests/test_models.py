@@ -4,6 +4,7 @@ Expected values are computed by hand from each model's defining formula, so
 the catalogue code cannot agree with this file by accident.
 """
 
+import dataclasses
 import math
 import warnings
 from collections import namedtuple
@@ -395,15 +396,18 @@ def test_an_array_of_the_arguments_shape_comes_back_as_the_same_object(monkeypat
 @pytest.mark.parametrize("index", range(len(_roster())))
 def test_each_evaluator_is_one_broadcasting_layer_over_its_callback(index):
     # An untraced spec keeps exactly one wrapper between a caller and the
-    # callback, so the solver's kernel, which calls each ``__wrapped__``,
-    # reaches the callback itself.
+    # callback, so the solver's kernel and the curve field, which call each
+    # ``__wrapped__``, reach the callback itself.  A dataclasses.replace
+    # copy reruns __post_init__, which keeps each layer as it is.
     spec, _ = _roster()[index]
+    copy = dataclasses.replace(spec, name="copy")
     layer = models._broadcasting(models._zero).__code__
     for name in ("diffusion_coeff", "diffusion_coeff_dx", "diffusion_coeff_du",
                  "reaction", "reaction_dp", "rhs"):
         evaluator = getattr(spec, name)
         assert evaluator.__code__ is layer, f"{spec.name}.{name}"
         assert evaluator.__wrapped__.__code__ is not layer, f"{spec.name}.{name}"
+        assert getattr(copy, name) is evaluator, f"{spec.name}.{name}"
 
 
 @pytest.mark.parametrize("expo", [0, 1, 2, 3.0, 4, 7.0])

@@ -333,11 +333,12 @@ def _constant_coefficient_spec():
 
 
 def _replaced_spec():
-    # dataclasses.replace reruns __post_init__, so each callback is wrapped twice.
+    # dataclasses.replace reruns __post_init__, which keeps each evaluator
+    # that is already a broadcasting layer, so the copy shares them.
     spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0,
                                    "bc": [_robin(1.0), "dirichlet"]})
     copy = dataclasses.replace(spec, name="copy")
-    assert copy.rhs.__wrapped__ is spec.rhs
+    assert all(getattr(copy, name) is getattr(spec, name) for name in models._EVALUATORS)
     return copy
 
 
