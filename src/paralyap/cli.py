@@ -27,13 +27,17 @@ a boolean.
 Each command reads all of its settings before it builds anything.  A
 manifest records the fully resolved configuration, so a rerun of the same
 config with the same package version reproduces every CSV byte for byte.
-This module alone fixes the byte format of the artifacts: ``_write_csv``
+This module fixes the byte format of the artifacts: ``_write_csv``
 writes each float as ``repr`` and ``_write_json`` sorts keys and indents by
-two; only the streamed ``trajectory.csv`` has its own writer.
+two.  The one exception is ``trajectory.csv``, whose rows (each float as
+``repr`` too) are formatted by ``_trajectory.py`` in a second interpreter
+while the solver steps: ``_TrajectoryWriter`` is ``simulate``'s sink, pipes
+each stored frame to it, and keeps the file only if both succeed.
 ``--workers N`` is accepted for compatibility and ignored: every stage runs
-in one thread.  ``main`` is the process entry point: it freezes the heap
-that the imports built, so the collections at shutdown skip it.  Exit
-codes: 0 success, 1 error, 2 success with consistency warnings.
+in one thread.  ``main`` is the process entry point: it makes the ``--out``
+directory before any stage runs, and freezes the heap that the imports
+built, so the collections at shutdown skip it.  Exit codes: 0 success, 1
+error, 2 success with consistency warnings.
 """
 
 import argparse
@@ -43,6 +47,8 @@ import dataclasses
 import gc
 import json
 import math
+import os
+import struct
 import sys
 from pathlib import Path
 
@@ -298,7 +304,6 @@ def _initial_profile(config, grid: Grid1D) -> np.ndarray:
 
 
 def _write(out_dir: Path, name: str, text: str):
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(text)
 
 
@@ -361,28 +366,89 @@ def _simulation_inputs(config):
     return grid, _initial_profile(config, grid), t_end, controls
 
 
-def _run_simulation(spec, grid, u0, t_end, controls):
+def _run_simulation(spec, grid, u0, t_end, controls, sink=None):
     with _stage("solver"):
-        return simulate(spec, u0, t_end, grid, controls)
+        return simulate(spec, u0, t_end, grid, controls, sink=sink)
 
 
-def _write_trajectory(out_dir: Path, grid, result):
-    """Stream trajectory.csv one frame at a time; the whole table is never built."""
-    x = [repr(xi) for xi in grid.nodes.tolist()]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "trajectory.csv", "w") as fh:
-        fh.write("t,x,u,ut\n")
-        for frame in result:
-            t = repr(float(frame.t))
-            fh.write("".join(f"{t},{xi},{ui!r},{uti!r}\n"
-                             for xi, ui, uti in zip(x, frame.u.tolist(), frame.ut.tolist())))
+class _TrajectoryWriter:
+    """The ``simulate`` sink that streams each stored frame to ``_trajectory.py``.
+
+    The first frame starts the writer, a second interpreter under ``-I -S``
+    that formats ``trajectory.csv.part`` while the solver keeps stepping; it
+    gets the node values, then each frame's t, u and u_t as native float64.
+    On leaving the ``with`` block the pipe is closed and the writer waited
+    for, whatever happened.  The part file becomes ``trajectory.csv`` only if
+    the solver and the writer both succeeded; otherwise it is removed, and a
+    failed writer is reported with the last line of its stderr.  Whatever
+    else the writer prints is passed on to this process's stderr.
+    """
+
+    def __init__(self, path: Path, nodes: np.ndarray):
+        self.path = path
+        self.part = path.with_name(path.name + ".part")
+        self.nodes = nodes
+        self.proc = None
+
+    def __call__(self, frame):
+        if self.proc is None:
+            # Imported here: the other commands start no writer, and the
+            # import costs them about 5 ms of start-up.
+            import subprocess
+
+            # This interpreter's -W and -X options: the writer warns and fails as the CLI does.
+            options = [f"-W{option}" for option in sys.warnoptions] + [
+                f"-X{key}" if value is True else f"-X{key}={value}"
+                for key, value in sys._xoptions.items()]
+            command = [sys.executable, "-I", "-S", *options,
+                       str(Path(__file__).with_name("_trajectory.py")),
+                       str(len(self.nodes)), str(self.part)]
+            try:
+                self.proc = subprocess.Popen(command, stdin=subprocess.PIPE,
+                                             stderr=subprocess.PIPE)
+            except OSError as exc:
+                raise CliError("cli", f"trajectory.csv: cannot start the writer: {exc}") from None
+            self.proc.stdin.write(self.nodes)
+        write = self.proc.stdin.write
+        write(struct.pack("d", frame.t))
+        write(frame.u)
+        write(frame.ut)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        proc = self.proc
+        if proc is None:
+            return False
+        # A broken pipe is the writer's own failure, which its stderr explains.
+        writer_failed = kind is BrokenPipeError
+        with contextlib.suppress(BrokenPipeError):
+            proc.stdin.close()
+        message = proc.stderr.read().decode(errors="replace")
+        proc.stderr.close()
+        code = proc.wait()
+        if kind is None and code == 0:
+            sys.stderr.write(message)
+            try:
+                os.replace(self.part, self.path)
+                return False
+            except OSError as err:
+                message = str(err)
+        # A directory at the part path is the user's, not the writer's.
+        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+            self.part.unlink()
+        if kind is None or writer_failed:
+            last = message.strip().splitlines()[-1:] or [f"exit code {code}"]
+            raise CliError("cli", f"trajectory.csv: {last[0]}") from None
+        return False
 
 
 def cmd_simulate(config, out_dir: Path) -> int:
     spec = _build_spec(config)
     grid, u0, t_end, controls = _simulation_inputs(config)
-    result = _run_simulation(spec, grid, u0, t_end, controls)
-    _write_trajectory(out_dir, grid, result)
+    with _TrajectoryWriter(out_dir / "trajectory.csv", grid.nodes) as writer:
+        result = _run_simulation(spec, grid, u0, t_end, controls, sink=writer)
     _manifest(out_dir, "simulate", config, {
         "n_steps": result.n_steps,
         "dt_smallest": result.dt_smallest,
@@ -519,7 +585,12 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args.config)
         _refuse_unread(config, _DEFAULTS, _READS[args.command], args.command)
-        return _COMMANDS[args.command](config, Path(args.out))
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError("cli", f"--out: {exc}") from None
+        return _COMMANDS[args.command](config, out_dir)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

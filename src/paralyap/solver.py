@@ -43,7 +43,7 @@ does not.  Models opt in through ``ProblemSpec.divergence_form_m``.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -300,12 +300,16 @@ def evolution_rhs(spec: ProblemSpec, grid: Grid1D, u: np.ndarray) -> np.ndarray:
 
 
 def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,
-             controls: SolverControls = SolverControls()) -> SimulationResult:
+             controls: SolverControls = SolverControls(),
+             sink: Optional[Callable[[StateFrame], None]] = None) -> SimulationResult:
     """Advance u0 to t_end, storing every ``output_stride``-th frame.
 
     The returned frames always include the initial state and the final time.
     Each stored frame carries the rhs at its own state, so downstream energy
-    monitors never re-derive u_t.
+    monitors never re-derive u_t.  ``sink``, if given, is called with each
+    stored frame, in order, as soon as it is stored: the initial frame and
+    an off-stride final frame included, so it sees exactly the returned
+    frames.  What it raises stops the run.
     """
     u = np.array(u0, dtype=float)
     if len(u) != grid.n_cells + 1:
@@ -318,8 +322,15 @@ def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,
     kernel = _Kernel(spec, grid)
     dt_cap = t_end / 64.0
     stride = controls.output_stride
+    frames = []
+
+    def keep(t, u, ut):
+        frames.append(StateFrame(t, u, ut))
+        if sink is not None:
+            sink(frames[-1])
+
     t, ut = 0.0, kernel.rhs(u)
-    frames = [StateFrame(t, u, ut)]
+    keep(t, u, ut)
     n_steps = 0
     dt_smallest = math.inf
     dt_largest = 0.0
@@ -332,8 +343,8 @@ def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,
         dt_smallest = min(dt_smallest, dt)
         dt_largest = max(dt_largest, dt)
         if n_steps % stride == 0:
-            frames.append(StateFrame(t, u, ut))
+            keep(t, u, ut)
 
     if n_steps % stride:
-        frames.append(StateFrame(t, u, ut))
+        keep(t, u, ut)
     return SimulationResult(tuple(frames), n_steps, dt_smallest, dt_largest)

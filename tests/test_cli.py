@@ -4,19 +4,22 @@ Each run goes through ``main`` in-process with a JSON config in a temp
 directory, exactly as a shell invocation would.
 """
 
+import ast
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paralyap import cli, models
+from paralyap import _trajectory, cli, models
 from paralyap.characteristics import CharacteristicsError, analytic_g, reduced_ode_g
-from paralyap.cli import _write_trajectory, main
+from paralyap.cli import main
 from paralyap.lagrangian import LagrangianError, build_lagrangian
 from paralyap.models import from_descriptor
 from paralyap.quadrature import QuadratureError
@@ -262,28 +265,157 @@ def test_simulate_outputs(tmp_path):
     assert len(rows) == 1 + results["n_frames"] * 33
 
 
-def test_trajectory_writer_holds_one_frame_at_a_time(tmp_path):
-    spec = from_descriptor({"model": "porous_medium", "m": 2.0})
-    grid = Grid1D(512)
-    u0 = np.maximum(0.0, 1.0 - 8.0 * (grid.nodes - 0.5) ** 2)
-    result = simulate(spec, u0, 2.5e-3, grid, SolverControls(output_stride=16))
-    assert len(result) == 199
-    tracemalloc.start()
-    try:
-        _write_trajectory(tmp_path, grid, result)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # The whole 6.5 MB table held as one string plus its line list peaks
-    # near 24 MiB; one frame's rows take well under 1 MiB.
-    assert peak < 2 * 2**20
+def _plain_trajectory(grid, result):
+    """trajectory.csv as plain expressions: a row per node per frame, each float as repr."""
     x = grid.nodes.tolist()
     rows = ["t,x,u,ut"] + [
         f"{float(frame.t)!r},{xi!r},{ui!r},{uti!r}"
         for frame in result
         for xi, ui, uti in zip(x, frame.u.tolist(), frame.ut.tolist())
     ]
-    assert (tmp_path / "trajectory.csv").read_text() == "\n".join(rows) + "\n"
+    return "\n".join(rows) + "\n"
+
+
+def test_trajectory_writer_holds_one_frame_at_a_time(tmp_path):
+    spec = from_descriptor({"model": "porous_medium", "m": 2.0})
+    grid = Grid1D(512)
+    u0 = np.maximum(0.0, 1.0 - 8.0 * (grid.nodes - 0.5) ** 2)
+    result = simulate(spec, u0, 2.5e-3, grid, SolverControls(output_stride=16))
+    assert len(result) == 199
+    # The writer's input: the nodes, then (t, u, u_t) per frame, native float64.
+    source = io.BytesIO(grid.nodes.tobytes() + b"".join(
+        np.float64(frame.t).tobytes() + frame.u.tobytes() + frame.ut.tobytes()
+        for frame in result))
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "trajectory.csv", "w", encoding="ascii") as out:
+            _trajectory.write_trajectory(source, len(grid.nodes), out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The whole 6.5 MB table held as one string plus its line list peaks
+    # near 24 MiB; one frame's rows take well under 1 MiB.
+    assert peak < 2 * 2**20
+    assert (tmp_path / "trajectory.csv").read_text() == _plain_trajectory(grid, result)
+
+
+def test_simulate_writes_plain_rows_when_the_writer_lags(tmp_path):
+    # At stride 1 on 256 cells every step stores a 4 KiB frame, so the pipe to
+    # the writer fills and the solver waits on it.  The file must still be
+    # the plain-expression rows of the frames that simulate returns.
+    config = {"model": {"model": "porous_medium", "m": 2.0}, "grid": {"n_cells": 256},
+              "time": {"t_end": 5e-4, "output_stride": 1}, "initial": {"profile": "bump"}}
+    code, out = _run(tmp_path, "simulate", config)
+    assert code == 0
+    grid = Grid1D(256)
+    spec = from_descriptor(config["model"])
+    u0 = np.maximum(0.0, 1.0 - 8.0 * (grid.nodes - 0.5) ** 2)
+    result = simulate(spec, u0, 5e-4, grid, SolverControls(output_stride=1))
+    # Eight times a default 64 KiB pipe buffer.
+    assert len(result) * 2 * len(grid.nodes) * 8 > 8 * 2**16
+    assert (out / "trajectory.csv").read_text() == _plain_trajectory(grid, result)
+    assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "trajectory.csv"]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_solver_failure_leaves_no_trajectory_and_no_child(tmp_path, capsys, monkeypatch):
+    # The solver fails at the fifth frame, once the writer has made its part file.
+    out = tmp_path / "run_out"
+
+    def failing(spec, u0, t_end, grid, controls, sink):
+        def store(frame):
+            sink(frame)
+            store.frames += 1
+            if store.frames == 5:
+                deadline = time.monotonic() + 60.0
+                while not (out / "trajectory.csv.part").exists() and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                raise SolverError("injected failure")
+        store.frames = 0
+        return simulate(spec, u0, t_end, grid, controls, sink=store)
+
+    monkeypatch.setattr(cli, "simulate", failing)
+    code, _ = _run(tmp_path, "simulate", {
+        "model": {"model": "porous_medium", "m": 2.0}, "grid": {"n_cells": 64},
+        "time": {"t_end": 1e-3, "output_stride": 1}, "initial": {"profile": "bump"}})
+    assert code == 1
+    assert capsys.readouterr().err == "error: solver: injected failure\n"
+    assert list(out.iterdir()) == []
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("blocked, message", [
+    # The writer cannot open its part file.
+    ("trajectory.csv.part", "IsADirectoryError: [Errno 21] Is a directory"),
+    # The writer succeeds, but its part file cannot take the final name.
+    ("trajectory.csv", "[Errno 21] Is a directory"),
+])
+def test_a_failing_writer_is_a_cli_error(tmp_path, capsys, blocked, message):
+    out = tmp_path / "run_out"
+    (out / blocked / "keep").mkdir(parents=True)
+    code, _ = _run(tmp_path, "simulate", {"model": {"model": "heat"}, "grid": {"n_cells": 16},
+                                          "time": {"t_end": 1e-3, "output_stride": 4}})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cli: trajectory.csv: {message}"), err
+    assert "Traceback" not in err
+    assert sorted(f.name for f in out.iterdir()) == [blocked]
+    _assert_no_child_left()
+
+
+def test_the_writer_gets_the_cli_options_and_its_stderr_is_passed_on(tmp_path, capsys,
+                                                                     monkeypatch):
+    # Under -X importtime the writer prints its imports; they reach the CLI's
+    # stderr, and NumPy is not among them.
+    monkeypatch.setattr(sys, "_xoptions", {**sys._xoptions, "importtime": True})
+    code, _ = _run(tmp_path, "simulate", {"model": {"model": "heat"}, "grid": {"n_cells": 16},
+                                          "time": {"t_end": 1e-3, "output_stride": 4}})
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "import time:" in err and "encodings" in err
+    assert "numpy" not in err and "paralyap" not in err
+
+
+def test_the_trajectory_writer_imports_only_the_standard_library():
+    # The CLI runs it under -I -S, where neither the package nor NumPy is on the path.
+    tree = ast.parse(Path(_trajectory.__file__).read_text())
+    imported = {alias.name.partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.partition(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert imported and imported <= sys.stdlib_module_names, imported
+
+
+def test_the_trajectory_writer_removes_its_file_on_a_cut_record(tmp_path):
+    part = tmp_path / "trajectory.csv.part"
+    nodes = np.linspace(0.0, 1.0, 9)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", _trajectory.__file__, "9", str(part)],
+        input=nodes.tobytes() + np.zeros(5).tobytes(), capture_output=True, timeout=60)
+    assert proc.returncode == 1
+    assert b"EOFError: input ends inside a record: 40 of 152 bytes" in proc.stderr
+    assert not part.exists()
+
+
+@pytest.mark.parametrize("command", ["construct-energy", "simulate", "verify",
+                                     "compare-closed-form"])
+def test_an_out_path_that_is_a_file_is_refused_before_any_stage(tmp_path, capsys, monkeypatch,
+                                                               command):
+    def no_stage(config):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(cli, "_build_spec", no_stage)
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text("{}")
+    out.write_text("a file")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cli: --out: [Errno 17] File exists: {str(out)!r}"), err
+    assert out.read_text() == "a file"
 
 
 def test_verify_passes_for_linear_diffusion(tmp_path):

@@ -235,6 +235,28 @@ def test_output_stride_thins_frames_but_keeps_ends():
     assert thin[-1].t == pytest.approx(2e-3, abs=1e-16)
 
 
+def test_sink_receives_each_stored_frame_as_it_is_stored():
+    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
+    grid = Grid1D(32)
+    u0 = _bump(grid.nodes)
+    received = []
+
+    def sink(frame):
+        # Frames arrive in order; their arrays are copied as they arrive.
+        assert not received or frame.t > received[-1][0]
+        received.append((frame.t, frame.u.copy(), frame.ut.copy(), frame))
+
+    controls = SolverControls(output_stride=5)
+    result = simulate(spec, u0, 1e-3, grid, controls, sink=sink)
+    plain = simulate(spec, u0, 1e-3, grid, controls)
+    assert result.n_steps % 5, "the final frame must be off-stride"
+    assert len(received) == len(result) == len(plain)
+    assert all(r[3] is f for r, f in zip(received, result.frames))
+    for (t, u, ut, _), frame in zip(received, plain):
+        assert t == frame.t
+        assert u.tobytes() == frame.u.tobytes() and ut.tobytes() == frame.ut.tobytes()
+
+
 def _stepped_by_hand(spec, grid, u0, t_end, stride):
     """simulate's loop, with a fresh kernel for each CFL bound and each step."""
     frame = StateFrame(0.0, u0, evolution_rhs(spec, grid, u0))
