@@ -14,9 +14,9 @@ toward the plane x = ``x_end``, forward or backward in x; a lone curve is a
 batch of one.  It returns where each curve ended, how many steps it
 accepted and why it stopped, and keeps no other state.  The landing clamp
 divides the gap to the plane by the speed toward it, so in either direction
-the first attempt lands at the starting speed.  The field calls the spec's
-raw callbacks, under their broadcasting layer, and writes their values into
-the rows of an array it owns; a pass sums the stages into reused buffers in
+the first attempt lands at the starting speed.  The field writes the
+values of the spec's evaluators into the rows of an array it owns, which
+broadcasts a constant; a pass sums the stages into reused buffers in
 the order Python's ``sum`` adds them, and filters its batch only after a
 curve stops, so every bit is what the plain expressions give.
 
@@ -144,11 +144,7 @@ _B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0, 277.0 / 1433
 
 
 def _g_rate(spec: ProblemSpec, x, u, p):
-    """dg/dtau on a curve; ``reduced_g`` divides it by the reaction.
-
-    The curve field forms the same sum, in the same order, from the raw
-    callbacks.
-    """
+    """dg/dtau on a curve, the curve field's g row; ``reduced_g`` divides it by the reaction."""
     return -(spec.reaction_dp(x, u, p) + spec.diffusion_coeff_dx(x, u, p)
              + p * spec.diffusion_coeff_du(x, u, p))
 
@@ -194,19 +190,14 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
     array, its number of accepted steps, and its termination as an object
     array.
 
-    The field calls the spec's raw callbacks (each ``_broadcasting``
-    wrapper's ``__wrapped__``, as the solver's kernel does) and writes their
-    values into the rows of a (4, n) array of its own; that assignment
+    The field writes the values of the spec's evaluators into the rows of a
+    (4, n) array of its own, as the solver's kernel does; that assignment
     broadcasts a constant.  A live curve's state is its last accepted row,
     so a row is written out only when its curve stops.  Until a curve stops
     nothing is filtered, and in a pass that accepts every step the
     controller takes only its accept branch.
     """
     system = spec.char_system
-    if system is None:
-        D, R, R_p, D_x, D_u = (getattr(spec, name).__wrapped__ for name in (
-            "diffusion_coeff", "reaction", "reaction_dp", "diffusion_coeff_dx",
-            "diffusion_coeff_du"))
 
     def field(y, stage=False):
         """The field at the columns of ``y``; a start or accepted state must give finite values.
@@ -223,11 +214,10 @@ def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
             for row, value in zip(k, out):
                 row[...] = value
         else:
-            k[0] = D(x, u, p)
+            k[0] = spec.diffusion_coeff(x, u, p)
             np.multiply(k[0], p, out=k[1])
-            k[2] = R(x, u, p)
-            # _g_rate, on the raw callbacks.
-            np.negative(R_p(x, u, p) + D_x(x, u, p) + p * D_u(x, u, p), out=k[3])
+            k[2] = spec.reaction(x, u, p)
+            k[3] = _g_rate(spec, x, u, p)
         if not stage and not np.isfinite(k).all():
             bad = ~np.all(np.isfinite(k), axis=0)
             raise CharacteristicsError(
@@ -436,9 +426,9 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0, method: st
     # Each query's own p, then the seed: the two ends of every path.
     ends = np.append(q, p0)
     with np.errstate(all="ignore"):
-        coef_dx = spec.diffusion_coeff_dx(_X_REF, _U_REF, ends)
-        coef_du = spec.diffusion_coeff_du(_X_REF, _U_REF, ends)
-        rate = _g_rate(spec, _X_REF, _U_REF, ends)
+        coef_dx, coef_du, rate = (np.broadcast_to(value, ends.shape) for value in (
+            spec.diffusion_coeff_dx(_X_REF, _U_REF, ends),
+            spec.diffusion_coeff_du(_X_REF, _U_REF, ends), _g_rate(spec, _X_REF, _U_REF, ends)))
     still = (rate[:-1] == 0.0) & (rate[-1] == 0.0)
     out[still] = g0
     if still.all():
@@ -449,7 +439,7 @@ def reduced_g(spec: ProblemSpec, p, p0: float = 1.0, g0: float = 0.0, method: st
     rest_tol = 1e-13 * (1.0 + abs(f0_seed))
     if abs(f0_seed) <= rest_tol:
         raise ReducedGError(f"the seed gradient p0={p0!r} is a rest point of the reaction")
-    f0 = spec.reaction(_X_REF, _U_REF, q)
+    f0 = np.broadcast_to(spec.reaction(_X_REF, _U_REF, q), q.shape)
     active = ~still & ~(np.abs(f0) <= rest_tol)
     finite = np.isfinite(f0) & np.isfinite(rate[:-1]) & np.isfinite(rate[-1])
     crossing = np.sign(f0) != np.sign(f0_seed)

@@ -304,7 +304,10 @@ def _initial_profile(config, grid: Grid1D) -> np.ndarray:
 
 
 def _write(out_dir: Path, name: str, text: str):
-    (out_dir / name).write_text(text)
+    try:
+        (out_dir / name).write_text(text)
+    except OSError as exc:
+        raise CliError("cli", f"{name}: {exc}") from None
 
 
 def _write_json(out_dir: Path, name: str, payload):
@@ -371,6 +374,10 @@ def _run_simulation(spec, grid, u0, t_end, controls, sink=None):
         return simulate(spec, u0, t_end, grid, controls, sink=sink)
 
 
+# The record after the last frame: a t that the solver never stores.
+_END_RECORD = struct.pack("d", math.nan)
+
+
 class _TrajectoryWriter:
     """The ``simulate`` sink that streams each stored frame to ``_trajectory.py``.
 
@@ -378,10 +385,13 @@ class _TrajectoryWriter:
     that formats ``trajectory.csv.part`` while the solver keeps stepping; it
     gets the node values, then each frame's t, u and u_t as native float64.
     On leaving the ``with`` block the pipe is closed and the writer waited
-    for, whatever happened.  The part file becomes ``trajectory.csv`` only if
-    the solver and the writer both succeeded; otherwise it is removed, and a
-    failed writer is reported with the last line of its stderr.  Whatever
-    else the writer prints is passed on to this process's stderr.
+    for, whatever happened; only a solver that succeeded first sends the end
+    record, a NaN t, without which the writer removes its part file.  So a
+    run that is stopped or killed, by SIGKILL too, leaves no part file.  The
+    part file becomes ``trajectory.csv`` only if the solver and the writer
+    both succeeded; otherwise it is removed, and a failed writer is reported
+    with the last line of its stderr.  Whatever else the writer prints is
+    passed on to this process's stderr.
     """
 
     def __init__(self, path: Path, nodes: np.ndarray):
@@ -423,6 +433,9 @@ class _TrajectoryWriter:
             return False
         # A broken pipe is the writer's own failure, which its stderr explains.
         writer_failed = kind is BrokenPipeError
+        if kind is None:
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.write(_END_RECORD)
         with contextlib.suppress(BrokenPipeError):
             proc.stdin.close()
         message = proc.stderr.read().decode(errors="replace")

@@ -226,7 +226,7 @@ def _exp_g_reaction(lag: Lagrangian, x, u):
 
     def at(xs, us, p):
         with np.errstate(over="ignore", invalid="ignore"):
-            f0 = spec.reaction(xs, us, p)
+            f0 = np.broadcast_to(spec.reaction(xs, us, p), xs.shape)
             gv = np.asarray(lag.g_provider(xs, us, p), dtype=float)
             # A non-finite g covers the genuine 0*inf form: defer to the probe.
             return np.where(np.isfinite(gv), np.exp(gv) * f0, np.nan)

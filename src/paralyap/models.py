@@ -14,11 +14,11 @@ Every equation handled by this package is carried around as a
   only shares its sign.
 
 Evaluators are pure, broadcast over numpy arrays, and can be shared freely
-across threads.  Every spec's evaluators, builtin or hand-built, return the
-broadcast shape of their arguments, and that happens in one place:
-``ProblemSpec.__post_init__`` stores each callback through ``_broadcasting``,
-so a callback may return any value that broadcasts against its arguments, a
-constant included.  Left out, a derivative hook is identically zero and
+across threads.  A spec stores each evaluator exactly as given, and an
+evaluator may return any value that broadcasts against its arguments: an
+array of their broadcast shape, a smaller array, or a Python float.  A
+caller that needs the full shape broadcasts the value itself, and no caller
+writes into a value.  Left out, a derivative hook is identically zero and
 ``rhs`` is ``diffusion_coeff * q - reaction``.
 
 Builtins are built only by :func:`from_descriptor`, from a JSON-compatible
@@ -37,7 +37,6 @@ multiplicative normalization constant, which is the same as fixing ``g0 = 0``
 and the seed gradient at ``ClosedForms.canonical_p0`` (1 for most builtins).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -76,34 +75,6 @@ def _real_pow(base, expo):
 
 def _zero(*args):
     return 0.0
-
-
-def _broadcasting(f):
-    """``f`` with its value given the broadcast shape of its arguments.
-
-    A value that already has that shape comes back unchanged; any other
-    value that broadcasts is copied into a new, writable float array.  When
-    every argument is a scalar the shape is ``()``, so a scalar value stays
-    a scalar.  An array value beside array arguments of its own shape, as in
-    the energy monitor's calls, is returned before the broadcast shape is
-    computed.  The solver and the curve engine skip this layer: they call
-    ``__wrapped__``.  An ``f`` that is already such a layer, as
-    ``dataclasses.replace`` passes back to ``ProblemSpec.__post_init__``, is
-    returned as it is, so a copied spec shares the original's evaluators.
-    """
-
-    @functools.wraps(f)
-    def evaluator(*args):
-        out = f(*args)
-        if isinstance(out, np.ndarray) and all(
-                isinstance(a, np.ndarray) and a.shape == out.shape for a in args):
-            return out
-        shape = np.broadcast(*args).shape
-        if np.shape(out) == shape:
-            return out
-        return np.array(np.broadcast_to(out, shape), dtype=float)
-
-    return f if getattr(f, "__code__", None) is evaluator.__code__ else evaluator
 
 
 def _numeric_du(f):
@@ -182,10 +153,6 @@ class ClosedForms:
     canonical_p0: float = 1.0
 
 
-_EVALUATORS = ("diffusion_coeff", "diffusion_coeff_dx", "diffusion_coeff_du",
-               "reaction", "reaction_dp", "rhs")
-
-
 @dataclass(frozen=True, kw_only=True)
 class ProblemSpec:
     """A fully resolved model: evaluators, boundary conditions, metadata."""
@@ -210,8 +177,6 @@ class ProblemSpec:
         if self.rhs is None:
             D, R = self.diffusion_coeff, self.reaction
             object.__setattr__(self, "rhs", lambda x, u, p, q: D(x, u, p) * q - R(x, u, p))
-        for name in _EVALUATORS:
-            object.__setattr__(self, name, _broadcasting(getattr(self, name)))
 
 
 # ---------------------------------------------------------------------------

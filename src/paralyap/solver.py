@@ -12,8 +12,8 @@ The stencils live on ``_Kernel``, which ``simulate`` builds once per run:
 it resolves the ends and the free (non-Dirichlet) nodes once, and reuses
 its padded-state, u_x, u_xx, u^m, Heun-stage, CFL-gradient and CFL-coefficient
 buffers in every step, while every stored u and u_t is a fresh array.  The
-kernel calls the spec's raw callbacks, not their broadcasting wrappers, and
-writes each value into an array of its own, which broadcasts a constant.
+kernel writes each evaluator's value into an array of its own, which
+broadcasts a constant.
 ``simulate`` builds a ``StateFrame`` only for the frames it keeps.
 ``evolution_rhs`` and the energy monitor's ``_node_derivatives`` build a
 kernel per call and run the same code.
@@ -144,9 +144,9 @@ class _Kernel:
     stage's u_t, updated in place) and a fresh u_t, so nothing a caller keeps
     shares memory with the kernel or with another returned array.
 
-    The kernel calls the raw callbacks that ``ProblemSpec`` wrapped in
-    ``_broadcasting`` (each wrapper's ``__wrapped__``) and writes each value
-    into its own array; that assignment broadcasts a constant value.
+    The kernel writes the value of ``spec.rhs`` and of
+    ``spec.diffusion_coeff`` into its own arrays; that assignment broadcasts
+    a constant value.
 
     The free nodes are the nodes that are not Dirichlet ends.  Only their
     stencils are evaluated: the rhs is 0 at a Dirichlet node, and the energy
@@ -165,8 +165,8 @@ class _Kernel:
         self.robin = tuple((i, d, bc.robin_b) for bc, i, d in ends if bc.kind == "robin")
         self.dirichlet = tuple((i, d) for bc, i, d in ends if bc.kind == "dirichlet")
         self.m = None if spec.divergence_form_m is None else float(spec.divergence_form_m)
-        self.model_rhs = spec.rhs.__wrapped__
-        self.diffusion_coeff = spec.diffusion_coeff.__wrapped__
+        self.model_rhs = spec.rhs
+        self.diffusion_coeff = spec.diffusion_coeff
         lo = int(spec.bc_left.kind == "dirichlet")
         hi = n - int(spec.bc_right.kind == "dirichlet")
         self.free = slice(lo, hi)

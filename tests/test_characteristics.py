@@ -308,11 +308,11 @@ def test_a_non_finite_trial_stage_rejects_the_step():
 
 
 def _reference_curves(spec, starts, controls):
-    """The batch pass as it was before the field wrote raw callbacks into owned rows.
+    """The batch pass as it was before the field wrote its values into owned rows.
 
-    Every pass filters the live curves, broadcasts the wrapped callbacks'
-    values, scans every stage for finiteness, sums the stages with Python's
-    ``sum``, computes both controller branches and writes each accepted row.
+    Every pass filters the live curves, broadcasts the evaluators' values,
+    scans every stage for finiteness, sums the stages with Python's ``sum``,
+    computes both controller branches and writes each accepted row.
     ``_integrate_curves`` must give its end rows, step counts and
     terminations bit for bit.
     """

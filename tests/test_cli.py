@@ -8,6 +8,7 @@ import ast
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -282,10 +283,11 @@ def test_trajectory_writer_holds_one_frame_at_a_time(tmp_path):
     u0 = np.maximum(0.0, 1.0 - 8.0 * (grid.nodes - 0.5) ** 2)
     result = simulate(spec, u0, 2.5e-3, grid, SolverControls(output_stride=16))
     assert len(result) == 199
-    # The writer's input: the nodes, then (t, u, u_t) per frame, native float64.
+    # The writer's input: the nodes, then (t, u, u_t) per frame, native
+    # float64, then the end record.
     source = io.BytesIO(grid.nodes.tobytes() + b"".join(
         np.float64(frame.t).tobytes() + frame.u.tobytes() + frame.ut.tobytes()
-        for frame in result))
+        for frame in result) + np.float64(np.nan).tobytes())
     tracemalloc.start()
     try:
         with open(tmp_path / "trajectory.csv", "w", encoding="ascii") as out:
@@ -390,15 +392,60 @@ def test_the_trajectory_writer_imports_only_the_standard_library():
     assert imported and imported <= sys.stdlib_module_names, imported
 
 
-def test_the_trajectory_writer_removes_its_file_on_a_cut_record(tmp_path):
+# A record cut short, then no frame and two whole frames without the end
+# record: the input of a caller that died inside a frame or between two.
+@pytest.mark.parametrize("floats, got", [(5, 40), (0, 0), (38, 0)])
+def test_the_trajectory_writer_removes_its_file_without_the_end_record(tmp_path, floats, got):
     part = tmp_path / "trajectory.csv.part"
     nodes = np.linspace(0.0, 1.0, 9)
     proc = subprocess.run(
         [sys.executable, "-I", "-S", _trajectory.__file__, "9", str(part)],
-        input=nodes.tobytes() + np.zeros(5).tobytes(), capture_output=True, timeout=60)
+        input=nodes.tobytes() + np.ones(floats).tobytes(), capture_output=True, timeout=60)
     assert proc.returncode == 1
-    assert b"EOFError: input ends inside a record: 40 of 152 bytes" in proc.stderr
+    assert f"EOFError: input ends without the end record: {got} of 152 bytes".encode() in proc.stderr
     assert not part.exists()
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL])
+def test_a_killed_simulate_leaves_no_part_file(tmp_path, signum):
+    # A run of about 26,000 steps on 512 cells still steps when the part
+    # file appears, and at stride 64 the writer keeps up, so the pipe mostly
+    # holds whole records when the CLI dies.  The writer inherits the CLI's
+    # stdout, so that pipe ends only once both processes have exited.
+    root = Path(__file__).resolve().parents[1]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "model": {"model": "porous_medium", "m": 2.0}, "grid": {"n_cells": 512},
+        "time": {"t_end": 0.025, "output_stride": 64}, "initial": {"profile": "bump"}}))
+    out = tmp_path / "run_out"
+    part = out / "trajectory.csv.part"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "paralyap", "simulate", "--config", str(cfg), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not part.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signum)
+        proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signum
+    assert list(out.iterdir()) == []
+
+
+def test_an_artifact_that_cannot_be_written_is_a_cli_error(tmp_path, capsys):
+    out = tmp_path / "run_out"
+    (out / "manifest.json").mkdir(parents=True)
+    code, _ = _run(tmp_path, "simulate", {"model": {"model": "heat"}, "grid": {"n_cells": 16},
+                                          "time": {"t_end": 1e-3, "output_stride": 4}})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cli: manifest.json: [Errno 21] Is a directory"), err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["construct-energy", "simulate", "verify",

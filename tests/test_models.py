@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 
 from paralyap import models
+from paralyap.characteristics import reduced_g, reduced_ode_g, tabulate_g
+from paralyap.energy import energy_trace
+from paralyap.lagrangian import build_lagrangian, eval_L, eval_Lp, eval_Lpp
 from paralyap.models import BoundaryCondition, ProblemSpec, from_descriptor
+from paralyap.solver import Grid1D, SolverControls, simulate
 
 # A sampling box: the range of each of x, u, p and q.
 _Box = namedtuple("_Box", "x u p q", defaults=((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)))
@@ -79,8 +83,9 @@ def _contract_failures(spec, box, n=500, seed=3):
     rng = np.random.default_rng(seed)
     x, u, p, q = (rng.uniform(*r, n) for r in box)
     with np.errstate(all="ignore"):
-        D, R = spec.diffusion_coeff(x, u, p), spec.reaction(x, u, p)
-        ut = spec.rhs(x, u, p, q)
+        # An evaluator may return a constant: each value takes the sample shape.
+        D, R, ut = (np.broadcast_to(v, x.shape) for v in (
+            spec.diffusion_coeff(x, u, p), spec.reaction(x, u, p), spec.rhs(x, u, p, q)))
     f1 = D * q - R
     checks = {
         "finite": np.all(np.isfinite([D, R, ut])),
@@ -95,6 +100,53 @@ def _contract_failures(spec, box, n=500, seed=3):
 def test_every_builtin_satisfies_the_pointwise_contracts():
     for spec, box in _roster():
         assert _contract_failures(spec, box) == [], spec.name
+
+
+def _constant_spec(value):
+    """A hand-built spec whose six evaluators return ``value(args, c)`` for a constant c.
+
+    The left end is Robin, so the density has an l1 part; the model is
+    reducible, so reduced_g integrates its rate against the constant reaction.
+    """
+    return ProblemSpec(
+        name="constant", diffusion_coeff=lambda x, u, p: value((x, u, p), 0.75),
+        diffusion_coeff_dx=lambda x, u, p: value((x, u, p), 0.25),
+        diffusion_coeff_du=lambda x, u, p: value((x, u, p), 0.5),
+        reaction=lambda x, u, p: value((x, u, p), -0.5),
+        reaction_dp=lambda x, u, p: value((x, u, p), 0.0),
+        rhs=lambda x, u, p, q: value((x, u, p, q), 0.5),
+        bc_left=BoundaryCondition.robin(lambda u: 0.25), bc_right=BoundaryCondition.dirichlet(),
+        shared_factor_reducible=True,
+    )
+
+
+def _results_as_bytes(spec):
+    """The bytes of each result that reads the evaluators, from every consumer."""
+    grid = Grid1D(8)
+    result = simulate(spec, np.sin(np.pi * grid.nodes), 1e-3, grid, SolverControls(4))
+    ps = np.linspace(0.5, 2.0, 4)
+    lag = build_lagrangian(spec, tabulate_g(spec), quad_tol=1e-6)
+    # A g of p alone answers the base point with a scalar.
+    reduced = build_lagrangian(spec, reduced_ode_g(spec), quad_tol=1e-6)
+    x, u, p = np.meshgrid([0.25, 0.75], [0.25, 1.0], ps, indexing="ij")
+    trace = energy_trace(lag, result, grid)
+    values = [
+        *(v for frame in result for v in (frame.t, frame.u, frame.ut)),
+        tabulate_g(spec)(x, u, p), reduced_g(spec, ps), reduced_g(spec, 1.5),
+        eval_L(lag, x, u, p), eval_Lp(lag, x, u, p), eval_Lpp(lag, x, u, p),
+        eval_L(reduced, x, u, p),
+        trace.times, trace.E, trace.dEdt_measured, trace.dEdt_formula, trace.mask_fraction,
+    ]
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def test_evaluators_that_return_python_floats_give_the_bits_of_full_arrays():
+    # Any value that broadcasts against the arguments is an evaluator's
+    # value; each consumer broadcasts it where it needs the full shape.
+    floats = _constant_spec(lambda args, c: c)
+    arrays = _constant_spec(lambda args, c: np.full(np.broadcast(*args).shape, c))
+    assert isinstance(floats.reaction(np.zeros(3), 0.0, np.ones(3)), float)
+    assert _results_as_bytes(floats) == _results_as_bytes(arrays)
 
 
 def test_rho_poly_evaluators():
@@ -275,7 +327,6 @@ def test_descriptor_keys_that_nothing_reads_are_refused(descriptor, message):
 def test_the_contract_checks_reject_a_broken_model():
     good = from_descriptor({"model": "heat"})
     # Reverse the evolution so that it runs against the decay weight.
-    import dataclasses
     bad = dataclasses.replace(good, rhs=lambda x, u, p, q: -(good.diffusion_coeff(x, u, p) * q
                                                              - good.reaction(x, u, p)))
     assert _contract_failures(bad, _Box()) == ["f1_sign"]
@@ -334,80 +385,6 @@ def test_derivative_hooks_match_central_differences(index):
             hook(*args), _central(f, args, k), rtol=1e-6, atol=1e-6,
             err_msg=f"{spec.name}: {hook.__qualname__}",
         )
-
-
-@pytest.mark.parametrize("index", range(len(_roster())))
-def test_evaluators_return_the_broadcast_shape(index):
-    spec, box = _roster()[index]
-    mid = [0.5 * (lo + hi) for lo, hi in box]
-    column = lambda k: np.linspace(*box[k], 3)
-    cases = [((), {})]  # all scalars
-    cases += [((3,), {k: column(k)}) for k in range(4)]  # one array
-    cases.append(((3, 4), {0: column(0)[:, None], 2: np.linspace(*box.p, 4)}))  # mixed
-    for shape, arrays in cases:
-        args = [arrays.get(k, mid[k]) for k in range(4)]
-        for name, n_args in (
-            ("diffusion_coeff", 3), ("diffusion_coeff_dx", 3), ("diffusion_coeff_du", 3),
-            ("reaction", 3), ("reaction_dp", 3), ("rhs", 4),
-        ):
-            if max(arrays, default=-1) >= n_args:
-                continue
-            out = getattr(spec, name)(*args[:n_args])
-            assert np.shape(out) == shape, f"{spec.name}.{name} on {sorted(arrays)}"
-
-
-@pytest.mark.parametrize("index", range(len(_roster())))
-def test_evaluators_return_fresh_arrays(index):
-    spec, box = _roster()[index]
-    rng = np.random.default_rng(index)
-    args = [rng.uniform(*r, 4) for r in box]
-    kept = [a.copy() for a in args]
-    for name, n_args in (
-        ("diffusion_coeff", 3), ("diffusion_coeff_dx", 3), ("diffusion_coeff_du", 3),
-        ("reaction", 3), ("reaction_dp", 3), ("rhs", 4),
-    ):
-        out = getattr(spec, name)(*args[:n_args])
-        assert not any(np.shares_memory(out, a) for a in args), f"{spec.name}.{name}"
-        out[...] = 7.0
-        for a, k in zip(args, kept):
-            np.testing.assert_array_equal(a, k, err_msg=f"{spec.name}.{name}")
-
-
-def test_an_array_of_the_arguments_shape_comes_back_as_the_same_object(monkeypatch):
-    # Array arguments of the value's shape: the value is already the
-    # broadcast shape, so the layer returns it without a copy.
-    value = np.full(5, 2.0)
-    spec = ProblemSpec(name="hand_built", diffusion_coeff=lambda x, u, p: value,
-                       reaction=lambda x, u, p: 0.0, bc_left=BoundaryCondition.dirichlet(),
-                       bc_right=BoundaryCondition.dirichlet())
-    x, u, p = (np.linspace(0.0, 1.0, 5) for _ in range(3))
-    # A scalar argument takes the broadcast path, which also keeps a value of the right shape.
-    assert spec.diffusion_coeff(x, 0.5, p) is value
-
-    # All arguments arrays of the value's shape, as the energy monitor passes
-    # them: the value returns before the broadcast shape is computed.
-    def no_broadcast(*args):
-        raise AssertionError("computed the broadcast shape")
-
-    monkeypatch.setattr(np, "broadcast", no_broadcast)
-    assert spec.diffusion_coeff(x, u, p) is value
-
-
-@pytest.mark.parametrize("index", range(len(_roster())))
-def test_each_evaluator_is_one_broadcasting_layer_over_its_callback(index):
-    # An untraced spec keeps exactly one wrapper between a caller and the
-    # callback, so the solver's kernel and the curve field, which call each
-    # ``__wrapped__``, reach the callback itself.  A dataclasses.replace
-    # copy reruns __post_init__, which keeps each layer as it is.
-    spec, _ = _roster()[index]
-    copy = dataclasses.replace(spec, name="copy")
-    layer = models._broadcasting(models._zero).__code__
-    for name in ("diffusion_coeff", "diffusion_coeff_dx", "diffusion_coeff_du",
-                 "reaction", "reaction_dp", "rhs"):
-        evaluator = getattr(spec, name)
-        assert evaluator.__code__ is layer, f"{spec.name}.{name}"
-        assert evaluator.__wrapped__.__code__ is not layer, f"{spec.name}.{name}"
-        assert getattr(copy, name) is evaluator, f"{spec.name}.{name}"
 
 
 @pytest.mark.parametrize("expo", [0, 1, 2, 3.0, 4, 7.0])

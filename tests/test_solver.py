@@ -300,7 +300,7 @@ def test_simulate_is_the_public_step_loop_bit_for_bit(desc, profile):
 
 
 def _reference_rhs(spec, grid, u):
-    """du/dt by plain expressions: ghost nodes, 3-point stencils, the wrapped spec.rhs."""
+    """du/dt by plain expressions: ghost nodes, 3-point stencils, spec.rhs."""
     dx, x, n = grid.dx, grid.nodes, len(u)
     up = np.concatenate(([0.0], u, [0.0]))
     p = np.zeros(n)
@@ -348,19 +348,21 @@ def _reference_heun(spec, grid, u0, t_end, stride):
 
 
 def _constant_coefficient_spec():
-    # Raw callbacks that return Python floats: the kernel must broadcast them.
+    # Evaluators that return Python floats: the kernel must broadcast them.
     neumann, dirichlet = models.BoundaryCondition.neumann(), models.BoundaryCondition.dirichlet()
     return models.ProblemSpec(name="constant", diffusion_coeff=lambda x, u, p: 1.0,
                               reaction=lambda x, u, p: 0.0, bc_left=neumann, bc_right=dirichlet)
 
 
 def _replaced_spec():
-    # dataclasses.replace reruns __post_init__, which keeps each evaluator
-    # that is already a broadcasting layer, so the copy shares them.
+    # dataclasses.replace reruns __post_init__, which stores each evaluator
+    # as given, so the copy shares them.
     spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0,
                                    "bc": [_robin(1.0), "dirichlet"]})
     copy = dataclasses.replace(spec, name="copy")
-    assert all(getattr(copy, name) is getattr(spec, name) for name in models._EVALUATORS)
+    assert all(getattr(copy, name) is getattr(spec, name) for name in (
+        "diffusion_coeff", "diffusion_coeff_dx", "diffusion_coeff_du", "reaction",
+        "reaction_dp", "rhs"))
     return copy
 
 
@@ -381,8 +383,8 @@ _REFERENCE_CASES = {
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
 def test_simulate_matches_the_plain_reference_loop_bit_for_bit(case):
     # The reference shares no code with the kernel: it builds each stage and
-    # power with plain expressions and calls the wrapped callbacks, so a
-    # kernel that reuses buffers or calls raw callbacks must keep every bit.
+    # power with plain expressions, so a kernel that reuses buffers must keep
+    # every bit.
     desc, profile = _REFERENCE_CASES[case]
     spec = desc() if callable(desc) else models.from_descriptor(desc)
     grid = Grid1D(32)
