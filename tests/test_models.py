@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from paralyap import models
-from paralyap.characteristics import reduced_g, reduced_ode_g, tabulate_g
+from paralyap.characteristics import GProvider, reduced_g, reduced_ode_g, tabulate_g
 from paralyap.energy import energy_trace
 from paralyap.lagrangian import build_lagrangian, eval_L, eval_Lp, eval_Lpp
 from paralyap.models import BoundaryCondition, ProblemSpec, from_descriptor
@@ -385,6 +385,96 @@ def test_derivative_hooks_match_central_differences(index):
             hook(*args), _central(f, args, k), rtol=1e-6, atol=1e-6,
             err_msg=f"{spec.name}: {hook.__qualname__}",
         )
+
+
+# Each evaluator and the number of arguments it takes.
+_EVALUATOR_ARITY = (("diffusion_coeff", 3), ("diffusion_coeff_dx", 3), ("diffusion_coeff_du", 3),
+                    ("reaction", 3), ("reaction_dp", 3), ("rhs", 4))
+
+
+@pytest.mark.parametrize("index", range(len(_roster())))
+def test_evaluator_values_broadcast_against_their_arguments(index):
+    spec, box = _roster()[index]
+    mid = [0.5 * (lo + hi) for lo, hi in box]
+    column = lambda k: np.linspace(*box[k], 3)
+    cases = [((), {})]  # all scalars
+    cases += [((3,), {k: column(k)}) for k in range(4)]  # one array
+    cases.append(((3, 4), {0: column(0)[:, None], 2: np.linspace(*box.p, 4)}))  # mixed
+    for shape, arrays in cases:
+        args = [arrays.get(k, mid[k]) for k in range(4)]
+        for name, n_args in _EVALUATOR_ARITY:
+            if max(arrays, default=-1) >= n_args:
+                continue
+            out = getattr(spec, name)(*args[:n_args])
+            # A constant or a smaller array is a value; it must take the
+            # arguments' shape when broadcast, and never widen it.
+            assert np.broadcast_shapes(np.shape(out), shape) == shape, \
+                f"{spec.name}.{name} on {sorted(arrays)}"
+
+
+@pytest.mark.parametrize("index", range(len(_roster())))
+def test_each_evaluator_is_stored_as_given(index):
+    # No layer sits between a caller and a callback: a spec keeps the object
+    # that it is given, a dataclasses.replace copy keeps each evaluator, and
+    # what the callback returns reaches the caller as the same object.
+    spec, box = _roster()[index]
+    copy = dataclasses.replace(spec, name="copy")
+    args = [np.linspace(*r, 3) for r in box]
+    for name, n_args in _EVALUATOR_ARITY:
+        evaluator = getattr(spec, name)
+        assert getattr(copy, name) is evaluator, f"{spec.name}.{name}"
+        assert not hasattr(evaluator, "__wrapped__"), f"{spec.name}.{name}"
+        value = np.asarray(evaluator(*args[:n_args]), dtype=float)
+        given = lambda *a, value=value: value
+        assert getattr(dataclasses.replace(spec, **{name: given}), name) is given
+        assert getattr(dataclasses.replace(spec, **{name: given}), name)(*args[:n_args]) is value
+
+
+def _read_only(evaluator):
+    """``evaluator`` with each array value handed out as a read-only view."""
+    def read_only(*args):
+        value = evaluator(*args)
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.flags.writeable = False
+        return value
+    return read_only
+
+
+def _consumer_results_as_bytes(spec, box):
+    """The bytes of every consumer's result on a small problem inside ``box``.
+
+    The density is built from g = 0, which every model can integrate: the
+    check is of what the consumers do with the evaluators' values.
+    """
+    grid = Grid1D(8)
+    lo, hi = box.u
+    u0 = lo + (hi - lo) * np.sin(0.5 * np.pi * grid.nodes) ** 2
+    result = simulate(spec, u0, 1e-3, grid, SolverControls(4))
+    zero_g = GProvider("tabulated", None, 0.0,
+                       lambda x, u, p: np.zeros(np.broadcast(x, u, p).shape))
+    lag = build_lagrangian(spec, zero_g, quad_tol=1e-6)
+    x, u, p = np.meshgrid([0.25, 0.75], np.linspace(*box.u, 2), [0.5, 1.0], indexing="ij")
+    trace = energy_trace(lag, result, grid)
+    values = [
+        *(v for frame in result for v in (frame.t, frame.u, frame.ut)),
+        tabulate_g(spec)(x, u, p), eval_L(lag, x, u, p), eval_Lp(lag, x, u, p),
+        trace.E, trace.dEdt_formula,
+    ]
+    if spec.shared_factor_reducible:
+        values.append(reduced_g(spec, np.array([0.5, 1.5])))
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("index", range(len(_roster())))
+def test_no_consumer_writes_into_an_evaluator_value(index):
+    # Writing into a read-only value raises, so each consumer either leaves
+    # the value alone or broadcasts it into an array of its own.
+    spec, box = _roster()[index]
+    twin = dataclasses.replace(
+        spec, **{name: _read_only(getattr(spec, name)) for name, _ in _EVALUATOR_ARITY})
+    with np.errstate(all="ignore"):
+        assert _consumer_results_as_bytes(twin, box) == _consumer_results_as_bytes(spec, box)
 
 
 @pytest.mark.parametrize("expo", [0, 1, 2, 3.0, 4, 7.0])
