@@ -1,7 +1,9 @@
 """Command-line contract: files, exit codes, reproducibility.
 
 Each run goes through ``main`` in-process with a JSON config in a temp
-directory, exactly as a shell invocation would.
+directory, exactly as a shell invocation would.  A check that needs its own
+interpreter starts it through ``start_python`` or ``run_python``, here and in
+``test_cli_process.py``.
 """
 
 import ast
@@ -27,12 +29,38 @@ from paralyap.quadrature import QuadratureError
 from paralyap.solver import Grid1D, SolverControls, SolverError, simulate
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def _run(tmp_path, command, config, name="run", extra=()):
     cfg = tmp_path / f"{name}.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / f"{name}_out"
     code = main([command, "--config", str(cfg), "--out", str(out), *extra])
     return code, out
+
+
+def start_python(*args, threads=None, **popen):
+    """Start ``python *args`` with this checkout's ``src`` as its PYTHONPATH.
+
+    ``threads`` sets the BLAS and OpenMP thread counts; ``args`` may begin
+    with interpreter options such as ``-W error`` or ``-X dev``.
+    """
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    if threads is not None:
+        env |= {"OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+    return subprocess.Popen([sys.executable, *args], env=env, text=True, **popen)
+
+
+def run_python(*args, threads=None, timeout=120):
+    """Run ``python *args`` as ``start_python`` does, and capture its output."""
+    with start_python(*args, threads=threads,
+                      stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        finally:
+            proc.kill()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 def _read_json(path):
@@ -123,7 +151,7 @@ def test_catalog_smoke_test_and_readme_list_every_family():
     # documented in README's "Built-in models" table.
     families = set(models._FAMILIES)
     assert {d["model"] for d in _CATALOG} == families
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     table = readme.split("## Built-in models", 1)[1].split("\n\n", 2)[1]
     rows = [line for line in table.splitlines() if line.startswith("| `")]
     assert {row.split("`")[1] for row in rows} == families
@@ -133,7 +161,7 @@ def test_catalog_smoke_test_and_readme_list_every_family():
 def test_readme_configs_pass_the_settings_rules(tmp_path):
     # README pairs its first JSON config with construct-energy and its second
     # with verify; a documented key that the CLI refuses fails here.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     blocks = [part.split("```", 1)[0] for part in readme.split("```json\n")[1:]]
     assert len(blocks) == 2
     for command, block in zip(("construct-energy", "verify"), blocks):
@@ -146,7 +174,7 @@ def test_readme_configs_pass_the_settings_rules(tmp_path):
 def test_readme_python_blocks_run_in_order():
     # The quick start, the provider swap, the hand-built spec and the
     # Filtration example, run as one session in the order a reader meets them.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
     assert len(blocks) == 4
     namespace = {}
@@ -406,30 +434,28 @@ def test_the_trajectory_writer_removes_its_file_without_the_end_record(tmp_path,
     assert not part.exists()
 
 
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL])
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
 def test_a_killed_simulate_leaves_no_part_file(tmp_path, signum):
     # A run of about 26,000 steps on 512 cells still steps when the part
     # file appears, and at stride 64 the writer keeps up, so the pipe mostly
     # holds whole records when the CLI dies.  The writer inherits the CLI's
-    # stdout, so that pipe ends only once both processes have exited.
-    root = Path(__file__).resolve().parents[1]
+    # stdout, so that pipe ends only once both processes have exited, which
+    # must take at most 5 s.
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
         "model": {"model": "porous_medium", "m": 2.0}, "grid": {"n_cells": 512},
         "time": {"t_end": 0.025, "output_stride": 64}, "initial": {"profile": "bump"}}))
     out = tmp_path / "run_out"
     part = out / "trajectory.csv.part"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "paralyap", "simulate", "--config", str(cfg), "--out", str(out)],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    proc = start_python("-m", "paralyap", "simulate", "--config", str(cfg), "--out", str(out),
+                        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 60.0
         while not part.exists():
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.005)
         proc.send_signal(signum)
-        proc.communicate(timeout=60)
+        proc.communicate(timeout=5)
     finally:
         proc.kill()
         proc.wait()
@@ -500,6 +526,7 @@ def test_verify_adds_the_conventional_pair_for_divergence_models(tmp_path, capsy
     assert std["monotone"] is True
 
 
+@pytest.mark.filterwarnings("error")
 def test_verify_exits_1_when_the_energy_rises(tmp_path, capsys):
     # The constructed energy of porous_medium m = 2 rises on the default sin
     # profile: monotonicity fails, and that outranks a consistency warning.
@@ -783,10 +810,23 @@ _INVERSE_MCF = {"model": {"model": "inverse_mcf"}, "compare": _SMALL_COMPARE}
     ("construct-energy", {"model": {"model": "heat", "bc": [
         {"kind": "robin", "b": {"kind": "linear", "slope": True}}, "dirichlet"]}},
      "error: models: slope must be a finite number, got True\n"),
+    # Not finite, or a tolerance that is not positive.
+    ("construct-energy", {"lagrangian": {"quad_tol": "nan"}},
+     "error: lagrangian: lagrangian.quad_tol: must be finite and > 0"),
+    ("construct-energy", {"grid_dump": {"x": ["nan"]}},
+     "error: cli: grid_dump.x: must be a nonempty list of finite numbers"),
+    ("construct-energy", {"normalization": {"g0": "-inf"}},
+     "error: characteristics: normalization.g0: must be finite"),
+    # A removed section, and a setting that only a documented variant reads.
+    ("verify", {"char_controls": {"tol": 1e-9}}, "error: cli: unknown settings ['char_controls']"),
+    ("compare-closed-form", {"compare": {"lpp_check": {"h": 0.01}}},
+     "error: cli: settings ['compare.lpp_check.h'] are not read by model 'heat'"),
 ], ids=["initial-typo", "normalization-typo", "dump-u-typo", "compare-typo", "lpp_check-typo",
         "t_end-string", "dump-u-n-string", "dump-u-n-0", "lpp_check-h-inf", "p_base-nan",
         "t_end-true", "p_base-true", "dump-u-n-true", "dump-x-true", "n_cells-fraction",
-        "stride-fraction", "m-true", "robin-slope-true"])
+        "stride-fraction", "m-true", "robin-slope-true", "quad_tol-nan", "dump-x-nan",
+        "g0-minus-inf", "char_controls", "heat-lpp_check-h"])
+@pytest.mark.filterwarnings("error")
 def test_bad_settings_name_the_stage_and_the_key(tmp_path, capsys, command, override, expected):
     code, _ = _run(tmp_path, command, {**_small(command), **override})
     assert code == 1
@@ -829,6 +869,7 @@ _ROBIN_HEAT = {"model": "heat",
      "error: cli: settings ['compare.lpp_check.h', 'compare.lpp_check.n'] are not read by "
      "model 'heat', which documents no variant\n"),
 ], ids=["tabulated-p0", "heat-lpp_check"])
+@pytest.mark.filterwarnings("error")
 def test_settings_that_the_model_or_mode_does_not_read_are_refused(
         tmp_path, capsys, command, override, unread, expected):
     code, _ = _run(tmp_path, command, {**_small(command), **override, **unread})
@@ -885,7 +926,6 @@ def test_manifest_records_every_resolved_default(tmp_path):
 def test_benchmark_launcher_runs_a_traced_verify(tmp_path):
     # perfbench/launch.py and perfbench/tracer.py bind CLI and module
     # functions by name; a rename that breaks them must fail here.
-    root = Path(__file__).resolve().parents[1]
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
         "model": {"model": "heat",
@@ -895,12 +935,9 @@ def test_benchmark_launcher_runs_a_traced_verify(tmp_path):
         "time": {"t_end": 0.004, "output_stride": 8},
     }))
     marks, trace = tmp_path / "marks.json", tmp_path / "trace.npz"
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "launch.py"), str(marks), str(trace),
-         "verify", "--config", str(cfg), "--out", str(tmp_path / "out"), "--workers", "1"],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True, text=True, timeout=300,
-    )
+    proc = run_python(str(ROOT / "perfbench" / "launch.py"), str(marks), str(trace),
+                      "verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                      "--workers", "1", timeout=300)
     # 2: the consistency warning of a sine profile that misses the Robin condition.
     assert proc.returncode == 2, proc.stderr
     assert "setup_end" in _read_json(marks)
@@ -910,7 +947,6 @@ def test_benchmark_launcher_runs_a_traced_verify(tmp_path):
 def test_importing_the_cli_loads_no_scipy(tmp_path):
     # A blocked scipy makes any scipy import fail, so a tabulated verify that
     # runs to its verdict shows that NumPy alone runs every g mode.
-    root = Path(__file__).resolve().parents[1]
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
         "model": {"model": "heat",
@@ -925,11 +961,7 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
         "from paralyap.cli import main",
         f"raise SystemExit(main(['verify', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]))",
     ])
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python("-c", script, timeout=120)
     # 2: the consistency warning of a sine profile that misses the Robin condition.
     assert proc.returncode == 2, proc.stderr
     assert "consistency" in proc.stderr
@@ -940,7 +972,6 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
 def test_a_run_leaves_its_import_time_heap_frozen(tmp_path):
     # main freezes what the imports built, so the collections at shutdown
     # skip it: after a run the collector tracks only a small remainder.
-    root = Path(__file__).resolve().parents[1]
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"model": {"model": "heat"}, "grid_dump": _SMALL_DUMP}))
     script = "\n".join([
@@ -949,11 +980,7 @@ def test_a_run_leaves_its_import_time_heap_frozen(tmp_path):
         f"code = main(['construct-energy', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])",
         "print(code, len(gc.get_objects()), gc.get_freeze_count())",
     ])
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python("-c", script, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, tracked, frozen = map(int, proc.stdout.split())
     assert code == 0
@@ -962,18 +989,13 @@ def test_a_run_leaves_its_import_time_heap_frozen(tmp_path):
 
 def test_importing_the_package_loads_no_submodule_and_no_numpy():
     # The package holds only __version__: every name comes from a submodule.
-    root = Path(__file__).resolve().parents[1]
     script = "\n".join([
         "import sys",
         "import paralyap",
         "loaded = sorted(m for m in sys.modules if m.startswith('paralyap.') or m == 'numpy')",
         "print(loaded, sorted(n for n in vars(paralyap) if not n.startswith('__')))",
     ])
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = run_python("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[] []\n"
 
@@ -997,6 +1019,7 @@ def test_tabulated_metadata_is_strict_json(tmp_path):
     assert side["provider"] == {"variant": "tabulated", "extrapolations": 0}
 
 
+@pytest.mark.filterwarnings("error")
 def test_traced_curves_that_run_out_of_tau_are_counted(tmp_path):
     # rho_laplacian_poly (3, 2) moves x at speed 2|p|.  The probe of g near
     # p = 0 queries p = 1e-4 and 1e-3 at x = 0.5, whose curves run out of
@@ -1067,6 +1090,7 @@ def test_initial_profile_from_csv(tmp_path):
     ("bump", {}, {"k": True}),
     ("csv", {"path": "profile.csv"}, {"amplitude": 2.0, "sharpness": 1.0}),
 ], ids=["zero", "sin", "shifted_sin", "ramp_sin", "bump", "bump-boolean", "csv"])
+@pytest.mark.filterwarnings("error")
 def test_initial_keys_that_the_profile_does_not_read_are_refused(tmp_path, capsys, monkeypatch,
                                                                   profile, own, stray):
     monkeypatch.chdir(tmp_path)
