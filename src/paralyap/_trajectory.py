@@ -48,8 +48,8 @@ def write_trajectory(source, n, out):
     while not _ended(record := source.read(size), size):
         values = memoryview(record).cast("d").tolist()
         t = repr(values[0])
-        out.write("".join(f"{t},{xi},{ui!r},{uti!r}\n"
-                          for xi, ui, uti in zip(x, values[1:n + 1], values[n + 1:])))
+        u, ut = map(float.__repr__, values[1:n + 1]), map(float.__repr__, values[n + 1:])
+        out.write("".join(f"{t},{xi},{ui},{uti}\n" for xi, ui, uti in zip(x, u, ut)))
 
 
 def main(argv):

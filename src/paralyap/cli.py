@@ -482,12 +482,11 @@ def cmd_verify(config, out_dir: Path) -> int:
     payload = report.to_dict()
     m = spec.divergence_form_m
     if m is not None:
-        dual = [standard_pme_energy(f, float(m), grid) for f in result]
-        E = [d["E"] for d in dual]
+        dual = standard_pme_energy(result.u, float(m), grid)
         payload["standard_energy"] = {
-            "E": E,
-            "dEdt": [d["dEdt"] for d in dual],
-            "monotone": not _rises(E).size,
+            "E": dual["E"].tolist(),
+            "dEdt": dual["dEdt"].tolist(),
+            "monotone": not _rises(dual["E"]).size,
         }
     _write_csv(out_dir, "energy_trace.csv",
                ("t", "E", "dEdt_measured", "dEdt_formula", "dEdt_model", "mask_fraction"),

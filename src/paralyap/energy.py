@@ -25,7 +25,8 @@ frame's stencil is taken once, and ``eval_L`` and the g provider are called
 once per block of at most ``_BLOCK_POINTS`` points.  A block may split a
 frame, since a point's value depends only on that point (``eval_L`` refines
 each point's quadrature alone, a provider answers each query alone, and the
-model callbacks act elementwise); masks and Simpson sums then run per frame.
+model callbacks act elementwise); masks and Simpson sums then act on each
+frame's row of the stack.
 So each column equals, bit for bit, the one-frame ``energy_of_frame`` and
 ``decay_formula``, the same kernel on one frame.  The cap bounds peak memory;
 a whole-trace batch is no faster.
@@ -36,9 +37,10 @@ so nodes whose |u_x| is below 1e-6 of the frame's largest are masked too.
 The Lagrangian's probe of g near p = 0 makes that call (its
 ``singular_weight``); the spec declares nothing.  The masked fraction is
 the share of sum |u_t| that falls on masked nodes (a node at rest, such as
-one ahead of a free boundary, weighs nothing); ``verify_decay`` checks
-consistency only at frames whose masked fraction is at most
-``mask_reliable``.
+one ahead of a free boundary, weighs nothing).  ``verify_decay`` judges a
+trace by one rule whose tolerances are fixed: E rises at most 1e-8 (1 + |E|)
+a step, and at frames masked at most 0.1, measured and predicted dE/dt agree
+to 0.05 (1 + |predicted|).
 """
 
 from collections import namedtuple
@@ -63,8 +65,10 @@ __all__ = [
 ]
 
 _GRAD_EPS_REL = 1e-6
-# How far, relative to 1 + |E|, one step of an energy series may rise.
+# verify's fixed tolerances; verify_decay says what each one bounds.
 _TOL_MONO = 1e-8
+_TOL_CONSISTENCY = 0.05
+_MASK_RELIABLE = 0.1
 # The most points that one eval_L call or one g-provider call of a trace takes.
 _BLOCK_POINTS = 2048
 
@@ -74,10 +78,10 @@ def _simpson(y: np.ndarray, dx: float):
 
     With an even node count, Simpson covers the first n-1 nodes and the last
     interval gets the equal-spacing correction of scipy >= 1.11 (Cartwright):
-    +5dx/12 y[-1] + 2dx/3 y[-2] - dx/12 y[-3].  A 1-D ``y`` gives a float, a
-    stack of rows an array with one value per row.  Each row is summed alone
-    by ``np.sum``, not by a BLAS dot, so its value depends neither on the
-    other rows nor on the thread count.
+    +5dx/12 y[-1] + 2dx/3 y[-2] - dx/12 y[-3].  Each row of ``y`` gives one
+    value: ``np.sum`` over the last axis adds a row's terms as it adds that
+    row alone, not by a BLAS dot, so a value depends neither on the other
+    rows nor on the thread count.
     """
     n = np.shape(y)[-1]
     m = n if n % 2 else n - 1
@@ -88,10 +92,7 @@ def _simpson(y: np.ndarray, dx: float):
     w *= dx / 3.0
     if m < n:
         w[-3:] += dx / 12.0 * np.array([-1.0, 8.0, 5.0])
-    terms = w * y
-    if terms.ndim == 1:
-        return float(np.sum(terms))
-    return np.array([np.sum(row) for row in terms])
+    return np.sum(w * y, axis=-1)
 
 
 # Frames as (frames, nodes) arrays, with the solver's u_x (p) and u_xx (q).
@@ -193,19 +194,18 @@ def energy_trace(lag: Lagrangian, result: SimulationResult, grid: Grid1D) -> Ene
     return EnergyTrace(s.t, E, measured, formula, model, shares)
 
 
-def standard_pme_energy(frame: StateFrame, m: float, grid: Grid1D) -> dict:
-    """The conventional porous-medium pair: E = int |u|^(m+1)/(m+1), its decay."""
-    u_abs = np.abs(frame.u)
+def standard_pme_energy(u: np.ndarray, m: float, grid: Grid1D) -> dict:
+    """The conventional porous-medium pair, E = int |u|^(m+1)/(m+1) and its decay, per row of u."""
+    u_abs = np.abs(u)
     E = _simpson(u_abs ** (m + 1.0) / (m + 1.0), grid.dx)
     w = u_abs ** m
-    wx = np.gradient(w, grid.dx, edge_order=2)
+    wx = np.gradient(w, grid.dx, axis=-1, edge_order=2)
     return {"E": E, "dEdt": -_simpson(wx * wx, grid.dx)}
 
 
-def _rises(E, tol_mono: float = _TOL_MONO) -> np.ndarray:
-    """The steps k at which E[k + 1] exceeds E[k] by more than tol_mono * (1 + |E[k]|)."""
-    E = np.asarray(E, dtype=float)
-    return np.flatnonzero(E[1:] > E[:-1] + tol_mono * (1.0 + np.abs(E[:-1])))
+def _rises(E) -> np.ndarray:
+    """The steps k at which E[k + 1] exceeds E[k] by more than _TOL_MONO * (1 + |E[k]|)."""
+    return np.flatnonzero(E[1:] > E[:-1] + _TOL_MONO * (1.0 + np.abs(E[:-1])))
 
 
 @dataclass
@@ -239,34 +239,32 @@ class VerifyReport:
         }
 
 
-def verify_decay(trace: EnergyTrace, tol_mono: float = _TOL_MONO,
-                 tol_consistency: float = 0.05,
-                 mask_reliable: float = 0.1) -> VerifyReport:
-    """Check the decay contract on a trace.
+def verify_decay(trace: EnergyTrace) -> VerifyReport:
+    """Check the decay contract on a trace, at the module's fixed tolerances.
 
-    Monotonicity: each E step may rise at most tol_mono * (1 + |E|) (``_rises``).
-    Consistency: at interior times whose masked fraction is below
-    ``mask_reliable``, measured and predicted dE/dt must agree to
-    tol_consistency * (1 + |predicted|).  A trace in which no interior time
+    Monotonicity: each E step may rise at most _TOL_MONO * (1 + |E|) (``_rises``).
+    Consistency: at interior times whose masked fraction is at most
+    _MASK_RELIABLE, measured and predicted dE/dt must agree to
+    _TOL_CONSISTENCY * (1 + |predicted|).  A trace in which no interior time
     is reliable does not pass consistency.
     """
     if len(trace) < 3:
         raise ValueError("a trace needs at least 3 times to verify")
     E, t, measured, formula = trace.E, trace.times, trace.dEdt_measured, trace.dEdt_formula
     mono = [{"index": int(k), "t": float(t[k + 1]), "E_before": float(E[k]),
-             "E_after": float(E[k + 1])} for k in _rises(E, tol_mono)]
+             "E_after": float(E[k + 1])} for k in _rises(E)]
     interior = np.arange(1, len(trace) - 1)
-    checked = interior[~(trace.mask_fraction[interior] > mask_reliable)]
+    checked = interior[~(trace.mask_fraction[interior] > _MASK_RELIABLE)]
     rel = np.abs(measured[checked] - formula[checked]) / (1.0 + np.abs(formula[checked]))
     cons = [{"index": int(k), "t": float(t[k]), "measured": float(measured[k]),
              "formula": float(formula[k]), "relative_error": float(r)}
-            for k, r in zip(checked, rel) if r > tol_consistency]
+            for k, r in zip(checked, rel) if r > _TOL_CONSISTENCY]
     return VerifyReport(
         n_times=len(trace),
         monotonicity_violations=mono,
         consistency_violations=cons,
         # fmax passes over a nan error, which is no violation either.
         max_consistency_error=float(np.fmax.reduce(rel, initial=0.0)),
-        unreliable_fraction=float(np.mean(trace.mask_fraction > mask_reliable)),
+        unreliable_fraction=float(np.mean(trace.mask_fraction > _MASK_RELIABLE)),
         checked_frames=len(checked),
     )

@@ -122,6 +122,11 @@ class SimulationResult:
     def __iter__(self):
         return iter(self.frames)
 
+    @property
+    def u(self) -> np.ndarray:
+        """Every stored state, as one (frames, nodes) array."""
+        return np.array([f.u for f in self.frames], dtype=float)
+
 
 def _degenerate_power(u: np.ndarray, m: float, out: np.ndarray) -> np.ndarray:
     """max(u, 0)**m into ``out``, bitwise equal to ``np.maximum(u, 0.0) ** m``."""
@@ -232,19 +237,16 @@ class _Kernel:
             self._second_difference(_degenerate_power(self.used, self.m, self.power), ut[free])
         return ut
 
-    def step(self, t: float, u: np.ndarray, dt: float,
-             k1: Optional[np.ndarray] = None) -> tuple:
+    def step(self, t: float, u: np.ndarray, dt: float, k1: np.ndarray) -> tuple:
         """One Heun update from (t, u): the new (t, u, u_t), a ``StateFrame``'s fields.
 
-        ``k1`` may reuse the rhs already stored at u; neither u nor k1 is
-        written.  The stage u + dt k1 goes into the stage buffer, and the
-        update u + dt/2 (k1 + k2) is made in place on the fresh k2, so the new
-        state owns its array.  IEEE addition and multiplication commute, so
+        ``k1`` is the rhs at u, as the previous step returned it; neither u
+        nor k1 is written.  The stage u + dt k1 goes into the stage buffer,
+        and the update u + dt/2 (k1 + k2) is made in place on the fresh k2, so
+        the new state owns its array.  IEEE addition and multiplication commute, so
         both give the bits of the plain expressions.  The rhs is 0 at a
         Dirichlet node, so each stage leaves that end value as it is.
         """
-        if k1 is None:
-            k1 = self.rhs(u)
         stage = np.multiply(k1, dt, out=self.stage)
         stage += u
         u_new = self.rhs(stage)
@@ -338,7 +340,7 @@ def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,
     while t < t_end - 1e-14 * t_end:
         dt = kernel.cfl_dt(u, dt_cap, t)
         dt = min(dt, t_end - t)
-        t, u, ut = kernel.step(t, u, dt, k1=ut)
+        t, u, ut = kernel.step(t, u, dt, ut)
         n_steps += 1
         dt_smallest = min(dt_smallest, dt)
         dt_largest = max(dt_largest, dt)

@@ -329,6 +329,25 @@ def test_trajectory_writer_holds_one_frame_at_a_time(tmp_path):
     assert (tmp_path / "trajectory.csv").read_text() == _plain_trajectory(grid, result)
 
 
+def test_every_trajectory_cell_is_the_repr_of_its_float():
+    # A signed zero, the smallest subnormal, repr's switches to an exponent
+    # below 1e-4 and from 1e16, and two shortest round trips.
+    values = [-0.0, 5e-324, 1e-05, 1e+16, 0.1 + 0.2, 1 / 3]
+    assert [repr(v) for v in values] == [
+        "-0.0", "5e-324", "1e-05", "1e+16", "0.30000000000000004", "0.3333333333333333"]
+    n = len(values)
+    x = np.linspace(0.0, 1.0, n)
+    t, u, ut = 0.1 + 0.2, values, values[::-1]
+    source = io.BytesIO(x.tobytes() + np.array([t, *u, *ut]).tobytes()
+                        + np.float64(np.nan).tobytes())
+    out = io.StringIO()
+    _trajectory.write_trajectory(source, n, out)
+    rows = out.getvalue().splitlines()
+    assert rows[0] == "t,x,u,ut"
+    assert [row.split(",") for row in rows[1:]] == [
+        [repr(t), repr(xi), repr(ui), repr(uti)] for xi, ui, uti in zip(x.tolist(), u, ut)]
+
+
 def test_simulate_writes_plain_rows_when_the_writer_lags(tmp_path):
     # At stride 1 on 256 cells every step stores a 4 KiB frame, so the pipe to
     # the writer fills and the solver waits on it.  The file must still be

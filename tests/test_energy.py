@@ -204,15 +204,28 @@ def test_standard_degenerate_energies():
 
     # m = 1: E = int sin^2 / 2 = 1/4, decay = -int (pi cos)^2 = -pi^2/2
     frame = _frame(models.from_descriptor({"model": "heat"}), grid, np.sin(np.pi * grid.nodes))
-    out = standard_pme_energy(frame, 1.0, grid)
+    out = standard_pme_energy(frame.u, 1.0, grid)
     assert out["E"] == pytest.approx(0.25, abs=1e-6)
     assert out["dEdt"] == pytest.approx(-math.pi**2 / 2.0, rel=1e-3)
 
     # m = 2 on u = x: E = int x^3 / 3 = 1/12, decay = -int (2x)^2 = -4/3
     frame2 = _frame(spec, grid, grid.nodes.copy())
-    out2 = standard_pme_energy(frame2, 2.0, grid)
+    out2 = standard_pme_energy(frame2.u, 2.0, grid)
     assert out2["E"] == pytest.approx(1.0 / 12.0, abs=1e-8)
     assert out2["dEdt"] == pytest.approx(-4.0 / 3.0, rel=1e-3)
+
+
+def test_a_stack_gives_each_row_the_bits_of_that_row_alone():
+    rng = np.random.default_rng(11)
+    for n_cells in (8, 9, 128, 511):
+        grid = Grid1D(n_cells)
+        stack = rng.random((7, n_cells + 1)) * 10.0 ** rng.uniform(-8.0, 8.0, (7, 1))
+        assert (_simpson(stack, grid.dx).tobytes()
+                == np.array([_simpson(row, grid.dx) for row in stack]).tobytes())
+        whole = standard_pme_energy(stack, 2.0, grid)
+        rows = [standard_pme_energy(row, 2.0, grid) for row in stack]
+        for key in ("E", "dEdt"):
+            assert whole[key].tobytes() == np.array([r[key] for r in rows]).tobytes(), key
 
 
 def test_trace_columns_and_model_oracle():
@@ -409,7 +422,7 @@ def test_verify_skips_heavily_masked_times():
         formula=[-0.6, 5.0, -0.6, -0.6],
         mask=[0.0, 0.5, 0.0, 0.0],
     )
-    report = verify_decay(trace, mask_reliable=0.1)
+    report = verify_decay(trace)
     assert report.passed_consistency  # the bad interior time was unreliable
     assert report.unreliable_fraction == pytest.approx(0.25)
 
@@ -417,7 +430,7 @@ def test_verify_skips_heavily_masked_times():
 def test_verify_does_not_pass_consistency_without_a_checked_frame():
     # Every interior time is masked, so nothing was compared: no pass.
     trace = _synthetic_trace([1.0, 0.8, 0.6, 0.4], mask=[0.0, 0.5, 0.5, 0.0])
-    report = verify_decay(trace, mask_reliable=0.1)
+    report = verify_decay(trace)
     assert report.checked_frames == 0
     assert report.to_dict()["checked_frames"] == 0
     assert not report.passed_consistency
