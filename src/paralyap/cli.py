@@ -20,10 +20,11 @@ and ``_refuse_unread`` names every other key that differs from its default.
 The same rule refuses ``normalization.p0`` under ``g_mode`` ``"tabulated"``,
 whose g has no p0, and ``compare.lpp_check`` for a model that documents no
 variant.  Every number is checked where it is read: both ``quad_tol``
-settings and ``compare.lpp_check.h`` must be finite and positive, the
-normalization values, ``compare.x``, each ``grid_dump.x`` and a non-null
-``lagrangian.p_base`` finite, and every count an integer.  No setting takes
-a boolean.
+settings, ``compare.lpp_check.h`` and ``time.t_end`` must be finite and
+positive, the normalization values, ``compare.x``, each ``grid_dump.x``, a
+non-null ``lagrangian.p_base``, every ``initial`` number and each value of
+a ``csv`` profile (named by its line) finite, and every count an integer.
+No setting takes a boolean.
 Each command reads all of its settings before it builds anything.  A
 manifest records the fully resolved configuration, so a rerun of the same
 config with the same package version reproduces every CSV byte for byte.
@@ -268,11 +269,19 @@ def _build_energy(spec, config):
 
 
 def _csv_profile(path, n):
+    """One finite number per nonblank line of the text file at ``path``, one per node."""
     if not path:
         raise ValueError("profile 'csv' needs a path")
-    values = np.loadtxt(path, dtype=float, ndmin=1)
-    if len(values) != n:
-        raise ValueError(f"CSV has {len(values)} values, grid wants {n}")
+    lines = [(k, line) for k, line in enumerate(Path(path).read_text().splitlines(), 1)
+             if line.strip()]
+    if len(lines) != n:
+        raise ValueError(f"CSV has {len(lines)} values, grid wants {n}")
+    values = np.empty(n)
+    for i, (k, line) in enumerate(lines):
+        try:
+            values[i] = _FINITE(line)
+        except ValueError as exc:
+            raise ValueError(f"line {k}: {exc}") from None
     return values
 
 
@@ -300,7 +309,7 @@ def _initial_profile(config, grid: Grid1D) -> np.ndarray:
     _refuse_unread(init, _DEFAULTS["initial"], ("profile", *keys), f"profile {profile!r}",
                    "initial.")
     convert = {"path": lambda path: _csv_profile(path, len(x))}
-    return build(x, *(_setting(config, f"initial.{key}", convert.get(key, float)) for key in keys))
+    return build(x, *(_setting(config, f"initial.{key}", convert.get(key, _FINITE)) for key in keys))
 
 
 def _write(out_dir: Path, name: str, text: str):
@@ -365,7 +374,7 @@ def _simulation_inputs(config):
     grid = _setting(config, "grid.n_cells", lambda v: Grid1D(int(_WHOLE(v))))
     controls = _setting(config, "time.output_stride",
                         lambda v: SolverControls(output_stride=int(_WHOLE(v))))
-    t_end = _setting(config, "time.t_end")
+    t_end = _setting(config, "time.t_end", _STEP)
     return grid, _initial_profile(config, grid), t_end, controls
 
 

@@ -20,13 +20,14 @@ node stencil, so at every free node (Robin ends included) the energy monitor
 sees exactly the discrete derivatives that produced u_t.  Only at a pinned
 Dirichlet end, which the solver never evaluates, one-sided stencils stand in.
 
-A trace is one pass over its frames stacked as (frames, nodes) arrays: each
-frame's stencil is taken once, and ``eval_L`` and the g provider are called
-once per block of at most ``_BLOCK_POINTS`` points.  A block may split a
-frame, since a point's value depends only on that point (``eval_L`` refines
-each point's quadrature alone, a provider answers each query alone, and the
-model callbacks act elementwise); masks and Simpson sums then act on each
-frame's row of the stack.
+A trace is one pass over its frames stacked as (frames, nodes) arrays: one
+call of the solver's stencil gives u_x and u_xx of the whole stack, and
+``eval_L`` and the g provider are called once per block of at most
+``_BLOCK_POINTS`` points.  The stencil reads each frame's row alone, and a
+block may split a frame, since a point's value depends only on that point
+(``eval_L`` refines each point's quadrature alone, a provider answers each
+query alone, and the model callbacks act elementwise); masks and Simpson
+sums then act on each frame's row of the stack.
 So each column equals, bit for bit, the one-frame ``energy_of_frame`` and
 ``decay_formula``, the same kernel on one frame.  The cap bounds peak memory;
 a whole-trace batch is no faster.
@@ -44,7 +45,7 @@ to 0.05 (1 + |predicted|).
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -101,7 +102,7 @@ _Stack = namedtuple("_Stack", "t x u ut p q")
 
 def _stack(spec: ProblemSpec, frames, grid: Grid1D) -> _Stack:
     u = np.array([f.u for f in frames], dtype=float)
-    p, q = (np.array(d) for d in zip(*(_node_derivatives(spec, grid, row) for row in u)))
+    p, q = _node_derivatives(spec, grid, u)
     return _Stack(np.array([f.t for f in frames], dtype=float),
                   np.broadcast_to(grid.nodes, u.shape), u,
                   np.array([f.ut for f in frames], dtype=float), p, q)
@@ -150,6 +151,10 @@ def _formula_decays(lag: Lagrangian, s: _Stack, dx: float):
 
 
 def energy_of_frame(lag: Lagrangian, frame: StateFrame, grid: Grid1D) -> float:
+    """E of one frame.
+
+    The ``perfbench`` tracer wraps it by name; no module of the package calls it.
+    """
     return float(_energies(lag, _stack(lag.spec, [frame], grid), grid.dx)[0])
 
 
@@ -160,7 +165,10 @@ class DecayValue:
 
 
 def decay_formula(lag: Lagrangian, frame: StateFrame, grid: Grid1D) -> DecayValue:
-    """The predicted dE/dt for one frame, with its masked fraction."""
+    """The predicted dE/dt for one frame, with its masked fraction.
+
+    The ``perfbench`` tracer wraps it by name; no module of the package calls it.
+    """
     values, shares = _formula_decays(lag, _stack(lag.spec, [frame], grid), grid.dx)
     return DecayValue(float(values[0]), float(shares[0]))
 
@@ -227,16 +235,9 @@ class VerifyReport:
         return self.checked_frames >= 1 and not self.consistency_violations
 
     def to_dict(self) -> dict:
-        return {
-            "n_times": self.n_times,
-            "checked_frames": self.checked_frames,
-            "passed_monotonicity": self.passed_monotonicity,
-            "passed_consistency": self.passed_consistency,
-            "max_consistency_error": self.max_consistency_error,
-            "unreliable_fraction": self.unreliable_fraction,
-            "monotonicity_violations": self.monotonicity_violations,
-            "consistency_violations": self.consistency_violations,
-        }
+        """The fields and the two verdicts, as ``verify_report.json`` holds them."""
+        return {**asdict(self), "passed_monotonicity": self.passed_monotonicity,
+                "passed_consistency": self.passed_consistency}
 
 
 def verify_decay(trace: EnergyTrace) -> VerifyReport:

@@ -15,8 +15,10 @@ buffers in every step, while every stored u and u_t is a fresh array.  The
 kernel writes each evaluator's value into an array of its own, which
 broadcasts a constant.
 ``simulate`` builds a ``StateFrame`` only for the frames it keeps.
-``evolution_rhs`` and the energy monitor's ``_node_derivatives`` build a
-kernel per call and run the same code.
+``evolution_rhs`` builds a kernel per call and runs the same code.  The
+stencils act along the last axis, so the energy monitor's
+``_node_derivatives`` builds one kernel for a whole (frames, nodes) stack
+and returns that kernel's own u_x and u_xx arrays.
 
 The CFL bound reads u_x from the stencil of np.gradient (central inside,
 first order at the ends), written out by hand in ``_Kernel.cfl_dt`` because
@@ -138,13 +140,25 @@ def _degenerate_power(u: np.ndarray, m: float, out: np.ndarray) -> np.ndarray:
     return np.power(out, m, out=out)
 
 
+# Index keys along the last axis, the node axis: the inner nodes, and each
+# one's right and left neighbours.
+_INNER = (..., slice(1, -1))
+_RIGHT = (..., slice(2, None))
+_LEFT = (..., slice(None, -2))
+
+
 class _Kernel:
     """The solver's stencils for one spec and grid, with the ends resolved once.
 
-    ``simulate`` builds one per run; ``evolution_rhs`` and
-    ``_node_derivatives`` build one per call.  The padded state, the u_x and
-    u_xx arrays, the u^m of the divergence form, the Heun stage and the CFL
-    gradient and coefficient are scratch buffers that every call overwrites.
+    The stencils act along the last axis, the node axis, and ``rows`` is
+    the shape of the axes before it.  ``simulate`` builds a kernel per run
+    and ``evolution_rhs`` one per call, both for one state (``rows`` ());
+    ``_node_derivatives`` builds one whose ``rows`` are those of its input,
+    so ``central`` takes the stencil of a whole (frames, nodes) stack at
+    once.  ``rhs``, ``step`` and ``cfl_dt`` take one state.  The padded
+    state, the u_x and u_xx arrays, the u^m of the divergence form, the Heun
+    stage and the CFL gradient and coefficient are scratch buffers that
+    every call overwrites.
     ``rhs`` returns a fresh u_t, and ``step`` a fresh state (the second
     stage's u_t, updated in place) and a fresh u_t, so nothing a caller keeps
     shares memory with the kernel or with another returned array.
@@ -158,7 +172,7 @@ class _Kernel:
     monitor gives that node its own one-sided stencil.
     """
 
-    def __init__(self, spec: ProblemSpec, grid: Grid1D):
+    def __init__(self, spec: ProblemSpec, grid: Grid1D, rows: tuple = ()):
         n = grid.n_cells + 1
         self.n = n
         self.dx = grid.dx
@@ -166,8 +180,13 @@ class _Kernel:
         self.dx2 = grid.dx * grid.dx
         self.x = grid.nodes
         ends = ((spec.bc_left, 0, 1), (spec.bc_right, -1, -1))
-        # (node, inward step, b) per Robin end; (node, inward step) per Dirichlet end.
-        self.robin = tuple((i, d, bc.robin_b) for bc, i, d in ends if bc.kind == "robin")
+        # The key of node i along the last axis; a plain int indexes one state fastest.
+        at = (lambda i: (..., i)) if rows else (lambda i: i)
+        # Per Robin end: the end node, its inward neighbour, the x step from
+        # that neighbour to the ghost node, and b.
+        self.robin = tuple((at(i), at(i + d), -d * self.two_dx, bc.robin_b)
+                           for bc, i, d in ends if bc.kind == "robin")
+        # (node, inward step) per Dirichlet end.
         self.dirichlet = tuple((i, d) for bc, i, d in ends if bc.kind == "dirichlet")
         self.m = None if spec.divergence_form_m is None else float(spec.divergence_form_m)
         self.model_rhs = spec.rhs
@@ -178,13 +197,13 @@ class _Kernel:
         self.x_free = self.x[lo:hi]
         # The state with one ghost node per end; the free nodes' stencils read
         # ``used``, which leaves out the ghost of a Dirichlet end.
-        self.up = np.zeros(n + 2)
-        self.inner = self.up[1:-1]
-        self.used = self.up[lo:hi + 2]
-        self.p = np.zeros(n)
-        self.q = np.zeros(n)
-        self.p_free = self.p[lo:hi]
-        self.q_free = self.q[lo:hi]
+        self.up = np.zeros((*rows, n + 2))
+        self.inner = self.up[_INNER]
+        self.used = self.up[..., lo:hi + 2]
+        self.p = np.zeros((*rows, n))
+        self.q = np.zeros((*rows, n))
+        self.p_free = self.p[..., lo:hi]
+        self.q_free = self.q[..., lo:hi]
         self.power = np.empty_like(self.used)
         self.stage = np.empty(n)
         self.grad = np.empty(n)
@@ -197,15 +216,15 @@ class _Kernel:
         central difference there is b(u_i).
         """
         self.inner[...] = u
-        for i, d, robin_b in self.robin:
-            b = float(robin_b(u[i]))
-            self.up[i] = u[i + d] - d * (self.two_dx * b)
+        for i, inward, span, robin_b in self.robin:
+            b = robin_b(u[i])
+            self.up[i] = u[inward] + span * b
             self.p[i] = b
 
     def _slope(self, u: np.ndarray, out: np.ndarray):
-        """The central u_x at the interior nodes, into ``out[1:-1]``."""
-        inner = out[1:-1]
-        np.subtract(u[2:], u[:-2], out=inner)
+        """The central u_x at the interior nodes, into ``out[..., 1:-1]``."""
+        inner = out[_INNER]
+        np.subtract(u[_RIGHT], u[_LEFT], out=inner)
         inner /= self.two_dx
 
     def _second_difference(self, w: np.ndarray, out: np.ndarray):
@@ -213,9 +232,9 @@ class _Kernel:
 
         ``w`` is laid out as ``used``: one more node on each side of the free ones.
         """
-        np.multiply(w[1:-1], 2.0, out=out)
-        np.subtract(w[2:], out, out=out)
-        out += w[:-2]
+        np.multiply(w[_INNER], 2.0, out=out)
+        np.subtract(w[_RIGHT], out, out=out)
+        out += w[_LEFT]
         out /= self.dx2
 
     def central(self, u: np.ndarray):
@@ -282,22 +301,28 @@ class _Kernel:
 
 
 def _node_derivatives(spec: ProblemSpec, grid: Grid1D, u: np.ndarray):
-    """u_x and u_xx at every node: the solver's stencil, for the energy monitor.
+    """u_x and u_xx at every node of a state or a (frames, nodes) stack.
 
-    A Dirichlet end is pinned, so only the energy monitor reads it: the
-    second-order one-sided u_x and the four-point one-sided u_xx.
+    The solver's stencil, for the energy monitor: one kernel takes every
+    row, and its own p and q arrays are returned.  A Dirichlet end is
+    pinned, so only the energy monitor reads it: the second-order one-sided
+    u_x and the four-point one-sided u_xx.
     """
-    kernel = _Kernel(spec, grid)
-    p, q = (a.copy() for a in kernel.central(u))
+    kernel = _Kernel(spec, grid, np.shape(u)[:-1])
+    p, q = kernel.central(u)
     dx = grid.dx
     for i, d in kernel.dirichlet:
-        p[i] = d * (-3.0 * u[i] + 4.0 * u[i + d] - u[i + 2 * d]) / (2.0 * dx)
-        q[i] = (2.0 * u[i] - 5.0 * u[i + d] + 4.0 * u[i + 2 * d] - u[i + 3 * d]) / (dx * dx)
+        u0, u1, u2, u3 = (u[..., i + k * d] for k in range(4))
+        p[..., i] = d * (-3.0 * u0 + 4.0 * u1 - u2) / (2.0 * dx)
+        q[..., i] = (2.0 * u0 - 5.0 * u1 + 4.0 * u2 - u3) / (dx * dx)
     return p, q
 
 
 def evolution_rhs(spec: ProblemSpec, grid: Grid1D, u: np.ndarray) -> np.ndarray:
-    """du/dt at every node; 0 at a Dirichlet node, which holds its end value."""
+    """du/dt at every node; 0 at a Dirichlet node, which holds its end value.
+
+    The ``perfbench`` tracer wraps it by name; no module of the package calls it.
+    """
     return _Kernel(spec, grid).rhs(u)
 
 

@@ -545,7 +545,6 @@ def test_verify_adds_the_conventional_pair_for_divergence_models(tmp_path, capsy
     assert std["monotone"] is True
 
 
-@pytest.mark.filterwarnings("error")
 def test_verify_exits_1_when_the_energy_rises(tmp_path, capsys):
     # The constructed energy of porous_medium m = 2 rises on the default sin
     # profile: monotonicity fails, and that outranks a consistency warning.
@@ -620,63 +619,86 @@ def test_a_count_may_be_written_as_a_whole_float_or_a_string(tmp_path):
     assert trajectories[0] == trajectories[1]
 
 
-@pytest.mark.parametrize("command, override", [
-    ("simulate", {"initial": None}),
-    ("simulate", {"initial": {"amplitude": None}}),
-    ("simulate", {"initial": {"k": [1]}}),
-    ("simulate", {"initial": {"profile": "bump", "center": "a"}}),
-    ("simulate", {"initial": {"profile": "csv", "path": "missing.csv"}}),
-    ("simulate", {"initial": {"profile": "csv", "path": "abc.csv"}}),
-    ("construct-energy", {"grid_dump": {"x": None}}),
-    ("construct-energy", {"grid_dump": {"x": []}}),
-    ("construct-energy", {"grid_dump": {"u": {"n": "many"}}}),
-    ("compare-closed-form", {"compare": {"x": None}}),
+@pytest.mark.parametrize("command, override, says", [
+    ("simulate", {"initial": None}, "cli: initial must be a JSON object"),
+    ("simulate", {"initial": {"amplitude": None}}, "cli: initial.amplitude: "),
+    ("simulate", {"initial": {"k": [1]}}, "cli: initial.k: "),
+    ("simulate", {"initial": {"profile": "bump", "center": "a"}}, "cli: initial.center: "),
+    ("simulate", {"initial": {"profile": "csv", "path": "missing.csv"}}, "cli: initial.path: "),
+    ("simulate", {"initial": {"profile": "csv", "path": "abc.csv"}}, "cli: initial.path: "),
+    ("construct-energy", {"grid_dump": {"x": None}}, "cli: grid_dump.x: "),
+    ("construct-energy", {"grid_dump": {"x": []}}, "cli: grid_dump.x: "),
+    ("construct-energy", {"grid_dump": {"u": {"n": "many"}}}, "cli: grid_dump.u.n: "),
+    ("compare-closed-form", {"compare": {"x": None}}, "cli: compare.x: "),
     ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"n": None}}}),
+                             "compare": {"lpp_check": {"n": None}}}, "cli: compare.lpp_check.n: "),
     # Out of range: an empty axis, and a second-difference step that is not
     # a finite positive number.
-    ("construct-energy", {"grid_dump": {"u": {"n": 0}}}),
+    ("construct-energy", {"grid_dump": {"u": {"n": 0}}}, "cli: grid_dump.u.n: "),
     ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"n": 0}}}),
+                             "compare": {"lpp_check": {"n": 0}}}, "cli: compare.lpp_check.n: "),
     ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"h": 0}}}),
+                             "compare": {"lpp_check": {"h": 0}}}, "cli: compare.lpp_check.h: "),
     ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"h": "inf"}}}),
+                             "compare": {"lpp_check": {"h": "inf"}}}, "cli: compare.lpp_check.h: "),
     # Not finite, or a tolerance that is not positive: each would reach the
     # artifacts as a nan row or a bare NaN.
-    ("construct-energy", {"grid_dump": {"x": ["nan"]}}),
-    ("construct-energy", {"grid_dump": {"x": [0.5, "inf"]}}),
-    ("compare-closed-form", {"compare": {"x": "nan"}}),
+    ("construct-energy", {"grid_dump": {"x": ["nan"]}}, "cli: grid_dump.x: "),
+    ("construct-energy", {"grid_dump": {"x": [0.5, "inf"]}}, "cli: grid_dump.x: "),
+    ("compare-closed-form", {"compare": {"x": "nan"}}, "cli: compare.x: "),
     ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"quad_tol": "nan"}}}),
+                             "compare": {"lpp_check": {"quad_tol": "nan"}}},
+     "cli: compare.lpp_check.quad_tol: "),
     ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"quad_tol": 0}}}),
+                             "compare": {"lpp_check": {"quad_tol": 0}}},
+     "cli: compare.lpp_check.quad_tol: "),
     # A JSON boolean is not the number 1, a count is not truncated, and a
     # profile name that is not a string is unknown.
-    ("construct-energy", {"grid_dump": {"u": {"n": True}}}),
-    ("construct-energy", {"grid_dump": {"x": [True]}}),
-    ("construct-energy", {"grid_dump": {"u": {"n": 3.5}}}),
-    ("simulate", {"initial": {"profile": ["sin"]}}),
+    ("construct-energy", {"grid_dump": {"u": {"n": True}}}, "cli: grid_dump.u.n: "),
+    ("construct-energy", {"grid_dump": {"x": [True]}}, "cli: grid_dump.x: "),
+    ("construct-energy", {"grid_dump": {"u": {"n": 3.5}}}, "cli: grid_dump.u.n: "),
+    ("simulate", {"initial": {"profile": ["sin"]}}, "cli: initial.profile: "),
+    # A non-finite initial state or end time would only fail in the solver,
+    # after the energy is built; each is refused where it is read.
+    ("verify", {"initial": {"amplitude": "inf"}}, "cli: initial.amplitude: must be finite"),
+    ("verify", {"initial": {"k": "nan"}}, "cli: initial.k: must be finite"),
+    ("verify", {"initial": {"profile": "bump", "sharpness": "-inf"}},
+     "cli: initial.sharpness: must be finite"),
+    ("verify", {"initial": {"profile": "csv", "path": "nan.csv"}},
+     "cli: initial.path: line 9: must be finite, got nan"),
+    # A blank line is skipped, yet counted in the line number.
+    ("verify", {"initial": {"profile": "csv", "path": "inf.csv"}},
+     "cli: initial.path: line 5: must be finite, got -inf"),
+    ("verify", {"time": {"t_end": "inf"}}, "solver: time.t_end: must be finite and > 0"),
 ], ids=["initial-null", "amplitude-null", "k-list", "center-string", "csv-missing",
         "csv-not-numbers", "dump-x-null", "dump-x-empty", "dump-u-n-string",
         "compare-x-null", "lpp_check-n-null", "dump-u-n-0", "lpp_check-n-0",
         "lpp_check-h-0", "lpp_check-h-inf", "dump-x-nan", "dump-x-inf", "compare-x-nan",
         "lpp_check-quad_tol-nan", "lpp_check-quad_tol-0", "dump-u-n-true", "dump-x-true",
-        "dump-u-n-fraction", "profile-list"])
-@pytest.mark.filterwarnings("error")
+        "dump-u-n-fraction", "profile-list", "amplitude-inf", "k-nan", "sharpness-minus-inf",
+        "csv-nan", "csv-minus-inf", "t_end-inf"])
 def test_bad_initial_and_dump_values_name_the_stage(tmp_path, capsys, monkeypatch,
-                                                    command, override):
+                                                    command, override, says):
     (tmp_path / "abc.csv").write_text("abc\n")
+    values = [repr(v) for v in np.sin(np.pi * np.linspace(0.0, 1.0, 17)).tolist()]
+    (tmp_path / "nan.csv").write_text("\n".join(values[:8] + ["nan"] + values[9:]) + "\n")
+    (tmp_path / "inf.csv").write_text("\n".join(values[:3] + ["", "-inf"] + values[4:]) + "\n")
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_build_provider", _no_build)
+    monkeypatch.setattr(cli, "_run_simulation", _no_run)
     code, _ = _run(tmp_path, command, {**_small(command), **override})
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: cli: ")
+    assert err.startswith(f"error: {says}")
     assert "Traceback" not in err
 
 
 def _no_build(spec, config):
     raise AssertionError("the g provider was built before the run settings were read")
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("the solver ran before the run settings were read")
 
 
 def _robin_b(b):
@@ -845,7 +867,6 @@ _INVERSE_MCF = {"model": {"model": "inverse_mcf"}, "compare": _SMALL_COMPARE}
         "t_end-true", "p_base-true", "dump-u-n-true", "dump-x-true", "n_cells-fraction",
         "stride-fraction", "m-true", "robin-slope-true", "quad_tol-nan", "dump-x-nan",
         "g0-minus-inf", "char_controls", "heat-lpp_check-h"])
-@pytest.mark.filterwarnings("error")
 def test_bad_settings_name_the_stage_and_the_key(tmp_path, capsys, command, override, expected):
     code, _ = _run(tmp_path, command, {**_small(command), **override})
     assert code == 1
@@ -888,7 +909,6 @@ _ROBIN_HEAT = {"model": "heat",
      "error: cli: settings ['compare.lpp_check.h', 'compare.lpp_check.n'] are not read by "
      "model 'heat', which documents no variant\n"),
 ], ids=["tabulated-p0", "heat-lpp_check"])
-@pytest.mark.filterwarnings("error")
 def test_settings_that_the_model_or_mode_does_not_read_are_refused(
         tmp_path, capsys, command, override, unread, expected):
     code, _ = _run(tmp_path, command, {**_small(command), **override, **unread})
@@ -1038,7 +1058,6 @@ def test_tabulated_metadata_is_strict_json(tmp_path):
     assert side["provider"] == {"variant": "tabulated", "extrapolations": 0}
 
 
-@pytest.mark.filterwarnings("error")
 def test_traced_curves_that_run_out_of_tau_are_counted(tmp_path):
     # rho_laplacian_poly (3, 2) moves x at speed 2|p|.  The probe of g near
     # p = 0 queries p = 1e-4 and 1e-3 at x = 0.5, whose curves run out of
@@ -1109,7 +1128,6 @@ def test_initial_profile_from_csv(tmp_path):
     ("bump", {}, {"k": True}),
     ("csv", {"path": "profile.csv"}, {"amplitude": 2.0, "sharpness": 1.0}),
 ], ids=["zero", "sin", "shifted_sin", "ramp_sin", "bump", "bump-boolean", "csv"])
-@pytest.mark.filterwarnings("error")
 def test_initial_keys_that_the_profile_does_not_read_are_refused(tmp_path, capsys, monkeypatch,
                                                                   profile, own, stray):
     monkeypatch.chdir(tmp_path)

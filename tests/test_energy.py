@@ -226,6 +226,21 @@ def test_a_stack_gives_each_row_the_bits_of_that_row_alone():
         rows = [standard_pme_energy(row, 2.0, grid) for row in stack]
         for key in ("E", "dEdt"):
             assert whole[key].tobytes() == np.array([r[key] for r in rows]).tobytes(), key
+    # The solver's stencil on a stack: Dirichlet, Robin (b linear in u, or a
+    # Python-float constant) and Neumann ends, on each family of kernel.
+    for model in ({"model": "heat"}, {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},
+                  {"model": "porous_medium", "m": 2.0}):
+        for bc in (["dirichlet", "dirichlet"], [_ROBIN_U, _WAVE_END], [_WAVE_END, "dirichlet"],
+                   ["neumann", _ROBIN_U], ["dirichlet", "neumann"]):
+            spec = models.from_descriptor({**model, "bc": bc})
+            for n_cells in (8, 33):
+                grid = Grid1D(n_cells)
+                stack = 0.5 + rng.random((6, n_cells + 1))
+                whole = _node_derivatives(spec, grid, stack)
+                rows = [_node_derivatives(spec, grid, row) for row in stack]
+                for k, key in enumerate("pq"):
+                    assert (whole[k].tobytes()
+                            == np.array([r[k] for r in rows]).tobytes()), (model, bc, key)
 
 
 def test_trace_columns_and_model_oracle():
