@@ -8,27 +8,16 @@ weights the diffusion coefficient.  Along the auxiliary curves
                                               - diffusion_coeff_dx
                                               - p * diffusion_coeff_du,
 
-g satisfies an ODE.  One integrator advances a batch of curves as one
-component-major (4, n) array, one contiguous row per component, each curve
-toward the plane x = ``x_end``, forward or backward in x; a lone curve is a
-batch of one.  It returns where each curve ended, how many steps it
-accepted and why it stopped, and keeps no other state.  The landing clamp
-divides the gap to the plane by the speed toward it, so in either direction
-the first attempt lands at the starting speed.  The field writes the
-values of the spec's evaluators into the rows of an array it owns, which
-broadcasts a constant; a pass sums the stages into reused buffers in
-the order Python's ``sum`` adds them, and filters its batch only after a
-curve stops, so every bit is what the plain expressions give.
+g satisfies an ODE.  Divided by dx/dtau, the same curves have x as their
+parameter: du/dx = p, dp/dx = reaction / diffusion_coeff, and dg/dx is the
+g rate over diffusion_coeff.
 
 Three queryable representations are provided: closed-form (``analytic_g``),
 integration of dg/dp at a frozen base point (``reduced_ode_g``), and the
 exact solution normalized on the plane x = 0, found by tracing each query's
-curve back to that plane (``tabulate_g``).
-
-Since diffusion_coeff >= 0, x moves monotonically toward the plane along a
-curve, and the fifth-order update used here keeps that guarantee exactly:
-its weights are all nonnegative, so the x increment is a nonnegative
-combination of stage values of the directed speed.
+curve in x back to that plane (``tabulate_g``).  ``integrate_characteristics``
+follows one curve in tau instead.  Both engines take the same Cash-Karp 5(4)
+step under the same error target.
 """
 
 import enum
@@ -57,24 +46,22 @@ __all__ = [
     "tabulate_g",
 ]
 
-# A step that crosses the plane x = x_end by more than this is redone with
-# the secant step that lands on it; a curve this close to the plane has
-# reached it.
+# A curve whose |p| or |g| passes this ends as BLOWUP, or is unreached.
+_BLOWUP_CAP = 1e8
+# Attempts, accepted or not, before a curve ends as MAX_STEPS, or is unreached.
+_MAX_STEPS = 200000
+# A controlled step below this raises in tau and leaves a query unreached in x.
+_DT_MIN = 1e-14
+# The tau engine only.  A step that crosses the plane x = x_end by more than
+# this is redone with the secant step that lands on it; a curve this close to
+# the plane has reached it.
 _LAND_TOL = 1e-12
-# A curve's first attempted step: the length of the unit interval, so with
-# the landing clamp it is the step that reaches the plane at the starting
-# speed.
+# The first attempted tau step.
 _DT0 = 1.0
-# dx/dtau below this counts toward a stall, and this many accepted steps
-# in a row below it end a curve as STALLED.
+# dx/dtau below this counts toward a stall, and this many accepted steps in a
+# row below it end a curve as STALLED.
 _STALL_EPS = 1e-12
 _STALL_WINDOW = 50
-# A curve whose |p| or |g| passes this ends as BLOWUP.
-_BLOWUP_CAP = 1e8
-# Attempts, accepted or not, before a curve ends as MAX_STEPS.
-_MAX_STEPS = 200000
-# A step below this raises.
-_DT_MIN = 1e-14
 
 
 class CharacteristicsError(RuntimeError):
@@ -116,12 +103,11 @@ class CharTrajectory:
 
 @dataclass(frozen=True)
 class CharControls:
-    """Tolerance, tau budget and plane of the curve integrator.
+    """Tolerance, tau budget and plane of ``integrate_characteristics``.
 
-    The first step, the stall threshold and window, the blow-up cap, the
-    attempt budget and the smallest step are the module constants ``_DT0``,
-    ``_STALL_EPS``, ``_STALL_WINDOW``, ``_BLOWUP_CAP``, ``_MAX_STEPS`` and
-    ``_DT_MIN``.
+    ``tabulate_g`` reads the default ``tol`` alone.  The other limits are the
+    module constants ``_BLOWUP_CAP``, ``_MAX_STEPS`` and ``_DT_MIN``, and, in
+    tau only, ``_LAND_TOL``, ``_DT0``, ``_STALL_EPS`` and ``_STALL_WINDOW``.
     """
 
     tol: float = 1e-8
@@ -129,8 +115,8 @@ class CharControls:
     x_end: Optional[float] = 1.0
 
 
-# Cash-Karp 5(4) tableau.  The fifth-order weights _B5 are all nonnegative,
-# which is what makes the x component provably non-decreasing per step.
+# Cash-Karp 5(4) tableau: nodes, stage weights and the two updates.
+_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0)
 _A = (
     (),
     (1.0 / 5.0,),
@@ -144,236 +130,186 @@ _B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0, 277.0 / 1433
 
 
 def _g_rate(spec: ProblemSpec, x, u, p):
-    """dg/dtau on a curve, the curve field's g row; ``reduced_g`` divides it by the reaction."""
+    """dg/dtau on a curve; ``reduced_g`` divides it by the reaction, the x engine by D."""
     return -(spec.reaction_dp(x, u, p) + spec.diffusion_coeff_dx(x, u, p)
              + p * spec.diffusion_coeff_du(x, u, p))
 
 
-def _weighted_step(y, h, weights, ks, out, term):
-    """``y + h * sum(w * k for w, k in zip(weights, ks))`` into ``out``, bit for bit.
+# The stage weights and the two updates as arrays over the stage axis of a
+# (stages, rows, curves) stack: the fifth-order update and the error, the
+# fifth- minus the fourth-order update.
+_STAGE_WEIGHTS = [np.array(a).reshape(-1, 1, 1) for a in _A]
+_B5_E = np.array([_B5, np.subtract(_B5, _B4)]).reshape(2, -1, 1, 1)
 
-    ``out`` and ``term`` have the rows of ``y``, and each ``k`` gives its first
-    rows.  The sum adds the terms in stage order to +0.0, as Python's ``sum``
-    does, so a -0.0 first term still becomes +0.0, and a zero weight still
-    turns an infinite stage value into nan.
+
+def _cash_karp(field, t, y, k0, h, tol):
+    """One Cash-Karp attempt of step ``h`` from ``(t, y)``, where the field is ``k0``.
+
+    ``y`` has one row per component and one column per curve.  Returns the
+    fifth-order state, the factor to scale ``h`` by for the next attempt, and
+    whether the step is accepted: its error, the largest over the rows of
+    |y5 - y4| / (tol * (1 + |y5|)), is at most 1.  Each weighted sum adds its
+    stages in stage order, whatever the number of curves, and a zero weight
+    still turns an infinite stage value into nan: a non-finite stage makes the
+    error nan and rejects the step.
     """
-    rows = len(out)
-    np.multiply(ks[0][:rows], weights[0], out=out)
-    out += 0.0
-    for w, k in zip(weights[1:], ks[1:]):
-        out += np.multiply(k[:rows], w, out=term)
-    out *= h
-    out += y
-    return out
+    ks = np.empty((6, *y.shape))
+    ks[0] = k0
+    ts = t + np.multiply.outer(_C, h)
+    for i in range(1, 6):
+        field(ts[i], y + h * np.add.reduce(_STAGE_WEIGHTS[i] * ks[:i]), ks[i])
+    step, diff = h * np.add.reduce(_B5_E * ks, axis=1)
+    y5 = y + step
+    err = np.max(np.abs(diff) / (tol * (1.0 + np.abs(y5))), axis=0)
+    # A nan error (fmax ignores it) or an infinite one shrinks by the floor.
+    # float_power rounds as libm's pow; an array ``**`` may take a SIMD path.
+    scale = np.minimum(5.0, np.fmax(0.2, 0.9 * np.float_power(err + 1e-300, -0.2)))
+    return y5, scale, err <= 1.0
 
 
-# The curve engine's termination codes index this array.
-_TERMINATIONS = np.array([Termination.REACHED_X_END, Termination.STALLED,
-                          Termination.BLOWUP, Termination.MAX_STEPS], dtype=object)
-_REACHED, _STALLED, _BLOWUP, _OUT_OF_STEPS = range(4)
+def _trace_to_plane(spec: ProblemSpec, x, u, p, tol):
+    """The g gained along each query's curve from its x to the plane x = 0.
 
-
-def _integrate_curves(spec: ProblemSpec, starts, controls: CharControls):
-    """Advance one curve per start row (x0, u0, p0, g0), all as one batch.
-
-    The batch is stored component-major, as a (4, n) array with one
-    contiguous row per component, so every field callback and stage sum runs
-    on contiguous rows.  Each curve moves toward the plane x =
-    ``controls.x_end``: its step is multiplied by the sign of ``x_end - x0``
-    (+1.0 when there is no plane, or it lies ahead), so tau grows either way,
-    and the landing clamp divides the gap to the plane by the speed toward
-    it, so the first attempt lands at the starting speed in both directions.
-    A curve that starts on the plane has reached it.  Each curve has its own
-    step size, attempts, stall count and termination; every operation is
-    elementwise, so a curve does not depend on its batch.  Returns, in start
-    order, each curve's last accepted (tau, x, u, p, g) row as an (n, 5)
-    array, its number of accepted steps, and its termination as an object
-    array.
-
-    The field writes the values of the spec's evaluators into the rows of a
-    (4, n) array of its own, as the solver's kernel does; that assignment
-    broadcasts a constant.  A live curve's state is its last accepted row,
-    so a row is written out only when its curve stops.  Until a curve stops
-    nothing is filtered, and in a pass that accepts every step the
-    controller takes only its accept branch.
+    The state is (u, p, g) from g = 0, and x runs from the query's x to 0,
+    the last step clamped to what is left.  A curve that cannot finish gives
+    nan: a non-finite x, or a non-finite field at its start or at an
+    accepted state; a controlled step below ``_DT_MIN``; |p| or |g| past
+    ``_BLOWUP_CAP``; or ``_MAX_STEPS`` attempts.  The live curves advance as
+    one batch, but every operation is elementwise, so a curve does not
+    depend on its batch.
     """
-    system = spec.char_system
 
-    def field(y, stage=False):
-        """The field at the columns of ``y``; a start or accepted state must give finite values.
-
-        A trial ``stage`` is not checked: a non-finite value there makes the
-        step's error estimate nan, so the step is rejected and shrunk.
-        """
-        x, u, p = y[0], y[1], y[2]
-        k = np.empty((4, len(x)))
-        if system is not None:
-            out = system(x, u, p)
-            if len(out) != 4:
-                raise CharacteristicsError(f"curve field returned {len(out)} components, not 4")
-            for row, value in zip(k, out):
-                row[...] = value
-        else:
-            k[0] = spec.diffusion_coeff(x, u, p)
-            np.multiply(k[0], p, out=k[1])
-            k[2] = spec.reaction(x, u, p)
-            k[3] = _g_rate(spec, x, u, p)
-        if not stage and not np.isfinite(k).all():
-            bad = ~np.all(np.isfinite(k), axis=0)
-            raise CharacteristicsError(
-                f"curve field returned a bad value at state {tuple(y[:, bad.argmax()].tolist())}"
-            )
+    def field(x, y, k=None):
+        u, p = y[0], y[1]
+        k = np.empty(y.shape) if k is None else k
+        d = spec.diffusion_coeff(x, u, p)
+        k[0] = p
+        np.divide(spec.reaction(x, u, p), d, out=k[1])
+        np.divide(_g_rate(spec, x, u, p), d, out=k[2])
         return k
 
-    starts = np.asarray(starts, dtype=float).reshape(-1, 4)
-    n = len(starts)
-    x_end = math.inf if controls.x_end is None else controls.x_end
-    tau_end = controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max))
-    # Each curve's last accepted row, accepted-step count and termination code.
-    last = np.empty((5, n))
-    last[0], last[1:] = 0.0, starts.T
-    n_steps = np.zeros(n, dtype=int)
-    sign = np.where(starts[:, 0] > x_end, -1.0, 1.0)
-    gap = sign * (x_end - starts[:, 0])
-    live = gap > _LAND_TOL
-    codes = np.where(live, _OUT_OF_STEPS, _REACHED)
-    # The live curves: start index, state, directed gap to the plane, tau,
-    # next step, stall run, accepted steps and field.
-    idx, y = np.flatnonzero(live), np.compress(live, last[1:], axis=1)
-    sign, gap = sign[live], gap[live]
-    m = len(idx)
-    tau, dt = np.zeros(m), np.full(m, _DT0)
-    stall, count = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
-    k0 = field(y)
-    step = 0
-
-    def stop(gone):
-        """Write out the last rows and step counts of the live curves ``gone`` selects."""
-        j = idx[gone]
-        last[0, j] = tau[gone]
-        last[1:, j] = y[:, gone]
-        n_steps[j] = count[gone]
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # Each live curve makes one attempt per pass: ``step`` counts them all.
-        while step < _MAX_STEPS and m:
-            step += 1
-            # Hard clamps: land exactly on tau_max, and stop where the plane
-            # lies at the current speed toward it.  The field is not directed,
-            # so k0[0] is that speed in either direction.
-            to_end = np.where(k0[0] > 0.0, gap / k0[0], math.inf)
-            dt = np.minimum(np.minimum(dt, controls.tau_max - tau), to_end)
-            # A landing step may be as short as the gap makes it; only the
-            # controller's step underflows.
-            under = (dt < _DT_MIN) & (dt != to_end)
-            if under.any():
-                # Name the first such curve by its start row and state (x, u, p, g).
-                j = under.argmax()
-                message = (f"step size underflow at tau={float(tau[j])!r} on the curve from "
-                           f"{tuple(starts[idx[j]].tolist())}, now at {tuple(y[:, j].tolist())}")
-                if k0[0, j] < 0.0 and controls.x_end is not None:
-                    message += f": the field moves it away from the plane x = {controls.x_end!r}"
-                raise CharacteristicsError(message)
-            # The directed step: multiplying by the sign is exact, so this is
-            # the same as directing every field value.  A stage reads x, u and
-            # p only, so its input leaves out the g row.
-            h = dt * sign
-            stage_in, term, y4, y5 = (np.empty((rows, m)) for rows in (3, 4, 4, 4))
-            ks = [k0]
-            for a in _A[1:]:
-                ks.append(field(_weighted_step(y[:3], h, a, ks, stage_in, term[:3]), stage=True))
-            _weighted_step(y, h, _B5, ks, y5, term)
-            _weighted_step(y, h, _B4, ks, y4, term)
-            # err = max over the rows of |y5 - y4| / (tol * (1 + |y5|)).
-            np.subtract(y5, y4, out=y4)
-            np.abs(y4, out=y4)
-            np.abs(y5, out=term)
-            term += 1.0
-            term *= controls.tol
-            y4 /= term
-            err = y4.max(axis=0)
-            # A step that passes the plane is redone with the secant step to it.
-            gap5 = sign * (x_end - y5[0])
-            over = (err <= 1.0) & (gap5 < -_LAND_TOL)
-            ok = (err <= 1.0) & ~over
-            # float_power rounds as libm's pow; an array ``**`` may take a SIMD path.
-            grow = np.float_power(err + 1e-300, -0.2)
-            grow *= 0.9
-            np.minimum(5.0, np.maximum(0.2, grow, out=grow), out=grow)
-            if ok.all():
-                tau += dt
-                y, gap = y5, gap5
-                dt *= grow
-                count += 1
-            else:
-                tau = np.where(ok, tau + dt, tau)
-                y = np.where(ok, y5, y)
-                dt = np.where(over, dt * gap / (gap - gap5), dt * np.where(
-                    ok, grow,
-                    np.where(np.isfinite(err),
-                             np.maximum(0.2, 0.9 * np.float_power(err, -0.25)), 0.2),
-                ))
-                gap = np.where(ok, gap5, gap)
-                count += ok
-            # Accepted states are finite: a non-finite y5 makes err nan.
-            blowup = ok & (np.max(np.abs(y[2:]), axis=0) > _BLOWUP_CAP)
-            reached = ok & ~blowup & (gap <= _LAND_TOL)
-            moving = ok & ~(blowup | reached | (tau >= tau_end))
-            if moving.all():
-                k0 = field(y)
-            elif moving.any():
-                k0[:, moving] = field(np.compress(moving, y, axis=1))
-            slow = np.abs(k0[0]) < _STALL_EPS
-            stall = np.where(moving, np.where(slow, stall + 1, 0), stall)
-            stalled = moving & (stall >= _STALL_WINDOW)
-            keep = ~ok | (moving & ~stalled)
-            if keep.all():
-                continue
-            for stopped, code in ((blowup, _BLOWUP), (reached, _REACHED), (stalled, _STALLED)):
-                codes[idx[stopped]] = code
-            if not keep.any():
-                # Every curve stopped, as a batch that lands in one pass does.
-                stop(slice(None))
+    gained = np.where(x == 0.0, 0.0, np.nan)
+    idx = np.flatnonzero(x != 0.0)
+    # The live curves: query index, x, state, field there and next step.
+    t, y = x[idx], np.stack([u[idx], p[idx], np.zeros(idx.size)])
+    with np.errstate(all="ignore"):
+        k0 = field(t, y)
+        live = np.isfinite(t) & np.isfinite(k0).all(axis=0)
+        idx, t, y, k0 = idx[live], t[live], y[:, live], k0[:, live]
+        # The first attempt is the whole interval.
+        dt = np.abs(t)
+        for _ in range(_MAX_STEPS):
+            if not idx.size:
                 break
-            stop(~keep)
-            idx, sign, gap, tau, dt, stall, count = (
-                a[keep] for a in (idx, sign, gap, tau, dt, stall, count))
-            y, k0 = (np.compress(keep, a, axis=1) for a in (y, k0))
-            m = len(idx)
-        else:
-            # The attempt budget ran out: the live curves end as MAX_STEPS.
-            stop(slice(None))
-
-    return last.T, n_steps, _TERMINATIONS[codes]
+            # Clamped to what is left, the last step lands on x = 0 exactly.
+            h = np.copysign(np.minimum(dt, np.abs(t)), -t)
+            y5, scale, ok = _cash_karp(field, t, y, k0, h, tol)
+            dt = np.abs(h) * scale
+            if ok.all():
+                t, y = t + h, y5
+            else:
+                t, y = np.where(ok, t + h, t), np.where(ok, y5, y)
+            blown = np.abs(y[1:]).max(axis=0) > _BLOWUP_CAP
+            moving = ok & (t != 0.0) & ~blown
+            if moving.all():
+                field(t, y, k0)
+            elif moving.any():
+                k0[:, moving] = field(t[moving], y[:, moving])
+            live = (moving | ~ok) & np.isfinite(k0).all(axis=0)
+            live &= dt >= np.minimum(_DT_MIN, np.abs(t))
+            if not live.all():
+                landed = (t == 0.0) & ~blown
+                gained[idx[landed]] = y[2, landed]
+                idx, t, y, k0, dt = idx[live], t[live], y[:, live], k0[:, live], dt[live]
+    return gained
 
 
 def integrate_characteristics(spec: ProblemSpec, init: dict,
                               controls: CharControls = CharControls()) -> CharTrajectory:
-    """Integrate one characteristic curve toward the plane x = ``controls.x_end``.
+    """Integrate one characteristic curve in tau toward the plane x = ``controls.x_end``.
 
     ``init`` supplies u0, p0 and optionally x0 and g0 (default 0 both).  The
     curve runs forward in x when the plane lies ahead of x0 (or there is
-    none) and backward when it lies behind.  It is advanced with an embedded
-    5(4) pair under a mixed absolute/relative error target ``controls.tol``;
-    a step that would pass the plane is redone with the secant step that
-    lands on it.  Termination is an observation, not a failure: reaching
-    ``x_end``, stalling (dx/dtau below ``_STALL_EPS`` for ``_STALL_WINDOW``
-    accepted steps), p or g passing ``_BLOWUP_CAP``, or exhausting
-    ``_MAX_STEPS`` attempts or ``tau_max``.  The first attempt is ``_DT0``.
-    The trajectory holds the curve's last state, its accepted-step count
-    and its termination; ``len`` counts the start and each accepted step.
-    Only a controlled step below ``_DT_MIN`` (a landing step may be shorter)
-    or a non-finite field value at the start or at an accepted state raises;
-    a non-finite value at a trial stage rejects that step.
-
-    Models may supply ``char_system`` to integrate a rescaled field with the
-    same curve geometry; the porous-medium builtin does this to remove the
-    shared degenerate factor from the flow speed.  The curve is a batch of
-    one for the integrator that ``tabulate_g`` uses.
+    none) and backward when it lies behind.  It is advanced with the
+    Cash-Karp 5(4) pair under a mixed absolute/relative error target
+    ``controls.tol``.  Each step is clamped to the tau budget and to the gap
+    to the plane at the current speed, and a step that would pass the plane
+    is redone with the secant step that lands on it.  Termination is an
+    observation, not a failure: reaching ``x_end``, stalling (dx/dtau below
+    ``_STALL_EPS`` for ``_STALL_WINDOW`` accepted steps), p or g passing
+    ``_BLOWUP_CAP``, or exhausting ``_MAX_STEPS`` attempts or ``tau_max``.
+    The first attempt is ``_DT0``.  The trajectory holds the curve's last
+    state, its accepted-step count and its termination; ``len`` counts the
+    start and each accepted step.  Only a controlled step below ``_DT_MIN``
+    (a landing step may be shorter) or a non-finite field value at the start
+    or at an accepted state raises; a non-finite value at a trial stage
+    rejects that step.
     """
-    start = (init.get("x0", 0.0), init["u0"], init["p0"], init.get("g0", 0.0))
-    last, n_steps, ends = _integrate_curves(spec, [start], controls)
-    return CharTrajectory(CharState(*last[0].tolist()), int(n_steps[0]), ends[0])
+    start = np.array([init.get("x0", 0.0), init["u0"], init["p0"], init.get("g0", 0.0)],
+                     dtype=float)
+    x_end = math.inf if controls.x_end is None else controls.x_end
+    tau_end = controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max))
+    sign = -1.0 if start[0] > x_end else 1.0
+
+    def field(tau, y, k=None):
+        x, u, p = y[0], y[1], y[2]
+        k = np.empty(y.shape) if k is None else k
+        k[0] = spec.diffusion_coeff(x, u, p)
+        np.multiply(k[0], p, out=k[1])
+        k[2] = spec.reaction(x, u, p)
+        k[3] = _g_rate(spec, x, u, p)
+        return k
+
+    def checked(y):
+        k = field(tau, y)
+        if not np.isfinite(k).all():
+            raise CharacteristicsError(
+                f"curve field returned a bad value at state {tuple(y[:, 0].tolist())}")
+        return k
+
+    # The curve is a batch of one: a column of (x, u, p, g).
+    tau, y, dt, stall, n_steps = 0.0, start.reshape(4, 1), _DT0, 0, 0
+    if sign * (x_end - start[0]) <= _LAND_TOL:
+        return CharTrajectory(CharState(tau, *start.tolist()), 0, Termination.REACHED_X_END)
+    k0 = checked(y)
+    termination = Termination.MAX_STEPS
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_STEPS):
+            # The field is not directed, so k0[0] is the speed toward the plane.
+            speed, gap = float(k0[0, 0]), sign * (x_end - float(y[0, 0]))
+            to_end = gap / speed if speed > 0.0 else math.inf
+            dt = min(dt, controls.tau_max - tau, to_end)
+            if dt < _DT_MIN and dt != to_end:
+                message = (f"step size underflow at tau={tau!r} on the curve from "
+                           f"{tuple(start.tolist())}, now at {tuple(y[:, 0].tolist())}")
+                if speed < 0.0 and controls.x_end is not None:
+                    message += f": the field moves it away from the plane x = {controls.x_end!r}"
+                raise CharacteristicsError(message)
+            y5, scale, ok = _cash_karp(field, tau, y, k0, sign * dt, controls.tol)
+            gap5 = sign * (x_end - float(y5[0, 0]))
+            if not ok[0]:
+                dt *= float(scale[0])
+                continue
+            if gap5 < -_LAND_TOL:
+                # Past the plane: redo with the secant step that lands on it.
+                dt *= gap / (gap - gap5)
+                continue
+            tau, y, n_steps = tau + dt, y5, n_steps + 1
+            dt *= float(scale[0])
+            if max(abs(y[2, 0]), abs(y[3, 0])) > _BLOWUP_CAP:
+                termination = Termination.BLOWUP
+            elif gap5 <= _LAND_TOL:
+                termination = Termination.REACHED_X_END
+            elif tau >= tau_end:
+                termination = Termination.MAX_STEPS
+            else:
+                k0 = checked(y)
+                stall = stall + 1 if abs(k0[0, 0]) < _STALL_EPS else 0
+                if stall < _STALL_WINDOW:
+                    continue
+                termination = Termination.STALLED
+            break
+    return CharTrajectory(CharState(tau, *y[:, 0].tolist()), n_steps, termination)
 
 
 # ---------------------------------------------------------------------------
@@ -534,27 +470,27 @@ def tabulate_g(spec: ProblemSpec, g0: float = 0.0) -> GProvider:
     """g with g = g0 on the plane x = 0, by tracing each query's curve back to it.
 
     For each query (x, u, p) the characteristic curve through that point is
-    followed backward in tau until it reaches x = 0; the answer is g0 minus
-    the g gained along the way, so it solves the transport equation exactly
-    up to the integrator's tolerance.  All queries of a call advance as one
-    batch, and each answer depends only on its own query.  The plane is
-    reachable wherever the diffusion coefficient is positive.  A curve that
-    stalls, blows up or runs out of tau is answered with nan, and counted in
-    ``extrapolations``.
+    followed in x, with state (u, p, g) and field (p, R/D, rate/D), from the
+    query's x to the plane; the answer is g0 minus the g gained along the
+    way, so it solves the transport equation exactly up to the Cash-Karp
+    step's tolerance ``CharControls.tol``.  There is no tau budget.  All
+    queries of a call advance as one batch, and each answer depends only on
+    its own query.  A query whose curve cannot finish is answered with nan
+    and counted in ``extrapolations``: a non-finite field at its start or at
+    an accepted state, a controlled step below ``_DT_MIN``, |p| or |g| past
+    ``_BLOWUP_CAP``, or ``_MAX_STEPS`` attempts.  Nothing is raised for a
+    query.
 
     The function name, the "tabulated" variant and the ``extrapolations``
     field are kept from an earlier interpolation table, because the
     benchmark's tracer binds them by name and its configs name the mode.
     """
-    controls = CharControls(x_end=0.0)
+    tol = CharControls.tol
 
     def evaluate(x, u, p):
         x, u, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, u, p)))
-        starts = np.column_stack([x.ravel(), u.ravel(), p.ravel(), np.zeros(x.size)])
-        last, _, ends = _integrate_curves(spec, starts, controls)
-        reached = ends == Termination.REACHED_X_END
-        provider.extrapolations += int(np.count_nonzero(~reached))
-        out = np.where(reached, g0 - last[:, 4], np.nan)
+        out = g0 - _trace_to_plane(spec, x.ravel(), u.ravel(), p.ravel(), tol)
+        provider.extrapolations += int(np.count_nonzero(np.isnan(out)))
         return out.reshape(x.shape) if x.ndim else float(out[0])
 
     provider = GProvider("tabulated", None, g0, evaluate)

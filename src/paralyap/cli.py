@@ -57,7 +57,6 @@ import numpy as np
 
 from . import __version__
 from .characteristics import (
-    CharacteristicsError,
     GProvider,
     ReducedGError,
     analytic_g,
@@ -126,8 +125,7 @@ def _stage(name):
     """Report what a stage's own code raises as an error of that stage."""
     try:
         yield
-    except (ValueError, SolverError, LagrangianError, QuadratureError,
-            CharacteristicsError, ReducedGError) as exc:
+    except (ValueError, SolverError, LagrangianError, QuadratureError, ReducedGError) as exc:
         raise CliError(name, str(exc)) from None
 
 

@@ -53,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .characteristics import CharacteristicsError, GProvider, ReducedGError
+from .characteristics import GProvider, ReducedGError
 from .models import ProblemSpec
 from .quadrature import QuadratureError, integrate_batch
 
@@ -139,14 +139,15 @@ def _slopes(ys):
 def _probe(spec: ProblemSpec, g_provider: GProvider, override):
     """p_base and the probe's record, which says whether e^g is singular at p = 0.
 
-    A provider that cannot answer a probe point counts as a non-finite g.
+    A provider that refuses a probe point (``ReducedGError``) counts as a
+    non-finite g.
     """
     x_a, u_a = _PROBE_ANCHOR
     gs, weights = [], []
     for s in _PROBE_POINTS:
         try:
             g = g_provider(x_a, u_a, s)
-        except (ReducedGError, CharacteristicsError):
+        except ReducedGError:
             g = math.nan
         gs.append(float(g))
         weights.append(float(_weight(spec, x_a, u_a, s, g)))

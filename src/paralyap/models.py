@@ -167,7 +167,6 @@ class ProblemSpec:
     bc_left: BoundaryCondition
     bc_right: BoundaryCondition
     closed_forms: Optional[ClosedForms] = None
-    char_system: Optional[Callable] = None
     shared_factor_reducible: bool = False
     # The m of a model written as (u**m)_xx: the solver advances that form and
     # verify adds the conventional porous-medium energy.  None for the others.
@@ -259,8 +258,7 @@ def _poly_forced(name, bcs, a, n, lagrangian, lagrangian_note):
     )
 
 
-def _filtration_spec(name, bcs, a_du, a_du2, lagrangian=None, char_system=None,
-                     divergence_form_m=None):
+def _filtration_spec(name, bcs, a_du, a_du2, lagrangian=None, divergence_form_m=None):
     """ut = (a(u))_xx = a'(u) u_xx + a''(u) u_x**2, with the weight |p0/p|."""
     closed = ClosedForms(
         g_of_p=_log_ratio_g(1.0), lagrangian=lagrangian, decay_weight=lambda p: 1.0 / np.abs(p)
@@ -269,8 +267,7 @@ def _filtration_spec(name, bcs, a_du, a_du2, lagrangian=None, char_system=None,
         name=name, diffusion_coeff=lambda x, u, p: a_du(u),
         diffusion_coeff_du=lambda x, u, p: a_du2(u), reaction=lambda x, u, p: -a_du2(u) * p * p,
         reaction_dp=lambda x, u, p: -2.0 * a_du2(u) * p, **bcs, closed_forms=closed,
-        char_system=char_system, shared_factor_reducible=True,
-        divergence_form_m=divergence_form_m,
+        shared_factor_reducible=True, divergence_form_m=divergence_form_m,
     )
 
 
@@ -386,16 +383,10 @@ def _porous_medium(d, bcs):
             **bcs, closed_forms=closed, shared_factor_reducible=True, divergence_form_m=m,
         )
 
-    # Characteristics in the original time stall where u**(m-1) vanishes;
-    # dividing the flow speed by m*u**(m-2) removes the shared factor and
-    # leaves this polynomial field (valid for u > 0).
-    def char_system(x, u, p):
-        return (u, u * p, -(m - 1.0) * p * p, (m - 1.0) * p)
-
     return _filtration_spec(
         "porous_medium", bcs, a_du, lambda u: m * (m - 1.0) * _real_pow(u, m - 2.0),
         lagrangian=lambda u, p: a_du(u) * np.abs(p) * (np.log(np.abs(p)) - 1.0),
-        char_system=char_system, divergence_form_m=m,
+        divergence_form_m=m,
     )
 
 

@@ -343,6 +343,10 @@ def simulate(spec: ProblemSpec, u0, t_end: float, grid: Grid1D,
         raise ValueError(f"u0 has {len(u)} nodes, grid wants {grid.n_cells + 1}")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    if not np.isfinite(u).all():
+        node = int(np.argmin(np.isfinite(u)))
+        raise ValueError(f"u0 is not finite at node {node} (x={float(grid.nodes[node])!r}): "
+                         f"{float(u[node])!r}")
     if spec.divergence_form_m is not None and float(np.min(u)) < 0.0:
         raise SolverError("degenerate power models need u0 >= 0")
 

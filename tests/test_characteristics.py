@@ -23,19 +23,13 @@ from paralyap.characteristics import (
     reduced_g,
     reduced_ode_g,
     tabulate_g,
-    _A,
-    _B4,
-    _B5,
     _BLOWUP_CAP,
-    _DT0,
     _LAND_TOL,
-    _MAX_STEPS,
     _STALL_EPS,
     _STALL_WINDOW,
-    _DT_MIN,
-    _g_rate,
-    _integrate_curves,
 )
+from paralyap import characteristics
+from paralyap.lagrangian import build_lagrangian, eval_L
 from paralyap.models import BoundaryCondition, ProblemSpec
 
 
@@ -118,107 +112,6 @@ def _lone_run(spec, start, controls):
     return [f.tau, f.x, f.u, f.p, f.g], len(traj) - 1, traj.termination
 
 
-def _assert_batch_is_lone(spec, seeds, controls):
-    """Each curve of one batch ends as its lone run does, bit for bit."""
-    last, n_steps, ends = _integrate_curves(spec, seeds, controls)
-    assert last.shape == (len(seeds), 5) and len(n_steps) == len(ends) == len(seeds)
-    for i, seed in enumerate(seeds):
-        assert (last[i].tolist(), n_steps[i], ends[i]) == _lone_run(spec, seed, controls)
-    return last, n_steps, ends
-
-
-@pytest.mark.parametrize("descriptor", [
-    {"model": "heat"},
-    {"model": "inverse_mcf"},
-    {"model": "mcf_poly", "n": 2.0},
-    # porous_medium integrates its rescaled char_system, valid for u > 0.
-    {"model": "porous_medium", "m": 2.0},
-], ids=["heat", "inverse_mcf", "mcf_poly-2", "porous_medium-2"])
-def test_batch_curves_equal_their_lone_runs(descriptor):
-    spec = models.from_descriptor(descriptor)
-    seeds = [(0.0, u0, p0, 0.0) for u0 in (0.25, 0.5, 1.0) for p0 in (-1.0, 0.3, 1.5)]
-    _assert_batch_is_lone(spec, seeds, CharControls())
-
-
-def _scalar_curve(spec, seed, controls):
-    """One curve in Python floats: the per-curve loop the batch replaces.
-
-    The curve runs toward the plane x = ``x_end``, forward or backward: the
-    field is directed by the sign of ``x_end - x0``, and the landing clamp
-    divides the gap by the speed toward the plane.  Returns every row, the
-    start and each accepted state, and the termination.
-    """
-    sign = -1.0 if seed[0] > controls.x_end else 1.0
-
-    def field(x, u, p):
-        if spec.char_system is not None:
-            return tuple(sign * float(v) for v in spec.char_system(x, u, p))
-        fq = float(spec.diffusion_coeff(x, u, p))
-        rate = -(float(spec.reaction_dp(x, u, p)) + float(spec.diffusion_coeff_dx(x, u, p))
-                 + p * float(spec.diffusion_coeff_du(x, u, p)))
-        return sign * fq, sign * (fq * p), sign * float(spec.reaction(x, u, p)), sign * rate
-
-    tau, y, dt, stall = 0.0, seed, _DT0, 0
-    rows, k0 = [[tau, *y]], field(*y[:3])
-    for _ in range(_MAX_STEPS):
-        dt = min(dt, controls.tau_max - tau)
-        gap = sign * (controls.x_end - y[0])
-        if sign * k0[0] > 0.0:
-            dt = min(dt, gap / (sign * k0[0]))
-        ks = [k0]
-        for a in _A[1:]:
-            ks.append(field(*(y[c] + dt * sum(w * k[c] for w, k in zip(a, ks)) for c in range(3))))
-        y5, y4 = (tuple(y[c] + dt * sum(w * k[c] for w, k in zip(b, ks)) for c in range(4))
-                  for b in (_B5, _B4))
-        err = max(abs(y5[c] - y4[c]) / (controls.tol * (1.0 + abs(y5[c]))) for c in range(4))
-        if not err <= 1.0:
-            dt *= max(0.2, 0.9 * err ** -0.25) if math.isfinite(err) else 0.2
-            continue
-        gap5 = sign * (controls.x_end - y5[0])
-        if gap5 < -_LAND_TOL:
-            # Past the plane: redo with the secant step that lands on it.
-            dt = dt * gap / (gap - gap5)
-            continue
-        tau, y = tau + dt, y5
-        rows.append([tau, *y])
-        dt *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
-        if max(abs(y[2]), abs(y[3])) > _BLOWUP_CAP:
-            return rows, Termination.BLOWUP
-        if sign * (controls.x_end - y[0]) <= _LAND_TOL:
-            return rows, Termination.REACHED_X_END
-        if tau >= controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max)):
-            return rows, Termination.MAX_STEPS
-        k0 = field(*y[:3])
-        stall = stall + 1 if abs(k0[0]) < _STALL_EPS else 0
-        if stall >= _STALL_WINDOW:
-            return rows, Termination.STALLED
-    return rows, Termination.MAX_STEPS
-
-
-@pytest.mark.parametrize("descriptor", [
-    {"model": "heat"},
-    {"model": "inverse_mcf"},
-    {"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0},
-    {"model": "porous_medium", "m": 2.0},
-], ids=["heat", "inverse_mcf", "rho_laplacian_poly-3-2", "porous_medium-2"])
-def test_batch_equals_the_scalar_loop(descriptor):
-    # These fields need no pow of a non-integer exponent, so the scalar loop
-    # and the batch do the same float operations and agree bit for bit: each
-    # batch end row is the loop's last row, after as many accepted steps.
-    spec = models.from_descriptor(descriptor)
-    # Forward curves to the plane x = 1, then backward ones from x0 = 0.9 to
-    # the plane x = 0: the landing clamp uses the speed toward the plane, so
-    # a last step lands without a redo.
-    for x0, controls in ((0.0, CharControls()), (0.9, CharControls(x_end=0.0))):
-        seeds = [(x0, u0, p0, 0.0) for u0 in (0.25, 1.0) for p0 in (-2.0, -0.5, 0.5, 2.0)]
-        last, n_steps, ends = _integrate_curves(spec, seeds, controls)
-        for i, seed in enumerate(seeds):
-            rows, termination = _scalar_curve(spec, seed, controls)
-            assert last[i].tolist() == rows[-1]
-            assert n_steps[i] == len(rows) - 1
-            assert ends[i] is termination
-
-
 def test_a_backward_curve_costs_what_its_mirror_costs():
     # D = 1: a straight curve whose first attempt, clamped to the gap at the
     # starting speed, lands on the plane.  That is one evaluation at the
@@ -239,9 +132,9 @@ def test_a_backward_curve_costs_what_its_mirror_costs():
         assert len(calls) == 6
 
 
-def test_batch_terminations_match_lone_runs():
-    # One batch of mcf_poly n = 1 curves traced back to x = 0 under the
-    # default constants.  Backward, p = p0 e^tau and dx/dtau = -(1 + p^2)^-1.5:
+def test_lone_curve_terminations():
+    # mcf_poly n = 1 curves traced back to x = 0 under the default constants.
+    # Backward, p = p0 e^tau and dx/dtau = -(1 + p^2)^-1.5:
     # * p0 = 0 keeps the unit speed and reaches the plane;
     # * p0 = -1.6 slows below _STALL_EPS for _STALL_WINDOW steps and stalls;
     # * p0 = 1e7 passes the blow-up cap within a few tau;
@@ -252,244 +145,59 @@ def test_batch_terminations_match_lone_runs():
     x0, u0 = 0.2697867137638703, 0.23936944299295215
     seeds = [(x0, u0, 0.0, 0.0), (x0, u0, -1.605762482164177, 0.0), (x0, u0, 1e7, 0.0),
              (100.0, 0.0, 0.0, 0.0), (0.0, 0.5, 1.0, 0.0)]
-    last, n_steps, ends = _assert_batch_is_lone(spec, seeds, CharControls(x_end=0.0))
-    assert tuple(ends) == (Termination.REACHED_X_END, Termination.STALLED, Termination.BLOWUP,
-                           Termination.MAX_STEPS, Termination.REACHED_X_END)
-    assert n_steps[3] == 4 and last[3].tolist() == pytest.approx([50.0, 50.0, 0.0, 0.0, -50.0])
-    assert n_steps[4] == 0 and last[4].tolist() == [0.0, *seeds[4]]
+    runs = [_lone_run(spec, seed, CharControls(x_end=0.0)) for seed in seeds]
+    assert [end for _, _, end in runs] == [
+        Termination.REACHED_X_END, Termination.STALLED, Termination.BLOWUP,
+        Termination.MAX_STEPS, Termination.REACHED_X_END]
+    assert runs[3][1] == 4 and runs[3][0] == pytest.approx([50.0, 50.0, 0.0, 0.0, -50.0])
+    assert runs[4][1] == 0 and runs[4][0] == [0.0, *seeds[4]]
 
     # inverse_mcf has p = tan(atan(p0) - tau): from p0 = -5 it passes the
     # cap near tau = 0.2, from p0 = 0 it lives out the tau budget.
     spec = models.from_descriptor({"model": "inverse_mcf"})
-    seeds = [(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, -5.0, 0.0), (0.0, 1.0, 0.5, 0.0)]
-    _, _, ends = _assert_batch_is_lone(spec, seeds, CharControls(tau_max=1.0, x_end=None))
-    assert tuple(ends) == (Termination.MAX_STEPS, Termination.BLOWUP, Termination.MAX_STEPS)
+    controls = CharControls(tau_max=1.0, x_end=None)
+    assert [_lone_run(spec, seed, controls)[2] for seed in [
+        (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, -5.0, 0.0), (0.0, 1.0, 0.5, 0.0)]] == [
+        Termination.MAX_STEPS, Termination.BLOWUP, Termination.MAX_STEPS]
 
     # Diffusion u: a curve from u0 = 0 never moves in x and runs out of tau,
     # one from u0 = 1 reaches x_end.  The scalar reaction callbacks are broadcast.
     spec = _custom_spec(lambda x, u, p: u, lambda x, u, p: 0.0, lambda x, u, p: 0.0)
-    seeds = [(0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.0)]
-    _, _, ends = _assert_batch_is_lone(spec, seeds, CharControls())
-    assert tuple(ends) == (Termination.MAX_STEPS, Termination.REACHED_X_END)
+    assert [_lone_run(spec, seed, CharControls())[2] for seed in [
+        (0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.0)]] == [
+        Termination.MAX_STEPS, Termination.REACHED_X_END]
 
 
-def _overflowing_stage_spec():
-    # D = exp(1/4 - x/2 - u)(1 + p^2), R = 0.6 p^2 + 0.8 x + 0.2 u: the first
-    # attempt back from (0.9, 0.2, 1.95) probes a stage where D overflows.
-    def diffusion(x, u, p):
-        return np.exp(0.25 - 0.5 * x - u) * (1.0 + p * p)
-
-    return ProblemSpec(
-        name="custom", diffusion_coeff=diffusion,
-        diffusion_coeff_dx=lambda x, u, p: -0.5 * diffusion(x, u, p),
-        diffusion_coeff_du=lambda x, u, p: -diffusion(x, u, p),
-        reaction=lambda x, u, p: 0.6 * p * p + 0.8 * x + 0.2 * u,
-        reaction_dp=lambda x, u, p: 1.2 * p,
-        bc_left=BoundaryCondition.dirichlet(), bc_right=BoundaryCondition.dirichlet(),
-    )
-
-
-_OVERFLOW_QUERIES = [(0.9, 0.2, 1.95), (0.9, 0.2, 2.0), (0.8, -0.6, 1.8)]
-
-
-def test_a_non_finite_trial_stage_rejects_the_step():
-    # The stage where D overflows rejects the step, and the shorter steps
-    # reach x = 0.
-    spec = _overflowing_stage_spec()
-    queries = _OVERFLOW_QUERIES
-    provider = tabulate_g(spec)
-    got = provider(*np.transpose(queries))
-    assert provider.extrapolations == 0
-    assert np.array_equal(got, [provider(*q) for q in queries])
-    for value, q in zip(got, queries):
-        last, _, ends = _integrate_curves(spec, [(*q, 0.0)], CharControls(tol=1e-12, x_end=0.0))
-        assert ends[0] is Termination.REACHED_X_END
-        assert value == pytest.approx(-last[0, 4], rel=1e-7)
-
-
-def _reference_curves(spec, starts, controls):
-    """The batch pass as it was before the field wrote its values into owned rows.
-
-    Every pass filters the live curves, broadcasts the evaluators' values,
-    scans every stage for finiteness, sums the stages with Python's ``sum``,
-    computes both controller branches and writes each accepted row.
-    ``_integrate_curves`` must give its end rows, step counts and
-    terminations bit for bit.
-    """
-
-    def field(y, stage=False):
-        x, u, p = y[0], y[1], y[2]
-        if spec.char_system is not None:
-            out = spec.char_system(x, u, p)
-        else:
-            fq = spec.diffusion_coeff(x, u, p)
-            out = (fq, fq * p, spec.reaction(x, u, p), _g_rate(spec, x, u, p))
-        k = np.array(np.broadcast_arrays(x, *out)[1:], dtype=float)
-        bad = ~np.all(np.isfinite(k), axis=0)
-        if not stage and bad.any():
-            raise CharacteristicsError("curve field returned a bad value")
-        return k
-
-    starts = np.asarray(starts, dtype=float).reshape(-1, 4)
-    n = len(starts)
-    x_end = math.inf if controls.x_end is None else controls.x_end
-    tau_end = controls.tau_max - 1e-12 * (1.0 + abs(controls.tau_max))
-    last = np.vstack([np.zeros(n), starts.T])
-    n_steps = np.zeros(n, dtype=int)
-    sign = np.where(starts[:, 0] > x_end, -1.0, 1.0)
-    live = sign * (x_end - starts[:, 0]) > _LAND_TOL
-    ends = np.full(n, Termination.REACHED_X_END, dtype=object)
-    ends[live] = Termination.MAX_STEPS
-    idx, y, sign = np.flatnonzero(live), np.compress(live, starts.T, axis=1), sign[live]
-    m = len(idx)
-    tau, dt, stall = np.zeros(m), np.full(m, _DT0), np.zeros(m, dtype=int)
-    k0 = field(y)
-    live, step = np.ones(m, dtype=bool), 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while step < _MAX_STEPS and live.any():
-            step += 1
-            idx, sign, tau, dt, stall = (a[live] for a in (idx, sign, tau, dt, stall))
-            y, k0 = (np.compress(live, a, axis=1) for a in (y, k0))
-            gap = sign * (x_end - y[0])
-            to_end = np.where(k0[0] > 0.0, gap / k0[0], math.inf)
-            dt = np.minimum(np.minimum(dt, controls.tau_max - tau), to_end)
-            if ((dt < _DT_MIN) & (dt != to_end)).any():
-                raise CharacteristicsError("step size underflow")
-            h = dt * sign
-            ks = [k0]
-            for a in _A[1:]:
-                ks.append(field(y[:3] + h * sum(w * k[:3] for w, k in zip(a, ks)), stage=True))
-            y5, y4 = (y + h * sum(w * k for w, k in zip(b, ks)) for b in (_B5, _B4))
-            err = np.max(np.abs(y5 - y4) / (controls.tol * (1.0 + np.abs(y5))), axis=0)
-            gap5 = sign * (x_end - y5[0])
-            over = (err <= 1.0) & (gap5 < -_LAND_TOL)
-            ok = (err <= 1.0) & ~over
-            tau = np.where(ok, tau + dt, tau)
-            y = np.where(ok, y5, y)
-            dt = np.where(over, dt * gap / (gap - gap5), dt * np.where(
-                ok, np.minimum(5.0, np.maximum(0.2, 0.9 * np.float_power(err + 1e-300, -0.2))),
-                np.where(np.isfinite(err), np.maximum(0.2, 0.9 * np.float_power(err, -0.25)), 0.2),
-            ))
-            if ok.any():
-                last[:, idx[ok]] = np.vstack([tau[ok], np.compress(ok, y, axis=1)])
-                n_steps[idx[ok]] += 1
-            blowup = ok & (np.max(np.abs(y[2:]), axis=0) > _BLOWUP_CAP)
-            reached = ok & ~blowup & (sign * (x_end - y[0]) <= _LAND_TOL)
-            moving = ok & ~(blowup | reached | (tau >= tau_end))
-            if moving.any():
-                k0[:, moving] = field(np.compress(moving, y, axis=1))
-            slow = np.abs(k0[0]) < _STALL_EPS
-            stall = np.where(moving, np.where(slow, stall + 1, 0), stall)
-            stalled = moving & (stall >= _STALL_WINDOW)
-            ends[idx[blowup]] = Termination.BLOWUP
-            ends[idx[reached]] = Termination.REACHED_X_END
-            ends[idx[stalled]] = Termination.STALLED
-            live = ~ok | (moving & ~stalled)
-    return last.T, n_steps, ends
-
-
-def _float_spec():
-    # Every callback returns a Python float whatever its arguments, so the
-    # field broadcasts each constant into its row.
-    return ProblemSpec(
-        name="floats", diffusion_coeff=lambda x, u, p: 0.75,
-        diffusion_coeff_dx=lambda x, u, p: -0.25, diffusion_coeff_du=lambda x, u, p: 0.5,
-        reaction=lambda x, u, p: -0.0, reaction_dp=lambda x, u, p: 0.0,
-        bc_left=BoundaryCondition.dirichlet(), bc_right=BoundaryCondition.dirichlet(),
-    )
-
-
-def _first_stage_overflow_spec():
-    # A char_system whose reaction is infinite only near x = 0.72, where the
-    # first trial stage back from x0 = 0.9 lands: the landing step moves x by
-    # 0.9, and that stage by a fifth of it.  Both updates weight that stage
-    # by zero, so only its nan product rejects the step; the shorter step
-    # then accepts x = 0.728 and lands in six steps under a tolerance of 1e-3.
-    def char_system(x, u, p):
-        return 1.0 + x, 0.5, np.where(np.abs(x - 0.72) < 0.005, np.inf, 0.0), 0.25
-
-    return ProblemSpec(
-        name="first-stage", diffusion_coeff=lambda x, u, p: 1.0, reaction=lambda x, u, p: 0.0,
-        bc_left=BoundaryCondition.dirichlet(), bc_right=BoundaryCondition.dirichlet(),
-        char_system=char_system,
-    )
-
-
-def _random_starts(rng, n, x=(0.0, 1.0), u=(0.05, 1.5), p=(-2.0, 2.0)):
-    return np.column_stack([rng.uniform(*x, n), rng.uniform(*u, n), rng.uniform(*p, n),
-                            np.zeros(n)])
-
-
-_RHO = {"model": "rho_laplacian_poly", "rho": 3.0}
-_ROBIN_HEAT = {"model": "heat", "bc": [{"kind": "robin", "b": {"kind": "linear", "slope": 1.0}},
-                                       "dirichlet"]}
-# (spec builder, start builder, controls).  Each start set gains a curve
-# from -0.0 in u, p and g, and one on its plane where there is a plane.
-# The cases cover one-step landings, multi-step backward curves, a spent tau
-# budget, a char_system, non-finite trial stages, blow-ups, a forward curve
-# with no plane, and Python-float callbacks.
-_REFERENCE_CASES = {
-    "robin-heat": (lambda: models.from_descriptor(_ROBIN_HEAT),
-                   lambda rng: _random_starts(rng, 200), CharControls(x_end=0.0)),
-    "rho-3-1-backward": (lambda: models.from_descriptor(_RHO | {"n": 1.0}),
-                         lambda rng: _random_starts(rng, 200), CharControls(x_end=0.0)),
-    "rho-3-2-out-of-tau": (lambda: models.from_descriptor(_RHO | {"n": 2.0}),
-                           lambda rng: _random_starts(rng, 40, p=(-1e-3, 1e-3)),
-                           CharControls(x_end=0.0)),
-    "pme-3-char-system": (lambda: models.from_descriptor({"model": "porous_medium", "m": 3.0}),
-                          lambda rng: _random_starts(rng, 200), CharControls(x_end=0.0)),
-    "non-finite-stage": (_overflowing_stage_spec,
-                         lambda rng: np.array([(*q, 0.0) for q in _OVERFLOW_QUERIES]),
-                         CharControls(tol=1e-12, x_end=0.0)),
-    "forward-no-plane": (lambda: models.from_descriptor({"model": "inverse_mcf"}),
-                         lambda rng: _random_starts(rng, 200, p=(-8.0, 8.0)),
-                         CharControls(tau_max=1.0, x_end=None)),
-    "python-floats": (_float_spec, lambda rng: _random_starts(rng, 200), CharControls(x_end=0.5)),
-    "non-finite-first-stage": (_first_stage_overflow_spec,
-                               lambda rng: np.array([(0.9, 0.5, 1.0, 0.0)]),
-                               CharControls(tol=1e-3, x_end=0.0)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
-def test_the_curve_engine_matches_the_reference_pass_bit_for_bit(case):
-    build, draw, controls = _REFERENCE_CASES[case]
-    spec = build()
-    starts = draw(np.random.default_rng(7))
-    starts = np.vstack([starts, [0.25, -0.0, -0.0, -0.0]])
-    if controls.x_end is not None:
-        starts = np.vstack([starts, [controls.x_end, 0.5, 1.0, 0.0]])
-    last, n_steps, ends = _integrate_curves(spec, starts, controls)
-    want_last, want_steps, want_ends = _reference_curves(spec, starts, controls)
-    assert np.array_equal(last, want_last, equal_nan=True)
-    assert np.array_equal(np.signbit(last), np.signbit(want_last))
-    assert n_steps.tolist() == want_steps.tolist()
-    assert ends.tolist() == want_ends.tolist()
-    assert max(want_steps) > 0
-
-
-def test_batch_failures_name_the_state_and_tau():
+def test_tau_failures_name_the_state_and_tau():
     spec = _custom_spec(
         lambda x, u, p: np.where(u > 0.5, math.nan, 1.0),
         lambda x, u, p: 0.0, lambda x, u, p: 0.0,
     )
     with pytest.raises(CharacteristicsError, match=r"at state \(0\.0, 1\.0, 2\.0, 0\.0\)"):
-        _integrate_curves(spec, [(0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 2.0, 0.0)], CharControls())
+        integrate_characteristics(spec, {"u0": 1.0, "p0": 2.0})
     # A zero tolerance rejects every step until the step size underflows.
     with pytest.raises(CharacteristicsError, match=r"step size underflow at tau=0\.0"):
         integrate_characteristics(models.from_descriptor({"model": "heat"}),
                                   {"u0": 0.0, "p0": 1.0}, CharControls(tol=0.0))
 
 
-def test_an_underflow_names_its_curve_and_a_field_that_moves_it_away():
-    # With D = -1 the curve from x = 0.5 moves away from the plane x = 0,
+def test_a_negative_diffusion_runs_away_in_tau_and_reaches_the_plane_in_x():
+    # With D = -1 the tau curve from x = 0.5 moves away from the plane x = 0,
     # and dp/dtau = p**3 blows up at tau = 1/2, where the step underflows.
     spec = _custom_spec(lambda x, u, p: -1.0, lambda x, u, p: -p ** 3,
                         lambda x, u, p: -3.0 * p ** 2)
     with pytest.raises(CharacteristicsError, match=(
             r"^step size underflow at tau=0\.5\d* on the curve from \(0\.5, 0\.25, 1\.0, 0\.0\), "
             r"now at \(1\.0\d*, .*\): the field moves it away from the plane x = 0\.0$")):
-        tabulate_g(spec)(np.array([0.25, 0.5]), np.array([0.0, 0.25]), np.array([0.5, 1.0]))
+        integrate_characteristics(spec, {"x0": 0.5, "u0": 0.25, "p0": 1.0},
+                                  CharControls(x_end=0.0))
+    # In x the interval is fixed: dp/dx = p**3 and dg/dx = -3 p**2 give
+    # g = g0 - 1.5 log1p(2 x p**2).
+    x, p = np.array([0.25, 0.5]), np.array([0.5, 1.0])
+    provider = tabulate_g(spec)
+    got = provider(x, np.array([0.0, 0.25]), p)
+    assert np.allclose(got, -1.5 * np.log1p(2.0 * x * p * p), rtol=0.0, atol=1e-7)
+    assert provider.extrapolations == 0
 
 
 def test_a_landing_step_below_the_smallest_step_lands():
@@ -504,36 +212,186 @@ def test_a_landing_step_below_the_smallest_step_lands():
     assert traj.final.tau == pytest.approx(2e-15, rel=1e-12)
 
 
-def test_tabulated_samples_are_the_lone_states():
-    # Each answer is g0 minus the g of the end state of its query's lone
-    # curve, traced back to the plane x = 0.
-    spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0})
-    provider = tabulate_g(spec, g0=0.5)
-    xs, us, ps = (0.25, 0.75, 1.0), (-1.0, 0.0, 1.0), (-1.5, 0.5, 1.0)
-    got = provider(*np.meshgrid(xs, us, ps, indexing="ij")).ravel()
-    toward_zero = CharControls(x_end=0.0)
-    for value, (x, u, p) in zip(got, ((x, u, p) for x in xs for u in us for p in ps)):
-        end, _, termination = _lone_run(spec, (x, u, p, 0.0), toward_zero)
-        assert termination is Termination.REACHED_X_END
-        assert abs(end[1]) <= _LAND_TOL
-        assert value == 0.5 - end[4]
-
-
 @pytest.mark.parametrize("x0, x_end", [(0.0, 1.0), (0.3, 1.0), (0.9, 0.0), (0.4, 0.25)],
                          ids=["forward", "forward-mid", "backward", "backward-mid"])
 def test_curves_land_on_the_plane(x0, x_end):
     # x runs faster as p grows, so a clamp at the starting speed overshoots;
-    # the secant redo lands within the landing tolerance either way.  The
-    # scalar loop, which keeps every state, shows x moving monotonically.
+    # the secant redo lands within the landing tolerance either way.
     spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0})
-    start, controls = (x0, 0.3, 0.7, 0.0), CharControls(x_end=x_end)
-    end, n_steps, termination = _lone_run(spec, start, controls)
+    end, n_steps, termination = _lone_run(spec, (x0, 0.3, 0.7, 0.0), CharControls(x_end=x_end))
     assert termination is Termination.REACHED_X_END
     assert abs(end[1] - x_end) <= _LAND_TOL
-    rows, _ = _scalar_curve(spec, start, controls)
-    assert (rows[-1], len(rows) - 1) == (end, n_steps)
-    xs = [row[1] for row in rows]
-    assert xs == (sorted(xs) if x_end > x0 else sorted(xs, reverse=True))
+    assert n_steps > 1
+
+
+# ---------------------------------------------------------------------------
+# the traced g, integrated in x
+
+_RHO_3_1 = {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0}
+
+
+def _oracle_queries(n=2000, seed=1):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.5, n), rng.uniform(-2.0, 2.0, n)
+
+
+def _exact_rho_3_1_g(x, u, p):
+    # D = 2|p| and R = -p: p moves at dp/dx = -sign(p)/2 and g at 1/(2|p|).
+    with np.errstate(divide="ignore"):
+        return np.log1p(np.asarray(x) / (2.0 * np.abs(p)))
+
+
+def test_traced_g_matches_the_exact_g_within_multiples_of_the_curve_tolerance():
+    # The oracle: g0 + log1p(x/(2|p|)).  Near p = 0, g varies on the scale
+    # 2|p|, and the (1 + |y|) error norm still holds each curve to a few tol.
+    # Measured errors (seed 1): 1.7e-8 for |p| > 0.1, 3.0e-7 for |p| < 0.01.
+    tol = CharControls.tol
+    x, u, p = _oracle_queries()
+    provider = tabulate_g(models.from_descriptor(_RHO_3_1))
+    err = np.abs(provider(x, u, p) - _exact_rho_3_1_g(x, u, p))
+    assert provider.extrapolations == 0
+    assert np.count_nonzero(np.abs(p) < 0.01) >= 5
+    assert err[np.abs(p) > 0.1].max() <= 3.0 * tol
+    assert err[np.abs(p) < 0.01].max() <= 50.0 * tol
+
+
+def test_traced_density_matches_the_exact_g_density():
+    # L at x = 0.5 on the default 9 x 9 dump grid, built once from the traced
+    # g and once from its closed form.  L integrates g over p from p_base = 0,
+    # so it carries the traced g's error near p = 0.
+    spec = models.from_descriptor(_RHO_3_1)
+    exact = GProvider("exact", None, 0.0, _exact_rho_3_1_g)
+    u, p = (a.ravel() for a in np.meshgrid(np.linspace(0.25, 1.0, 9), np.linspace(0.25, 2.0, 9)))
+    traced_L, exact_L = (eval_L(build_lagrangian(spec, g), 0.5, u, p)
+                         for g in (tabulate_g(spec), exact))
+    assert np.max(np.abs(traced_L - exact_L) / (1.0 + np.abs(exact_L))) <= 30.0 * CharControls.tol
+
+
+def test_one_bad_start_leaves_the_rest_of_the_batch_answered():
+    # rho_laplacian_poly (3, 0.5) has R_p = -p**-0.5 / 2, infinite at p = 0:
+    # that query is unreached, the other is answered as it is alone.
+    spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 0.5})
+    provider = tabulate_g(spec)
+    got = provider(np.array([0.5, 0.5]), np.array([0.00107, 0.5]), np.array([0.0, 1.0]))
+    assert math.isnan(got[0]) and math.isfinite(got[1])
+    assert provider.extrapolations == 1
+    assert got[1] == provider(0.5, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"model": "rho_laplacian_pure", "rho": 3.0},
+    {"model": "quasilinear_gradient", "a": {"kind": "power_abs", "exponent": 1.0}},
+], ids=["rho_laplacian_pure-3", "power_abs-1"])
+def test_near_crest_queries_are_answered(descriptor):
+    # D = 0 at p = 0 stalls a tau curve there.  In x, R = 0 keeps p fixed and
+    # the g rate vanishes, so each curve lands with g exactly g0.
+    rng = np.random.default_rng(3)
+    x, u, p = rng.uniform(0.1, 1.0, 200), rng.uniform(0.0, 1.0, 200), rng.uniform(-1e-3, 1e-3, 200)
+    assert np.all(p != 0.0)
+    provider = tabulate_g(models.from_descriptor(descriptor), g0=0.25)
+    assert np.all(provider(x, u, p) == 0.25)
+    assert provider.extrapolations == 0
+
+
+def _banded_spec(band, diffusion=lambda x: 1.0):
+    # D = 1 and R = 0 outside the band of x, where R is infinite.
+    return _custom_spec(
+        lambda x, u, p: diffusion(x),
+        lambda x, u, p: np.where(np.abs(x - band[0]) < band[1], np.inf, 0.0),
+        lambda x, u, p: 0.0)
+
+
+@pytest.mark.parametrize("spec, queries, patch", [
+    # Not finite at the start: x itself, or the field at (u, p).
+    (models.from_descriptor({"model": "heat"}), [(math.nan, 0.5, 1.0), (math.inf, 0.5, 1.0)],
+     {}),
+    (models.from_descriptor({"model": "porous_medium", "m": 2.0}), [(0.5, 0.0, -0.5)], {}),
+    # p = tan(atan p0 + x) passes the blow-up cap before x reaches 0.
+    (models.from_descriptor({"model": "inverse_mcf"}), [(1.0, 0.0, 1.0)], {}),
+    # R is infinite on 0.2 < x < 0.8: a step across it has a stage inside it,
+    # so the step shrinks below _DT_MIN.
+    (_banded_spec((0.5, 0.3)), [(0.9, 0.5, 1.0)], {}),
+    # A curve that needs more attempts than the budget allows.
+    (models.from_descriptor(_RHO_3_1), [(0.9, 0.5, 1e-3)], {"_MAX_STEPS": 5}),
+], ids=["non-finite-x", "bad-start-field", "blowup", "step-underflow", "attempt-budget"])
+def test_an_unreached_query_is_nan_for_itself_alone(monkeypatch, spec, queries, patch):
+    for name, value in patch.items():
+        monkeypatch.setattr(characteristics, name, value)
+    reachable = (0.1, 0.5, 0.5)
+    provider = tabulate_g(spec)
+    want = provider(*reachable)
+    assert math.isfinite(want) and provider.extrapolations == 0
+    got = provider(*np.transpose([reachable, *queries, reachable]))
+    assert np.isnan(got[1:-1]).all()
+    assert got[0] == got[-1] == want
+    assert provider.extrapolations == len(queries)
+
+
+def test_a_non_finite_trial_stage_rejects_the_step():
+    # From x = 0.9 the first attempt spans the whole interval, and its second
+    # stage lands at x = 0.72, inside a band where R is infinite.  Both
+    # updates weight that stage by zero, so only its nan product rejects the
+    # step; shorter steps miss the band, and the curve lands with g = g0.
+    stage_xs = []
+
+    def diffusion(x):
+        stage_xs.append(np.asarray(x).copy())
+        return 1.0
+
+    provider = tabulate_g(_banded_spec((0.72, 0.005), diffusion), g0=0.5)
+    assert provider(0.9, 0.5, 1.0) == 0.5
+    assert provider.extrapolations == 0
+    assert any(np.any(np.abs(x - 0.72) < 0.005) for x in stage_xs)
+
+
+def test_traced_g_agrees_with_a_tight_tau_curve_on_an_x_dependent_spec():
+    # D = exp(1/4 - x/2 - u)(1 + p^2), R = 0.6 p^2 + 0.8 x + 0.2 u: each
+    # answer is g0 minus the g gained on the tau curve to x = 0 at tol 1e-12.
+    def diffusion(x, u, p):
+        return np.exp(0.25 - 0.5 * x - u) * (1.0 + p * p)
+
+    spec = ProblemSpec(
+        name="custom", diffusion_coeff=diffusion,
+        diffusion_coeff_dx=lambda x, u, p: -0.5 * diffusion(x, u, p),
+        diffusion_coeff_du=lambda x, u, p: -diffusion(x, u, p),
+        reaction=lambda x, u, p: 0.6 * p * p + 0.8 * x + 0.2 * u,
+        reaction_dp=lambda x, u, p: 1.2 * p,
+        bc_left=BoundaryCondition.dirichlet(), bc_right=BoundaryCondition.dirichlet(),
+    )
+    queries = [(0.9, 0.2, 1.95), (0.9, 0.2, 2.0), (0.8, -0.6, 1.8)]
+    provider = tabulate_g(spec)
+    got = provider(*np.transpose(queries))
+    assert provider.extrapolations == 0
+    for value, q in zip(got, queries):
+        end, _, termination = _lone_run(spec, (*q, 0.0), CharControls(tol=1e-12, x_end=0.0))
+        assert termination is Termination.REACHED_X_END
+        assert value == pytest.approx(-end[4], rel=1e-7)
+
+
+def test_python_float_callbacks_are_broadcast():
+    # Every callback returns a Python float, so the field broadcasts each
+    # constant into its row: p stays fixed and dg/dx = (0.25 - 0.5 p)/0.75.
+    spec = ProblemSpec(
+        name="floats", diffusion_coeff=lambda x, u, p: 0.75,
+        diffusion_coeff_dx=lambda x, u, p: -0.25, diffusion_coeff_du=lambda x, u, p: 0.5,
+        reaction=lambda x, u, p: -0.0, reaction_dp=lambda x, u, p: 0.0,
+        bc_left=BoundaryCondition.dirichlet(), bc_right=BoundaryCondition.dirichlet(),
+    )
+    x, u, p = _oracle_queries(200)
+    got = tabulate_g(spec)(x, u, p)
+    assert np.allclose(got, x * (0.25 - 0.5 * p) / 0.75, rtol=0.0, atol=1e-14)
+
+
+def test_tabulated_answers_are_their_lone_answers():
+    # Each answer of a batch equals the lone call of its query, bit for bit,
+    # and rho_laplacian_poly (3, 2) has g = g0 + sign(p) x.
+    spec = models.from_descriptor({"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0})
+    provider = tabulate_g(spec, g0=0.5)
+    grid = np.meshgrid((0.0, 0.25, 0.75, 1.0), (-1.0, 0.0, 1.0), (-1.5, 0.5, 1.0), indexing="ij")
+    got = provider(*grid)
+    assert got.shape == grid[0].shape
+    assert got.ravel().tolist() == [provider(*q) for q in zip(*(a.ravel() for a in grid))]
+    assert np.allclose(got, 0.5 + np.sign(grid[2]) * grid[0], rtol=0.0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

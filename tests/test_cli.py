@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from paralyap import _trajectory, cli, models
-from paralyap.characteristics import CharacteristicsError, analytic_g, reduced_ode_g
+from paralyap.characteristics import ReducedGError, analytic_g, reduced_ode_g
 from paralyap.cli import main
 from paralyap.lagrangian import LagrangianError, build_lagrangian
 from paralyap.models import from_descriptor
@@ -932,7 +932,7 @@ def _raise(error):
 
 @pytest.mark.parametrize("command, config, call, error, stage", [
     ("construct-energy", {"grid_dump": _SMALL_DUMP}, "from_descriptor", ValueError, "models"),
-    ("construct-energy", {"grid_dump": _SMALL_DUMP}, "analytic_g", CharacteristicsError,
+    ("construct-energy", {"grid_dump": _SMALL_DUMP}, "analytic_g", ReducedGError,
      "characteristics"),
     ("construct-energy", {"grid_dump": _SMALL_DUMP}, "build_lagrangian", LagrangianError,
      "lagrangian"),
@@ -1058,17 +1058,22 @@ def test_tabulated_metadata_is_strict_json(tmp_path):
     assert side["provider"] == {"variant": "tabulated", "extrapolations": 0}
 
 
-def test_traced_curves_that_run_out_of_tau_are_counted(tmp_path):
-    # rho_laplacian_poly (3, 2) moves x at speed 2|p|.  The probe of g near
-    # p = 0 queries p = 1e-4 and 1e-3 at x = 0.5, whose curves run out of
-    # tau before they reach x = 0: both count as extrapolations, and the
-    # density is still built.
+@pytest.mark.parametrize("n, unreached", [(2.0, 1215), (0.5, 2430)])
+def test_traced_queries_that_cannot_reach_the_plane_are_counted(tmp_path, n, unreached):
+    # rho_laplacian_poly (3, n) has D = 2|p| and R = -|p|**n, so at p = 0 the
+    # curve field R/D is 0/0 and, at n = 0.5, the g rate is infinite.  The
+    # probe's curves reach x = 0, so p_base is 0, and the l0 quadrature asks
+    # for g at p = 0 at each of its 135 u nodes, per x of the 9 x 9 dump grid:
+    # those queries are unreached, and the compatibility term takes its limit
+    # from p = 1e-6 and 1e-7 instead.  At n = 0.5 the closed-form comparison
+    # asks for as many again.
     code, out = _run(tmp_path, "construct-energy", {
-        "model": {"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0}, "g_mode": "tabulated",
+        "model": {"model": "rho_laplacian_poly", "rho": 3.0, "n": n}, "g_mode": "tabulated",
     })
     assert code == 0
-    provider = _read_json(out / "manifest.json")["results"]["provider"]
-    assert provider == {"variant": "tabulated", "extrapolations": 2}
+    results = _read_json(out / "manifest.json")["results"]
+    assert results["p_base"] == 0.0
+    assert results["provider"] == {"variant": "tabulated", "extrapolations": unreached}
 
 
 def test_compare_closed_form_scores_a_builtin(tmp_path):

@@ -48,11 +48,11 @@ _THREADED = {
         "construct-energy", {"model": {"model": "rho_laplacian_poly", "rho": 3.0, "n": 2.0},
                              "g_mode": "tabulated"},
         0, ("lagrangian_grid.csv",), False),
-    # inverse_mcf's D = 1 is one scalar, which the curve field broadcasts into
-    # its row, and R = -(1 + p^2) bends every curve in p, along which g moves
-    # at rate 2p.  A curve from (x, p) meets x = 0 only if arctan p + x < pi/2,
-    # so the dump stays at x <= 0.25: at the default 0.5 the curves from p
-    # near 2 blow up first.
+    # inverse_mcf's D = 1 is one scalar, which the curve field divides by, and
+    # R = -(1 + p^2) bends every curve in p, along which g moves at rate 2p.
+    # A curve from (x, p) meets x = 0 only if arctan p + x < pi/2, so the dump
+    # stays at x <= 0.25: at the default 0.5 the curves from p near 2 blow up
+    # first.
     "construct-traced-bending": (
         "construct-energy", {"model": {"model": "inverse_mcf"}, "g_mode": "tabulated",
                              "grid_dump": {"x": [0.1, 0.25]}},

@@ -464,6 +464,20 @@ def test_bad_inputs_raise():
         simulate(spec, np.zeros(grid.n_cells + 1), t_end=0.0, grid=grid)
 
 
+@pytest.mark.parametrize("desc", [{"model": "heat"}, {"model": "porous_medium", "m": 2.0}],
+                         ids=["heat", "porous_medium-2"])
+def test_a_non_finite_u0_is_refused_before_any_step(desc):
+    # Without the check heat failed after its first step and porous_medium
+    # blamed its diffusion coefficient; the refusal names the node instead.
+    spec, grid = models.from_descriptor(desc), Grid1D(16)
+    u0 = np.linspace(0.0, 1.0, grid.n_cells + 1)
+    u0[5] = math.nan
+    frames = []
+    with pytest.raises(ValueError, match=r"^u0 is not finite at node 5 \(x=0\.3125\): nan$"):
+        simulate(spec, u0, t_end=1e-3, grid=grid, sink=frames.append)
+    assert frames == []
+
+
 @pytest.mark.parametrize("bc", ["dirichlet", _robin(2.0)], ids=["dirichlet", "robin"])
 @pytest.mark.parametrize("desc", [
     {"model": "heat"},
@@ -520,19 +534,24 @@ def _simulated_negative_ghost():
     simulate(spec, np.full(9, 0.5), t_end=1e-3, grid=Grid1D(8))
 
 
+def _nan_at_the_middle(x, u, p):
+    return np.where(np.asarray(x) == 0.5, np.nan, 1.0)
+
+
 def _simulated_nan_state():
-    # Heat's coefficient is 1 whatever the state, so the CFL step passes and
-    # the first Heun step is the one that meets the nan.
-    u0 = np.full(9, 0.5)
-    u0[4] = np.nan
-    simulate(models.from_descriptor({"model": "heat"}), u0, t_end=1e-3, grid=Grid1D(8))
+    # simulate refuses a non-finite u0, so a finite start meets a nan
+    # reaction at x = 0.5.  Heat's coefficient is 1 whatever the state, so the
+    # CFL step passes and the first Heun step is the one that meets the nan.
+    spec = dataclasses.replace(models.from_descriptor({"model": "heat"}),
+                               reaction=lambda x, u, p: _nan_at_the_middle(x, u, p) - 1.0,
+                               rhs=None)
+    simulate(spec, np.full(9, 0.5), t_end=1e-3, grid=Grid1D(8))
 
 
 def _simulated_nan_coefficient():
-    u0 = np.full(9, 0.5)
-    u0[4] = np.nan
-    spec = models.from_descriptor({"model": "porous_medium", "m": 2.0})
-    simulate(spec, u0, t_end=1e-3, grid=Grid1D(8))
+    spec = dataclasses.replace(models.from_descriptor({"model": "heat"}),
+                               diffusion_coeff=_nan_at_the_middle, rhs=None)
+    simulate(spec, np.full(9, 0.5), t_end=1e-3, grid=Grid1D(8))
 
 
 def _simulated_step_below_floor():
