@@ -586,6 +586,24 @@ def test_tabulated_tracks_a_varying_weight():
     assert provider.extrapolations == 0
 
 
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_tabulated_porous_medium_matches_the_plane_solution(m):
+    # D = m u^(m-1) and R = -m(m-1) u^(m-2) p^2: in x, u^(m-1) p is conserved
+    # and dg/dx = (m-1) p/u, so u^m falls to u^m (1 - s) on the plane, with
+    # s = m p x/u, and g = g0 - ((m-1)/m) log1p(-s).  For s >= 1 the curve
+    # meets u = 0 first, so exactly the queries with s < 1 are answered.
+    provider = tabulate_g(models.from_descriptor({"model": "porous_medium", "m": m}), g0=0.25)
+    rng = np.random.default_rng(4)
+    x, u, p = rng.uniform(0.0, 1.0, 400), rng.uniform(0.5, 1.5, 400), rng.uniform(-1.0, 1.0, 400)
+    s = m * p * x / u
+    got = provider(x, u, p)
+    assert np.array_equal(np.isnan(got), s >= 1.0)
+    assert provider.extrapolations == np.count_nonzero(s >= 1.0) > 0
+    near = s < 0.9
+    exact = 0.25 - (m - 1.0) / m * np.log1p(-s[near])
+    assert np.all(np.abs(got[near] - exact) <= 3.0 * CharControls.tol * (1.0 + np.abs(exact)))
+
+
 def test_tabulated_inverse_curvature_matches_the_plane_solution():
     # p = tan(atan(p0) - tau) on a curve with x = tau, and g0 = 0 at x = 0
     # gives g = 2 log|cos(atan p) / cos(atan p + x)|; the curve through a
