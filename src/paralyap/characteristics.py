@@ -127,6 +127,8 @@ _A = (
 )
 _B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
 _B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0, 277.0 / 14336.0, 1.0 / 4.0)
+# The error weights: the fifth- minus the fourth-order update.
+_E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 
 def _g_rate(spec: ProblemSpec, x, u, p):
@@ -135,11 +137,17 @@ def _g_rate(spec: ProblemSpec, x, u, p):
              + p * spec.diffusion_coeff_du(x, u, p))
 
 
-# The stage weights and the two updates as arrays over the stage axis of a
-# (stages, rows, curves) stack: the fifth-order update and the error, the
-# fifth- minus the fourth-order update.
-_STAGE_WEIGHTS = [np.array(a).reshape(-1, 1, 1) for a in _A]
-_B5_E = np.array([_B5, np.subtract(_B5, _B4)]).reshape(2, -1, 1, 1)
+def _weighted_sum(weights, ks, out, term):
+    """The sum of ``weights[j] * ks[j]`` over the stages, into ``out``.
+
+    It adds as ``np.add.reduce`` does over a leading stage axis: from +0.0,
+    one product at a time, in stage order, so even a sum of -0.0 products
+    is +0.0.  ``term`` holds each product.
+    """
+    out.fill(0.0)
+    for weight, k in zip(weights, ks):
+        out += np.multiply(weight, k, out=term)
+    return out
 
 
 def _cash_karp(field, t, y, k0, h, tol):
@@ -148,19 +156,33 @@ def _cash_karp(field, t, y, k0, h, tol):
     ``y`` has one row per component and one column per curve.  Returns the
     fifth-order state, the factor to scale ``h`` by for the next attempt, and
     whether the step is accepted: its error, the largest over the rows of
-    |y5 - y4| / (tol * (1 + |y5|)), is at most 1.  Each weighted sum adds its
-    stages in stage order, whatever the number of curves, and a zero weight
-    still turns an infinite stage value into nan: a non-finite stage makes the
-    error nan and rejects the step.
+    |y5 - y4| / (tol * (1 + |y5|)), is at most 1.  Each stage state and the
+    two updates are weighted sums of the stages, each added in place into a
+    (rows, curves) buffer one stage at a time, in stage order, so no product
+    the size of all the stages is built and the bits are those of a
+    reduction over a stage axis, whatever the number of curves.  The zero
+    weights are kept: a zero times an infinite stage value is nan, so a
+    non-finite stage makes the error nan and rejects the step.
     """
-    ks = np.empty((6, *y.shape))
-    ks[0] = k0
+    ks = [k0, *np.empty((5, *y.shape))]
     ts = t + np.multiply.outer(_C, h)
+    stage, term = np.empty(y.shape), np.empty(y.shape)
     for i in range(1, 6):
-        field(ts[i], y + h * np.add.reduce(_STAGE_WEIGHTS[i] * ks[:i]), ks[i])
-    step, diff = h * np.add.reduce(_B5_E * ks, axis=1)
-    y5 = y + step
-    err = np.max(np.abs(diff) / (tol * (1.0 + np.abs(y5))), axis=0)
+        _weighted_sum(_A[i], ks, stage, term)
+        stage *= h
+        stage += y
+        field(ts[i], stage, ks[i])
+    y5 = _weighted_sum(_B5, ks, np.empty(y.shape), term)
+    y5 *= h
+    y5 += y
+    # err: |h * sum of the error weights| / (tol * (1 + |y5|)), over the rows.
+    err = _weighted_sum(_E, ks, stage, term)
+    err *= h
+    np.abs(err, out=err)
+    np.abs(y5, out=term)
+    term += 1.0
+    term *= tol
+    err = np.max(np.divide(err, term, out=err), axis=0)
     # A nan error (fmax ignores it) or an infinite one shrinks by the floor.
     # float_power rounds as libm's pow; an array ``**`` may take a SIMD path.
     scale = np.minimum(5.0, np.fmax(0.2, 0.9 * np.float_power(err + 1e-300, -0.2)))
@@ -171,12 +193,14 @@ def _trace_to_plane(spec: ProblemSpec, x, u, p, tol):
     """The g gained along each query's curve from its x to the plane x = 0.
 
     The state is (u, p, g) from g = 0, and x runs from the query's x to 0,
-    the last step clamped to what is left.  A curve that cannot finish gives
-    nan: a non-finite x, or a non-finite field at its start or at an
-    accepted state; a controlled step below ``_DT_MIN``; |p| or |g| past
-    ``_BLOWUP_CAP``; or ``_MAX_STEPS`` attempts.  The live curves advance as
-    one batch, but every operation is elementwise, so a curve does not
-    depend on its batch.
+    the last step clamped to what is left.  A query on the plane gains 0.
+    A curve that cannot finish gives nan: a non-finite x, u or p, even on
+    the plane; a non-finite field at its start or at an accepted state; a
+    controlled step below ``_DT_MIN``; |p| or |g| past ``_BLOWUP_CAP``; or
+    ``_MAX_STEPS`` attempts.  The live curves advance as one batch, but
+    every operation is elementwise, so a curve does not depend on its
+    batch.  The batch is compacted, by index, only after a pass that ends
+    some of its curves.
     """
 
     def field(x, y, k=None):
@@ -188,14 +212,17 @@ def _trace_to_plane(spec: ProblemSpec, x, u, p, tol):
         np.divide(_g_rate(spec, x, u, p), d, out=k[2])
         return k
 
-    gained = np.where(x == 0.0, 0.0, np.nan)
-    idx = np.flatnonzero(x != 0.0)
+    finite = np.isfinite(x) & np.isfinite(u) & np.isfinite(p)
+    gained = np.where(finite & (x == 0.0), 0.0, np.nan)
+    idx = np.flatnonzero(finite & (x != 0.0))
     # The live curves: query index, x, state, field there and next step.
     t, y = x[idx], np.stack([u[idx], p[idx], np.zeros(idx.size)])
     with np.errstate(all="ignore"):
         k0 = field(t, y)
-        live = np.isfinite(t) & np.isfinite(k0).all(axis=0)
-        idx, t, y, k0 = idx[live], t[live], y[:, live], k0[:, live]
+        live = np.isfinite(k0).all(axis=0)
+        if not live.all():
+            keep = np.flatnonzero(live)
+            idx, t, y, k0 = idx[keep], t[keep], y.take(keep, axis=1), k0.take(keep, axis=1)
         # The first attempt is the whole interval.
         dt = np.abs(t)
         for _ in range(_MAX_STEPS):
@@ -214,13 +241,16 @@ def _trace_to_plane(spec: ProblemSpec, x, u, p, tol):
             if moving.all():
                 field(t, y, k0)
             elif moving.any():
-                k0[:, moving] = field(t[moving], y[:, moving])
+                keep = np.flatnonzero(moving)
+                k0[:, keep] = field(t[keep], y.take(keep, axis=1))
             live = (moving | ~ok) & np.isfinite(k0).all(axis=0)
             live &= dt >= np.minimum(_DT_MIN, np.abs(t))
             if not live.all():
                 landed = (t == 0.0) & ~blown
                 gained[idx[landed]] = y[2, landed]
-                idx, t, y, k0, dt = idx[live], t[live], y[:, live], k0[:, live], dt[live]
+                keep = np.flatnonzero(live)
+                idx, t, dt = idx[keep], t[keep], dt[keep]
+                y, k0 = y.take(keep, axis=1), k0.take(keep, axis=1)
     return gained
 
 
@@ -476,10 +506,10 @@ def tabulate_g(spec: ProblemSpec, g0: float = 0.0) -> GProvider:
     step's tolerance ``CharControls.tol``.  There is no tau budget.  All
     queries of a call advance as one batch, and each answer depends only on
     its own query.  A query whose curve cannot finish is answered with nan
-    and counted in ``extrapolations``: a non-finite field at its start or at
-    an accepted state, a controlled step below ``_DT_MIN``, |p| or |g| past
-    ``_BLOWUP_CAP``, or ``_MAX_STEPS`` attempts.  Nothing is raised for a
-    query.
+    and counted in ``extrapolations``: a non-finite x, u or p, even on the
+    plane, a non-finite field at its start or at an accepted state, a
+    controlled step below ``_DT_MIN``, |p| or |g| past ``_BLOWUP_CAP``, or
+    ``_MAX_STEPS`` attempts.  Nothing is raised for a query.
 
     The function name, the "tabulated" variant and the ``extrapolations``
     field are kept from an earlier interpolation table, because the

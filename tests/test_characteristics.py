@@ -301,10 +301,18 @@ def _banded_spec(band, diffusion=lambda x: 1.0):
         lambda x, u, p: 0.0)
 
 
+_NON_FINITE_STARTS = [(0.0, math.nan, 1.0), (0.0, 0.5, math.nan), (0.0, 0.5, math.inf),
+                      (0.5, math.inf, 1.0), (0.5, -math.inf, 1.0)]
+
+
 @pytest.mark.parametrize("spec, queries, patch", [
     # Not finite at the start: x itself, or the field at (u, p).
     (models.from_descriptor({"model": "heat"}), [(math.nan, 0.5, 1.0), (math.inf, 0.5, 1.0)],
      {}),
+    # A non-finite u or p, on the plane too, where no curve is needed; heat's
+    # field is finite at an infinite u.
+    (models.from_descriptor({"model": "heat"}), _NON_FINITE_STARTS, {}),
+    (models.from_descriptor(_RHO_3_1), _NON_FINITE_STARTS, {}),
     (models.from_descriptor({"model": "porous_medium", "m": 2.0}), [(0.5, 0.0, -0.5)], {}),
     # p = tan(atan p0 + x) passes the blow-up cap before x reaches 0.
     (models.from_descriptor({"model": "inverse_mcf"}), [(1.0, 0.0, 1.0)], {}),
@@ -313,7 +321,8 @@ def _banded_spec(band, diffusion=lambda x: 1.0):
     (_banded_spec((0.5, 0.3)), [(0.9, 0.5, 1.0)], {}),
     # A curve that needs more attempts than the budget allows.
     (models.from_descriptor(_RHO_3_1), [(0.9, 0.5, 1e-3)], {"_MAX_STEPS": 5}),
-], ids=["non-finite-x", "bad-start-field", "blowup", "step-underflow", "attempt-budget"])
+], ids=["non-finite-x", "non-finite-start-heat", "non-finite-start-rho_laplacian_poly-3-1",
+      "bad-start-field", "blowup", "step-underflow", "attempt-budget"])
 def test_an_unreached_query_is_nan_for_itself_alone(monkeypatch, spec, queries, patch):
     for name, value in patch.items():
         monkeypatch.setattr(characteristics, name, value)
@@ -392,6 +401,133 @@ def test_tabulated_answers_are_their_lone_answers():
     assert got.shape == grid[0].shape
     assert got.ravel().tolist() == [provider(*q) for q in zip(*(a.ravel() for a in grid))]
     assert np.allclose(got, 0.5 + np.sign(grid[2]) * grid[0], rtol=0.0, atol=1e-10)
+
+
+def test_a_batch_whose_curves_take_different_numbers_of_passes_answers_as_its_lone_queries(
+        monkeypatch):
+    # rho_laplacian_poly (3, 1): a curve near p = 0 takes many more controlled
+    # steps than the rest, so the batch is compacted between passes.
+    x, u, p = _oracle_queries(200, seed=5)
+    p[::20] = np.random.default_rng(6).uniform(-1e-3, 1e-3, 10)
+    provider = tabulate_g(models.from_descriptor(_RHO_3_1), g0=0.25)
+    passes = []
+    real = characteristics._cash_karp
+
+    def counted(field, t, y, k0, h, tol):
+        passes.append(y.shape[1])
+        return real(field, t, y, k0, h, tol)
+
+    monkeypatch.setattr(characteristics, "_cash_karp", counted)
+    got = provider(x, u, p)
+    assert passes[0] == 200 and len(set(passes)) > 2
+    lone = np.array([provider(*q) for q in zip(x, u, p)])
+    assert got.tobytes() == lone.tobytes()
+    assert provider.extrapolations == 0
+
+
+# ---------------------------------------------------------------------------
+# the Cash-Karp pass, against a broadcast-and-reduce reference
+
+_REF_STAGE_WEIGHTS = [np.array(a).reshape(-1, 1, 1) for a in characteristics._A]
+_REF_B5_E = np.array([characteristics._B5, np.subtract(characteristics._B5, characteristics._B4)]
+                     ).reshape(2, -1, 1, 1)
+
+
+def _reference_cash_karp(field, t, y, k0, h, tol):
+    """The pass as a reduction over a (stages, rows, curves) stack of products."""
+    ks = np.empty((6, *y.shape))
+    ks[0] = k0
+    ts = t + np.multiply.outer(characteristics._C, h)
+    for i in range(1, 6):
+        field(ts[i], y + h * np.add.reduce(_REF_STAGE_WEIGHTS[i] * ks[:i]), ks[i])
+    step, diff = h * np.add.reduce(_REF_B5_E * ks, axis=1)
+    y5 = y + step
+    err = np.max(np.abs(diff) / (tol * (1.0 + np.abs(y5))), axis=0)
+    scale = np.minimum(5.0, np.fmax(0.2, 0.9 * np.float_power(err + 1e-300, -0.2)))
+    return y5, scale, err <= 1.0
+
+
+def _x_field(spec):
+    """The traced g's field in x on a (u, p, g) state."""
+    def field(x, y, k=None):
+        u, p = y[0], y[1]
+        k = np.empty(y.shape) if k is None else k
+        d = spec.diffusion_coeff(x, u, p)
+        k[0] = p
+        np.divide(spec.reaction(x, u, p), d, out=k[1])
+        np.divide(characteristics._g_rate(spec, x, u, p), d, out=k[2])
+        return k
+    return field
+
+
+def _tau_field(spec):
+    """The tau engine's field on an (x, u, p, g) state."""
+    def field(tau, y, k=None):
+        x, u, p = y[0], y[1], y[2]
+        k = np.empty(y.shape) if k is None else k
+        k[0] = spec.diffusion_coeff(x, u, p)
+        np.multiply(k[0], p, out=k[1])
+        k[2] = spec.reaction(x, u, p)
+        k[3] = characteristics._g_rate(spec, x, u, p)
+        return k
+    return field
+
+
+def _assert_same_pass(field, t, y, h, tol=CharControls.tol):
+    with np.errstate(all="ignore"):
+        k0 = field(t, y)
+        want = _reference_cash_karp(field, t, y, k0.copy(), h, tol)
+        got = characteristics._cash_karp(field, t, y, k0.copy(), h, tol)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    return got
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"model": "heat"}, _RHO_3_1, {"model": "porous_medium", "m": 2.0}, {"model": "inverse_mcf"},
+], ids=["heat", "rho_laplacian_poly-3-1", "porous_medium-2", "inverse_mcf"])
+@pytest.mark.parametrize("n", [1, 7, 7680])
+def test_the_pass_has_the_bits_of_the_reference_pass(descriptor, n):
+    # Seeded (u, p, g) states stepped toward x = 0 by a random part of the
+    # way: some attempts are accepted and some rejected.  On heat every R
+    # and g rate is a signed zero, and a g of -0.0 keeps the sign of what is
+    # added to it, so a sum that starts from its first product, not from
+    # +0.0, changes the bits.
+    rng = np.random.default_rng(n)
+    t = rng.uniform(0.0, 1.0, n)
+    y = np.stack([rng.uniform(0.0, 1.5, n), rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n)])
+    y[2, ::3], y[2, 1::3] = -0.0, 0.0
+    _, _, ok = _assert_same_pass(_x_field(models.from_descriptor(descriptor)), t, y,
+                                 -t * rng.uniform(0.0, 1.0, n))
+    if n == 7680 and descriptor != {"model": "heat"}:
+        assert ok.any() and not ok.all()
+
+
+def test_the_pass_has_the_bits_of_the_reference_pass_on_a_tau_column():
+    # The tau engine's (4, 1) column, stepped with a Python float.
+    spec = models.from_descriptor(_RHO_3_1)
+    for h in (0.05, -0.3, 2.0):
+        _assert_same_pass(_tau_field(spec), 0.25, np.array([[0.4], [0.7], [-0.8], [0.1]]), h)
+
+
+@pytest.mark.parametrize("stage", [1, 4])
+def test_an_infinite_zero_weight_stage_rejects_the_step_as_in_the_reference(stage):
+    # _B5 weights stages 1 and 4 by zero.  An infinite k at that stage, on
+    # every other curve, still makes their error nan and rejects their step.
+    base = _x_field(models.from_descriptor({"model": "heat"}))
+    rng = np.random.default_rng(7)
+    t = rng.uniform(0.1, 1.0, 8)
+    y = np.stack([rng.uniform(0.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8), np.zeros(8)])
+    # The stage's x is t + c h, a value no other stage of a curve takes.
+    stage_x = t + characteristics._C[stage] * -t
+    even = np.arange(8) % 2 == 0
+
+    def field(x, y, k=None):
+        k = base(x, y, k)
+        k[:, (x == stage_x) & even] = np.inf
+        return k
+
+    _, _, ok = _assert_same_pass(field, t, y, -t)
+    assert ok.tolist() == [False, True] * 4
 
 
 # ---------------------------------------------------------------------------
