@@ -4,7 +4,8 @@ Four subcommands cover the pipeline: ``construct-energy`` builds the energy
 integrand and dumps it on a grid, ``simulate`` evolves an initial profile,
 ``verify`` runs a simulation and checks the energy-decay contract on it, and
 ``compare-closed-form`` scores the numeric construction against a builtin's
-closed-form reference.
+closed-form reference.  Both energy commands read the same sections, and
+``_closed_form`` scores both on the dump grid, so their residuals agree.
 
 All runs are driven by a JSON config plus ``--config/--out``.  One rule
 checks its keys: ``_merge`` lays the config over ``_DEFAULTS``, the complete
@@ -18,12 +19,11 @@ the run does not read must keep its default: ``_READS`` lists the sections
 each command reads, ``_PROFILES`` the ``initial`` keys each profile reads,
 and ``_refuse_unread`` names every other key that differs from its default.
 The same rule refuses ``normalization.p0`` under ``g_mode`` ``"tabulated"``,
-whose g has no p0, and ``compare.lpp_check`` for a model that documents no
-variant.  Every number is checked where it is read: both ``quad_tol``
-settings, ``compare.lpp_check.h`` and ``time.t_end`` must be finite and
-positive, the normalization values, ``compare.x``, each ``grid_dump.x``, a
-non-null ``lagrangian.p_base``, every ``initial`` number and each value of
-a ``csv`` profile (named by its line) finite, and every count an integer.
+whose g has no p0.  Every number is checked where it is read:
+``lagrangian.quad_tol`` and ``time.t_end`` must be finite and positive, the
+normalization values, each ``grid_dump.x``, a non-null
+``lagrangian.p_base``, every ``initial`` number and each value of a ``csv``
+profile (named by its line) finite, and every count an integer.
 No setting takes a boolean.
 Each command reads all of its settings before it builds anything.  A
 manifest records the fully resolved configuration, so a rerun of the same
@@ -93,12 +93,6 @@ _DEFAULTS = {
         "u": {"min": 0.25, "max": 1.0, "n": 9},
         "p": {"min": 0.25, "max": 2.0, "n": 9},
     },
-    "compare": {
-        "x": 0.5,
-        "u": {"min": 0.25, "max": 1.0, "n": 12},
-        "p": {"min": 0.25, "max": 2.0, "n": 24},
-        "lpp_check": {"h": 5e-3, "quad_tol": 1e-12, "p_min": 0.3, "p_max": 2.0, "n": 9},
-    },
 }
 
 # The stage that reports a bad setting of each section; any other section is the CLI's.
@@ -106,12 +100,19 @@ _STAGES = {"model": "models", "normalization": "characteristics", "lagrangian": 
            "grid": "solver", "time": "solver"}
 
 # The sections that each command reads.
+_ENERGY_SECTIONS = ("model", "g_mode", "normalization", "lagrangian", "grid_dump")
 _READS = {
-    "construct-energy": ("model", "g_mode", "normalization", "lagrangian", "grid_dump"),
+    "construct-energy": _ENERGY_SECTIONS,
     "simulate": ("model", "grid", "time", "initial"),
     "verify": ("model", "g_mode", "normalization", "lagrangian", "grid", "time", "initial"),
-    "compare-closed-form": ("model", "g_mode", "normalization", "lagrangian", "compare"),
+    "compare-closed-form": _ENERGY_SECTIONS,
 }
+
+# The L_pp check beside a documented variant: the five-point second difference
+# of L in p with its own step and quadrature tolerance, at the dump's middle u.
+_LPP_H = 5e-3
+_LPP_QUAD_TOL = 1e-12
+_LPP_P = np.linspace(0.3, 2.0, 9)
 
 
 class CliError(RuntimeError):
@@ -221,11 +222,17 @@ _POINTS = _checked(lambda v: [float(_no_bool(e)) for e in v],
                    lambda v: v and all(map(math.isfinite, v)), "a nonempty list of finite numbers")
 
 
-def _axis(config, key, lo="min", hi="max"):
-    """``n`` points from ``lo`` to ``hi``, the settings of the section at ``key``."""
-    return np.linspace(_setting(config, f"{key}.{lo}", _FINITE),
-                       _setting(config, f"{key}.{hi}", _FINITE),
+def _axis(config, key):
+    """``n`` points from ``min`` to ``max``, the settings of the section at ``key``."""
+    return np.linspace(_setting(config, f"{key}.min", _FINITE),
+                       _setting(config, f"{key}.max", _FINITE),
                        _setting(config, f"{key}.n", _COUNT))
+
+
+def _dump_grid(config):
+    """The ``grid_dump`` x points and its u and p axes."""
+    return (_setting(config, "grid_dump.x", _POINTS), _axis(config, "grid_dump.u"),
+            _axis(config, "grid_dump.p"))
 
 
 def _build_spec(config) -> ProblemSpec:
@@ -343,21 +350,25 @@ def _provider_summary(provider: GProvider):
     return {"variant": provider.variant, "extrapolations": provider.extrapolations}
 
 
+def _closed_form(lag, xs, us, ps):
+    """The closed-form comparison of both energy commands, at the first dump x on its (u, p) axes."""
+    with _stage("lagrangian"):
+        return compare_closed_form(lag, us, ps, x=xs[0])
+
+
 def cmd_construct_energy(config, out_dir: Path) -> int:
     spec = _build_spec(config)
-    xs = _setting(config, "grid_dump.x", _POINTS)
-    us, ps = _axis(config, "grid_dump.u"), _axis(config, "grid_dump.p")
+    xs, us, ps = _dump_grid(config)
     provider, lag = _build_energy(spec, config)
     # Rows run over x, then u, then p: the C order of an "ij" meshgrid.
     xx, uu, pp = (a.ravel() for a in np.meshgrid(xs, us, ps, indexing="ij"))
     sidecar = {**lag.metadata, "provider": _provider_summary(provider)}
-    forms = spec.closed_forms
     with _stage("lagrangian"):
         columns = (xx, uu, pp, eval_L(lag, xx, uu, pp), eval_Lp(lag, xx, uu, pp),
                    eval_Lpp(lag, xx, uu, pp))
-        if forms is not None and forms.lagrangian is not None:
-            comparison = compare_closed_form(lag, us, ps, x=xs[0])
-            sidecar["closed_form_residual"] = comparison["max_residual"]
+    comparison = _closed_form(lag, xs, us, ps)
+    if comparison["oracle"] is not None:
+        sidecar["closed_form_residual"] = comparison["max_residual"]
     _write_csv(out_dir, "lagrangian_grid.csv", ("x", "u", "p", "L", "L_p", "L_pp"), columns)
     _write_json(out_dir, "lagrangian_sidecar.json", sidecar)
     _manifest(out_dir, "construct-energy", config, {
@@ -504,6 +515,8 @@ def cmd_verify(config, out_dir: Path) -> int:
         "passed_monotonicity": report.passed_monotonicity,
         "passed_consistency": report.passed_consistency,
         "max_consistency_error": report.max_consistency_error,
+        "p_base": lag.p_base,
+        "singular_weight": lag.singular_weight,
         "provider": _provider_summary(provider),
     })
     if not report.passed_monotonicity:
@@ -519,28 +532,9 @@ def cmd_verify(config, out_dir: Path) -> int:
 
 def cmd_compare_closed_form(config, out_dir: Path) -> int:
     spec = _build_spec(config)
-    x = _setting(config, "compare.x", _FINITE)
-    us, ps = _axis(config, "compare.u"), _axis(config, "compare.p")
-    # The L_pp check runs only beside a documented variant, as compare_closed_form reports one.
-    forms = spec.closed_forms
-    documented = (forms is not None and forms.lagrangian is not None
-                  and forms.documented_lagrangian is not None)
-    if documented:
-        h = _setting(config, "compare.lpp_check.h", _STEP)
-        quad_tol = _setting(config, "compare.lpp_check.quad_tol", _STEP)
-        p_grid = _axis(config, "compare.lpp_check", "p_min", "p_max")
-    else:
-        _refuse_unread(config["compare"], _DEFAULTS["compare"], ("x", "u", "p"),
-                       f"model {spec.name!r}, which documents no variant", "compare.")
-    provider, lag = _build_energy(spec, config)
-    with _stage("lagrangian"):
-        comparison = compare_closed_form(lag, us, ps, x=x)
-        if documented:
-            check_lag = dataclasses.replace(lag, quad_tol=quad_tol)
-            u_ref = float(us[len(us) // 2])
-            second = np.atleast_1d(second_difference_lpp(check_lag, x, u_ref, p_grid, h=h))
-            direct = np.atleast_1d(eval_Lpp(check_lag, x, u_ref, p_grid))
-
+    xs, us, ps = _dump_grid(config)
+    _, lag = _build_energy(spec, config)
+    comparison = _closed_form(lag, xs, us, ps)
     report = {key: comparison[key] for key in ("model", "oracle", "note")}
     if comparison["oracle"] is None:
         print(report["note"])
@@ -551,19 +545,22 @@ def cmd_compare_closed_form(config, out_dir: Path) -> int:
                    (np.repeat(us, len(ps)), np.tile(ps, len(us)),
                     *(comparison[k].ravel() for k in ("L_numeric", "L_closed", "residual"))))
         report["max_residual"] = comparison["max_residual"]
-    if documented:
-        doc = comparison["documented"]
+    doc = comparison.get("documented")
+    if doc is not None:
+        # The L_pp check runs only beside a documented variant.
+        check_lag = dataclasses.replace(lag, quad_tol=_LPP_QUAD_TOL)
+        u_ref = float(us[len(us) // 2])
+        with _stage("lagrangian"):
+            second = second_difference_lpp(check_lag, xs[0], u_ref, _LPP_P, h=_LPP_H)
+            direct = eval_Lpp(check_lag, xs[0], u_ref, _LPP_P)
         report["documented_variant"] = {
-            "max_residual": doc["max_residual"],
-            "note": doc["note"],
-            "discrepancy_detected": doc["discrepancy_detected"],
-        }
+            key: doc[key] for key in ("max_residual", "note", "discrepancy_detected")}
         report["lpp_check"] = {
-            "h": h,
+            "h": _LPP_H,
             "u": u_ref,
-            "p": [float(v) for v in p_grid],
-            "second_difference": [float(v) for v in second],
-            "direct_weight": [float(v) for v in direct],
+            "p": _LPP_P.tolist(),
+            "second_difference": second.tolist(),
+            "direct_weight": direct.tolist(),
             "max_residual": float(np.max(np.abs(second - direct))),
         }
     _write_json(out_dir, "comparison.json", report)

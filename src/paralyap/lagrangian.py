@@ -216,10 +216,10 @@ def build_lagrangian(spec: ProblemSpec, g_provider: GProvider, *,
 def _exp_g_reaction(lag: Lagrangian, x, u):
     """exp(g) * reaction at (x, u, p_base), resolving 0*inf limits by probing.
 
-    The direct value wins where finite.  Elsewhere the product is probed at
-    p_base + 1e-6 and p_base + 1e-7: agreement means a finite limit, decay
-    means limit 0, growth means the compatibility integrand genuinely
-    diverges and a different p_base is needed.
+    The direct value wins where finite and D(p_base) != 0; where D vanishes,
+    R/D is 0/0 and g only a limit.  Elsewhere the product is probed at
+    p_base + 1e-6 and 1e-7: agreement means a finite limit, decay means limit
+    0, growth means the integrand diverges and another p_base is needed.
     """
     spec = lag.spec
     p_base = lag.p_base
@@ -232,7 +232,10 @@ def _exp_g_reaction(lag: Lagrangian, x, u):
             # A non-finite g covers the genuine 0*inf form: defer to the probe.
             return np.where(np.isfinite(gv), np.exp(gv) * f0, np.nan)
 
-    out = at(x, u, p_base)
+    out = np.full(x.shape, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        live = np.broadcast_to(spec.diffusion_coeff(x, u, p_base), x.shape) != 0.0
+    out[live] = at(x[live], u[live], p_base)
     bad = ~np.isfinite(out)
     if not bad.any():
         return out

@@ -184,8 +184,6 @@ def test_readme_python_blocks_run_in_order():
 
 _SMALL_DUMP = {"x": [0.0], "u": {"min": 0.25, "max": 1.0, "n": 3},
                "p": {"min": 0.25, "max": 2.0, "n": 5}}
-_SMALL_COMPARE = {"x": 0.0, "u": {"min": 0.25, "max": 1.0, "n": 2},
-                  "p": {"min": 0.25, "max": 1.0, "n": 3}}
 _CONSTRUCT_FILES = {"manifest.json", "lagrangian_grid.csv", "lagrangian_sidecar.json"}
 _VERIFY_FILES = {"manifest.json", "energy_trace.csv", "verify_report.json"}
 
@@ -214,11 +212,11 @@ _REPRODUCIBLE_RUNS = {
                    "initial": {"profile": "bump"}},
         _VERIFY_FILES),
     "compare-inverse-mcf": (
-        "compare-closed-form", {"model": {"model": "inverse_mcf"}, "compare": _SMALL_COMPARE},
+        "compare-closed-form", {"model": {"model": "inverse_mcf"}, "grid_dump": _SMALL_DUMP},
         {"manifest.json", "comparison.csv", "comparison.json"}),
     "compare-mcf-poly": (
         "compare-closed-form", {"model": {"model": "mcf_poly", "n": 1.0},
-                                "compare": _SMALL_COMPARE},
+                                "grid_dump": _SMALL_DUMP},
         {"manifest.json", "comparison.json"}),
 }
 
@@ -629,29 +627,17 @@ def test_a_count_may_be_written_as_a_whole_float_or_a_string(tmp_path):
     ("construct-energy", {"grid_dump": {"x": None}}, "cli: grid_dump.x: "),
     ("construct-energy", {"grid_dump": {"x": []}}, "cli: grid_dump.x: "),
     ("construct-energy", {"grid_dump": {"u": {"n": "many"}}}, "cli: grid_dump.u.n: "),
-    ("compare-closed-form", {"compare": {"x": None}}, "cli: compare.x: "),
-    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"n": None}}}, "cli: compare.lpp_check.n: "),
-    # Out of range: an empty axis, and a second-difference step that is not
-    # a finite positive number.
+    ("compare-closed-form", {"grid_dump": {"x": None}}, "cli: grid_dump.x: "),
+    ("compare-closed-form", {"model": {"model": "inverse_mcf"}, "grid_dump": {"u": {"n": None}}},
+     "cli: grid_dump.u.n: "),
+    # Out of range: an empty axis.
     ("construct-energy", {"grid_dump": {"u": {"n": 0}}}, "cli: grid_dump.u.n: "),
-    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"n": 0}}}, "cli: compare.lpp_check.n: "),
-    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"h": 0}}}, "cli: compare.lpp_check.h: "),
-    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"h": "inf"}}}, "cli: compare.lpp_check.h: "),
-    # Not finite, or a tolerance that is not positive: each would reach the
-    # artifacts as a nan row or a bare NaN.
+    ("compare-closed-form", {"model": {"model": "inverse_mcf"}, "grid_dump": {"p": {"n": 0}}},
+     "cli: grid_dump.p.n: "),
+    # Not finite: each would reach the artifacts as a nan row or a bare NaN.
     ("construct-energy", {"grid_dump": {"x": ["nan"]}}, "cli: grid_dump.x: "),
     ("construct-energy", {"grid_dump": {"x": [0.5, "inf"]}}, "cli: grid_dump.x: "),
-    ("compare-closed-form", {"compare": {"x": "nan"}}, "cli: compare.x: "),
-    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"quad_tol": "nan"}}},
-     "cli: compare.lpp_check.quad_tol: "),
-    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"quad_tol": 0}}},
-     "cli: compare.lpp_check.quad_tol: "),
+    ("compare-closed-form", {"grid_dump": {"x": ["nan"]}}, "cli: grid_dump.x: "),
     # A JSON boolean is not the number 1, a count is not truncated, and a
     # profile name that is not a string is unknown.
     ("construct-energy", {"grid_dump": {"u": {"n": True}}}, "cli: grid_dump.u.n: "),
@@ -672,9 +658,8 @@ def test_a_count_may_be_written_as_a_whole_float_or_a_string(tmp_path):
     ("verify", {"time": {"t_end": "inf"}}, "solver: time.t_end: must be finite and > 0"),
 ], ids=["initial-null", "amplitude-null", "k-list", "center-string", "csv-missing",
         "csv-not-numbers", "dump-x-null", "dump-x-empty", "dump-u-n-string",
-        "compare-x-null", "lpp_check-n-null", "dump-u-n-0", "lpp_check-n-0",
-        "lpp_check-h-0", "lpp_check-h-inf", "dump-x-nan", "dump-x-inf", "compare-x-nan",
-        "lpp_check-quad_tol-nan", "lpp_check-quad_tol-0", "dump-u-n-true", "dump-x-true",
+        "compare-dump-x-null", "compare-dump-u-n-null", "dump-u-n-0", "compare-dump-p-n-0",
+        "dump-x-nan", "dump-x-inf", "compare-dump-x-nan", "dump-u-n-true", "dump-x-true",
         "dump-u-n-fraction", "profile-list", "amplitude-inf", "k-nan", "sharpness-minus-inf",
         "csv-nan", "csv-minus-inf", "t_end-inf"])
 def test_bad_initial_and_dump_values_name_the_stage(tmp_path, capsys, monkeypatch,
@@ -743,10 +728,9 @@ def test_bad_descriptors_fail_in_the_models_stage(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("command, override", [
     ("construct-energy", {"grid_dump": {"x": None}}),
-    ("compare-closed-form", {"compare": {"x": None}}),
-    ("compare-closed-form", {"model": {"model": "inverse_mcf"},
-                             "compare": {"lpp_check": {"n": None}}}),
-], ids=["dump-x-null", "compare-x-null", "lpp_check-n-null"])
+    ("compare-closed-form", {"model": {"model": "inverse_mcf"}, "grid_dump": {"x": None}}),
+    ("compare-closed-form", {"model": {"model": "inverse_mcf"}, "grid_dump": {"p": {"n": None}}}),
+], ids=["dump-x-null", "compare-dump-x-null", "compare-dump-p-n-null"])
 def test_bad_dump_values_fail_before_the_build(tmp_path, capsys, monkeypatch, command, override):
     monkeypatch.setattr(cli, "_build_provider", _no_build)
     code, _ = _run(tmp_path, command, {**_small(command), **override})
@@ -808,7 +792,7 @@ def test_bad_provider_and_lagrangian_values_name_the_stage(tmp_path, capsys, ove
     assert "Traceback" not in err
 
 
-_INVERSE_MCF = {"model": {"model": "inverse_mcf"}, "compare": _SMALL_COMPARE}
+_INVERSE_MCF = {"model": {"model": "inverse_mcf"}, "grid_dump": _SMALL_DUMP}
 
 
 @pytest.mark.parametrize("command, override, expected", [
@@ -819,18 +803,16 @@ _INVERSE_MCF = {"model": {"model": "inverse_mcf"}, "compare": _SMALL_COMPARE}
      "error: characteristics: unknown settings ['normalization.go']"),
     ("construct-energy", {"grid_dump": {**_SMALL_DUMP, "u": {**_SMALL_DUMP["u"], "num": 7}}},
      "error: cli: unknown settings ['grid_dump.u.num']"),
-    ("compare-closed-form", {**_INVERSE_MCF, "compare": {**_SMALL_COMPARE, "lpp": {"h": 0.01}}},
-     "error: cli: unknown settings ['compare.lpp']"),
-    ("compare-closed-form", {**_INVERSE_MCF, "compare": {"lpp_check": {"hh": 0.01}}},
-     "error: cli: unknown settings ['compare.lpp_check.hh']"),
+    ("compare-closed-form", {**_INVERSE_MCF, "grid_dump": {**_SMALL_DUMP, "xs": [0.5]}},
+     "error: cli: unknown settings ['grid_dump.xs']"),
     # A bad value names its dotted key.
     ("verify", {"time": {"t_end": "abc", "output_stride": 8}},
      "error: solver: time.t_end: could not convert string to float: 'abc'"),
     ("construct-energy", {"grid_dump": {"u": {"n": "many"}}}, "error: cli: grid_dump.u.n: "),
     ("construct-energy", {"grid_dump": {"u": {"n": 0}}},
      "error: cli: grid_dump.u.n: must be >= 1, got 0"),
-    ("compare-closed-form", {**_INVERSE_MCF, "compare": {"lpp_check": {"h": "inf"}}},
-     "error: cli: compare.lpp_check.h: must be finite and > 0, got inf"),
+    ("compare-closed-form", {**_INVERSE_MCF, "grid_dump": {**_SMALL_DUMP, "x": ["inf"]}},
+     "error: cli: grid_dump.x: must be a nonempty list of finite numbers"),
     ("verify", {"lagrangian": {"p_base": "nan"}},
      "error: lagrangian: lagrangian.p_base: must be finite, got nan\n"),
     # No setting takes a boolean, and a count is refused, not truncated.
@@ -858,15 +840,14 @@ _INVERSE_MCF = {"model": {"model": "inverse_mcf"}, "compare": _SMALL_COMPARE}
      "error: cli: grid_dump.x: must be a nonempty list of finite numbers"),
     ("construct-energy", {"normalization": {"g0": "-inf"}},
      "error: characteristics: normalization.g0: must be finite"),
-    # A removed section, and a setting that only a documented variant reads.
+    # Removed sections are unknown.
     ("verify", {"char_controls": {"tol": 1e-9}}, "error: cli: unknown settings ['char_controls']"),
-    ("compare-closed-form", {"compare": {"lpp_check": {"h": 0.01}}},
-     "error: cli: settings ['compare.lpp_check.h'] are not read by model 'heat'"),
-], ids=["initial-typo", "normalization-typo", "dump-u-typo", "compare-typo", "lpp_check-typo",
-        "t_end-string", "dump-u-n-string", "dump-u-n-0", "lpp_check-h-inf", "p_base-nan",
+    ("compare-closed-form", {"compare": {"x": 0.5}}, "error: cli: unknown settings ['compare']"),
+], ids=["initial-typo", "normalization-typo", "dump-u-typo", "compare-dump-typo",
+        "t_end-string", "dump-u-n-string", "dump-u-n-0", "compare-dump-x-inf", "p_base-nan",
         "t_end-true", "p_base-true", "dump-u-n-true", "dump-x-true", "n_cells-fraction",
         "stride-fraction", "m-true", "robin-slope-true", "quad_tol-nan", "dump-x-nan",
-        "g0-minus-inf", "char_controls", "heat-lpp_check-h"])
+        "g0-minus-inf", "char_controls", "compare-section"])
 def test_bad_settings_name_the_stage_and_the_key(tmp_path, capsys, command, override, expected):
     code, _ = _run(tmp_path, command, {**_small(command), **override})
     assert code == 1
@@ -878,8 +859,8 @@ def test_bad_settings_name_the_stage_and_the_key(tmp_path, capsys, command, over
 @pytest.mark.parametrize("command, override, unread", [
     ("construct-energy", {"time": {"t_end": "abc"}}, ["time.t_end"]),
     ("simulate", {"g_mode": "bogus"}, ["g_mode"]),
-    ("simulate", {"normalization": {"g0": 1.0}, "compare": {"lpp_check": {"h": 0.01}}},
-     ["compare.lpp_check.h", "normalization.g0"]),
+    ("simulate", {"normalization": {"g0": 1.0}, "grid_dump": {"u": {"n": 3}}},
+     ["grid_dump.u.n", "normalization.g0"]),
     ("verify", {"grid_dump": {"x": "abc"}}, ["grid_dump.x"]),
     ("compare-closed-form", {"time": {"t_end": "abc"}}, ["time.t_end"]),
 ], ids=["construct-time", "simulate-g_mode", "simulate-nested", "verify-grid_dump",
@@ -904,11 +885,7 @@ _ROBIN_HEAT = {"model": "heat",
     ("construct-energy", {"model": _ROBIN_HEAT, "g_mode": "tabulated"},
      {"normalization": {"p0": 2.0}},
      "error: cli: settings ['normalization.p0'] are not read by g_mode 'tabulated'\n"),
-    # The L_pp check runs only beside a documented variant, which heat lacks.
-    ("compare-closed-form", {}, {"compare": {"lpp_check": {"h": 0.01, "n": 3}}},
-     "error: cli: settings ['compare.lpp_check.h', 'compare.lpp_check.n'] are not read by "
-     "model 'heat', which documents no variant\n"),
-], ids=["tabulated-p0", "heat-lpp_check"])
+], ids=["tabulated-p0"])
 def test_settings_that_the_model_or_mode_does_not_read_are_refused(
         tmp_path, capsys, command, override, unread, expected):
     code, _ = _run(tmp_path, command, {**_small(command), **override, **unread})
@@ -1058,15 +1035,15 @@ def test_tabulated_metadata_is_strict_json(tmp_path):
     assert side["provider"] == {"variant": "tabulated", "extrapolations": 0}
 
 
-@pytest.mark.parametrize("n, unreached", [(2.0, 1215), (0.5, 2430)])
+@pytest.mark.parametrize("n, unreached", [(2.0, 0), (0.5, 0)])
 def test_traced_queries_that_cannot_reach_the_plane_are_counted(tmp_path, n, unreached):
     # rho_laplacian_poly (3, n) has D = 2|p| and R = -|p|**n, so at p = 0 the
-    # curve field R/D is 0/0 and, at n = 0.5, the g rate is infinite.  The
-    # probe's curves reach x = 0, so p_base is 0, and the l0 quadrature asks
-    # for g at p = 0 at each of its 135 u nodes, per x of the 9 x 9 dump grid:
-    # those queries are unreached, and the compatibility term takes its limit
-    # from p = 1e-6 and 1e-7 instead.  At n = 0.5 the closed-form comparison
-    # asks for as many again.
+    # curve field R/D is 0/0 and, at n = 0.5, the g rate is infinite: no curve
+    # from p = 0 reaches the plane.  The probe's curves reach x = 0, so p_base
+    # is 0, and since D vanishes there the l0 quadrature never asks for g at
+    # p = 0: its compatibility term takes the limit from p = 1e-6 and 1e-7,
+    # whose curves land.  So no query of the 9 x 9 dump grid, nor of its
+    # closed-form comparison, is unreached.
     code, out = _run(tmp_path, "construct-energy", {
         "model": {"model": "rho_laplacian_poly", "rho": 3.0, "n": n}, "g_mode": "tabulated",
     })
@@ -1076,12 +1053,47 @@ def test_traced_queries_that_cannot_reach_the_plane_are_counted(tmp_path, n, unr
     assert results["provider"] == {"variant": "tabulated", "extrapolations": unreached}
 
 
+# The catalog entries whose builtin ships a closed-form L.
+_ORACLES = [d for d in _CATALOG if from_descriptor(d).closed_forms.lagrangian is not None]
+
+
+@pytest.mark.parametrize("descriptor", _ORACLES, ids=lambda d: json.dumps(d, sort_keys=True))
+def test_both_energy_commands_report_one_closed_form_residual(tmp_path, descriptor):
+    # compare-closed-form and construct-energy's sidecar score the same
+    # comparison, at the first dump x on the dump's u and p axes.
+    config = {"model": descriptor, "grid_dump": {**_SMALL_DUMP, "x": [0.25, 0.75]}}
+    code, construct = _run(tmp_path, "construct-energy", config, name="construct")
+    assert code == 0
+    code, compare = _run(tmp_path, "compare-closed-form", config, name="compare")
+    assert code == 0
+    residual = _read_json(construct / "lagrangian_sidecar.json")["closed_form_residual"]
+    report = _read_json(compare / "comparison.json")
+    assert residual.hex() == report["max_residual"].hex()
+    rows = (compare / "comparison.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3 * 5
+
+
+@pytest.mark.parametrize("config, p_base, singular", [
+    (_SMALL_VERIFY, 0.0, False),
+    ({"model": {"model": "porous_medium", "m": 2.0}, "grid": {"n_cells": 16},
+      "time": {"t_end": 1e-3, "output_stride": 8}, "initial": {"profile": "bump"}}, 1.0, True),
+], ids=["heat", "porous_medium-2"])
+def test_verify_records_the_base_point_and_the_singular_weight(tmp_path, config, p_base,
+                                                               singular):
+    # As construct-energy's manifest does, so a failed verify says which base
+    # the density was built from and whether flat nodes were masked.
+    code, out = _run(tmp_path, "verify", config)
+    assert code in (0, 2)
+    results = _read_json(out / "manifest.json")["results"]
+    assert (results["p_base"], results["singular_weight"]) == (p_base, singular)
+
+
 def test_compare_closed_form_scores_a_builtin(tmp_path):
     code, out = _run(tmp_path, "compare-closed-form", {
         "model": {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},
-        "compare": {"x": 0.0,
-                    "u": {"min": 0.25, "max": 1.0, "n": 3},
-                    "p": {"min": 0.25, "max": 2.0, "n": 8}},
+        "grid_dump": {"x": [0.0],
+                      "u": {"min": 0.25, "max": 1.0, "n": 3},
+                      "p": {"min": 0.25, "max": 2.0, "n": 8}},
     })
     assert code == 0
     report = _read_json(out / "comparison.json")
@@ -1095,9 +1107,9 @@ def test_compare_closed_form_scores_a_builtin(tmp_path):
 def test_compare_closed_form_reports_a_missing_oracle(tmp_path, capsys):
     code, out = _run(tmp_path, "compare-closed-form", {
         "model": {"model": "mcf_poly", "n": 1.0},
-        "compare": {"x": 0.0,
-                    "u": {"min": 0.25, "max": 1.0, "n": 2},
-                    "p": {"min": 0.25, "max": 1.0, "n": 3}},
+        "grid_dump": {"x": [0.0],
+                      "u": {"min": 0.25, "max": 1.0, "n": 2},
+                      "p": {"min": 0.25, "max": 1.0, "n": 3}},
     })
     assert code == 0
     assert "oracle disabled" in capsys.readouterr().out

@@ -43,9 +43,10 @@ _THREADED = {
         "construct-energy", {"model": {"model": "rho_laplacian_poly", "rho": 3.0, "n": 1.0},
                              "g_mode": "tabulated"},
         0, ("lagrangian_grid.csv",), False),
-    # At n = 0.5 the g rate is infinite at p = 0, so the queries that the l0
-    # quadrature makes there cannot reach the plane; the L of the dump grid
-    # is still finite, and the run exits 0.
+    # At n = 0.5 the g rate is infinite at p = 0, so no curve from p = 0
+    # reaches the plane.  D vanishes there too, so the l0 quadrature never
+    # asks for g at p = 0 and takes its limit from p = 1e-6 and 1e-7 instead;
+    # the L of the dump grid is finite, and the run exits 0.
     "construct-traced-unreached": (
         "construct-energy", {"model": {"model": "rho_laplacian_poly", "rho": 3.0, "n": 0.5},
                              "g_mode": "tabulated"},
